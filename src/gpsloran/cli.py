@@ -21,6 +21,7 @@ import csv
 import json
 import logging
 import sys
+import time
 from datetime import date
 from pathlib import Path
 
@@ -43,12 +44,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _setup_logging() -> None:
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO,
-        format="ts=%(asctime)s.%(msecs)03dZ level=%(levelname)s logger=%(name)s msg=%(message)s",
+    formatter = logging.Formatter(
+        "ts=%(asctime)s.%(msecs)03dZ level=%(levelname)s logger=%(name)s msg=%(message)s",
         datefmt="%Y-%m-%dT%H:%M:%S",
     )
+    formatter.converter = time.gmtime  # the stamp says Z, so it must be UTC
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(formatter)
+    logging.basicConfig(level=logging.INFO, handlers=[handler])
 
 
 # --- subcommand implementations ---------------------------------------------

@@ -21,15 +21,15 @@ list of gaps longer than the gap threshold.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import statistics
 from dataclasses import dataclass
 from datetime import datetime
+from operator import add, attrgetter
 from pathlib import Path
 
-from .fsutil import atomic_write_bytes, atomic_write_json, read_json, sha256_bytes
-from .parse import GpsFix, LoranMeasurement
+from .fsutil import AtomicWriter, atomic_write_json, read_json
+from .parse import STATION_ROLES, GpsFix, LoranMeasurement
 from .timeutil import iso_ms, parse_iso_ms
 
 GPS_TYPE = "gps_fix"
@@ -78,71 +78,68 @@ def merge_sort(gps: list[GpsFix], loran: list[LoranMeasurement]) -> list[Timelin
     )
 
 
-# --- cell rendering ---------------------------------------------------------
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, datetime):
-        return iso_ms(value)
-    return str(value)
-
-
-def _gps_values(fix: GpsFix) -> dict:
-    return {
-        "timestamp": fix.timestamp,
-        "lat_deg": fix.lat,
-        "lon_deg": fix.lon,
-        "alt_m": fix.alt_m,
-        "fix_quality": fix.fix_quality,
-        "num_sats": fix.num_sats,
-        "hdop": fix.hdop,
-    }
-
-
-def _loran_values(obs: LoranMeasurement) -> dict:
-    return {
-        "timestamp": obs.timestamp,
-        "gri": obs.gri,
-        "station_role": obs.station_role,
-        "toa_us": obs.toa_us,
-        "snr_db": obs.snr_db,
-        "ecd_us": obs.ecd_us,
-    }
-
-
-def _record_values(record: TimelineRecord) -> dict:
-    if record.record_type == GPS_TYPE:
-        return _gps_values(record.payload)
-    return _loran_values(record.payload)
-
-
-def _render_columns(rows: list[dict], columns: tuple[str, ...]) -> bytes:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row.get(name)) for name in columns])
-    return buffer.getvalue().encode("utf-8")
-
-
-def _render_lines(rows: list[dict], columns: tuple[str, ...], sparse: bool) -> bytes:
-    buffer = io.StringIO()
-    for row in rows:
-        payload = {}
-        for name in columns:
-            if name not in row:
-                continue
-            value = row[name]
-            if value is None and sparse:
-                continue
-            payload[name] = iso_ms(value) if isinstance(value, datetime) else value
-        buffer.write(json.dumps(payload, separators=(",", ":")) + "\n")
-    return buffer.getvalue().encode("utf-8")
-
-
 # --- export -----------------------------------------------------------------
+
+# Per record type: its values in column order, their JSON keys, the cells
+# around them in a timeline_all CSV row, its record_type JSON member, and
+# the index of the station role, the one value JSON quotes.
+_GPS_LAYOUT = (
+    attrgetter("lat", "lon", "alt_m", "fix_quality", "num_sats", "hdop"),
+    tuple(f',"{name}":' for name in GPS_COLUMNS[1:]),
+    f",{GPS_TYPE},", "," * (len(LORAN_COLUMNS) - 1), f'","record_type":"{GPS_TYPE}"', None,
+)
+_LORAN_LAYOUT = (
+    attrgetter("gri", "station_role", "toa_us", "snr_db", "ecd_us"),
+    tuple(f',"{name}":' for name in LORAN_COLUMNS[1:]),
+    f",{LORAN_TYPE}" + "," * len(GPS_COLUMNS), "", f'","record_type":"{LORAN_TYPE}"',
+    LORAN_COLUMNS.index("station_role") - 1,
+)
+_JSON_ROLES = {role: json.dumps(role) for role in STATION_ROLES}
+_EXPORT_FILES = {fmt: [f"timeline_{kind}.{ext}" for kind in ("gps", "loran", "all")]
+                 for fmt, ext in FORMAT_EXTENSIONS.items()}
+_BLOCK_RECORDS = 1024  # records rendered between two writes to each file
+
+
+def _render_blocks(timeline: list[TimelineRecord], formats: tuple[str, ...]):
+    """Yield ``{file name: text}`` of all six export files, a block of
+    records at a time.  Each distinct timestamp is formatted once and each
+    value converted with ``str()`` once (``None`` is an empty CSV cell and
+    a JSON ``null``); every file is built from those texts.  Parsing admits
+    finite numbers only, so ``str()`` of a number is its JSON text."""
+    columns = "columns" in formats
+    lines = "lines" in formats
+    instant = stamp = None
+    for start in range(0, len(timeline), _BLOCK_RECORDS):
+        gps_csv, loran_csv, all_csv, gps_json, loran_json, all_json = [], [], [], [], [], []
+        for record in timeline[start : start + _BLOCK_RECORDS]:
+            payload = record.payload
+            if payload.timestamp != instant:
+                instant = payload.timestamp
+                stamp = iso_ms(instant)
+            if isinstance(payload, GpsFix):
+                values, keys, all_head, all_tail, json_type, role = _GPS_LAYOUT
+                own_csv, own_json = gps_csv, gps_json
+            else:
+                values, keys, all_head, all_tail, json_type, role = _LORAN_LAYOUT
+                own_csv, own_json = loran_csv, loran_json
+            texts = [None if value is None else str(value) for value in values(payload)]
+            complete = None not in texts
+            if columns:
+                row = ",".join(texts) if complete else ",".join([text or "" for text in texts])
+                own_csv.append(f"{stamp},{row}\n")
+                all_csv.append(f"{stamp}{all_head}{row}{all_tail}\n")
+            if lines:
+                if role is not None:
+                    texts[role] = _JSON_ROLES[texts[role]]
+                if complete:
+                    members = sparse = "".join(map(add, keys, texts))
+                else:
+                    members = "".join([key + (text or "null") for key, text in zip(keys, texts)])
+                    sparse = "".join([key + text for key, text in zip(keys, texts) if text])
+                own_json.append(f'{{"timestamp":"{stamp}"{members}}}\n')
+                all_json.append(f'{{"timestamp":"{stamp}{json_type}{sparse}}}\n')
+        rendered = map("".join, (gps_csv, loran_csv, all_csv, gps_json, loran_json, all_json))
+        yield dict(zip(_EXPORT_FILES["columns"] + _EXPORT_FILES["lines"], rendered))
 
 
 def export(
@@ -158,9 +155,10 @@ def export(
     """Write timeline exports plus ``manifest.json`` into *out_dir*.
 
     Deterministic: the same timeline always produces byte-identical
-    files.  On any write failure every file this call already produced
-    is removed, so a directory never holds a partial export set.
-    Returns the manifest payload.
+    files.  All files are streamed to disk in one pass over the timeline,
+    each hashed as it is written.  On any failure every file this call
+    made, final or temporary, is removed, so a directory never holds a
+    partial export set.  Returns the manifest payload.
     """
     if isinstance(formats, str):
         formats = (formats,)
@@ -170,36 +168,20 @@ def export(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    gps_rows = [_gps_values(r.payload) for r in timeline if r.record_type == GPS_TYPE]
-    loran_rows = [_loran_values(r.payload) for r in timeline if r.record_type == LORAN_TYPE]
-    all_rows = [
-        {"record_type": r.record_type, **_record_values(r)} for r in timeline
-    ]
-
-    written: list[Path] = []
-    export_files: list[dict] = []
+    writers: dict[str, AtomicWriter] = {}
     try:
-        for fmt in formats:
-            extension = FORMAT_EXTENSIONS[fmt]
-            plans = (
-                (f"timeline_gps.{extension}", gps_rows, GPS_COLUMNS, False),
-                (f"timeline_loran.{extension}", loran_rows, LORAN_COLUMNS, False),
-                (f"timeline_all.{extension}", all_rows, ALL_COLUMNS, True),
-            )
-            for name, rows, columns, sparse in plans:
+        for fmt in dict.fromkeys(formats):  # a format named twice is written once
+            for name, header in zip(_EXPORT_FILES[fmt], (GPS_COLUMNS, LORAN_COLUMNS, ALL_COLUMNS)):
+                writers[name] = writer = AtomicWriter(out_dir / name)
                 if fmt == "columns":
-                    content = _render_columns(rows, columns)
-                else:
-                    content = _render_lines(rows, columns, sparse)
-                path = out_dir / name
-                atomic_write_bytes(path, content)
-                written.append(path)
-                export_files.append(
-                    {"path": name, "format": fmt, "digest": sha256_bytes(content)}
-                )
-    except OSError:
-        for path in written:
-            path.unlink(missing_ok=True)
+                    writer.write((",".join(header) + "\n").encode("utf-8"))
+        for block in _render_blocks(timeline, formats):
+            for name, writer in writers.items():
+                writer.write(block[name].encode("utf-8"))
+        digests = {name: writer.commit() for name, writer in writers.items()}
+    except BaseException:
+        for writer in writers.values():
+            writer.discard()
         raise
 
     summary = summarize(timeline, gap_threshold_s)
@@ -210,13 +192,17 @@ def export(
         if summary.time_span is None
         else {"first": iso_ms(summary.time_span[0]), "last": iso_ms(summary.time_span[1])},
         "record_counts": {
-            "gps_fix": sum(1 for r in timeline if r.record_type == GPS_TYPE),
-            "loran": len(loran_rows),
+            "gps_fix": summary.gps_fix_count + summary.no_fix_count,
+            "loran": sum(station_counts.values()),
             "loran_by_station": station_counts,
             "parse_errors": parse_errors,
             "quarantined": quarantined,
         },
-        "export_files": export_files,
+        "export_files": [
+            {"path": name, "format": fmt, "digest": digests[name]}
+            for fmt in formats
+            for name in _EXPORT_FILES[fmt]
+        ],
         "gap_threshold_s": gap_threshold_s,
         "gap_list": [
             {"start": iso_ms(start), "end": iso_ms(end)} for start, end in summary.gaps

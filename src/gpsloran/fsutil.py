@@ -4,12 +4,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import suppress
 from pathlib import Path
 from typing import Any
-
-
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def sha256_file(path: Path) -> str:
@@ -20,23 +17,48 @@ def sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+class AtomicWriter:
+    """Stream bytes to *path*, hashing them, via a sibling ``<name>.tmp``
+    that :meth:`commit` fsyncs and renames over *path*; rename is atomic on
+    POSIX filesystems, so readers never observe a partial file."""
+
+    def __init__(self, path: Path):
+        self.path = Path(path)
+        self.tmp = self.path.with_name(self.path.name + ".tmp")
+        self.digest = hashlib.sha256()
+        self.committed = False
+        self._handle = open(self.tmp, "wb")
+
+    def write(self, data: bytes) -> None:
+        self.digest.update(data)
+        self._handle.write(data)
+
+    def commit(self) -> str:
+        """Make the file durable under its final name; return its sha256."""
+        with self._handle:
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
+        os.replace(self.tmp, self.path)
+        self.committed = True
+        return self.digest.hexdigest()
+
+    def discard(self) -> None:
+        """Remove what this writer put on disk, the committed file included."""
+        with suppress(OSError):  # on a full disk, closing fails to flush again
+            self._handle.close()
+        self.tmp.unlink(missing_ok=True)
+        if self.committed:
+            self.path.unlink(missing_ok=True)
+
+
 def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write *data* to *path* so readers never observe a partial file.
-
-    The payload goes to a sibling temp file which is fsynced and then
-    renamed over the target; rename is atomic on POSIX filesystems.
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    writer = AtomicWriter(path)
+    try:
+        writer.write(data)
+        writer.commit()
+    except BaseException:
+        writer.discard()
+        raise
 
 
 def atomic_write_json(path: Path, payload: Any) -> None:

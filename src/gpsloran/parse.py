@@ -37,6 +37,7 @@ survives corrupt input.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
@@ -213,9 +214,12 @@ def _require_fields(fields: list[str], minimum: int, sentence: str) -> None:
 
 def _parse_float(value: str, field_name: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ParseError(f"malformed {field_name}: {value!r}", field_name) from None
+    if not math.isfinite(number):
+        raise ParseError(f"non-finite {field_name}: {value!r}", field_name)
+    return number
 
 
 def _parse_int(value: str, field_name: str) -> int:

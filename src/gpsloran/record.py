@@ -411,21 +411,6 @@ class CaptureSession:
             os.fsync(handle.fileno())
 
 
-def open_session(
-    source: SourceEndpoint,
-    out_dir: Path,
-    rotation: RotationPolicy | None = None,
-    **kwargs,
-) -> CaptureSession:
-    """Start a capture session directory for *source* under *out_dir*."""
-    return CaptureSession(
-        out_dir,
-        source_text=f"{source.kind.value}:{source.address}",
-        rotation=rotation,
-        **kwargs,
-    )
-
-
 def read_events(session_dir: Path) -> list[dict]:
     """Load the session's event log; tolerates a torn final line."""
     path = Path(session_dir) / "events.jsonl"

@@ -1,10 +1,14 @@
+import calendar
 import csv
 import io
 import json
+import logging
 import threading
+import time
 
 import pytest
 
+from gpsloran import cli
 from gpsloran.cli import main
 from gpsloran.convert import read_gps_export, read_loran_export, read_manifest
 from gpsloran.fsutil import read_json
@@ -39,6 +43,25 @@ def segment_file(tmp_path):
         )
     )
     return path
+
+
+def test_log_timestamps_are_utc(monkeypatch):
+    created = calendar.timegm((2020, 4, 17, 16, 32, 5))  # 01:32 the next day in Seoul
+    root = logging.getLogger()
+    monkeypatch.setattr(root, "handlers", [])  # let basicConfig install its handler
+    monkeypatch.setattr(root, "level", root.level)
+    monkeypatch.setenv("TZ", "Asia/Seoul")
+    time.tzset()
+    try:
+        assert time.localtime(created).tm_hour == 1  # the local zone is in effect
+        cli._setup_logging()
+        record = logging.LogRecord("gpsloran", logging.INFO, __file__, 1, "hello", None, None)
+        record.created, record.msecs = created, 250.0
+        line = root.handlers[0].format(record)
+    finally:
+        monkeypatch.undo()
+        time.tzset()
+    assert line.startswith("ts=2020-04-17T16:32:05.250Z level=INFO ")
 
 
 def test_no_arguments_is_an_error(capsys):

@@ -1,6 +1,8 @@
 import csv
+import errno
 import io
 import json
+import os
 import random
 from datetime import timedelta
 
@@ -22,7 +24,8 @@ from gpsloran.convert import (
     read_manifest,
     summarize,
 )
-from gpsloran.fsutil import read_json, sha256_file
+from gpsloran import fsutil
+from gpsloran.fsutil import AtomicWriter, read_json, sha256_file
 from gpsloran.parse import GpsFix, LoranMeasurement
 
 from conftest import utc
@@ -202,28 +205,135 @@ def test_export_round_trip_both_formats(tmp_path):
     assert read_loran_export(tmp_path / "timeline_loran.jsonl") == loran_in
 
 
+def golden_timeline():
+    """A fixed timeline covering every rendering case of the exports."""
+    t1 = T0 + timedelta(seconds=1)
+    t2 = T0 + timedelta(seconds=2, milliseconds=250)
+    gps = [
+        GpsFix(T0, 37.5, 127.25, 30.0, 1, 8, 1.0),
+        GpsFix(t1, -33.86881667, -151.2093, -12.3, 2, 11, 0.85),
+        GpsFix(t1 + timedelta(milliseconds=7), 0.0, -0.0, None, 1, 4, None),  # fix, no hdop/alt
+        GpsFix(t2, None, None, None, 0, 0, None),  # no fix
+    ]
+    loran = [
+        LoranMeasurement(T0, 9930, "M", 12345.6, 18.4, 0.1),
+        LoranMeasurement(T0, 9930, "W", 31234.5, -3.5, -0.25),
+        LoranMeasurement(T0, 7430, "X", 50000.0, 1e-05, 0.0),
+        LoranMeasurement(t1, 9930, "M", 12345.7, 18.5, 0.2),
+        LoranMeasurement(t2, 9930, "Y", 98000.1, 6.0, -1.5),
+        LoranMeasurement(t2 + timedelta(milliseconds=999), 5990, "Z", 0.0, 40.0, 5.0),
+    ]
+    return merge_sort(gps, loran)
+
+
+GOLDEN_DIGESTS = {
+    "timeline_gps.csv":
+        "cb805ef427196937ea99ad11f0e98711720a4dfb2f042945b731607dc78cc9bc",
+    "timeline_loran.csv":
+        "7fbac9f646efecd70ace71510f0a2d06a3f6165538463c411328dd2cf9bd0e03",
+    "timeline_all.csv":
+        "d9e56ed7f8d86398308d820bccc01b429a52422757839d1be0c05360d4e9214b",
+    "timeline_gps.jsonl":
+        "e4536feb1b849bcb8f905a692829248bd1986e53c012f58273bc0ad06b503709",
+    "timeline_loran.jsonl":
+        "2483a2640c8587b5bf83b8d5e83902e99f9711dca3f69a53b518b013253623d0",
+    "timeline_all.jsonl":
+        "b48f18c919662536e0c87db52adfb565ffc84e656d5ada46e62cdf2fde2493b1",
+    MANIFEST_NAME:
+        "5648745685f9391437e3926252fb39e4d7a6dae208dc2ba57b4514ac5496d835",
+}
+
+
+def test_export_golden_digests(tmp_path):
+    manifest = export(
+        golden_timeline(), ("columns", "lines"), tmp_path,
+        session_id="golden", parse_errors=1, quarantined=2, gap_threshold_s=1.0,
+    )
+    on_disk = {path.name: sha256_file(path) for path in tmp_path.iterdir()}
+    assert on_disk == GOLDEN_DIGESTS
+    assert {entry["path"]: entry["digest"] for entry in manifest["export_files"]} == {
+        name: digest for name, digest in GOLDEN_DIGESTS.items() if name != MANIFEST_NAME
+    }
+
+
+def long_timeline():
+    """Several thousand records, so the output crosses internal write blocks."""
+    rng = random.Random(7)
+    gps, loran = [], []
+    for second in range(600):
+        moment = T0 + timedelta(seconds=second, milliseconds=rng.choice((0, 0, 125)))
+        gps.append(fix_at(moment, lat=round(rng.uniform(-90, 90), 6), no_fix=second % 97 == 5))
+        for role in "MWXY":
+            loran.append(loran_at(moment, role=role, snr=round(rng.uniform(-5, 30), 1)))
+    return merge_sort(gps, loran)
+
+
+LONG_MANIFEST_DIGEST = "8f4329b8061b26ddc43076d2dcfc9189ed828ba06178edd0ff7e2c5ca46b0530"
+
+
+def test_export_long_timeline_digest(tmp_path):
+    export(long_timeline(), ("lines", "columns"), tmp_path, session_id="long")
+    assert sha256_file(tmp_path / MANIFEST_NAME) == LONG_MANIFEST_DIGEST
+
+
 def test_export_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         export([], "parquet", tmp_path, session_id="s1")
 
 
 def test_export_failure_leaves_no_partial_files(tmp_path, monkeypatch):
-    import gpsloran.convert as convert_mod
+    """A write failing partway through timeline_all.csv, after the other
+    files and part of this one have gone out, leaves no file at all."""
+    real_write = AtomicWriter.write
+    written = []
 
-    real_write = convert_mod.atomic_write_bytes
-    calls = []
+    def failing_write(self, data):
+        if self.path.name == "timeline_all.csv" and written.count(self.path.name):
+            real_write(self, data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "disk full")
+        written.append(self.path.name)
+        real_write(self, data)
 
-    def failing_write(path, data):
-        calls.append(path.name)
-        if path.name == "timeline_all.csv":
-            raise OSError("disk full")
-        real_write(path, data)
-
-    monkeypatch.setattr(convert_mod, "atomic_write_bytes", failing_write)
+    monkeypatch.setattr(AtomicWriter, "write", failing_write)
     with pytest.raises(OSError):
-        export(sample_timeline(), "columns", tmp_path, session_id="s1")
-    assert "timeline_gps.csv" in calls  # some files were written first
-    assert list(tmp_path.iterdir()) == []  # then removed on failure
+        export(sample_timeline(), ("columns", "lines"), tmp_path, session_id="s1")
+    assert written.count("timeline_all.csv") == 1  # the header went out first
+    assert written.count("timeline_gps.csv") == written.count("timeline_loran.csv") == 2
+    assert list(tmp_path.iterdir()) == []  # finals and .tmp files alike
+
+
+def test_export_failure_while_renaming_removes_committed_files(tmp_path, monkeypatch):
+    real_replace = os.replace
+    renamed = []
+
+    def failing_replace(src, dst):
+        if os.path.basename(dst) == "timeline_all.jsonl":
+            raise OSError(errno.EIO, "rename failed")
+        renamed.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        export(sample_timeline(), ("columns", "lines"), tmp_path, session_id="s1")
+    assert len(renamed) == 5  # every other file was already in place
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_export_on_a_full_disk_leaves_no_files(tmp_path, monkeypatch):
+    """On a full disk the bytes still buffered fail again when a file is
+    closed for removal; every other file must be removed all the same."""
+    real_open = open
+
+    def full_disk_open(path, mode="r"):
+        if os.path.basename(path) == "timeline_all.csv.tmp":
+            real_open(path, mode).close()
+            return real_open("/dev/full", mode)
+        return real_open(path, mode)
+
+    monkeypatch.setattr(fsutil, "open", full_disk_open, raising=False)
+    with pytest.raises(OSError):
+        export(long_timeline(), ("columns", "lines"), tmp_path, session_id="s1")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_export_empty_timeline(tmp_path):

@@ -289,6 +289,28 @@ def test_parse_loran_rejects(body, bad_field):
     assert info.value.field_name == bad_field
 
 
+@pytest.mark.parametrize(
+    "body,bad_field",
+    [
+        ("PLRM,120000,9930,M,45678.9,nan,0.5", "snr_db"),
+        ("PLRM,120000,9930,M,45678.9,12.0,inf", "ecd_us"),
+        ("PLRM,120000,9930,M,45678.9,-Infinity,0.5", "snr_db"),
+        ("PLRM,120000,9930,M,45678.9,12.0,1e999", "ecd_us"),
+        ("PLRM,120000,9930,M,nan,12.0,0.5", "toa_us"),
+        ("GPGGA,120000.000,3700.0000,N,12700.0000,E,1,08,nan,30.0,M,,M,,", "hdop"),
+        ("GPGGA,120000.000,3700.0000,N,12700.0000,E,1,08,1.0,1e999,M,,M,,", "alt_m"),
+        ("GPGGA,120000.000,3700.0000,N,12700.0000,E,1,08,1.0,-inf,M,,M,,", "alt_m"),
+    ],
+)
+def test_non_finite_numbers_are_parse_errors(body, bad_field):
+    # NaN and infinities have no JSON form, so they must never reach an export
+    parser = parse_loran if body.startswith("PLRM") else parse_gga
+    with pytest.raises(ParseError) as info:
+        parser(split_sentence(body), ctx())
+    assert info.value.field_name == bad_field
+    assert "non-finite" in str(info.value)
+
+
 def test_toa_upper_bound_tracks_gri():
     # 99299.9 us fits inside GRI 9930's frame; the same TOA fails for GRI 4000
     ok = split_sentence("PLRM,120000,9930,M,99299.9,12.0,0.5")
