@@ -19,10 +19,11 @@ is never decoded as text; framing and matching are byte-level.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO
 
 from .fsutil import atomic_write_json
 
@@ -32,8 +33,13 @@ MAX_LINE_BYTES = 8192
 
 QUARANTINE_LABEL = "quarantine"
 
-_PROPRIETARY_RE = re.compile(rb"^\$P([A-Z0-9]+)(?:[,*]|\Z)")
-_STANDARD_RE = re.compile(rb"^\$([A-Z]{2})([A-Z]{3})(?:[,*]|\Z)")
+# Segments are read and routed in chunks of this many bytes, so route()
+# holds at most one chunk of lines however large the segment is.
+READ_CHUNK = 1 << 16
+
+# Proprietary is the first alternative, so it wins; a standard match never
+# starts with ``$P`` because any such header also matches the proprietary one.
+_HEADER_RE = re.compile(rb"\$(?:P([A-Z0-9]+)|([A-Z]{2})([A-Z]{3}))(?:[,*]|\Z)")
 _HEX_DIGITS = frozenset(b"0123456789abcdefABCDEF")
 
 
@@ -69,36 +75,6 @@ class MessageClass:
 UNKNOWN_CLASS = MessageClass(MessageKind.UNKNOWN)
 
 
-@dataclass(frozen=True)
-class ClassifiedLine:
-    """One framed line together with everything route() decides from it."""
-
-    raw: bytes
-    message_class: MessageClass
-    checksum_status: ChecksumStatus
-    segment_offset: int
-    line_number: int
-    terminated: bool = True
-
-
-def _frame(buffer: bytes) -> tuple[list[tuple[bytes, int]], bytes]:
-    """Split *buffer* on LF into (line, consumed-byte-span) pairs.
-
-    The span counts the terminator (and any stripped CR) so callers can
-    track byte offsets; the returned residual is everything after the last
-    LF.
-    """
-    parts = buffer.split(b"\n")
-    residual = parts.pop()
-    framed = []
-    for part in parts:
-        span = len(part) + 1
-        if part.endswith(b"\r"):
-            part = part[:-1]
-        framed.append((part, span))
-    return framed, residual
-
-
 def extract_lines(data: bytes, carry: bytes = b"") -> tuple[list[bytes], bytes]:
     """Frame *data* (prefixed by leftover *carry*) into terminator-free lines.
 
@@ -107,23 +83,22 @@ def extract_lines(data: bytes, carry: bytes = b"") -> tuple[list[bytes], bytes]:
     in chunks of any size yields the same lines as one big call.  Empty
     lines are kept as zero-length entries.
     """
-    framed, residual = _frame(carry + data)
-    return [line for line, _ in framed], residual
+    lines = (carry + data).split(b"\n")
+    residual = lines.pop()
+    return [line[:-1] if line.endswith(b"\r") else line for line in lines], residual
 
 
 def classify_line(line: bytes) -> MessageClass:
     """Classify one line by its header.  Total: never raises."""
-    match = _PROPRIETARY_RE.match(line)
-    if match:
-        return MessageClass(MessageKind.PROPRIETARY, vendor_tag=match.group(1).decode("ascii"))
-    match = _STANDARD_RE.match(line)
-    if match:
-        return MessageClass(
-            MessageKind.STANDARD,
-            talker=match.group(1).decode("ascii"),
-            sentence=match.group(2).decode("ascii"),
-        )
-    return UNKNOWN_CLASS
+    match = _HEADER_RE.match(line)
+    if match is None:
+        return UNKNOWN_CLASS
+    vendor_tag, talker, sentence = match.groups()
+    if vendor_tag is not None:
+        return MessageClass(MessageKind.PROPRIETARY, vendor_tag=vendor_tag.decode("ascii"))
+    return MessageClass(
+        MessageKind.STANDARD, talker=talker.decode("ascii"), sentence=sentence.decode("ascii")
+    )
 
 
 def verify_checksum(line: bytes) -> ChecksumStatus:
@@ -147,40 +122,6 @@ def verify_checksum(line: bytes) -> ChecksumStatus:
     for byte in line[line.find(b"$") + 1 : star]:
         fold ^= byte
     return ChecksumStatus.VALID if fold == int(line[star + 1 :], 16) else ChecksumStatus.INVALID
-
-
-def iter_classified(stream: BinaryIO, chunk_size: int = 1 << 16) -> Iterator[ClassifiedLine]:
-    """Yield a ClassifiedLine for every line in *stream*, in order.
-
-    A trailing unterminated line is yielded last with ``terminated=False``.
-    """
-    carry = b""
-    offset = 0
-    line_number = 0
-    while True:
-        data = stream.read(chunk_size)
-        framed, carry = _frame(carry + data)
-        for raw, span in framed:
-            line_number += 1
-            yield ClassifiedLine(
-                raw=raw,
-                message_class=classify_line(raw),
-                checksum_status=verify_checksum(raw),
-                segment_offset=offset,
-                line_number=line_number,
-            )
-            offset += span
-        if not data:
-            break
-    if carry:
-        yield ClassifiedLine(
-            raw=carry,
-            message_class=classify_line(carry),
-            checksum_status=verify_checksum(carry),
-            segment_offset=offset,
-            line_number=line_number + 1,
-            terminated=False,
-        )
 
 
 @dataclass
@@ -224,7 +165,9 @@ def route(
     ``<label>.txt``; unknown lines, overlong lines, and (by default)
     invalid-checksum lines go to ``quarantine.txt``.  Within each file,
     lines keep their segment order and exact byte content.  Re-running on
-    the same segment reproduces byte-identical outputs.
+    the same segment reproduces byte-identical outputs.  The segment is
+    read in ``READ_CHUNK``-byte chunks and each class file gets one write
+    per chunk, so memory stays bounded by one chunk plus the longest line.
 
     A ``report.json`` with the counts is written last, so its presence
     marks a completed classification.
@@ -233,43 +176,58 @@ def route(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    labels: dict[bytes, str] = {}  # matched header bytes -> class label
     counts: dict[str, int] = {}
-    checksum_counts = {status.value: 0 for status in ChecksumStatus}
+    checksum_counts = dict.fromkeys(ChecksumStatus, 0)
     writers: dict[str, BinaryIO] = {}
-    total = 0
-    trailing_unterminated = False
+    match_header = _HEADER_RE.match
+    invalid = ChecksumStatus.INVALID
+    carry = b""
     try:
         with open(segment_path, "rb") as stream:
-            for entry in iter_classified(stream):
-                total += 1
-                checksum_counts[entry.checksum_status.value] += 1
-                if not entry.terminated:
-                    trailing_unterminated = True
-                label = entry.message_class.label
-                if (
-                    entry.message_class.kind is MessageKind.UNKNOWN
-                    or len(entry.raw) > MAX_LINE_BYTES
-                    or (quarantine_invalid and entry.checksum_status is ChecksumStatus.INVALID)
-                ):
-                    label = QUARANTINE_LABEL
-                writer = writers.get(label)
-                if writer is None:
-                    writer = open(out_dir / f"{label}.txt", "wb")
-                    writers[label] = writer
-                writer.write(entry.raw + b"\n")
-                counts[label] = counts.get(label, 0) + 1
+            while True:
+                data = stream.read(READ_CHUNK)
+                if data:
+                    lines, carry = extract_lines(data, carry)
+                else:  # end of segment: an unterminated tail is kept verbatim
+                    lines = [carry] if carry else []
+                pending: defaultdict[str, list[bytes]] = defaultdict(list)
+                for line in lines:
+                    status = verify_checksum(line)
+                    checksum_counts[status] += 1
+                    match = match_header(line)
+                    if (
+                        match is None
+                        or len(line) > MAX_LINE_BYTES
+                        or (quarantine_invalid and status is invalid)
+                    ):
+                        label = QUARANTINE_LABEL
+                    else:
+                        key = match.group()
+                        label = labels.get(key)
+                        if label is None:
+                            label = labels[key] = classify_line(key).label
+                    pending[label].append(line)
+                for label, group in pending.items():
+                    writer = writers.get(label)
+                    if writer is None:
+                        writer = writers[label] = open(out_dir / f"{label}.txt", "wb")
+                    writer.write(b"\n".join(group) + b"\n")
+                    counts[label] = counts.get(label, 0) + len(group)
+                if not data:
+                    break
     finally:
         for writer in writers.values():
             writer.close()
 
     report = ClassificationReport(
         segment=segment_path.name,
-        total_lines=total,
+        total_lines=sum(counts.values()),
         quarantined_lines=counts.get(QUARANTINE_LABEL, 0),
         counts=dict(sorted(counts.items())),
         output_paths={label: f"{label}.txt" for label in sorted(writers)},
-        checksum_counts=checksum_counts,
-        trailing_unterminated=trailing_unterminated,
+        checksum_counts={status.value: n for status, n in checksum_counts.items()},
+        trailing_unterminated=bool(carry),
     )
     atomic_write_json(out_dir / REPORT_NAME, report.to_json())
     return report

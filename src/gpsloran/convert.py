@@ -142,6 +142,20 @@ def _render_blocks(timeline: list[TimelineRecord], formats: tuple[str, ...]):
         yield dict(zip(_EXPORT_FILES["columns"] + _EXPORT_FILES["lines"], rendered))
 
 
+def export_formats(formats: str | tuple[str, ...] | list[str]) -> tuple[str, ...]:
+    """Validate export format names; each comes back once, in first-named order.
+
+    A single name may be given alone.  Raises ``ValueError`` on anything
+    that is not a key of ``FORMAT_EXTENSIONS``.
+    """
+    if not isinstance(formats, (list, tuple)):
+        formats = (formats,)
+    for fmt in formats:
+        if not isinstance(fmt, str) or fmt not in FORMAT_EXTENSIONS:
+            raise ValueError(f"unknown export format: {fmt!r}")
+    return tuple(dict.fromkeys(formats))
+
+
 def export(
     timeline: list[TimelineRecord],
     formats: tuple[str, ...] | str,
@@ -160,17 +174,13 @@ def export(
     made, final or temporary, is removed, so a directory never holds a
     partial export set.  Returns the manifest payload.
     """
-    if isinstance(formats, str):
-        formats = (formats,)
-    for fmt in formats:
-        if fmt not in FORMAT_EXTENSIONS:
-            raise ValueError(f"unknown export format: {fmt!r}")
+    formats = export_formats(formats)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     writers: dict[str, AtomicWriter] = {}
     try:
-        for fmt in dict.fromkeys(formats):  # a format named twice is written once
+        for fmt in formats:
             for name, header in zip(_EXPORT_FILES[fmt], (GPS_COLUMNS, LORAN_COLUMNS, ALL_COLUMNS)):
                 writers[name] = writer = AtomicWriter(out_dir / name)
                 if fmt == "columns":

@@ -42,7 +42,7 @@ from typing import Callable
 from . import classify as classify_mod
 from .classify import ClassificationReport, route
 from .clock import AcceleratedClock, Clock, SystemClock
-from .convert import export, merge_sort
+from .convert import export, export_formats, merge_sort
 from .fsutil import atomic_write_bytes, atomic_write_json, read_json, sha256_file
 from .parse import parse_classified
 from .record import (
@@ -197,6 +197,7 @@ PIPELINE_DEFAULTS = {
 def pipeline_settings(config: dict) -> dict:
     settings = dict(PIPELINE_DEFAULTS)
     settings.update({k: v for k, v in config.items() if k in PIPELINE_DEFAULTS})
+    settings["formats"] = list(export_formats(settings["formats"]))
     return settings
 
 

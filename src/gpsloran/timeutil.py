@@ -23,11 +23,6 @@ def ensure_utc(dt: datetime) -> datetime:
     return dt.astimezone(UTC)
 
 
-def quantize_ms(dt: datetime) -> datetime:
-    """Truncate *dt* to whole milliseconds."""
-    return dt.replace(microsecond=(dt.microsecond // 1000) * 1000)
-
-
 def iso_ms(dt: datetime) -> str:
     """Format a UTC timestamp as ``YYYY-MM-DDTHH:MM:SS.mmmZ``."""
     dt = ensure_utc(dt)
@@ -62,16 +57,6 @@ def parse_duration(text: str | float | int) -> float:
     if value < 0:
         raise ValueError(f"duration must be non-negative: {text!r}")
     return value
-
-
-def epoch_ms(dt: datetime) -> int:
-    """Milliseconds since the Unix epoch, for order-preserving sort keys."""
-    return round(ensure_utc(dt).timestamp() * 1000)
-
-
-def from_epoch_ms(ms: int) -> datetime:
-    """Inverse of :func:`epoch_ms`."""
-    return datetime.fromtimestamp(ms / 1000, tz=UTC)
 
 
 def day_start(dt: datetime) -> datetime:

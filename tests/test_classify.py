@@ -1,12 +1,15 @@
-import io
+import hashlib
 import random
+import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gpsloran import classify
 from gpsloran.classify import (
     MAX_LINE_BYTES,
     QUARANTINE_LABEL,
@@ -16,7 +19,6 @@ from gpsloran.classify import (
     MessageKind,
     classify_line,
     extract_lines,
-    iter_classified,
     route,
     verify_checksum,
 )
@@ -184,35 +186,6 @@ def test_checksum_agrees_with_oracle_on_sentences(body, fudge):
     assert verify_checksum(line) is _oracle_status(line)
 
 
-# --- streaming classification ------------------------------------------------
-
-
-def test_iter_classified_offsets_and_unterminated_tail():
-    data = b"$GPGGA,1*66\r\n#junk\n$PLRM,tail"
-    entries = list(iter_classified(io.BytesIO(data), chunk_size=5))
-    assert [e.raw for e in entries] == [b"$GPGGA,1*66", b"#junk", b"$PLRM,tail"]
-    assert [e.line_number for e in entries] == [1, 2, 3]
-    assert entries[0].segment_offset == 0
-    assert entries[1].segment_offset == 13
-    assert entries[2].segment_offset == 19
-    assert [e.terminated for e in entries] == [True, True, False]
-
-
-def test_iter_classified_chunk_size_invariance():
-    rng = random.Random(7)
-    blob = b"".join(
-        gga_line(tod=f"{h:02d}0000.000") + b"\r\n" for h in range(24)
-    ) + b"#noise\n$PLRM,partial"
-    baseline = [(e.raw, e.segment_offset, e.terminated) for e in iter_classified(io.BytesIO(blob))]
-    for _ in range(10):
-        size = rng.randrange(1, 64)
-        got = [
-            (e.raw, e.segment_offset, e.terminated)
-            for e in iter_classified(io.BytesIO(blob), chunk_size=size)
-        ]
-        assert got == baseline
-
-
 # --- routing -----------------------------------------------------------------
 
 
@@ -352,3 +325,157 @@ def test_report_round_trips_through_json(tmp_path):
     loaded = ClassificationReport.from_json(read_json(out / REPORT_NAME))
     assert loaded.to_json() == report.to_json()
     assert loaded.counts == {"GPGGA": 1, "P_LRM": 1}
+
+
+def _class_files(out: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def _chunk_blob() -> bytes:
+    return (
+        b"".join(gga_line(tod=f"{h:02d}0000.000") + b"\r\n" for h in range(24))
+        + b"\n\r\n#noise\n"
+        + plrm_line()
+        + b"\r\n$PLRM,partial\r"
+    )
+
+
+def test_route_chunk_size_invariance(tmp_path, monkeypatch):
+    segment = tmp_path / "raw_20200417T000000Z.log"
+    segment.write_bytes(_chunk_blob())
+    route(segment, tmp_path / "baseline")
+    baseline = _class_files(tmp_path / "baseline")
+    assert set(baseline) == {"GPGGA.txt", "P_LRM.txt", QUARANTINE_LABEL + ".txt", REPORT_NAME}
+    for size in range(1, 65):
+        monkeypatch.setattr(classify, "READ_CHUNK", size)
+        out = tmp_path / f"chunk{size}"
+        route(segment, out)
+        assert _class_files(out) == baseline, f"chunk size {size}"
+
+
+@pytest.mark.parametrize("split_crlf", [True, False])
+def test_route_framing_across_chunks(tmp_path, monkeypatch, split_crlf):
+    first = sentence("GPGGA,1")
+    if split_crlf:
+        # the first chunk ends between the CR and the LF of the first line
+        monkeypatch.setattr(classify, "READ_CHUNK", len(first) + 1)
+    segment = tmp_path / "seg.log"
+    segment.write_bytes(first + b"\r\n#junk\n\n\r\n$PLRM,tail\r")
+    out = tmp_path / "classified"
+    report = route(segment, out)
+    assert (out / "GPGGA.txt").read_bytes() == first + b"\n"
+    # empty lines are unknown, so quarantined, and keep their place
+    assert (out / "quarantine.txt").read_bytes() == b"#junk\n\n\n"
+    # the unterminated tail keeps its CR
+    assert (out / "P_LRM.txt").read_bytes() == b"$PLRM,tail\r\n"
+    assert report.total_lines == 5
+    assert report.trailing_unterminated is True
+    assert report.checksum_counts == {"valid": 1, "invalid": 0, "absent": 4}
+
+
+def _golden_segment() -> bytes:
+    lowercase_body = b"GPGGA,1,2,3"
+    return (
+        sentence("PGRMZ,93,f,3") + b"\r\n"  # proprietary, not talker PG
+        + b"$GPGGA\r\n"  # header alone, no fields
+        + b"$GPZDA,0*XX\n"  # checksum suffix that is not hex
+        + b"$" + lowercase_body + b"*%02x" % xor_fold(lowercase_body) + b"\r\n"
+        + gga_line()[:-2] + b"00\r\n"  # bad checksum
+        + b"\x00\xfe#garbage\r\n"
+        + b"\r\n"
+        + b"$GPGGA," + b"9" * (MAX_LINE_BYTES - 7) + b"\r\n"  # exactly the limit
+        + b"$GPGGA," + b"8" * (MAX_LINE_BYTES - 6) + b"\n"  # one byte over
+        + plrm_line() + b"\r\n"
+        + b"$GPZDA,0*XX"  # unterminated tail
+    )
+
+
+# sha256 of every file route() writes for _golden_segment(), keyed by
+# quarantine_invalid.  Class files and report.json are read by parse and
+# by `gpsloran convert --classified`, so these bytes must not drift.
+_GOLDEN = {
+    True: {
+        "GPGGA.txt": "f709149473d76dcb27087fb9eeb2d85e7952b1aa00f3411940b538cbd4fbdc1b",
+        "P_GRMZ.txt": "3356f8580d67bef6ee65b0e6d579687216fd71e9bba53057de43d28ec17e8cb2",
+        "P_LRM.txt": "f7e9a3d8aface886415682a37c9cbd3efbfb29899e2ea9ba796b9f11d2c8f016",
+        "quarantine.txt": "bb62e1993c2900498f2af7bebdafe43a6fffc693bb7850e48e8333cce4f6c663",
+        "report.json": "724948b8162e0b976ddc5c07510053a93e59804f437a79445e432c5e3be73631",
+    },
+    False: {
+        "GPGGA.txt": "3359e97b206c182d5449e97b519a9e50d4f4e9a69b5bd14687a0539dd1def386",
+        "GPZDA.txt": "acd328d01e8d5c115d646579fa777ea061f9fbd032f0332b6a3c9a04a5e7c331",
+        "P_GRMZ.txt": "3356f8580d67bef6ee65b0e6d579687216fd71e9bba53057de43d28ec17e8cb2",
+        "P_LRM.txt": "f7e9a3d8aface886415682a37c9cbd3efbfb29899e2ea9ba796b9f11d2c8f016",
+        "quarantine.txt": "160a852cbcd442afe1adc0bc058b73af957524b430555f71f5ed1df99899efa9",
+        "report.json": "3ba93ef0c2affad6f12fd61e80563e8de2062297580837d60e7f4c1b3ba14def",
+    },
+}
+
+
+@pytest.mark.parametrize("quarantine_invalid", [True, False])
+def test_route_golden_digests(tmp_path, quarantine_invalid):
+    segment = tmp_path / "raw_20200417T000000Z.log"
+    segment.write_bytes(_golden_segment())
+    out = tmp_path / "classified"
+    route(segment, out, quarantine_invalid=quarantine_invalid)
+    digests = {
+        name: hashlib.sha256(data).hexdigest() for name, data in _class_files(out).items()
+    }
+    assert digests == _GOLDEN[quarantine_invalid]
+
+
+_HEADERS = [b"$GPGGA", b"$GNGGA", b"$GPZDA", b"$PLRM", b"$PGRMZ", b"$P", b"$gpgga", b"$GPGG", b"GPGGA", b""]
+_NO_LF = st.binary(max_size=24).filter(lambda data: b"\n" not in data)
+
+
+def _with_checksum(header: bytes, body: bytes) -> bytes:
+    payload = header[1:] + b"," + body
+    return header[:1] + payload + b"*%02X" % xor_fold(payload)
+
+
+_LINES = st.one_of(
+    _NO_LF,
+    st.builds(lambda h, sep, body: h + sep + body, st.sampled_from(_HEADERS),
+              st.sampled_from([b"", b",", b"*"]), _NO_LF),
+    st.builds(_with_checksum, st.sampled_from(_HEADERS),
+              st.binary(max_size=24).filter(lambda data: b"\n" not in data and b"*" not in data)),
+)
+
+
+@given(
+    st.lists(_LINES, max_size=40),
+    st.integers(1, 64),
+    st.integers(0, 40),
+    st.booleans(),
+    st.booleans(),
+)
+def test_route_follows_the_line_rules(lines, chunk, limit, quarantine_invalid, terminate_last):
+    expected: dict[str, list[bytes]] = {}
+    for line in lines:
+        message_class = classify_line(line)
+        label = message_class.label
+        if (
+            message_class.kind is MessageKind.UNKNOWN
+            or len(line) > limit
+            or (quarantine_invalid and verify_checksum(line) is ChecksumStatus.INVALID)
+        ):
+            label = QUARANTINE_LABEL
+        expected.setdefault(f"{label}.txt", []).append(line)
+    # an empty last line without its terminator is no line at all
+    unterminated = bool(lines and lines[-1]) and not terminate_last
+    data = b"".join(line + b"\r\n" for line in lines)
+    if unterminated:
+        data = data[:-2]
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        mock.patch.object(classify, "READ_CHUNK", chunk),
+        mock.patch.object(classify, "MAX_LINE_BYTES", limit),
+    ):
+        segment = Path(tmp) / "seg.log"
+        segment.write_bytes(data)
+        report = route(segment, Path(tmp) / "out", quarantine_invalid=quarantine_invalid)
+        files = _class_files(Path(tmp) / "out")
+    assert files.pop(REPORT_NAME)
+    assert files == {name: b"".join(line + b"\n" for line in group) for name, group in expected.items()}
+    assert report.total_lines == len(lines)
+    assert report.trailing_unterminated is unterminated

@@ -241,6 +241,25 @@ def test_run_command_requires_source_and_out_dir(tmp_path, capsys):
     assert "source" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("formats", [["csv"], ["columns", "csv"], "csv", 5, [["columns"]]])
+def test_run_rejects_unknown_export_format_before_capture(tmp_path, capsys, formats):
+    stream_path = tmp_path / "stream.bin"
+    stream_path.write_bytes(gga_line() + b"\r\n")
+    config = {
+        "source": f"replay:{stream_path}",
+        "out_dir": str(tmp_path / "sessions"),
+        "replay_speed": 0,
+        "on_eof": "stop",
+        "inline_processing": True,
+        "formats": formats,
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert "error: unknown export format: " in capsys.readouterr().err
+    assert not (tmp_path / "sessions").exists()
+
+
 def test_recover_corrupt_state_exits_1(tmp_path):
     session_dir = tmp_path / "session"
     session_dir.mkdir()

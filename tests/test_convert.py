@@ -281,6 +281,15 @@ def test_export_rejects_unknown_format(tmp_path):
         export([], "parquet", tmp_path, session_id="s1")
 
 
+def test_export_writes_and_lists_a_repeated_format_once(tmp_path):
+    manifest = export([], ("columns", "columns"), tmp_path, session_id="s1")
+    assert [entry["path"] for entry in manifest["export_files"]] == [
+        "timeline_gps.csv",
+        "timeline_loran.csv",
+        "timeline_all.csv",
+    ]
+
+
 def test_export_failure_leaves_no_partial_files(tmp_path, monkeypatch):
     """A write failing partway through timeline_all.csv, after the other
     files and part of this one have gone out, leaves no file at all."""
