@@ -182,15 +182,18 @@ def route(
     writers: dict[str, BinaryIO] = {}
     match_header = _HEADER_RE.match
     invalid = ChecksumStatus.INVALID
-    carry = b""
+    carry: list[bytes] = []  # pieces of the unfinished line, joined once when it ends
     try:
         with open(segment_path, "rb") as stream:
             while True:
                 data = stream.read(READ_CHUNK)
-                if data:
-                    lines, carry = extract_lines(data, carry)
-                else:  # end of segment: an unterminated tail is kept verbatim
-                    lines = [carry] if carry else []
+                if data and b"\n" not in data:  # only the new chunk is searched
+                    carry.append(data)
+                    continue
+                lines, tail = extract_lines(data, b"".join(carry))
+                carry = [tail]
+                if not data and tail:  # end of segment: an unterminated tail is kept verbatim
+                    lines.append(tail)
                 pending: defaultdict[str, list[bytes]] = defaultdict(list)
                 for line in lines:
                     status = verify_checksum(line)
@@ -227,7 +230,7 @@ def route(
         counts=dict(sorted(counts.items())),
         output_paths={label: f"{label}.txt" for label in sorted(writers)},
         checksum_counts={status.value: n for status, n in checksum_counts.items()},
-        trailing_unterminated=bool(carry),
+        trailing_unterminated=bool(tail),
     )
     atomic_write_json(out_dir / REPORT_NAME, report.to_json())
     return report

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import sys
@@ -163,21 +164,22 @@ def cmd_stats(args) -> int:
     summary = convert_mod.summarize(timeline, parse_duration(args.gap_threshold))
     out_dir = Path(args.out) if args.out else session_dir / "stats"
     out_dir.mkdir(parents=True, exist_ok=True)
+    stamp = functools.cache(iso_ms)  # each distinct instant formatted once
 
     fix_rows = [
-        [iso_ms(f.timestamp), str(f.lat), str(f.lon), "" if f.alt_m is None else str(f.alt_m)]
+        [stamp(f.timestamp), str(f.lat), str(f.lon), "" if f.alt_m is None else str(f.alt_m)]
         for f in gps
         if not f.no_fix
     ]
     _write_series(out_dir / "gps_fixes.csv", ["timestamp", "lat_deg", "lon_deg", "alt_m"], fix_rows)
 
     stations = [args.station] if args.station else sorted(summary.stations)
-    for station in stations:
-        rows = [
-            [iso_ms(obs.timestamp), str(obs.snr_db)]
-            for obs in loran
-            if obs.station == station
-        ]
+    snr_rows: dict[str, list[list[str]]] = {station: [] for station in stations}
+    for obs in loran:
+        rows = snr_rows.get(obs.station)
+        if rows is not None:
+            rows.append([stamp(obs.timestamp), str(obs.snr_db)])
+    for station, rows in snr_rows.items():
         _write_series(out_dir / f"snr_{station}.csv", ["timestamp", "snr_db"], rows)
 
     print(
@@ -185,7 +187,7 @@ def cmd_stats(args) -> int:
         f"no_fix={summary.no_fix_count} loran={sum(s.count for s in summary.stations.values())}"
     )
     if summary.time_span:
-        print(f"time_span={iso_ms(summary.time_span[0])}..{iso_ms(summary.time_span[1])}")
+        print(f"time_span={stamp(summary.time_span[0])}..{stamp(summary.time_span[1])}")
     if summary.bbox:
         lat_min, lat_max, lon_min, lon_max = summary.bbox
         print(f"bbox_lat={lat_min}..{lat_max} bbox_lon={lon_min}..{lon_max}")
@@ -196,7 +198,7 @@ def cmd_stats(args) -> int:
         )
     print(f"gaps={len(summary.gaps)}")
     for start, end in summary.gaps:
-        print(f"gap={iso_ms(start)}..{iso_ms(end)}")
+        print(f"gap={stamp(start)}..{stamp(end)}")
     return 0
 
 

@@ -21,15 +21,16 @@ list of gaps longer than the gap threshold.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import statistics
 from dataclasses import dataclass
 from datetime import datetime
-from operator import add, attrgetter
+from operator import add, attrgetter, itemgetter
 from pathlib import Path
 
 from .fsutil import AtomicWriter, atomic_write_json, read_json
-from .parse import STATION_ROLES, GpsFix, LoranMeasurement
+from .parse import STATION_ROLES, GpsFix, LoranMeasurement, parse_float, parse_int
 from .timeutil import iso_ms, parse_iso_ms
 
 GPS_TYPE = "gps_fix"
@@ -46,36 +47,17 @@ DEFAULT_GAP_THRESHOLD_S = 300.0
 MANIFEST_NAME = "manifest.json"
 
 
-@dataclass(frozen=True)
-class TimelineRecord:
-    timestamp: datetime
-    payload: GpsFix | LoranMeasurement
-    arrival_index: int
-
-    def __post_init__(self) -> None:
-        if self.timestamp != self.payload.timestamp:
-            raise ValueError("timeline timestamp must equal the payload timestamp")
-
-    @property
-    def record_type(self) -> str:
-        return GPS_TYPE if isinstance(self.payload, GpsFix) else LORAN_TYPE
+Record = GpsFix | LoranMeasurement
 
 
-def merge_sort(gps: list[GpsFix], loran: list[LoranMeasurement]) -> list[TimelineRecord]:
-    """Merge both record streams into one sorted timeline.
+def merge_sort(gps: list[GpsFix], loran: list[LoranMeasurement]) -> list[Record]:
+    """Merge both record streams into one timeline sorted by timestamp.
 
-    Ties at equal timestamps break GPS-before-Loran, then by arrival
-    order within each stream; the result is a stable total order.
+    The sort is stable and GPS comes first in its input, so ties at equal
+    timestamps break GPS-before-Loran, then by arrival order within each
+    stream; the result is a stable total order.
     """
-    records = [TimelineRecord(fix.timestamp, fix, index) for index, fix in enumerate(gps)]
-    offset = len(records)
-    records.extend(
-        TimelineRecord(obs.timestamp, obs, offset + index) for index, obs in enumerate(loran)
-    )
-    return sorted(
-        records,
-        key=lambda r: (r.timestamp, 0 if r.record_type == GPS_TYPE else 1, r.arrival_index),
-    )
+    return sorted([*gps, *loran], key=attrgetter("timestamp"))
 
 
 # --- export -----------------------------------------------------------------
@@ -100,7 +82,7 @@ _EXPORT_FILES = {fmt: [f"timeline_{kind}.{ext}" for kind in ("gps", "loran", "al
 _BLOCK_RECORDS = 1024  # records rendered between two writes to each file
 
 
-def _render_blocks(timeline: list[TimelineRecord], formats: tuple[str, ...]):
+def _render_blocks(timeline: list[Record], formats: tuple[str, ...]):
     """Yield ``{file name: text}`` of all six export files, a block of
     records at a time.  Each distinct timestamp is formatted once and each
     value converted with ``str()`` once (``None`` is an empty CSV cell and
@@ -112,17 +94,16 @@ def _render_blocks(timeline: list[TimelineRecord], formats: tuple[str, ...]):
     for start in range(0, len(timeline), _BLOCK_RECORDS):
         gps_csv, loran_csv, all_csv, gps_json, loran_json, all_json = [], [], [], [], [], []
         for record in timeline[start : start + _BLOCK_RECORDS]:
-            payload = record.payload
-            if payload.timestamp != instant:
-                instant = payload.timestamp
+            if record.timestamp != instant:
+                instant = record.timestamp
                 stamp = iso_ms(instant)
-            if isinstance(payload, GpsFix):
+            if isinstance(record, GpsFix):
                 values, keys, all_head, all_tail, json_type, role = _GPS_LAYOUT
                 own_csv, own_json = gps_csv, gps_json
             else:
                 values, keys, all_head, all_tail, json_type, role = _LORAN_LAYOUT
                 own_csv, own_json = loran_csv, loran_json
-            texts = [None if value is None else str(value) for value in values(payload)]
+            texts = [None if value is None else str(value) for value in values(record)]
             complete = None not in texts
             if columns:
                 row = ",".join(texts) if complete else ",".join([text or "" for text in texts])
@@ -157,7 +138,7 @@ def export_formats(formats: str | tuple[str, ...] | list[str]) -> tuple[str, ...
 
 
 def export(
-    timeline: list[TimelineRecord],
+    timeline: list[Record],
     formats: tuple[str, ...] | str,
     out_dir: Path,
     *,
@@ -225,53 +206,81 @@ def export(
 # --- import readers ---------------------------------------------------------
 
 
-def _optional_float(value) -> float | None:
-    if value in (None, ""):
-        return None
-    return float(value)
-
-
 def read_gps_export(path: Path) -> list[GpsFix]:
     """Read a ``timeline_gps`` export (either format) back into records."""
-    fixes = []
-    for row in _read_rows(Path(path)):
-        fixes.append(
-            GpsFix(
-                timestamp=parse_iso_ms(row["timestamp"]),
-                lat=_optional_float(row.get("lat_deg")),
-                lon=_optional_float(row.get("lon_deg")),
-                alt_m=_optional_float(row.get("alt_m")),
-                fix_quality=int(row["fix_quality"]),
-                num_sats=int(row["num_sats"]),
-                hdop=_optional_float(row.get("hdop")),
-            )
-        )
-    return fixes
+    return _read_export(Path(path), GPS_COLUMNS, _gps_fix)
 
 
 def read_loran_export(path: Path) -> list[LoranMeasurement]:
     """Read a ``timeline_loran`` export (either format) back into records."""
-    measurements = []
-    for row in _read_rows(Path(path)):
-        measurements.append(
-            LoranMeasurement(
-                timestamp=parse_iso_ms(row["timestamp"]),
-                gri=int(row["gri"]),
-                station_role=row["station_role"],
-                toa_us=float(row["toa_us"]),
-                snr_db=float(row["snr_db"]),
-                ecd_us=float(row["ecd_us"]),
-            )
-        )
-    return measurements
+    return _read_export(Path(path), LORAN_COLUMNS, _loran_measurement)
 
 
-def _read_rows(path: Path) -> list[dict]:
-    if path.suffix == ".jsonl":
-        with open(path, "r", encoding="utf-8") as handle:
-            return [json.loads(line) for line in handle if line.strip()]
+def _gps_fix(timestamp, lat, lon, alt, quality, sats, hdop) -> GpsFix:
+    return GpsFix(
+        timestamp, _optional(lat, "lat_deg"), _optional(lon, "lon_deg"), _optional(alt, "alt_m"),
+        parse_int(quality, "fix_quality"), parse_int(sats, "num_sats"), _optional(hdop, "hdop"),
+    )
+
+
+def _loran_measurement(timestamp, gri, role, toa, snr, ecd) -> LoranMeasurement:
+    return LoranMeasurement(
+        timestamp, parse_int(gri, "gri"), role,
+        parse_float(toa, "toa_us"), parse_float(snr, "snr_db"), parse_float(ecd, "ecd_us"),
+    )
+
+
+def _optional(value, name: str) -> float | None:
+    return None if value is None or value == "" else parse_float(value, name)
+
+
+def _read_export(path: Path, columns: tuple[str, ...], build) -> list:
+    """Read an export file once: a CSV row's values by the header's column
+    positions, a JSON line's by member name (an absent one is ``None``).
+    *build* makes a record from them in *columns* order, the timestamp
+    parsed once per distinct text.  A malformed file raises ``ValueError``
+    naming the file and the line."""
+    timestamp = functools.cache(parse_iso_ms)
+    records = []
+    line_number = 0  # the line last read, which an error names
+
+    def numbered(handle):
+        nonlocal line_number
+        for line_number, line in enumerate(handle, 1):
+            yield line
+
+    rows = _json_rows if path.suffix == ".jsonl" else _csv_rows
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        return list(csv.DictReader(handle))
+        try:
+            for row in rows(numbered(handle), columns):
+                records.append(build(timestamp(row[0]), *row[1:]))
+        except (TypeError, ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}:{line_number}: {exc}") from None
+    return records
+
+
+def _csv_rows(lines, columns: tuple[str, ...]):
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        return
+    if missing := [name for name in columns if name not in header]:
+        raise ValueError(f"header lacks column {missing[0]!r}")
+    pick = itemgetter(*map(header.index, columns))
+    for row in reader:
+        if len(row) == len(header):
+            yield pick(row)
+        elif row:
+            raise ValueError(f"{len(row)} cells, header has {len(header)}")
+
+
+def _json_rows(lines, columns: tuple[str, ...]):
+    for line in lines:
+        if line.strip():
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise ValueError("not a JSON object")
+            yield list(map(row.get, columns))
 
 
 def read_manifest(out_dir: Path) -> dict:
@@ -300,22 +309,21 @@ class SessionSummary:
     gaps: list[tuple[datetime, datetime]]
 
 
-def summarize(timeline: list[TimelineRecord], gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S) -> SessionSummary:
+def summarize(timeline: list[Record], gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S) -> SessionSummary:
     """Per-station SNR stats, GPS fix count/bounding box (no-fix records
     excluded), overall time span, and gaps longer than the threshold."""
     lats, lons = [], []
     no_fix = 0
     snr_by_station: dict[str, list[float]] = {}
     for record in timeline:
-        payload = record.payload
-        if isinstance(payload, GpsFix):
-            if payload.no_fix:
+        if isinstance(record, GpsFix):
+            if record.no_fix:
                 no_fix += 1
             else:
-                lats.append(payload.lat)
-                lons.append(payload.lon)
+                lats.append(record.lat)
+                lons.append(record.lon)
         else:
-            snr_by_station.setdefault(payload.station, []).append(payload.snr_db)
+            snr_by_station.setdefault(record.station, []).append(record.snr_db)
 
     gaps = []
     for earlier, later in zip(timeline, timeline[1:]):

@@ -212,20 +212,22 @@ def _require_fields(fields: list[str], minimum: int, sentence: str) -> None:
         )
 
 
-def _parse_float(value: str, field_name: str) -> float:
+def parse_float(value: str, field_name: str) -> float:
+    """*value* as a finite float; ``ParseError`` naming *field_name* if not."""
     try:
         number = float(value)
-    except ValueError:
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"malformed {field_name}: {value!r}", field_name) from None
     if not math.isfinite(number):
         raise ParseError(f"non-finite {field_name}: {value!r}", field_name)
     return number
 
 
-def _parse_int(value: str, field_name: str) -> int:
+def parse_int(value: str, field_name: str) -> int:
+    """*value* as an int; ``ParseError`` naming *field_name* if not."""
     try:
         return int(value)
-    except ValueError:
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"malformed {field_name}: {value!r}", field_name) from None
 
 
@@ -237,15 +239,15 @@ def parse_gga(fields: list[str], ctx: DateContext, source_line: int | None = Non
     """
     _require_fields(fields, 10, "GGA")
     tod = parse_tod(fields[1])
-    quality = _parse_int(fields[6], "fix_quality") if fields[6] else 0
+    quality = parse_int(fields[6], "fix_quality") if fields[6] else 0
     if fields[2] or fields[3] or quality > 0:
         lat = parse_coordinate(fields[2], fields[3], "latitude")
         lon = parse_coordinate(fields[4], fields[5], "longitude")
     else:
         lat = lon = None
-    num_sats = _parse_int(fields[7], "num_sats") if fields[7] else 0
-    hdop = _parse_float(fields[8], "hdop") if fields[8] else None
-    alt = _parse_float(fields[9], "alt_m") if fields[9] else None
+    num_sats = parse_int(fields[7], "num_sats") if fields[7] else 0
+    hdop = parse_float(fields[8], "hdop") if fields[8] else None
+    alt = parse_float(fields[9], "alt_m") if fields[9] else None
     try:
         return GpsFix(
             timestamp=ctx.resolve(tod),
@@ -289,17 +291,17 @@ def parse_loran(
     if len(fields) != 7:
         raise ParseError(f"PLRM needs 7 fields, got {len(fields)}", "field-count")
     tod = parse_tod(fields[1])
-    gri = _parse_int(fields[2], "gri")
+    gri = parse_int(fields[2], "gri")
     if not GRI_MIN <= gri <= GRI_MAX:
         raise ParseError(f"GRI designator out of range: {gri}", "gri")
     role = fields[3]
     if role not in STATION_ROLES:
         raise ParseError(f"unknown station role: {role!r}", "station_role")
-    toa = _parse_float(fields[4], "toa_us")
+    toa = parse_float(fields[4], "toa_us")
     if not 0.0 <= toa < gri * 10:
         raise ParseError(f"toa_us outside GRI frame: {toa}", "toa_us")
-    snr = _parse_float(fields[5], "snr_db")
-    ecd = _parse_float(fields[6], "ecd_us")
+    snr = parse_float(fields[5], "snr_db")
+    ecd = parse_float(fields[6], "ecd_us")
     return LoranMeasurement(
         timestamp=ctx.resolve(tod),
         gri=gri,

@@ -30,7 +30,10 @@ def iso_ms(dt: datetime) -> str:
 
 
 def parse_iso_ms(text: str) -> datetime:
-    """Parse an ISO 8601 timestamp, accepting a trailing ``Z`` for UTC."""
+    """Parse an ISO 8601 timestamp, accepting a trailing ``Z`` for UTC;
+    ``ValueError`` on anything else, a value that is not text included."""
+    if not isinstance(text, str):
+        raise ValueError(f"not an ISO 8601 timestamp: {text!r}")
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     return ensure_utc(datetime.fromisoformat(text))

@@ -373,6 +373,29 @@ def test_route_framing_across_chunks(tmp_path, monkeypatch, split_crlf):
     assert report.checksum_counts == {"valid": 1, "invalid": 0, "absent": 4}
 
 
+def test_route_frames_a_segment_without_lf_in_linear_time(tmp_path, monkeypatch):
+    # a receiver at the wrong baud rate: 1 MiB of noise and no line feed,
+    # read 16 bytes at a time.  Re-copying the pending line for every chunk
+    # would frame about 32 GiB; the pending bytes must be joined once.
+    noise = (bytes(range(256)).replace(b"\n", b"") * 4200)[: 1 << 20]
+    segment = tmp_path / "seg.log"
+    segment.write_bytes(noise)
+    framed = []
+
+    def counting(data, carry=b""):
+        framed.append(len(carry) + len(data))
+        return extract_lines(data, carry)
+
+    monkeypatch.setattr(classify, "READ_CHUNK", 16)
+    monkeypatch.setattr(classify, "extract_lines", counting)
+    out = tmp_path / "classified"
+    report = route(segment, out)
+    assert (out / "quarantine.txt").read_bytes() == noise + b"\n"
+    assert report.counts == {QUARANTINE_LABEL: 1}
+    assert report.trailing_unterminated is True
+    assert sum(framed) <= 2 * len(noise)
+
+
 def _golden_segment() -> bytes:
     lowercase_body = b"GPGGA,1,2,3"
     return (

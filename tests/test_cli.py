@@ -1,18 +1,21 @@
 import calendar
 import csv
+import hashlib
 import io
 import json
 import logging
 import threading
 import time
+from datetime import timedelta
 
 import pytest
 
 from gpsloran import cli
 from gpsloran.cli import main
-from gpsloran.convert import read_gps_export, read_loran_export, read_manifest
+from gpsloran.convert import export, merge_sort, read_gps_export, read_loran_export, read_manifest
 from gpsloran.fsutil import read_json
 from gpsloran.orchestrate import STATE_NAME, StateStore
+from gpsloran.parse import GpsFix, LoranMeasurement
 from gpsloran.simulate import Scenario, generate_stream
 
 from conftest import crlf, gga_line, plrm_line, utc, zda_line
@@ -285,6 +288,123 @@ def test_stats_station_filter(tmp_path, capsys):
     session = tmp_path / "session"
     assert main(["stats", "--session", str(session), "--station", "9930M"]) == 0
     assert (session / "stats" / "snr_9930M.csv").exists()
+
+
+def stats_session(tmp_path):
+    """Two exported segments: the first in both formats (stats reads its
+    CSV), the second as JSON lines only, ten minutes later (a gap)."""
+    t0 = utc(2020, 4, 17, 12, 0, 0)
+    first_gps = [
+        GpsFix(t0, 37.123456789, 127.5, 30.25, 1, 8, 0.9),
+        GpsFix(t0 + timedelta(seconds=1), 37.1234, 127.5001, None, 2, 6, None),  # no altitude
+        GpsFix(t0 + timedelta(seconds=2), None, None, None, 0, 0, None),  # no fix
+    ]
+    first_loran = []
+    for second in range(3):
+        at = t0 + timedelta(seconds=second)
+        first_loran += [
+            LoranMeasurement(at + timedelta(milliseconds=50), 7430, "M", 100.5, 3.25 + second, 0.1),
+            LoranMeasurement(at + timedelta(milliseconds=120), 9930, "M", 2000.0, -1.5, 0.0),
+            LoranMeasurement(at + timedelta(milliseconds=275), 7430, "Y", 310.0, 1e-05, -0.4),
+            LoranMeasurement(at + timedelta(milliseconds=350), 9930, "X", 45678.9, 17.75, 2.5),
+        ]
+    t1 = t0 + timedelta(minutes=10)
+    second_gps = [GpsFix(t1, -33.9, -151.25, 5.0, 1, 12, 0.7)]
+    second_loran = [
+        LoranMeasurement(t1, 9930, "X", 45679.0, 18.0, 2.5),
+        LoranMeasurement(t1 + timedelta(milliseconds=1), 7430, "M", 101.0, 4.0, 0.2),
+    ]
+    session = tmp_path / "session"
+    exports = session / "exports"
+    export(merge_sort(first_gps, first_loran), ("columns", "lines"),
+           exports / "raw_20200417T120000Z")
+    export(merge_sort(second_gps, second_loran), "lines", exports / "raw_20200417T121000Z")
+    return session
+
+
+def test_stats_golden_digests(tmp_path, capsys):
+    """Pins ``stats`` stdout and every series file, without and with a
+    station filter (present and absent); the digests were computed with
+    the reader and series code that predates the one-read rewrite."""
+    session = stats_session(tmp_path)
+    digests = {}
+    for run, extra in (("all", []), ("present", ["--station", "7430Y"]),
+                       ("absent", ["--station", "8970M"])):
+        out = tmp_path / run
+        assert main(["stats", "--session", str(session), "--out", str(out), *extra]) == 0
+        digests[f"{run}/stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        for path in sorted(out.iterdir()):
+            digests[f"{run}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == STATS_GOLDEN
+
+
+LORAN_HEADER = "timestamp,gri,station_role,toa_us,snr_db,ecd_us\n"
+LORAN_ROW = "2020-04-17T12:00:00.000Z,9930,M,100.0,12.0,0.5\n"
+LORAN_JSON = (
+    '{"timestamp":"2020-04-17T12:00:00.000Z","gri":9930,"station_role":"M",'
+    '"toa_us":100.0,"snr_db":12.0,"ecd_us":0.5}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "name, text, line, problem",
+    [
+        ("timeline_loran.csv", LORAN_HEADER + LORAN_ROW + LORAN_ROW[:-5] + "\n", 3,
+         "5 cells, header has 6"),
+        ("timeline_loran.csv", LORAN_HEADER + LORAN_ROW[:-1] + ",7\n", 2,
+         "7 cells, header has 6"),
+        ("timeline_loran.csv",
+         LORAN_HEADER.replace("gri,", "") + LORAN_ROW.replace("9930,", ""), 1,
+         "header lacks column 'gri'"),
+        ("timeline_loran.jsonl", LORAN_JSON + "[1, 2]\n", 2, "not a JSON object"),
+        ("timeline_loran.jsonl", LORAN_JSON.replace('"2020-04-17T12:00:00.000Z"', "20200417"), 1,
+         "not an ISO 8601 timestamp: 20200417"),
+        ("timeline_loran.csv", LORAN_HEADER + LORAN_ROW.replace("12.0", "nan"), 2,
+         "non-finite snr_db: 'nan'"),
+        ("timeline_gps.jsonl",
+         '{"timestamp":"2020-04-17T12:00:00.000Z","lat_deg":37.0,"lon_deg":127.0,'
+         '"alt_m":null,"fix_quality":1,"num_sats":8,"hdop":Infinity}\n', 1,
+         "non-finite hdop: inf"),
+    ],
+    ids=["short-row", "long-row", "missing-column", "json-not-object", "json-number-timestamp",
+         "csv-nan", "json-infinity"],
+)
+def test_stats_names_the_file_and_line_of_a_malformed_export(
+    tmp_path, capsys, name, text, line, problem
+):
+    directory = tmp_path / "session" / "exports" / "raw_20200417T120000Z"
+    directory.mkdir(parents=True)
+    (directory / name).write_text(text)
+    assert main(["stats", "--session", str(tmp_path / "session")]) == 1
+    assert capsys.readouterr().err == f"error: {directory / name}:{line}: {problem}\n"
+
+
+STATS_GOLDEN = {
+    "all/stdout":
+        "38f2b72a1d68bc508c35ed5c17af5f6a434ec2a88cfed643e86f8e7e82bb8568",
+    "all/gps_fixes.csv":
+        "3af4e141d87c0d2a347136cf28e1dbd66b5fe4f2e1ecd8afc1fbb3d2aed71942",
+    "all/snr_7430M.csv":
+        "a551b4c9dadcc424873a6213f8b9b4812ad61c03ac2037cd2fea9a6b1ea567c4",
+    "all/snr_7430Y.csv":
+        "18212f65704d892aad2f487b674db3bde681024a0142d5d1c04ca4854de0182a",
+    "all/snr_9930M.csv":
+        "597ee3c431062b65ff5ad6e9aa7934be2c5228af8070ac303dd58e31f6c66ed3",
+    "all/snr_9930X.csv":
+        "b9bfc0eb36d0756e2611762cc250f99c1fae7dd7f6f3cd0151da5e1095804615",
+    "present/stdout":
+        "38f2b72a1d68bc508c35ed5c17af5f6a434ec2a88cfed643e86f8e7e82bb8568",
+    "present/gps_fixes.csv":
+        "3af4e141d87c0d2a347136cf28e1dbd66b5fe4f2e1ecd8afc1fbb3d2aed71942",
+    "present/snr_7430Y.csv":
+        "18212f65704d892aad2f487b674db3bde681024a0142d5d1c04ca4854de0182a",
+    "absent/stdout":
+        "38f2b72a1d68bc508c35ed5c17af5f6a434ec2a88cfed643e86f8e7e82bb8568",
+    "absent/gps_fixes.csv":
+        "3af4e141d87c0d2a347136cf28e1dbd66b5fe4f2e1ecd8afc1fbb3d2aed71942",
+    "absent/snr_8970M.csv":
+        "4dc0606cc4585ff7313cda9fd64478e4247c17a2bc8619b9bc01e3a5527ec8c8",
+}
 
 
 def test_simulate_serve_accepts_clients(tmp_path, capsys):

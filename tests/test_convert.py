@@ -52,19 +52,21 @@ def test_merge_tie_breaks_gps_first_then_arrival():
     gps = [fix_at(t1), fix_at(T0)]
     loran = [loran_at(t1)]
     merged = merge_sort(gps, loran)
-    assert [(r.timestamp, r.record_type) for r in merged] == [
-        (T0, GPS_TYPE),
-        (t1, GPS_TYPE),
-        (t1, LORAN_TYPE),
+    assert [(r.timestamp, type(r)) for r in merged] == [
+        (T0, GpsFix),
+        (t1, GpsFix),
+        (t1, LoranMeasurement),
     ]
     # the t1 GPS fix arrived before the t0 one but sorts after it
-    assert merged[1].payload is gps[0]
+    assert merged[0] is gps[1]
+    assert merged[1] is gps[0]
+    assert merged[2] is loran[0]
 
 
 def test_merge_preserves_arrival_order_within_equal_keys():
     measurements = [loran_at(T0, role=role) for role in "MXYZ"]
     merged = merge_sort([], measurements)
-    assert [r.payload.station_role for r in merged] == ["M", "X", "Y", "Z"]
+    assert all(r is m for r, m in zip(merged, measurements, strict=True))
 
 
 def test_merge_empty_inputs():
@@ -85,11 +87,13 @@ def test_merge_is_sorted_and_loses_nothing(gps_offsets, loran_offsets):
     # GPS precedes Loran at the same instant
     for earlier, later in zip(merged, merged[1:]):
         if earlier.timestamp == later.timestamp:
-            pair = (earlier.record_type, later.record_type)
-            assert pair != (LORAN_TYPE, GPS_TYPE)
-    # stability within each stream
-    gps_payloads = [r.payload for r in merged if r.record_type == GPS_TYPE]
-    assert gps_payloads == sorted(gps, key=lambda f: f.timestamp)
+            pair = (type(earlier), type(later))
+            assert pair != (LoranMeasurement, GpsFix)
+    # stability within each stream: the same objects, in arrival order at ties
+    for stream, kind in ((gps, GpsFix), (loran, LoranMeasurement)):
+        own = [r for r in merged if type(r) is kind]
+        expected = sorted(stream, key=lambda r: r.timestamp)
+        assert all(r is e for r, e in zip(own, expected, strict=True))
 
 
 # --- exports -----------------------------------------------------------------
@@ -196,8 +200,8 @@ def test_export_is_deterministic(tmp_path):
 
 def test_export_round_trip_both_formats(tmp_path):
     timeline = sample_timeline()
-    gps_in = [r.payload for r in timeline if r.record_type == GPS_TYPE]
-    loran_in = [r.payload for r in timeline if r.record_type == LORAN_TYPE]
+    gps_in = [r for r in timeline if type(r) is GpsFix]
+    loran_in = [r for r in timeline if type(r) is LoranMeasurement]
     export(timeline, ("columns", "lines"), tmp_path, session_id="s1")
     assert read_gps_export(tmp_path / "timeline_gps.csv") == gps_in
     assert read_gps_export(tmp_path / "timeline_gps.jsonl") == gps_in

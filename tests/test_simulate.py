@@ -6,7 +6,7 @@ import pytest
 
 from gpsloran.classify import ChecksumStatus, classify_line, extract_lines, verify_checksum
 from gpsloran.convert import merge_sort, read_gps_export, read_loran_export
-from gpsloran.parse import DateContext, PROPRIETARY_PARSERS, parse_gga, split_sentence
+from gpsloran.parse import DateContext, PROPRIETARY_PARSERS, GpsFix, parse_gga, split_sentence
 from gpsloran.simulate import (
     Corruption,
     GroundTruth,
@@ -238,7 +238,7 @@ def test_write_ground_truth_exports(tmp_path):
     gps = read_gps_export(tmp_path / "timeline_gps.csv")
     loran = read_loran_export(tmp_path / "timeline_loran.csv")
     merged = merge_sort(truth.gps, truth.loran)
-    assert gps == [r.payload for r in merged if r.record_type == "gps_fix"]
+    assert gps == [r for r in merged if type(r) is GpsFix]
     assert loran == truth.loran
 
 
