@@ -12,7 +12,8 @@ Subcommands::
 
 Exit codes: 0 success, 1 fatal configuration or I/O error, 2 partial
 (some segments flagged).  Logs are line-oriented ``key=value`` text on
-stderr; command results go to stdout.
+stderr; command results go to stdout.  Each command imports the modules
+it uses when it runs, so ``stats`` does not load the capture code.
 """
 from __future__ import annotations
 
@@ -26,12 +27,7 @@ import time
 from datetime import date
 from pathlib import Path
 
-from . import classify as classify_mod
-from . import convert as convert_mod
-from . import orchestrate
-from . import simulate as simulate_mod
 from .fsutil import read_json
-from .parse import parse_classified
 from .timeutil import iso_ms, parse_duration
 
 
@@ -59,6 +55,7 @@ def _setup_logging() -> None:
 
 
 def cmd_record(args) -> int:
+    from . import orchestrate
     config = {
         "source": args.source,
         "out_dir": args.out,
@@ -74,7 +71,8 @@ def cmd_record(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    report = classify_mod.route(
+    from . import classify
+    report = classify.route(
         Path(args.segment),
         Path(args.out),
         quarantine_invalid=not args.keep_invalid_checksums,
@@ -84,6 +82,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    from . import classify, convert, orchestrate
+    from .parse import parse_classified
     classified = Path(args.classified)
     fallback = date.fromisoformat(args.start_date) if args.start_date else None
     try:
@@ -92,15 +92,15 @@ def cmd_convert(args) -> int:
         raise CliError(str(exc)) from None
 
     quarantined = 0
-    report_path = classified / classify_mod.REPORT_NAME
+    report_path = classified / classify.REPORT_NAME
     if report_path.exists():
         quarantined = read_json(report_path).get("quarantined_lines", 0)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     orchestrate.write_parse_errors(out_dir / "parse_errors.jsonl", parsed.errors)
-    timeline = convert_mod.merge_sort(parsed.gps, parsed.loran)
-    manifest = convert_mod.export(
+    timeline = convert.merge_sort(parsed.gps, parsed.loran)
+    manifest = convert.export(
         timeline,
         args.format,
         out_dir,
@@ -114,6 +114,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from . import orchestrate
     config = read_json(Path(args.config))
     for key in ("source", "out_dir"):
         if key not in config:
@@ -122,6 +123,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    from . import orchestrate
     return orchestrate.recover(Path(args.state))
 
 
@@ -148,6 +150,7 @@ def _write_series(path: Path, header: list[str], rows: list[list[str]]) -> None:
 
 
 def cmd_stats(args) -> int:
+    from . import convert
     session_dir = Path(args.session)
     export_dirs = _segment_export_dirs(session_dir)
     if not export_dirs:
@@ -155,13 +158,11 @@ def cmd_stats(args) -> int:
 
     gps, loran = [], []
     for directory in export_dirs:
-        gps.extend(_read_segment_file(directory, "timeline_gps", convert_mod.read_gps_export))
-        loran.extend(
-            _read_segment_file(directory, "timeline_loran", convert_mod.read_loran_export)
-        )
+        gps.extend(_read_segment_file(directory, "timeline_gps", convert.read_gps_export))
+        loran.extend(_read_segment_file(directory, "timeline_loran", convert.read_loran_export))
 
-    timeline = convert_mod.merge_sort(gps, loran)
-    summary = convert_mod.summarize(timeline, parse_duration(args.gap_threshold))
+    timeline = convert.merge_sort(gps, loran)
+    summary = convert.summarize(timeline, parse_duration(args.gap_threshold))
     out_dir = Path(args.out) if args.out else session_dir / "stats"
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = functools.cache(iso_ms)  # each distinct instant formatted once
@@ -212,10 +213,11 @@ def _parse_pace(text: str) -> tuple[str, float]:
 
 
 def cmd_simulate(args) -> int:
-    scenario = simulate_mod.Scenario.from_file(Path(args.scenario))
-    stream, truth = simulate_mod.generate_stream(scenario)
+    from . import simulate
+    scenario = simulate.Scenario.from_file(Path(args.scenario))
+    stream, truth = simulate.generate_stream(scenario)
     if args.truth_dir:
-        simulate_mod.write_ground_truth(truth, Path(args.truth_dir))
+        simulate.write_ground_truth(truth, Path(args.truth_dir))
     summary = {
         "sentences": truth.emitted_sentences,
         "gps_records": len(truth.gps),
@@ -230,7 +232,7 @@ def cmd_simulate(args) -> int:
 
     host, _, port = args.listen.rpartition(":")
     pace, factor = _parse_pace(args.pace)
-    server = simulate_mod.serve(stream, host or "127.0.0.1", int(port), pace, factor)
+    server = simulate.serve(stream, host or "127.0.0.1", int(port), pace, factor)
     print(f"listening={server.address}", flush=True)
     print(json.dumps(summary), flush=True)
     try:
@@ -246,6 +248,7 @@ def cmd_simulate(args) -> int:
 
 
 def build_parser() -> _Parser:
+    from .convert import FORMAT_EXTENSIONS
     parser = _Parser(prog="gpsloran", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -269,7 +272,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("convert", help="parse classified files and export the merged timeline")
     p.add_argument("--classified", required=True, help="directory produced by classify")
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=tuple(convert_mod.FORMAT_EXTENSIONS), default="columns")
+    p.add_argument("--format", choices=tuple(FORMAT_EXTENSIONS), default="columns")
     p.add_argument("--session-id", default="")
     p.add_argument("--start-date", default=None, help="fallback date (YYYY-MM-DD) when the segment has no date sentence")
     p.add_argument("--gap-threshold", default="5m")

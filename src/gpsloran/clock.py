@@ -18,6 +18,10 @@ class Clock(Protocol):
         """Current time as an aware UTC datetime."""
         ...
 
+    def monotonic(self) -> float:
+        """Wall-clock seconds from any origin; unlike ``now()``, never sped up."""
+        ...
+
     def sleep(self, seconds: float) -> None:
         """Block for *seconds* of this clock's time."""
         ...
@@ -28,6 +32,8 @@ class SystemClock:
 
     def now(self) -> datetime:
         return datetime.now(tz=UTC)
+
+    monotonic = staticmethod(time.monotonic)
 
     def sleep(self, seconds: float) -> None:
         if seconds > 0:
@@ -53,6 +59,8 @@ class AcceleratedClock:
         elapsed = time.monotonic() - self._anchor
         return self.start + timedelta(seconds=elapsed * self.factor)
 
+    monotonic = staticmethod(time.monotonic)
+
     def sleep(self, seconds: float) -> None:
         if seconds > 0:
             time.sleep(seconds / self.factor)
@@ -62,14 +70,18 @@ class ManualClock:
     """Clock that only moves when told to; for deterministic tests.
 
     ``sleep`` advances the clock by the requested amount so code that waits
-    in a loop still makes progress.
+    in a loop still makes progress.  Its ``monotonic`` seconds move with
+    ``advance`` too, standing in for the wall clock.
     """
 
     def __init__(self, start: datetime):
-        self._now = ensure_utc(start)
+        self._now = self._start = ensure_utc(start)
 
     def now(self) -> datetime:
         return self._now
+
+    def monotonic(self) -> float:
+        return (self._now - self._start).total_seconds()
 
     def sleep(self, seconds: float) -> None:
         if seconds > 0:

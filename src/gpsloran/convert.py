@@ -5,6 +5,10 @@ arrival order) - a deterministic total order, so identical inputs always
 export byte-identical files.  GPS wins ties because it is the reference
 truth an analysis reads first.
 
+Records carry integer UTC epoch milliseconds, so sorting, gap finding and
+the manifest work on ints; each distinct instant is formatted to text once
+on export, and each distinct timestamp text read back to an int once.
+
 Export schemas (fixed column order, timestamps as ISO 8601 UTC with
 milliseconds, floats in shortest round-trip form):
 
@@ -25,12 +29,12 @@ import functools
 import json
 import statistics
 from dataclasses import dataclass
-from datetime import datetime
 from operator import add, attrgetter, itemgetter
 from pathlib import Path
 
 from .fsutil import AtomicWriter, atomic_write_json, read_json
-from .parse import STATION_ROLES, GpsFix, LoranMeasurement, parse_float, parse_int
+from .parse import (STATION_ROLES, GpsFix, LoranMeasurement, check_fix, loran_values,
+                    parse_float, parse_int)
 from .timeutil import iso_ms, parse_iso_ms
 
 GPS_TYPE = "gps_fix"
@@ -217,17 +221,15 @@ def read_loran_export(path: Path) -> list[LoranMeasurement]:
 
 
 def _gps_fix(timestamp, lat, lon, alt, quality, sats, hdop) -> GpsFix:
-    return GpsFix(
-        timestamp, _optional(lat, "lat_deg"), _optional(lon, "lon_deg"), _optional(alt, "alt_m"),
-        parse_int(quality, "fix_quality"), parse_int(sats, "num_sats"), _optional(hdop, "hdop"),
-    )
+    lat, lon, alt = _optional(lat, "lat_deg"), _optional(lon, "lon_deg"), _optional(alt, "alt_m")
+    quality, sats = parse_int(quality, "fix_quality"), parse_int(sats, "num_sats")
+    hdop = _optional(hdop, "hdop")
+    check_fix(lat, lon, quality, sats, hdop)
+    return GpsFix(timestamp, lat, lon, alt, quality, sats, hdop)
 
 
 def _loran_measurement(timestamp, gri, role, toa, snr, ecd) -> LoranMeasurement:
-    return LoranMeasurement(
-        timestamp, parse_int(gri, "gri"), role,
-        parse_float(toa, "toa_us"), parse_float(snr, "snr_db"), parse_float(ecd, "ecd_us"),
-    )
+    return LoranMeasurement(timestamp, *loran_values(gri, role, toa, snr, ecd))
 
 
 def _optional(value, name: str) -> float | None:
@@ -305,13 +307,14 @@ class SessionSummary:
     no_fix_count: int
     bbox: tuple[float, float, float, float] | None
     stations: dict[str, StationStats]
-    time_span: tuple[datetime, datetime] | None
-    gaps: list[tuple[datetime, datetime]]
+    time_span: tuple[int, int] | None
+    gaps: list[tuple[int, int]]
 
 
 def summarize(timeline: list[Record], gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S) -> SessionSummary:
     """Per-station SNR stats, GPS fix count/bounding box (no-fix records
-    excluded), overall time span, and gaps longer than the threshold."""
+    excluded), overall time span, and gaps longer than the threshold, as
+    pairs of epoch milliseconds."""
     lats, lons = [], []
     no_fix = 0
     snr_by_station: dict[str, list[float]] = {}
@@ -325,10 +328,12 @@ def summarize(timeline: list[Record], gap_threshold_s: float = DEFAULT_GAP_THRES
         else:
             snr_by_station.setdefault(record.station, []).append(record.snr_db)
 
-    gaps = []
-    for earlier, later in zip(timeline, timeline[1:]):
-        if (later.timestamp - earlier.timestamp).total_seconds() > gap_threshold_s:
-            gaps.append((earlier.timestamp, later.timestamp))
+    stamps = [record.timestamp for record in timeline]
+    gaps = [
+        (earlier, later)
+        for earlier, later in zip(stamps, stamps[1:])
+        if (later - earlier) / 1000 > gap_threshold_s
+    ]
 
     return SessionSummary(
         total_records=len(timeline),
@@ -344,6 +349,6 @@ def summarize(timeline: list[Record], gap_threshold_s: float = DEFAULT_GAP_THRES
             )
             for station, values in sorted(snr_by_station.items())
         },
-        time_span=(timeline[0].timestamp, timeline[-1].timestamp) if timeline else None,
+        time_span=(stamps[0], stamps[-1]) if stamps else None,
         gaps=gaps,
     )

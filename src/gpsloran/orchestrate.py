@@ -56,7 +56,7 @@ from .record import (
     open_source,
     read_events,
 )
-from .timeutil import UTC, parse_duration, parse_iso_ms
+from .timeutil import UTC, from_ms, parse_duration, parse_iso_ms
 
 logger = logging.getLogger(__name__)
 
@@ -221,7 +221,7 @@ def clock_from_config(config: dict) -> Clock:
         return SystemClock()
     if spec["kind"] == "accelerated":
         return AcceleratedClock(
-            start=parse_iso_ms(spec["start"]), factor=float(spec.get("factor", 1.0))
+            start=from_ms(parse_iso_ms(spec["start"])), factor=float(spec.get("factor", 1.0))
         )
     raise ValueError(f"unknown clock kind: {spec['kind']!r}")
 

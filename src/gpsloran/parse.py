@@ -4,7 +4,12 @@ Sentences carry a UTC time of day but (mostly) no date, so parsing threads
 a :class:`DateContext` through each line store: the context is seeded from
 the first date-bearing sentence (ZDA or RMC) in the segment, or from a
 configured fallback date, and advances across midnight when the time of
-day wraps.
+day wraps.  Every record's timestamp is the context's day plus the time of
+day, in integer UTC epoch milliseconds.
+
+Each field's range check exists once, here: the parsers call it, and so
+do the export readers in :mod:`gpsloran.convert`, so a record never holds
+a value the parser would have rejected.
 
 Supported sentences:
 
@@ -40,15 +45,16 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from datetime import date, datetime, time, timedelta
+from datetime import date, datetime
 from pathlib import Path
 from typing import Callable
 
-from .timeutil import UTC, ensure_utc
+from .timeutil import MS_PER_DAY, day_ms, epoch_ms
 
 STATION_ROLES = frozenset("MVWXYZ")
 GRI_MIN = 4000
 GRI_MAX = 9999
+_HALF_DAY_MS = MS_PER_DAY // 2
 
 _TOD_RE = re.compile(r"^(\d{2})(\d{2})(\d{2})(?:\.(\d{1,3}))?$")
 _COORD_RE = re.compile(r"^(\d{4,5})\.(\d+)$")
@@ -66,13 +72,14 @@ class ParseError(ValueError):
         self.field_name = field_name
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GpsFix:
-    """One GGA fix.  ``fix_quality == 0`` marks a no-fix record whose
-    position fields are None; such records are excluded from position
-    statistics but kept in the timeline."""
+    """One GGA fix, timestamped in UTC epoch milliseconds.  ``fix_quality
+    == 0`` marks a no-fix record whose position fields are None; such
+    records are excluded from position statistics but kept in the
+    timeline.  :func:`check_fix` holds its range checks."""
 
-    timestamp: datetime
+    timestamp: int
     lat: float | None
     lon: float | None
     alt_m: float | None
@@ -81,44 +88,24 @@ class GpsFix:
     hdop: float | None
     source_line: int | None = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.lat is not None and not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude out of range: {self.lat}")
-        if self.lon is not None and not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude out of range: {self.lon}")
-        if self.fix_quality < 0:
-            raise ValueError(f"fix_quality must be non-negative: {self.fix_quality}")
-        if self.num_sats < 0:
-            raise ValueError(f"num_sats must be non-negative: {self.num_sats}")
-        if self.hdop is not None and self.hdop < 0:
-            raise ValueError(f"hdop must be non-negative: {self.hdop}")
-        if self.fix_quality > 0 and (self.lat is None or self.lon is None):
-            raise ValueError("positive fix_quality requires a position")
-
     @property
     def no_fix(self) -> bool:
         return self.fix_quality == 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LoranMeasurement:
-    """One Loran station observation from a ``$PLRM`` sentence."""
+    """One Loran station observation from a ``$PLRM`` sentence,
+    timestamped in UTC epoch milliseconds.  :func:`loran_values` holds its
+    range checks."""
 
-    timestamp: datetime
+    timestamp: int
     gri: int
     station_role: str
     toa_us: float
     snr_db: float
     ecd_us: float
     source_line: int | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if not GRI_MIN <= self.gri <= GRI_MAX:
-            raise ValueError(f"GRI designator out of range: {self.gri}")
-        if self.station_role not in STATION_ROLES:
-            raise ValueError(f"unknown station role: {self.station_role!r}")
-        if not 0.0 <= self.toa_us < self.gri * 10:
-            raise ValueError(f"toa_us outside GRI frame: {self.toa_us}")
 
     @property
     def station(self) -> str:
@@ -138,49 +125,42 @@ class ParseIssue:
 
 
 class DateContext:
-    """Tracks the current UTC date while times of day stream past.
+    """Tracks the current UTC day while times of day stream past.
 
-    ``resolve`` combines a time of day with the current date, advancing
-    the date by one day when the time of day jumps back more than 12
-    hours (midnight rollover).  The date never regresses within a
+    ``resolve`` adds a time of day to the current day's start, both in
+    milliseconds, advancing the day when the time of day jumps back more
+    than 12 hours (midnight rollover).  The day never regresses within a
     context's lifetime.
     """
 
-    def __init__(self, current_date: date, source: str):
-        self.current_date = current_date
-        self.source = source
-        self.last_tod: time | None = None
+    def __init__(self, day_ms: int):
+        self.day_ms = day_ms
+        self.last_tod: int | None = None
 
-    def observe_date(self, day: date, source: str) -> None:
-        """Adopt an explicitly reported date, but never move backwards."""
-        if day > self.current_date:
-            self.current_date = day
-            self.source = source
+    def observe_date(self, day: int) -> None:
+        """Adopt an explicitly reported day, but never move backwards."""
+        if day > self.day_ms:
+            self.day_ms = day
             self.last_tod = None
 
-    def resolve(self, tod: time) -> datetime:
-        if self.last_tod is not None:
-            jump = _tod_seconds(tod) - _tod_seconds(self.last_tod)
-            if jump < -12 * 3600:
-                self.current_date += timedelta(days=1)
+    def resolve(self, tod: int) -> int:
+        if self.last_tod is not None and tod - self.last_tod < -_HALF_DAY_MS:
+            self.day_ms += MS_PER_DAY
         self.last_tod = tod
-        return datetime.combine(self.current_date, tod, tzinfo=UTC)
+        return self.day_ms + tod
 
 
-def _tod_seconds(tod: time) -> float:
-    return tod.hour * 3600 + tod.minute * 60 + tod.second + tod.microsecond / 1e6
-
-
-def parse_tod(value: str) -> time:
-    """Parse ``hhmmss`` with up to three fractional digits."""
+def parse_tod(value: str) -> int:
+    """Milliseconds into the UTC day of ``hhmmss`` with up to three
+    fractional digits."""
     match = _TOD_RE.match(value)
     if not match:
         raise ParseError(f"malformed time of day: {value!r}", "time")
-    hour, minute, second = int(match.group(1)), int(match.group(2)), int(match.group(3))
-    fraction = (match.group(4) or "").ljust(3, "0")
+    hour, minute, second, fraction = match.groups()
+    hour, minute, second = int(hour), int(minute), int(second)
     if hour > 23 or minute > 59 or second > 59:
         raise ParseError(f"time of day out of range: {value!r}", "time")
-    return time(hour, minute, second, int(fraction) * 1000)
+    return ((hour * 60 + minute) * 60 + second) * 1000 + int((fraction or "").ljust(3, "0"))
 
 
 def parse_coordinate(value: str, hemisphere: str, field_name: str = "coordinate") -> float:
@@ -231,6 +211,24 @@ def parse_int(value: str, field_name: str) -> int:
         raise ParseError(f"malformed {field_name}: {value!r}", field_name) from None
 
 
+def check_fix(lat: float | None, lon: float | None, fix_quality: int, num_sats: int,
+              hdop: float | None) -> None:
+    """The range checks of a GGA fix's values; ``ParseError`` on the first
+    that fails."""
+    if lat is not None and not -90.0 <= lat <= 90.0:
+        raise ParseError(f"latitude out of range: {lat}")
+    if lon is not None and not -180.0 <= lon <= 180.0:
+        raise ParseError(f"longitude out of range: {lon}")
+    if fix_quality < 0:
+        raise ParseError(f"fix_quality must be non-negative: {fix_quality}")
+    if num_sats < 0:
+        raise ParseError(f"num_sats must be non-negative: {num_sats}")
+    if hdop is not None and hdop < 0:
+        raise ParseError(f"hdop must be non-negative: {hdop}")
+    if fix_quality > 0 and (lat is None or lon is None):
+        raise ParseError("positive fix_quality requires a position")
+
+
 def parse_gga(fields: list[str], ctx: DateContext, source_line: int | None = None) -> GpsFix:
     """Parse a comma-split GGA sentence (header at index 0).
 
@@ -248,27 +246,19 @@ def parse_gga(fields: list[str], ctx: DateContext, source_line: int | None = Non
     num_sats = parse_int(fields[7], "num_sats") if fields[7] else 0
     hdop = parse_float(fields[8], "hdop") if fields[8] else None
     alt = parse_float(fields[9], "alt_m") if fields[9] else None
-    try:
-        return GpsFix(
-            timestamp=ctx.resolve(tod),
-            lat=lat,
-            lon=lon,
-            alt_m=alt,
-            fix_quality=quality,
-            num_sats=num_sats,
-            hdop=hdop,
-            source_line=source_line,
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    # A fix that fails the range checks still counts as the time of day it
+    # carried for the midnight rollover.
+    timestamp = ctx.resolve(tod)
+    check_fix(lat, lon, quality, num_sats, hdop)
+    return GpsFix(timestamp, lat, lon, alt, quality, num_sats, hdop, source_line)
 
 
-def parse_date_sentence(fields: list[str], sentence: str) -> date:
-    """Extract the UTC calendar date from a ZDA or RMC field list."""
+def parse_date_sentence(fields: list[str], sentence: str) -> int:
+    """Epoch milliseconds of the UTC day a ZDA or RMC field list reports."""
     try:
         if sentence == "ZDA":
             _require_fields(fields, 5, "ZDA")
-            return date(int(fields[4]), int(fields[3]), int(fields[2]))
+            return day_ms(date(int(fields[4]), int(fields[3]), int(fields[2])))
         if sentence == "RMC":
             _require_fields(fields, 10, "RMC")
             match = _RMC_DATE_RE.match(fields[9])
@@ -276,12 +266,26 @@ def parse_date_sentence(fields: list[str], sentence: str) -> date:
                 raise ParseError(f"malformed RMC date: {fields[9]!r}", "date")
             day, month, year2 = int(match.group(1)), int(match.group(2)), int(match.group(3))
             year = 1900 + year2 if year2 >= 80 else 2000 + year2
-            return date(year, month, day)
+            return day_ms(date(year, month, day))
     except ParseError:
         raise
     except ValueError as exc:
         raise ParseError(f"malformed {sentence} date: {exc}", "date") from None
     raise ParseError(f"not a date sentence: {sentence}", "sentence")
+
+
+def loran_values(gri, role, toa, snr, ecd) -> tuple[int, str, float, float, float]:
+    """A Loran observation's values, from text (or numbers), checked in
+    field order; ``ParseError`` naming the first field that fails."""
+    gri = parse_int(gri, "gri")
+    if not GRI_MIN <= gri <= GRI_MAX:
+        raise ParseError(f"GRI designator out of range: {gri}", "gri")
+    if role not in STATION_ROLES:
+        raise ParseError(f"unknown station role: {role!r}", "station_role")
+    toa = parse_float(toa, "toa_us")
+    if not 0.0 <= toa < gri * 10:
+        raise ParseError(f"toa_us outside GRI frame: {toa}", "toa_us")
+    return gri, role, toa, parse_float(snr, "snr_db"), parse_float(ecd, "ecd_us")
 
 
 def parse_loran(
@@ -291,26 +295,8 @@ def parse_loran(
     if len(fields) != 7:
         raise ParseError(f"PLRM needs 7 fields, got {len(fields)}", "field-count")
     tod = parse_tod(fields[1])
-    gri = parse_int(fields[2], "gri")
-    if not GRI_MIN <= gri <= GRI_MAX:
-        raise ParseError(f"GRI designator out of range: {gri}", "gri")
-    role = fields[3]
-    if role not in STATION_ROLES:
-        raise ParseError(f"unknown station role: {role!r}", "station_role")
-    toa = parse_float(fields[4], "toa_us")
-    if not 0.0 <= toa < gri * 10:
-        raise ParseError(f"toa_us outside GRI frame: {toa}", "toa_us")
-    snr = parse_float(fields[5], "snr_db")
-    ecd = parse_float(fields[6], "ecd_us")
-    return LoranMeasurement(
-        timestamp=ctx.resolve(tod),
-        gri=gri,
-        station_role=role,
-        toa_us=toa,
-        snr_db=snr,
-        ecd_us=ecd,
-        source_line=source_line,
-    )
+    values = loran_values(*fields[2:])
+    return LoranMeasurement(ctx.resolve(tod), *values, source_line)
 
 
 # Registry of proprietary vendor tags this pipeline can decode.  Adding a
@@ -318,96 +304,6 @@ def parse_loran(
 PROPRIETARY_PARSERS: dict[str, Callable[[list[str], DateContext, int | None], LoranMeasurement]] = {
     "LRM": parse_loran,
 }
-
-
-# --- serialization ---------------------------------------------------------
-#
-# serialize() is the exact inverse of the parsers above at the declared
-# field precisions (coordinates: 4 decimal minutes; times: milliseconds;
-# TOA/SNR/ECD: 1 decimal; HDOP: 2 decimals; altitude: 1 decimal).  The
-# quantize_* helpers snap a value onto that grid, defined as
-# parse(format(x)) so quantized values round-trip bit-exactly.
-
-
-def _coordinate_parts(magnitude: float) -> tuple[int, str]:
-    degrees = int(magnitude)
-    minutes = f"{(magnitude - degrees) * 60.0:07.4f}"
-    if minutes == "60.0000":
-        degrees += 1
-        minutes = "00.0000"
-    return degrees, minutes
-
-
-def format_coordinate(value: float, axis: str) -> tuple[str, str]:
-    """Encode signed degrees as an NMEA field pair; zero maps to N/E."""
-    if axis == "lat":
-        hemisphere = "N" if value >= 0 else "S"
-        width = 2
-    else:
-        hemisphere = "E" if value >= 0 else "W"
-        width = 3
-    degrees, minutes = _coordinate_parts(abs(value))
-    return f"{degrees:0{width}d}{minutes}", hemisphere
-
-
-def quantize_coordinate(value: float, axis: str = "lat") -> float:
-    """Snap degrees onto the 4-decimal-minutes serialization grid."""
-    text, hemisphere = format_coordinate(value, axis)
-    return parse_coordinate(text, hemisphere, axis)
-
-
-def quantize_decimal(value: float, decimals: int = 1) -> float:
-    """Snap onto a fixed-decimal grid, exactly as serialized and reparsed."""
-    return float(f"{value:.{decimals}f}")
-
-
-def format_tod(moment: datetime) -> str:
-    return f"{moment:%H%M%S}.{moment.microsecond // 1000:03d}"
-
-
-def _with_checksum(body: str) -> bytes:
-    payload = body.encode("ascii")
-    fold = 0
-    for byte in payload:
-        fold ^= byte
-    return b"$" + payload + f"*{fold:02X}".encode("ascii")
-
-
-def serialize(record: GpsFix | LoranMeasurement) -> bytes:
-    """Render a record as a checksummed sentence (without line terminator).
-
-    ``parse(serialize(r)) == r`` whenever ``r``'s fields already sit on
-    the serialization grid (see the quantize helpers).
-    """
-    if isinstance(record, GpsFix):
-        if record.no_fix and record.lat is None:
-            lat_text = ns = lon_text = ew = ""
-        else:
-            lat_text, ns = format_coordinate(record.lat, "lat")
-            lon_text, ew = format_coordinate(record.lon, "lon")
-        hdop = "" if record.hdop is None else f"{record.hdop:.2f}"
-        alt = "" if record.alt_m is None else f"{record.alt_m:.1f}"
-        body = (
-            f"GPGGA,{format_tod(record.timestamp)},{lat_text},{ns},{lon_text},{ew},"
-            f"{record.fix_quality},{record.num_sats:02d},{hdop},{alt},M,,M,,"
-        )
-        return _with_checksum(body)
-    if isinstance(record, LoranMeasurement):
-        body = (
-            f"PLRM,{format_tod(record.timestamp)},{record.gri},{record.station_role},"
-            f"{record.toa_us:.1f},{record.snr_db:.1f},{record.ecd_us:.1f}"
-        )
-        return _with_checksum(body)
-    raise TypeError(f"cannot serialize {type(record).__name__}")
-
-
-def serialize_zda(moment: datetime, talker: str = "GP") -> bytes:
-    """Render a ZDA date/time sentence for *moment* (UTC)."""
-    body = (
-        f"{talker}ZDA,{format_tod(moment)},{moment.day:02d},{moment.month:02d},"
-        f"{moment.year:04d},00,00"
-    )
-    return _with_checksum(body)
 
 
 # --- batch parsing of classified stores ------------------------------------
@@ -420,7 +316,7 @@ class ParsedSegment:
     gps: list[GpsFix]
     loran: list[LoranMeasurement]
     errors: list[ParseIssue]
-    seed_date: date | None
+    seed_day_ms: int
     date_source: str
 
 
@@ -432,28 +328,14 @@ def split_sentence(raw: str) -> list[str]:
     return raw.split(",")
 
 
-def _first_date(path: Path, sentence: str) -> date | None:
+def _first(path: Path, decode) -> int | None:
+    """What *decode* makes of the first line of a store it can decode."""
     with open(path, "rb") as handle:
         for raw in handle:
-            fields = split_sentence(raw.rstrip(b"\r\n").decode("latin-1"))
             try:
-                return parse_date_sentence(fields, sentence)
-            except ParseError:
+                return decode(split_sentence(raw.rstrip(b"\r\n").decode("latin-1")))
+            except (ParseError, IndexError):
                 continue
-    return None
-
-
-def _first_tod(path: Path) -> time | None:
-    """Time of day of the first parsable line in a store (all supported
-    sentences carry it at field 1)."""
-    with open(path, "rb") as handle:
-        for raw in handle:
-            fields = split_sentence(raw.rstrip(b"\r\n").decode("latin-1"))
-            if len(fields) > 1:
-                try:
-                    return parse_tod(fields[1])
-                except ParseError:
-                    continue
     return None
 
 
@@ -496,20 +378,20 @@ def parse_classified(
     classified_dir = Path(classified_dir)
     groups = _class_files(classified_dir)
 
-    seed: date | None = None
+    seed: int | None = None
     date_source = "configured-start-date"
     for sentence in DATE_SENTENCES:
         for path in groups.get(sentence, []):
-            found = _first_date(path, sentence)
+            found = _first(path, lambda fields: parse_date_sentence(fields, sentence))
             if found is not None and (seed is None or found < seed):
                 seed = found
                 date_source = sentence
     seeded_from_fallback = False
     if seed is None:
         if fallback_date is not None:
-            seed = fallback_date
+            seed = day_ms(fallback_date)
         elif open_time is not None:
-            seed = ensure_utc(open_time).date()
+            seed = epoch_ms(open_time) // MS_PER_DAY * MS_PER_DAY
             date_source = "segment-open-time"
         else:
             raise ValueError(
@@ -520,15 +402,15 @@ def parse_classified(
     gps: list[GpsFix] = []
     loran: list[LoranMeasurement] = []
     errors: list[ParseIssue] = []
-    open_tod = ensure_utc(open_time).time() if open_time is not None else None
+    open_tod = epoch_ms(open_time) % MS_PER_DAY if open_time is not None else None
 
     def parse_store(path: Path, handler) -> None:
         store_seed = seed
         if seeded_from_fallback and open_tod is not None:
-            first = _first_tod(path)
-            if first is not None and _tod_seconds(first) - _tod_seconds(open_tod) > 12 * 3600.0:
-                store_seed = store_seed - timedelta(days=1)
-        ctx = DateContext(store_seed, date_source)
+            first = _first(path, lambda fields: parse_tod(fields[1]))
+            if first is not None and first - open_tod > _HALF_DAY_MS:
+                store_seed -= MS_PER_DAY
+        ctx = DateContext(store_seed)
         if open_tod is not None:
             ctx.last_tod = open_tod
         with open(path, "rb") as handle:
@@ -537,25 +419,14 @@ def parse_classified(
                 try:
                     handler(split_sentence(raw), ctx, line_number)
                 except ParseError as exc:
-                    errors.append(
-                        ParseIssue(
-                            source_file=path.name,
-                            line_number=line_number,
-                            message=str(exc),
-                            field_name=exc.field_name,
-                            raw=raw,
-                        )
-                    )
+                    errors.append(ParseIssue(path.name, line_number, str(exc), exc.field_name, raw))
 
     for path in groups.get("GGA", []):
         parse_store(path, lambda f, ctx, n: gps.append(parse_gga(f, ctx, n)))
 
     for sentence in DATE_SENTENCES:
         for path in groups.get(sentence, []):
-            parse_store(
-                path,
-                lambda f, ctx, n, s=sentence: ctx.observe_date(parse_date_sentence(f, s), s),
-            )
+            parse_store(path, lambda f, ctx, n: ctx.observe_date(parse_date_sentence(f, sentence)))
 
     for key, paths in groups.items():
         if not key.startswith("P_"):
@@ -566,6 +437,4 @@ def parse_classified(
         for path in paths:
             parse_store(path, lambda f, ctx, n, h=handler: loran.append(h(f, ctx, n)))
 
-    return ParsedSegment(
-        gps=gps, loran=loran, errors=errors, seed_date=seed, date_source=date_source
-    )
+    return ParsedSegment(gps, loran, errors, seed_day_ms=seed, date_source=date_source)

@@ -14,8 +14,9 @@ A capture session is a directory::
 Rotation closes the active segment at a policy boundary (UTC midnight by
 default) and opens a new one; the boundary always falls between appended
 chunks, so no chunk is ever split.  Appended bytes are flushed and
-fsynced at least every ``flush_interval`` seconds, which bounds how much
-a crash can lose.
+fsynced at least every ``flush_interval`` wall-clock seconds (the clock's
+``monotonic()``, which an accelerated replay does not speed up), which
+bounds how much a crash can lose.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from typing import Protocol
 
 from .clock import Clock, SystemClock
 from .fsutil import atomic_write_json
-from .timeutil import basic_stamp, ensure_utc, iso_ms, next_utc_midnight
+from .timeutil import basic_stamp, ensure_utc, epoch_ms, iso_ms, next_utc_midnight
 
 # Pacing base for file replay: a classic 4800-baud NMEA feed moves about
 # 480 bytes per second (10 bits per byte on the wire).  replay_speed
@@ -309,7 +310,7 @@ class CaptureSession:
             "source": source_text,
             "rotation": self.rotation.to_json(),
             "flush_interval_s": flush_interval,
-            "start_time": iso_ms(now),
+            "start_time": iso_ms(epoch_ms(now)),
         }
         if extra_config:
             metadata.update(extra_config)
@@ -330,8 +331,9 @@ class CaptureSession:
         segment = RawSegment(path=path, session_id=self.session_id, open_time=now)
         self._handle = open(path, "wb")
         self._hasher = hashlib.sha256()
-        self._last_flush = now
-        self._append_event({"event": "segment_open", "segment": path.name, "open_time": iso_ms(now)})
+        self._last_flush = self.clock.monotonic()
+        self._append_event({"event": "segment_open", "segment": path.name,
+                            "open_time": iso_ms(epoch_ms(now))})
         return segment
 
     def append(self, chunk: bytes) -> None:
@@ -344,10 +346,11 @@ class CaptureSession:
         self.maybe_flush()
 
     def maybe_flush(self) -> None:
-        """Flush+fsync if flush_interval has elapsed; callers tick this
-        even when idle so the durability bound holds without traffic."""
-        now = self.clock.now()
-        if (now - self._last_flush).total_seconds() >= self.flush_interval:
+        """Flush+fsync if flush_interval wall-clock seconds have elapsed;
+        callers tick this even when idle so the durability bound holds
+        without traffic."""
+        now = self.clock.monotonic()
+        if now - self._last_flush >= self.flush_interval:
             self._handle.flush()
             os.fsync(self._handle.fileno())
             self._last_flush = now
@@ -381,13 +384,13 @@ class CaptureSession:
         event = {
             "event": "segment_closed",
             "segment": segment.name,
-            "open_time": iso_ms(segment.open_time),
-            "close_time": iso_ms(segment.close_time),
+            "open_time": iso_ms(epoch_ms(segment.open_time)),
+            "close_time": iso_ms(epoch_ms(segment.close_time)),
             "byte_count": segment.byte_count,
             "digest": segment.digest,
         }
         if boundary is not None:
-            event["boundary"] = iso_ms(boundary)
+            event["boundary"] = iso_ms(epoch_ms(boundary))
         try:
             self._append_event(event)
         except OSError as exc:
@@ -399,9 +402,8 @@ class CaptureSession:
         return segment
 
     def record_gap(self, start: datetime, end: datetime, reason: str) -> None:
-        self._append_event(
-            {"event": "gap", "start": iso_ms(start), "end": iso_ms(end), "reason": reason}
-        )
+        self._append_event({"event": "gap", "start": iso_ms(epoch_ms(start)),
+                            "end": iso_ms(epoch_ms(end)), "reason": reason})
 
     def _append_event(self, payload: dict) -> None:
         line = json.dumps(payload, sort_keys=True) + "\n"

@@ -10,8 +10,8 @@ bytes and identical ground truth, which makes the simulator the oracle
 for end-to-end pipeline tests.
 
 All generated values are pre-snapped to the serialization grid (see the
-quantize helpers in :mod:`gpsloran.parse`), so a pipeline that loses no
-data reproduces the ground truth bit for bit.
+quantize helpers below), so a pipeline that loses no data reproduces the
+ground truth bit for bit.
 
 Scenario files are JSON::
 
@@ -45,20 +45,13 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field as dataclass_field
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 
 from .convert import export, merge_sort
 from .fsutil import read_json
-from .parse import (
-    GpsFix,
-    LoranMeasurement,
-    quantize_coordinate,
-    quantize_decimal,
-    serialize,
-    serialize_zda,
-)
-from .timeutil import UTC, parse_iso_ms
+from .parse import GpsFix, LoranMeasurement, parse_coordinate
+from .timeutil import UTC, epoch_ms, from_ms, iso_ms, parse_iso_ms
 
 logger = logging.getLogger(__name__)
 
@@ -168,7 +161,7 @@ class Scenario:
         corruption = Corruption(**payload.get("corruption", {}))
         return cls(
             seed=int(payload.get("seed", 0)),
-            start=parse_iso_ms(payload["start"]) if "start" in payload else DEFAULT_START,
+            start=from_ms(parse_iso_ms(payload["start"])) if "start" in payload else DEFAULT_START,
             duration_s=float(payload.get("duration_s", 60.0)),
             gps_rate_hz=float(payload.get("gps_rate_hz", 1.0)),
             zda_period_s=float(payload.get("zda_period_s", 10.0)),
@@ -215,6 +208,87 @@ class GroundTruth:
         return self.bad_checksum_lines + self.truncated_lines
 
 
+# --- serialization ---------------------------------------------------------
+#
+# serialize() is the exact inverse of gpsloran.parse at the declared
+# field precisions (coordinates: 4 decimal minutes; times: milliseconds;
+# TOA/SNR/ECD: 1 decimal; HDOP: 2 decimals; altitude: 1 decimal).  The
+# quantize_* helpers snap a value onto that grid, defined as
+# parse(format(x)) so quantized values round-trip bit-exactly.
+
+
+def format_coordinate(value: float, axis: str) -> tuple[str, str]:
+    """Encode signed degrees as an NMEA field pair; zero maps to N/E."""
+    hemispheres, width = ("NS", 2) if axis == "lat" else ("EW", 3)
+    degrees = int(abs(value))
+    minutes = f"{(abs(value) - degrees) * 60.0:07.4f}"
+    if minutes == "60.0000":
+        degrees, minutes = degrees + 1, "00.0000"
+    return f"{degrees:0{width}d}{minutes}", hemispheres[value < 0]
+
+
+def quantize_coordinate(value: float, axis: str = "lat") -> float:
+    """Snap degrees onto the 4-decimal-minutes serialization grid."""
+    text, hemisphere = format_coordinate(value, axis)
+    return parse_coordinate(text, hemisphere, axis)
+
+
+def quantize_decimal(value: float, decimals: int = 1) -> float:
+    """Snap onto a fixed-decimal grid, exactly as serialized and reparsed."""
+    return float(f"{value:.{decimals}f}")
+
+
+def format_tod(ms: int) -> str:
+    """``hhmmss.sss`` of epoch milliseconds *ms*."""
+    return iso_ms(ms)[11:23].replace(":", "")
+
+
+def _with_checksum(body: str) -> bytes:
+    payload = body.encode("ascii")
+    fold = 0
+    for byte in payload:
+        fold ^= byte
+    return b"$" + payload + f"*{fold:02X}".encode("ascii")
+
+
+def serialize(record: GpsFix | LoranMeasurement) -> bytes:
+    """Render a record as a checksummed sentence (without line terminator).
+
+    ``parse(serialize(r)) == r`` whenever ``r``'s fields already sit on
+    the serialization grid (see the quantize helpers).
+    """
+    if isinstance(record, GpsFix):
+        if record.no_fix and record.lat is None:
+            lat_text = ns = lon_text = ew = ""
+        else:
+            lat_text, ns = format_coordinate(record.lat, "lat")
+            lon_text, ew = format_coordinate(record.lon, "lon")
+        hdop = "" if record.hdop is None else f"{record.hdop:.2f}"
+        alt = "" if record.alt_m is None else f"{record.alt_m:.1f}"
+        body = (
+            f"GPGGA,{format_tod(record.timestamp)},{lat_text},{ns},{lon_text},{ew},"
+            f"{record.fix_quality},{record.num_sats:02d},{hdop},{alt},M,,M,,"
+        )
+        return _with_checksum(body)
+    if isinstance(record, LoranMeasurement):
+        body = (
+            f"PLRM,{format_tod(record.timestamp)},{record.gri},{record.station_role},"
+            f"{record.toa_us:.1f},{record.snr_db:.1f},{record.ecd_us:.1f}"
+        )
+        return _with_checksum(body)
+    raise TypeError(f"cannot serialize {type(record).__name__}")
+
+
+def serialize_zda(ms: int, talker: str = "GP") -> bytes:
+    """Render a ZDA date/time sentence for epoch milliseconds *ms*."""
+    moment = from_ms(ms)
+    body = (
+        f"{talker}ZDA,{format_tod(ms)},{moment.day:02d},{moment.month:02d},"
+        f"{moment.year:04d},00,00"
+    )
+    return _with_checksum(body)
+
+
 # Event kinds in emission-priority order at equal timestamps: the date
 # sentence leads, then the fix, then station observations in scenario
 # order.
@@ -252,6 +326,7 @@ def generate_stream(scenario: Scenario) -> tuple[SimStream, GroundTruth]:
     must surface downstream only as quarantined lines or parse errors.
     """
     rng = random.Random(scenario.seed)
+    start_ms = epoch_ms(scenario.start)
     duration_ms = round(scenario.duration_s * 1000)
 
     events: list[tuple[int, int, int]] = []
@@ -271,7 +346,7 @@ def generate_stream(scenario: Scenario) -> tuple[SimStream, GroundTruth]:
 
     for t_ms, kind, station_index in events:
         offset_s = t_ms / 1000.0
-        moment = scenario.start + timedelta(milliseconds=t_ms)
+        moment = start_ms + t_ms
 
         if rng.random() < rates.garbage_line_rate:
             garbage = f"#{rng.randrange(1 << 32):08x}".encode("ascii")

@@ -7,6 +7,7 @@ from the code under test.
 
 from __future__ import annotations
 
+import calendar
 import functools
 import operator
 from datetime import datetime
@@ -66,6 +67,12 @@ def plrm_line(
 
 def utc(*args: int) -> datetime:
     return datetime(*args, tzinfo=UTC)
+
+
+def ms(year: int, month: int, day: int, hour: int = 0, minute: int = 0, second: int = 0,
+       millisecond: int = 0) -> int:
+    """UTC epoch milliseconds of a calendar instant, the way records carry it."""
+    return calendar.timegm((year, month, day, hour, minute, second)) * 1000 + millisecond
 
 
 class ScriptedSource:

@@ -18,15 +18,16 @@ from __future__ import annotations
 
 import os
 import sys
-from datetime import timedelta
 
 from gpsloran.clock import ManualClock
 from gpsloran.orchestrate import Hooks, run_pipeline
-from gpsloran.parse import GpsFix, LoranMeasurement, serialize, serialize_zda
+from gpsloran.parse import GpsFix, LoranMeasurement
 from gpsloran.record import SourceClosed
-from gpsloran.timeutil import parse_iso_ms
+from gpsloran.simulate import serialize, serialize_zda
+from gpsloran.timeutil import from_ms, parse_iso_ms
 
-START = parse_iso_ms("2020-04-17T12:00:00.000Z")
+START_MS = parse_iso_ms("2020-04-17T12:00:00.000Z")
+START = from_ms(START_MS)
 SESSION_ID = "c8"
 CONFIG = {
     "session_id": SESSION_ID,
@@ -38,8 +39,8 @@ CONFIG = {
 KILL_EXIT_CODE = 9
 
 
-def _at(offset_s: float):
-    return START + timedelta(seconds=offset_s)
+def _at(offset_s: float) -> int:
+    return START_MS + round(offset_s * 1000)
 
 
 def _gga(offset_s: float) -> bytes:

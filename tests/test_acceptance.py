@@ -20,7 +20,7 @@ import sys
 import threading
 import time
 from collections import Counter
-from datetime import date, timedelta
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from conftest import (
     ScriptedSource,
     crlf,
     gga_line,
+    ms,
     plrm_line,
     rmc_line,
     sentence,
@@ -60,9 +61,6 @@ from gpsloran.parse import (
     LoranMeasurement,
     parse_gga,
     parse_loran,
-    quantize_coordinate,
-    quantize_decimal,
-    serialize,
     split_sentence,
 )
 from gpsloran.record import CaptureSession, RotationPolicy, read_events
@@ -72,9 +70,12 @@ from gpsloran.simulate import (
     Scenario,
     StationSpec,
     generate_stream,
+    quantize_coordinate,
+    quantize_decimal,
+    serialize,
     serve,
 )
-from gpsloran.timeutil import iso_ms, parse_iso_ms
+from gpsloran.timeutil import from_ms, parse_iso_ms
 
 
 def _criterion(capsys, number: int, label: str, body) -> None:
@@ -252,11 +253,11 @@ def test_criterion_3_checksum_oracle(capsys):
 
 
 def _fresh_ctx() -> DateContext:
-    return DateContext(date(2020, 4, 17), "test")
+    return DateContext(ms(2020, 4, 17))
 
 
 def _random_fix(rng: random.Random) -> GpsFix:
-    ts = utc(2020, 4, 17) + timedelta(milliseconds=rng.randrange(86_400_000))
+    ts = ms(2020, 4, 17) + rng.randrange(86_400_000)
     if rng.random() < 0.2:
         return GpsFix(
             timestamp=ts, lat=None, lon=None, alt_m=None,
@@ -276,7 +277,7 @@ def _random_fix(rng: random.Random) -> GpsFix:
 def _random_loran(rng: random.Random) -> LoranMeasurement:
     gri = rng.randint(4000, 9999)
     return LoranMeasurement(
-        timestamp=utc(2020, 4, 17) + timedelta(milliseconds=rng.randrange(86_400_000)),
+        timestamp=ms(2020, 4, 17) + rng.randrange(86_400_000),
         gri=gri,
         station_role=rng.choice("MVWXYZ"),
         toa_us=rng.uniform(0.0, gri * 10 - 0.2),
@@ -327,8 +328,8 @@ def test_criterion_4_parser_round_trip(capsys):
 def test_criterion_5_merge_oracle(capsys):
     def body():
         rng = random.Random(505)
-        base = utc(2020, 4, 17)
-        stamps = [base + timedelta(milliseconds=rng.randrange(86_400_000)) for _ in range(5000)]
+        base = ms(2020, 4, 17)
+        stamps = [base + rng.randrange(86_400_000) for _ in range(5000)]
         gps, loran = [], []
         for _ in range(50_000):
             ts = rng.choice(stamps)  # ~10 records per instant: dense ties
@@ -351,8 +352,7 @@ def test_criterion_5_merge_oracle(capsys):
         assert len(merged) == 50_000
 
         ts_ms = np.array(
-            [(r.timestamp - base) // timedelta(milliseconds=1) for r in gps]
-            + [(r.timestamp - base) // timedelta(milliseconds=1) for r in loran],
+            [r.timestamp - base for r in gps] + [r.timestamp - base for r in loran],
             dtype=np.int64,
         )
         rank = np.array([0] * len(gps) + [1] * len(loran), dtype=np.int64)
@@ -374,7 +374,7 @@ def test_criterion_6_end_to_end_ground_truth(tmp_path, capsys):
         snr_m = PiecewiseLinear(((0.0, 10.0), (43200.0, 18.0), (86400.0, 10.0)))
         scenario = Scenario(
             seed=20260417,
-            start=start,
+            start=from_ms(start),
             duration_s=86400.0,
             gps_rate_hz=1.0,
             zda_period_s=10.0,
@@ -442,7 +442,7 @@ def test_criterion_6_end_to_end_ground_truth(tmp_path, capsys):
         truth_m = [obs for obs in truth.loran if obs.station == "9930M"]
         assert len(snr_rows) == len(truth_m)
         for stamp, cell in snr_rows:
-            offset = (parse_iso_ms(stamp) - start).total_seconds()
+            offset = (parse_iso_ms(stamp) - start) / 1000
             assert float(cell) == quantize_decimal(snr_m.sample(offset), 1)
 
         assert time.monotonic() - t0 < 120.0
@@ -509,7 +509,7 @@ def test_criterion_7_rotation_cadence(tmp_path, capsys):
         ]
         assert boundaries == ["2020-04-18T00:00:00.000Z", "2020-04-19T00:00:00.000Z"]
         spacing = parse_iso_ms(boundaries[1]) - parse_iso_ms(boundaries[0])
-        assert spacing == timedelta(days=1)
+        assert spacing == 86_400_000
 
         state = StateStore.load(session_dir / STATE_NAME)
         assert [e.stage for e in state.entries] == [CONVERTED] * 3

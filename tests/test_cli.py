@@ -4,9 +4,10 @@ import hashlib
 import io
 import json
 import logging
+import subprocess
+import sys
 import threading
 import time
-from datetime import timedelta
 
 import pytest
 
@@ -18,7 +19,7 @@ from gpsloran.orchestrate import STATE_NAME, StateStore
 from gpsloran.parse import GpsFix, LoranMeasurement
 from gpsloran.simulate import Scenario, generate_stream
 
-from conftest import crlf, gga_line, plrm_line, utc, zda_line
+from conftest import crlf, gga_line, ms, plrm_line, sentence, utc, zda_line
 
 
 def scenario_file(tmp_path, **overrides):
@@ -115,7 +116,7 @@ def test_classify_then_convert_then_stats(tmp_path, capsys):
     assert counts["loran"] == 1
     assert counts["quarantined"] == 1
     gps = read_gps_export(exports / "timeline_gps.csv")
-    assert gps[0].timestamp == utc(2020, 4, 17, 12, 0, 1)
+    assert gps[0].timestamp == ms(2020, 4, 17, 12, 0, 1)
 
     # stats wants a session layout: exports/<segment>/...
     session = tmp_path / "session"
@@ -161,7 +162,7 @@ def test_convert_start_date_fallback(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     gps = read_gps_export(exports / "timeline_gps.csv")
-    assert gps[0].timestamp == utc(2021, 6, 1, 12, 0, 0)
+    assert gps[0].timestamp == ms(2021, 6, 1, 12, 0, 0)
 
 
 def test_record_replay_and_recover_roundtrip(tmp_path, capsys):
@@ -293,26 +294,26 @@ def test_stats_station_filter(tmp_path, capsys):
 def stats_session(tmp_path):
     """Two exported segments: the first in both formats (stats reads its
     CSV), the second as JSON lines only, ten minutes later (a gap)."""
-    t0 = utc(2020, 4, 17, 12, 0, 0)
+    t0 = ms(2020, 4, 17, 12, 0, 0)
     first_gps = [
         GpsFix(t0, 37.123456789, 127.5, 30.25, 1, 8, 0.9),
-        GpsFix(t0 + timedelta(seconds=1), 37.1234, 127.5001, None, 2, 6, None),  # no altitude
-        GpsFix(t0 + timedelta(seconds=2), None, None, None, 0, 0, None),  # no fix
+        GpsFix(t0 + 1000, 37.1234, 127.5001, None, 2, 6, None),  # no altitude
+        GpsFix(t0 + 2000, None, None, None, 0, 0, None),  # no fix
     ]
     first_loran = []
     for second in range(3):
-        at = t0 + timedelta(seconds=second)
+        at = t0 + second * 1000
         first_loran += [
-            LoranMeasurement(at + timedelta(milliseconds=50), 7430, "M", 100.5, 3.25 + second, 0.1),
-            LoranMeasurement(at + timedelta(milliseconds=120), 9930, "M", 2000.0, -1.5, 0.0),
-            LoranMeasurement(at + timedelta(milliseconds=275), 7430, "Y", 310.0, 1e-05, -0.4),
-            LoranMeasurement(at + timedelta(milliseconds=350), 9930, "X", 45678.9, 17.75, 2.5),
+            LoranMeasurement(at + 50, 7430, "M", 100.5, 3.25 + second, 0.1),
+            LoranMeasurement(at + 120, 9930, "M", 2000.0, -1.5, 0.0),
+            LoranMeasurement(at + 275, 7430, "Y", 310.0, 1e-05, -0.4),
+            LoranMeasurement(at + 350, 9930, "X", 45678.9, 17.75, 2.5),
         ]
-    t1 = t0 + timedelta(minutes=10)
+    t1 = t0 + 600_000
     second_gps = [GpsFix(t1, -33.9, -151.25, 5.0, 1, 12, 0.7)]
     second_loran = [
         LoranMeasurement(t1, 9930, "X", 45679.0, 18.0, 2.5),
-        LoranMeasurement(t1 + timedelta(milliseconds=1), 7430, "M", 101.0, 4.0, 0.2),
+        LoranMeasurement(t1 + 1, 7430, "M", 101.0, 4.0, 0.2),
     ]
     session = tmp_path / "session"
     exports = session / "exports"
@@ -344,6 +345,8 @@ LORAN_JSON = (
     '{"timestamp":"2020-04-17T12:00:00.000Z","gri":9930,"station_role":"M",'
     '"toa_us":100.0,"snr_db":12.0,"ecd_us":0.5}\n'
 )
+GPS_HEADER = "timestamp,lat_deg,lon_deg,alt_m,fix_quality,num_sats,hdop\n"
+GPS_ROW = "2020-04-17T12:00:00.000Z,37.0,127.0,30.0,1,8,0.9\n"
 
 
 @pytest.mark.parametrize(
@@ -365,9 +368,18 @@ LORAN_JSON = (
          '{"timestamp":"2020-04-17T12:00:00.000Z","lat_deg":37.0,"lon_deg":127.0,'
          '"alt_m":null,"fix_quality":1,"num_sats":8,"hdop":Infinity}\n', 1,
          "non-finite hdop: inf"),
+        # the range checks the parser makes hold for records read back too
+        ("timeline_gps.csv", GPS_HEADER + GPS_ROW + GPS_ROW.replace("37.0", "-90.5"), 3,
+         "latitude out of range: -90.5"),
+        ("timeline_loran.csv", LORAN_HEADER + LORAN_ROW.replace("9930", "3999"), 2,
+         "GRI designator out of range: 3999"),
+        ("timeline_loran.csv", LORAN_HEADER + LORAN_ROW.replace(",M,", ",Q,"), 2,
+         "unknown station role: 'Q'"),
+        ("timeline_loran.jsonl", LORAN_JSON + LORAN_JSON.replace("100.0", "99300.0"), 2,
+         "toa_us outside GRI frame: 99300.0"),
     ],
     ids=["short-row", "long-row", "missing-column", "json-not-object", "json-number-timestamp",
-         "csv-nan", "json-infinity"],
+         "csv-nan", "json-infinity", "csv-latitude", "csv-gri", "csv-role", "json-toa"],
 )
 def test_stats_names_the_file_and_line_of_a_malformed_export(
     tmp_path, capsys, name, text, line, problem
@@ -377,6 +389,38 @@ def test_stats_names_the_file_and_line_of_a_malformed_export(
     (directory / name).write_text(text)
     assert main(["stats", "--session", str(tmp_path / "session")]) == 1
     assert capsys.readouterr().err == f"error: {directory / name}:{line}: {problem}\n"
+
+
+def test_year_below_1000_survives_convert_and_stats(tmp_path, capsys):
+    """A receiver reporting year 999 gets a four-digit year in every file,
+    which stats then reads back."""
+    segment = tmp_path / "seg.log"
+    segment.write_bytes(crlf(sentence("GPZDA,120000.000,17,04,0999,00,00"),
+                             gga_line(tod="120001.000")))
+    classified = tmp_path / "classified"
+    target = tmp_path / "session" / "exports" / "raw_09990417T120000Z"
+    assert main(["classify", "--segment", str(segment), "--out", str(classified)]) == 0
+    assert main(["convert", "--classified", str(classified), "--out", str(target)]) == 0
+    rows = (target / "timeline_gps.csv").read_text().splitlines()
+    assert rows[1].startswith("0999-04-17T12:00:01.000Z,")
+    assert read_manifest(target)["time_span"]["first"] == "0999-04-17T12:00:01.000Z"
+    capsys.readouterr()
+
+    assert main(["stats", "--session", str(tmp_path / "session")]) == 0
+    out = capsys.readouterr().out
+    assert "time_span=0999-04-17T12:00:01.000Z..0999-04-17T12:00:01.000Z" in out
+    fixes = (tmp_path / "session" / "stats" / "gps_fixes.csv").read_text().splitlines()
+    assert fixes[1] == "0999-04-17T12:00:01.000Z,37.0,127.0,30.0"
+
+
+def test_importing_the_cli_loads_no_capture_code():
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gpsloran.cli; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    for name in ("orchestrate", "record", "simulate", "classify"):
+        assert f"gpsloran.{name}" not in loaded
 
 
 STATS_GOLDEN = {

@@ -4,7 +4,6 @@ import io
 import json
 import os
 import random
-from datetime import timedelta
 
 import pytest
 from hypothesis import given
@@ -28,10 +27,10 @@ from gpsloran import fsutil
 from gpsloran.fsutil import AtomicWriter, read_json, sha256_file
 from gpsloran.parse import GpsFix, LoranMeasurement
 
-from conftest import utc
+from conftest import ms
 
 
-T0 = utc(2020, 4, 17, 12, 0, 0)
+T0 = ms(2020, 4, 17, 12, 0, 0)
 
 
 def fix_at(moment, lat=37.0, no_fix=False):
@@ -48,7 +47,7 @@ def loran_at(moment, role="M", snr=12.0, gri=9930):
 
 
 def test_merge_tie_breaks_gps_first_then_arrival():
-    t1 = T0 + timedelta(seconds=1)
+    t1 = T0 + 1000
     gps = [fix_at(t1), fix_at(T0)]
     loran = [loran_at(t1)]
     merged = merge_sort(gps, loran)
@@ -78,8 +77,8 @@ def test_merge_empty_inputs():
     st.lists(st.integers(min_value=0, max_value=20), max_size=40),
 )
 def test_merge_is_sorted_and_loses_nothing(gps_offsets, loran_offsets):
-    gps = [fix_at(T0 + timedelta(seconds=s)) for s in gps_offsets]
-    loran = [loran_at(T0 + timedelta(seconds=s)) for s in loran_offsets]
+    gps = [fix_at(T0 + s * 1000) for s in gps_offsets]
+    loran = [loran_at(T0 + s * 1000) for s in loran_offsets]
     merged = merge_sort(gps, loran)
     assert len(merged) == len(gps) + len(loran)
     times = [r.timestamp for r in merged]
@@ -102,12 +101,12 @@ def test_merge_is_sorted_and_loses_nothing(gps_offsets, loran_offsets):
 def sample_timeline():
     gps = [
         fix_at(T0),
-        fix_at(T0 + timedelta(seconds=1), lat=37.5),
-        fix_at(T0 + timedelta(seconds=2), no_fix=True),
+        fix_at(T0 + 1000, lat=37.5),
+        fix_at(T0 + 2000, no_fix=True),
     ]
     loran = [
-        loran_at(T0 + timedelta(milliseconds=500)),
-        loran_at(T0 + timedelta(milliseconds=1500), role="X", snr=9.5),
+        loran_at(T0 + 500),
+        loran_at(T0 + 1500, role="X", snr=9.5),
     ]
     return merge_sort(gps, loran)
 
@@ -211,12 +210,12 @@ def test_export_round_trip_both_formats(tmp_path):
 
 def golden_timeline():
     """A fixed timeline covering every rendering case of the exports."""
-    t1 = T0 + timedelta(seconds=1)
-    t2 = T0 + timedelta(seconds=2, milliseconds=250)
+    t1 = T0 + 1000
+    t2 = T0 + 2250
     gps = [
         GpsFix(T0, 37.5, 127.25, 30.0, 1, 8, 1.0),
         GpsFix(t1, -33.86881667, -151.2093, -12.3, 2, 11, 0.85),
-        GpsFix(t1 + timedelta(milliseconds=7), 0.0, -0.0, None, 1, 4, None),  # fix, no hdop/alt
+        GpsFix(t1 + 7, 0.0, -0.0, None, 1, 4, None),  # fix, no hdop/alt
         GpsFix(t2, None, None, None, 0, 0, None),  # no fix
     ]
     loran = [
@@ -225,7 +224,7 @@ def golden_timeline():
         LoranMeasurement(T0, 7430, "X", 50000.0, 1e-05, 0.0),
         LoranMeasurement(t1, 9930, "M", 12345.7, 18.5, 0.2),
         LoranMeasurement(t2, 9930, "Y", 98000.1, 6.0, -1.5),
-        LoranMeasurement(t2 + timedelta(milliseconds=999), 5990, "Z", 0.0, 40.0, 5.0),
+        LoranMeasurement(t2 + 999, 5990, "Z", 0.0, 40.0, 5.0),
     ]
     return merge_sort(gps, loran)
 
@@ -265,7 +264,7 @@ def long_timeline():
     rng = random.Random(7)
     gps, loran = [], []
     for second in range(600):
-        moment = T0 + timedelta(seconds=second, milliseconds=rng.choice((0, 0, 125)))
+        moment = T0 + second * 1000 + rng.choice((0, 0, 125))
         gps.append(fix_at(moment, lat=round(rng.uniform(-90, 90), 6), no_fix=second % 97 == 5))
         for role in "MWXY":
             loran.append(loran_at(moment, role=role, snr=round(rng.uniform(-5, 30), 1)))
@@ -360,8 +359,8 @@ def test_export_empty_timeline(tmp_path):
 def test_manifest_gap_list(tmp_path):
     gps = [
         fix_at(T0),
-        fix_at(T0 + timedelta(minutes=2)),
-        fix_at(T0 + timedelta(minutes=22)),  # 20-minute hole
+        fix_at(T0 + 120_000),
+        fix_at(T0 + 1_320_000),  # 20-minute hole
     ]
     manifest = export(
         merge_sort(gps, []), "columns", tmp_path, session_id="s1", gap_threshold_s=600
@@ -376,7 +375,7 @@ def test_manifest_gap_list(tmp_path):
 
 
 def test_summarize_snr_stats():
-    loran = [loran_at(T0 + timedelta(seconds=i), snr=snr) for i, snr in enumerate((10.0, 12.0, 14.0))]
+    loran = [loran_at(T0 + i * 1000, snr=snr) for i, snr in enumerate((10.0, 12.0, 14.0))]
     summary = summarize(merge_sort([], loran))
     stats = summary.stations["9930M"]
     assert stats.count == 3
@@ -388,8 +387,8 @@ def test_summarize_snr_stats():
 def test_summarize_splits_stations():
     loran = [
         loran_at(T0, role="M", snr=5.0),
-        loran_at(T0 + timedelta(seconds=1), role="X", snr=20.0),
-        loran_at(T0 + timedelta(seconds=2), role="M", snr=7.0),
+        loran_at(T0 + 1000, role="X", snr=20.0),
+        loran_at(T0 + 2000, role="M", snr=7.0),
     ]
     summary = summarize(merge_sort([], loran))
     assert set(summary.stations) == {"9930M", "9930X"}
@@ -400,8 +399,8 @@ def test_summarize_splits_stations():
 def test_summarize_excludes_no_fix_from_position_stats():
     gps = [
         fix_at(T0, lat=36.0),
-        fix_at(T0 + timedelta(seconds=1), no_fix=True),
-        fix_at(T0 + timedelta(seconds=2), lat=38.0),
+        fix_at(T0 + 1000, no_fix=True),
+        fix_at(T0 + 2000, lat=38.0),
     ]
     summary = summarize(merge_sort(gps, []))
     assert summary.gps_fix_count == 2
@@ -413,13 +412,13 @@ def test_summarize_excludes_no_fix_from_position_stats():
 def test_summarize_gap_detection():
     gps = [
         fix_at(T0),
-        fix_at(T0 + timedelta(minutes=2)),
-        fix_at(T0 + timedelta(hours=2)),
-        fix_at(T0 + timedelta(hours=2, minutes=1)),
+        fix_at(T0 + 120_000),
+        fix_at(T0 + 7_200_000),
+        fix_at(T0 + 7_260_000),
     ]
     summary = summarize(merge_sort(gps, []), gap_threshold_s=300)
     assert summary.gaps == [
-        (T0 + timedelta(minutes=2), T0 + timedelta(hours=2)),
+        (T0 + 120_000, T0 + 7_200_000),
     ]
 
 
@@ -433,6 +432,6 @@ def test_summarize_empty_timeline():
 
 
 def test_gap_exactly_at_threshold_is_not_a_gap():
-    gps = [fix_at(T0), fix_at(T0 + timedelta(seconds=300))]
+    gps = [fix_at(T0), fix_at(T0 + 300_000)]
     summary = summarize(merge_sort(gps, []), gap_threshold_s=300)
     assert summary.gaps == []

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import time as time_mod
 
@@ -101,6 +102,39 @@ def test_accelerated_clock_scales_time():
     wall = time_mod.monotonic() - wall_before
     assert elapsed >= 0.02 * 1000 * 0.5
     assert elapsed <= (wall + 0.1) * 1000
+
+
+def test_accelerated_replay_flushes_on_wall_clock_seconds(tmp_path, monkeypatch):
+    """flush_interval_s counts wall-clock seconds, not the clock's: a 1000x
+    replay of 200 s of feed (about 0.2 s of wall time) fsyncs the raw
+    segment about once per wall second, not once per replayed second."""
+    feed = tmp_path / "feed.log"
+    feed.write_bytes(crlf(*[gga_line(tod=f"12{i // 60 % 60:02d}{i % 60:02d}.000")
+                            for i in range(1200)]))  # 96 000 bytes: 200 s at 480 B/s
+    synced_inodes = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        synced_inodes.append(os.fstat(fd).st_ino)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    config = {
+        "source": f"replay:{feed}",
+        "out_dir": str(tmp_path / "out"),
+        "session_id": "fast",
+        "on_eof": "stop",
+        "process_segments": False,
+        "flush_interval_s": 1.0,
+    }
+    wall_before = time_mod.monotonic()
+    assert run_pipeline(config, clock=AcceleratedClock(start=START, factor=1000.0)) == 0
+    wall = time_mod.monotonic() - wall_before
+
+    (raw,) = (tmp_path / "out" / "fast").glob("raw_*.log")
+    assert raw.read_bytes() == feed.read_bytes()
+    segment_fsyncs = synced_inodes.count(raw.stat().st_ino)
+    assert 1 <= segment_fsyncs <= wall / config["flush_interval_s"] + 1  # + the close
 
 
 def test_accelerated_clock_sleep_divides():

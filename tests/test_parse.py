@@ -1,4 +1,4 @@
-from datetime import date, datetime, time, timedelta
+from datetime import date
 
 import pytest
 from hypothesis import given
@@ -11,36 +11,42 @@ from gpsloran.parse import (
     LoranMeasurement,
     ParseError,
     PROPRIETARY_PARSERS,
-    format_coordinate,
     parse_classified,
     parse_coordinate,
     parse_date_sentence,
     parse_gga,
     parse_loran,
     parse_tod,
+    split_sentence,
+)
+from gpsloran.simulate import (
+    format_coordinate,
     quantize_coordinate,
     quantize_decimal,
     serialize,
     serialize_zda,
-    split_sentence,
 )
-from gpsloran.timeutil import UTC
 
-from conftest import gga_line, plrm_line, rmc_line, sentence, utc, zda_line
+from conftest import gga_line, ms, plrm_line, rmc_line, sentence, utc, zda_line
 
 
-def ctx(day=date(2020, 4, 17)):
-    return DateContext(day, "test")
+def ctx(day=ms(2020, 4, 17)):
+    return DateContext(day)
+
+
+def tod(hour: int, minute: int, second: int, milli: int = 0) -> int:
+    """Milliseconds into the day, as parse_tod returns them."""
+    return ((hour * 60 + minute) * 60 + second) * 1000 + milli
 
 
 # --- time of day -------------------------------------------------------------
 
 
 def test_parse_tod():
-    assert parse_tod("120000") == time(12, 0, 0)
-    assert parse_tod("235959.999") == time(23, 59, 59, 999000)
-    assert parse_tod("000000.5") == time(0, 0, 0, 500000)
-    assert parse_tod("063015.25") == time(6, 30, 15, 250000)
+    assert parse_tod("120000") == 43_200_000
+    assert parse_tod("235959.999") == 86_399_999
+    assert parse_tod("000000.5") == 500
+    assert parse_tod("063015.25") == tod(6, 30, 15, 250)
 
 
 @pytest.mark.parametrize("bad", ["", "240000", "126000", "120060", "12000", "1200000", "12:00:00", "120000.1234"])
@@ -115,53 +121,62 @@ def test_quantize_is_idempotent():
 
 def test_rollover_advances_date_after_midnight():
     c = ctx()
-    first = c.resolve(time(23, 59, 59))
-    second = c.resolve(time(0, 0, 1))
-    assert first == utc(2020, 4, 17, 23, 59, 59)
-    assert second == utc(2020, 4, 18, 0, 0, 1)
+    first = c.resolve(tod(23, 59, 59))
+    second = c.resolve(tod(0, 0, 1))
+    assert first == ms(2020, 4, 17, 23, 59, 59)
+    assert second == ms(2020, 4, 18, 0, 0, 1)
 
 
 def test_small_backward_jump_keeps_date():
     c = ctx()
-    c.resolve(time(12, 0, 0))
-    again = c.resolve(time(11, 0, 0))  # out-of-order delivery, not midnight
-    assert again == utc(2020, 4, 17, 11, 0, 0)
+    c.resolve(tod(12, 0, 0))
+    again = c.resolve(tod(11, 0, 0))  # out-of-order delivery, not midnight
+    assert again == ms(2020, 4, 17, 11, 0, 0)
 
 
 def test_forward_jump_keeps_date():
     c = ctx()
-    c.resolve(time(1, 0, 0))
-    later = c.resolve(time(13, 30, 0))
-    assert later == utc(2020, 4, 17, 13, 30, 0)
+    c.resolve(tod(1, 0, 0))
+    later = c.resolve(tod(13, 30, 0))
+    assert later == ms(2020, 4, 17, 13, 30, 0)
 
 
 def test_rollover_happens_once_per_crossing():
     c = ctx()
-    for tod, expected_day in [
-        (time(23, 59, 58), 17),
-        (time(23, 59, 59), 17),
-        (time(0, 0, 0), 18),
-        (time(0, 0, 1), 18),
-        (time(0, 0, 2), 18),
+    for time_of_day, expected_day in [
+        (tod(23, 59, 58), 17),
+        (tod(23, 59, 59), 17),
+        (tod(0, 0, 0), 18),
+        (tod(0, 0, 1), 18),
+        (tod(0, 0, 2), 18),
     ]:
-        assert c.resolve(tod).day == expected_day
+        assert c.resolve(time_of_day) - time_of_day == ms(2020, 4, expected_day)
+
+
+def test_rollover_needs_a_jump_of_more_than_12_hours():
+    c = ctx()
+    c.resolve(tod(23, 59, 59, 999))
+    assert c.resolve(tod(11, 59, 59, 999)) == ms(2020, 4, 17, 11, 59, 59, 999)  # exactly 12 h
+    c = ctx()
+    c.resolve(tod(23, 59, 59, 999))
+    assert c.resolve(tod(11, 59, 59, 998)) == ms(2020, 4, 18, 11, 59, 59, 998)
 
 
 def test_observe_date_never_regresses():
     c = ctx()
-    c.observe_date(date(2020, 4, 18), "ZDA")
-    assert c.current_date == date(2020, 4, 18)
-    c.observe_date(date(2020, 4, 16), "ZDA")
-    assert c.current_date == date(2020, 4, 18)
+    c.observe_date(ms(2020, 4, 18))
+    assert c.day_ms == ms(2020, 4, 18)
+    c.observe_date(ms(2020, 4, 16))
+    assert c.day_ms == ms(2020, 4, 18)
 
 
 def test_two_midnights_two_days():
     c = ctx()
-    c.resolve(time(23, 0, 0))
-    c.resolve(time(0, 30, 0))
-    c.resolve(time(23, 45, 0))
-    final = c.resolve(time(0, 15, 0))
-    assert final == utc(2020, 4, 19, 0, 15, 0)
+    c.resolve(tod(23, 0, 0))
+    c.resolve(tod(0, 30, 0))
+    c.resolve(tod(23, 45, 0))
+    final = c.resolve(tod(0, 15, 0))
+    assert final == ms(2020, 4, 19, 0, 15, 0)
 
 
 # --- GGA ---------------------------------------------------------------------
@@ -176,7 +191,7 @@ def test_parse_gga_full_fix():
                                  lon="12311.1200", ew="W", quality=2, sats=9,
                                  hdop="0.90", alt="1048.5"))
     fix = parse_gga(fields, ctx(), source_line=3)
-    assert fix.timestamp == utc(2020, 4, 17, 6, 30, 15, 250000)
+    assert fix.timestamp == ms(2020, 4, 17, 6, 30, 15, 250)
     assert fix.lat == 49.274166666666666
     assert fix.lon == -123.18533333333333
     assert fix.alt_m == 1048.5
@@ -227,18 +242,18 @@ def test_parse_gga_rejects_out_of_range_latitude():
 
 def test_parse_zda_date():
     fields = split_sentence("GPZDA,120000.000,17,04,2020,00,00")
-    assert parse_date_sentence(fields, "ZDA") == date(2020, 4, 17)
+    assert parse_date_sentence(fields, "ZDA") == ms(2020, 4, 17)
 
 
 def test_parse_rmc_date_and_century_pivot():
     def rmc(ddmmyy):
         return split_sentence(f"GPRMC,120000,A,3730.5000,N,12311.1200,W,0.5,054.7,{ddmmyy},,")
 
-    assert parse_date_sentence(rmc("170420"), "RMC") == date(2020, 4, 17)
-    assert parse_date_sentence(rmc("010180"), "RMC") == date(1980, 1, 1)
-    assert parse_date_sentence(rmc("311299"), "RMC") == date(1999, 12, 31)
-    assert parse_date_sentence(rmc("010100"), "RMC") == date(2000, 1, 1)
-    assert parse_date_sentence(rmc("311279"), "RMC") == date(2079, 12, 31)
+    assert parse_date_sentence(rmc("170420"), "RMC") == ms(2020, 4, 17)
+    assert parse_date_sentence(rmc("010180"), "RMC") == ms(1980, 1, 1)
+    assert parse_date_sentence(rmc("311299"), "RMC") == ms(1999, 12, 31)
+    assert parse_date_sentence(rmc("010100"), "RMC") == ms(2000, 1, 1)
+    assert parse_date_sentence(rmc("311279"), "RMC") == ms(2079, 12, 31)
 
 
 def test_parse_date_sentence_rejects_bad_dates():
@@ -256,7 +271,7 @@ def test_parse_date_sentence_rejects_bad_dates():
 def test_parse_loran_full():
     fields = split_sentence("PLRM,120000.500,9930,M,45678.9,12.0,0.5")
     rec = parse_loran(fields, ctx(), source_line=12)
-    assert rec.timestamp == utc(2020, 4, 17, 12, 0, 0, 500000)
+    assert rec.timestamp == ms(2020, 4, 17, 12, 0, 0, 500)
     assert rec.gri == 9930
     assert rec.station_role == "M"
     assert rec.station == "9930M"
@@ -325,7 +340,7 @@ def test_toa_upper_bound_tracks_gri():
 
 def test_serialize_gga_exact_bytes():
     fix = GpsFix(
-        timestamp=utc(2020, 4, 17, 12, 0, 0),
+        timestamp=ms(2020, 4, 17, 12, 0, 0),
         lat=37.0,
         lon=127.0,
         alt_m=30.0,
@@ -340,7 +355,7 @@ def test_serialize_gga_exact_bytes():
 
 def test_serialize_plrm_exact_bytes():
     rec = LoranMeasurement(
-        timestamp=utc(2020, 4, 17, 12, 0, 0, 500000),
+        timestamp=ms(2020, 4, 17, 12, 0, 0, 500),
         gri=9930,
         station_role="M",
         toa_us=45678.9,
@@ -351,7 +366,7 @@ def test_serialize_plrm_exact_bytes():
 
 
 def test_serialize_zda_exact_bytes():
-    assert serialize_zda(utc(2020, 4, 17, 0, 0, 10)) == sentence(
+    assert serialize_zda(ms(2020, 4, 17, 0, 0, 10)) == sentence(
         "GPZDA,000010.000,17,04,2020,00,00"
     )
 
@@ -359,7 +374,7 @@ def test_serialize_zda_exact_bytes():
 def test_serialized_sentences_carry_valid_checksums():
     line = serialize(
         GpsFix(
-            timestamp=utc(2020, 4, 17),
+            timestamp=ms(2020, 4, 17),
             lat=-33.5,
             lon=151.2,
             alt_m=None,
@@ -372,15 +387,14 @@ def test_serialized_sentences_carry_valid_checksums():
 
 
 def test_source_line_does_not_affect_equality():
-    a = GpsFix(utc(2020, 4, 17), 37.0, 127.0, 30.0, 1, 8, 1.0, source_line=5)
-    b = GpsFix(utc(2020, 4, 17), 37.0, 127.0, 30.0, 1, 8, 1.0, source_line=99)
+    a = GpsFix(ms(2020, 4, 17), 37.0, 127.0, 30.0, 1, 8, 1.0, source_line=5)
+    b = GpsFix(ms(2020, 4, 17), 37.0, 127.0, 30.0, 1, 8, 1.0, source_line=99)
     assert a == b
 
 
 @st.composite
 def gps_fixes(draw):
-    ms = draw(st.integers(min_value=0, max_value=86399999))
-    moment = utc(2020, 4, 17) + timedelta(milliseconds=ms)
+    moment = ms(2020, 4, 17) + draw(st.integers(min_value=0, max_value=86399999))
     no_fix = draw(st.booleans()) and draw(st.booleans())  # ~25% no-fix records
     if no_fix:
         lat = lon = None
@@ -427,13 +441,13 @@ def test_gps_round_trip(fix):
 
 @st.composite
 def loran_measurements(draw):
-    ms = draw(st.integers(min_value=0, max_value=86399999))
+    offset = draw(st.integers(min_value=0, max_value=86399999))
     gri = draw(st.integers(min_value=4000, max_value=9999))
     toa = quantize_decimal(
         draw(st.floats(min_value=0.0, max_value=gri * 10 - 0.1, allow_nan=False)), 1
     )
     return LoranMeasurement(
-        timestamp=utc(2020, 4, 17) + timedelta(milliseconds=ms),
+        timestamp=ms(2020, 4, 17) + offset,
         gri=gri,
         station_role=draw(st.sampled_from("MVWXYZ")),
         toa_us=toa,
@@ -483,14 +497,14 @@ def test_parse_classified_seeds_from_zda(tmp_path):
     route(segment, out)
     parsed = parse_classified(out)
     assert parsed.date_source == "ZDA"
-    assert parsed.seed_date == date(2020, 4, 17)
+    assert parsed.seed_day_ms == ms(2020, 4, 17)
     assert [f.timestamp for f in parsed.gps] == [
-        utc(2020, 4, 17, 23, 59, 55),
-        utc(2020, 4, 18, 0, 0, 5),
+        ms(2020, 4, 17, 23, 59, 55),
+        ms(2020, 4, 18, 0, 0, 5),
     ]
     assert [m.timestamp for m in parsed.loran] == [
-        utc(2020, 4, 17, 23, 59, 58),
-        utc(2020, 4, 18, 0, 0, 8),
+        ms(2020, 4, 17, 23, 59, 58),
+        ms(2020, 4, 18, 0, 0, 8),
     ]
     assert parsed.errors == []
 
@@ -502,7 +516,7 @@ def test_parse_classified_seeds_from_rmc_when_no_zda(tmp_path):
     route(segment, out)
     parsed = parse_classified(out)
     assert parsed.date_source == "RMC"
-    assert parsed.gps[0].timestamp == utc(2020, 4, 17, 12, 0, 1)
+    assert parsed.gps[0].timestamp == ms(2020, 4, 17, 12, 0, 1)
 
 
 def test_parse_classified_requires_some_date(tmp_path):
@@ -513,7 +527,7 @@ def test_parse_classified_requires_some_date(tmp_path):
     with pytest.raises(ValueError):
         parse_classified(out)
     parsed = parse_classified(out, fallback_date=date(2021, 1, 2))
-    assert parsed.gps[0].timestamp == utc(2021, 1, 2, 12, 0, 0)
+    assert parsed.gps[0].timestamp == ms(2021, 1, 2, 12, 0, 0)
 
 
 def test_parse_classified_collects_errors_with_provenance(tmp_path):
@@ -550,9 +564,9 @@ def test_parse_classified_anchors_rollover_to_segment_open(tmp_path):
     route(segment, out)
     parsed = parse_classified(out, open_time=utc(2020, 4, 18))
     assert [f.timestamp for f in parsed.gps] == [
-        utc(2020, 4, 17, 23, 59, 58, 500000),
-        utc(2020, 4, 17, 23, 59, 59, 500000),
-        utc(2020, 4, 18, 0, 0, 0, 500000),
+        ms(2020, 4, 17, 23, 59, 58, 500),
+        ms(2020, 4, 17, 23, 59, 59, 500),
+        ms(2020, 4, 18, 0, 0, 0, 500),
     ]
 
 
@@ -563,7 +577,7 @@ def test_parse_classified_open_time_forward_skew(tmp_path):
     out = tmp_path / "classified"
     route(segment, out)
     parsed = parse_classified(out, open_time=utc(2020, 4, 17, 23, 59, 58))
-    assert parsed.gps[0].timestamp == utc(2020, 4, 18, 0, 0, 1)
+    assert parsed.gps[0].timestamp == ms(2020, 4, 18, 0, 0, 1)
 
 
 def test_parse_classified_per_class_contexts(tmp_path):
@@ -583,5 +597,5 @@ def test_parse_classified_per_class_contexts(tmp_path):
     out = tmp_path / "classified"
     route(segment, out)
     parsed = parse_classified(out)
-    assert parsed.loran[0].timestamp == utc(2020, 4, 17, 23, 59, 59, 500000)
-    assert parsed.loran[1].timestamp == utc(2020, 4, 18, 0, 0, 1, 500000)
+    assert parsed.loran[0].timestamp == ms(2020, 4, 17, 23, 59, 59, 500)
+    assert parsed.loran[1].timestamp == ms(2020, 4, 18, 0, 0, 1, 500)

@@ -19,7 +19,7 @@ from gpsloran.simulate import (
     write_ground_truth,
 )
 
-from conftest import utc
+from conftest import ms, utc
 
 
 START = utc(2020, 4, 17)
@@ -106,7 +106,7 @@ def test_every_clean_line_verifies_and_reparses():
         if verify_checksum(line) is not ChecksumStatus.VALID:
             continue
         label = classify_line(line).label
-        ctx = contexts.setdefault(label, DateContext(START.date(), "test"))
+        ctx = contexts.setdefault(label, DateContext(ms(2020, 4, 17)))
         fields = split_sentence(line.decode("ascii"))
         if label == "GPGGA":
             gps.append(parse_gga(fields, ctx))
@@ -159,7 +159,7 @@ def test_truncated_lines_do_not_parse():
     assert truth.truncated_lines > 0
     lines, _ = extract_lines(stream.to_bytes())
     parse_failures = 0
-    ctx = DateContext(START.date(), "test")
+    ctx = DateContext(ms(2020, 4, 17))
     for line in lines:
         if verify_checksum(line) is not ChecksumStatus.ABSENT:
             continue
@@ -191,7 +191,7 @@ def test_loran_values_follow_profiles_exactly():
     )
     _, truth = generate_stream(scenario)
     for obs in truth.loran:
-        t = (obs.timestamp - START).total_seconds()
+        t = (obs.timestamp - ms(2020, 4, 17)) / 1000
         assert obs.snr_db == float(f"{profile.sample(t):.1f}")
         assert 0.0 <= obs.toa_us < 9930 * 10
 

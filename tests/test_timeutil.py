@@ -1,4 +1,4 @@
-from datetime import datetime, timedelta
+from datetime import datetime, time, timedelta
 
 import pytest
 from hypothesis import given
@@ -7,32 +7,67 @@ from hypothesis import strategies as st
 from gpsloran.timeutil import (
     UTC,
     basic_stamp,
-    day_start,
+    epoch_ms,
+    from_ms,
     iso_ms,
     next_utc_midnight,
     parse_duration,
     parse_iso_ms,
 )
 
-from conftest import utc
+from conftest import ms, utc
+
+# Epoch milliseconds of 0001-01-01T00:00:00.000Z and 9999-12-31T23:59:59.999Z.
+FIRST_MS = ms(1, 1, 1)
+LAST_MS = ms(9999, 12, 31, 23, 59, 59, 999)
 
 
 def test_iso_ms_format():
-    assert iso_ms(utc(2020, 4, 17)) == "2020-04-17T00:00:00.000Z"
-    assert iso_ms(datetime(2021, 12, 31, 23, 59, 59, 999000, tzinfo=UTC)) == (
-        "2021-12-31T23:59:59.999Z"
-    )
+    assert iso_ms(ms(2020, 4, 17)) == "2020-04-17T00:00:00.000Z"
+    assert iso_ms(ms(2021, 12, 31, 23, 59, 59, 999)) == "2021-12-31T23:59:59.999Z"
+    assert iso_ms(ms(1969, 12, 31, 23, 59, 59, 999)) == "1969-12-31T23:59:59.999Z"
+
+
+def test_iso_ms_pads_years_below_1000():
+    assert iso_ms(ms(999, 4, 17, 12, 0, 1)) == "0999-04-17T12:00:01.000Z"
+    assert iso_ms(FIRST_MS) == "0001-01-01T00:00:00.000Z"
+    assert parse_iso_ms("0999-04-17T12:00:01.000Z") == ms(999, 4, 17, 12, 0, 1)
 
 
 def test_iso_ms_round_trip():
-    moment = datetime(2020, 4, 17, 6, 30, 15, 250000, tzinfo=UTC)
+    moment = ms(2020, 4, 17, 6, 30, 15, 250)
     assert parse_iso_ms(iso_ms(moment)) == moment
 
 
-@given(st.integers(min_value=0, max_value=4102444800_000))
-def test_iso_round_trip_property(ms):
-    moment = datetime(1970, 1, 1, tzinfo=UTC) + timedelta(milliseconds=ms)
-    assert parse_iso_ms(iso_ms(moment)) == moment
+@given(st.integers(min_value=FIRST_MS, max_value=LAST_MS))
+def test_iso_round_trip_property(stamp):
+    text = iso_ms(stamp)
+    assert parse_iso_ms(text) == stamp
+    moment = datetime(1970, 1, 1, tzinfo=UTC) + timedelta(milliseconds=stamp)
+    if moment.year >= 1000:  # strftime does not pad a shorter year
+        assert text == f"{moment:%Y-%m-%dT%H:%M:%S}.{moment.microsecond // 1000:03d}Z"
+
+
+def test_parse_iso_ms_other_forms():
+    assert parse_iso_ms("2020-04-17T12:00:01.5+00:00") == ms(2020, 4, 17, 12, 0, 1, 500)
+    assert parse_iso_ms("2020-04-17T14:00:01+02:00") == ms(2020, 4, 17, 12, 0, 1)
+    assert parse_iso_ms("2020-04-17T12:00:01z") == ms(2020, 4, 17, 12, 0, 1)
+    assert parse_iso_ms("2020-04-17T12:00:01") == ms(2020, 4, 17, 12, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "bad", ["", "2020-13-17T12:00:01.000Z", "2020-04-17T24:00:01.000Z", "2020-04-17T12:00:01.00xZ", None, 5]
+)
+def test_parse_iso_ms_rejects(bad):
+    with pytest.raises(ValueError):
+        parse_iso_ms(bad)
+
+
+def test_epoch_ms_and_back():
+    moment = datetime(2020, 4, 17, 6, 30, 15, 250999, tzinfo=UTC)
+    assert epoch_ms(moment) == ms(2020, 4, 17, 6, 30, 15, 250)  # rounded down
+    assert epoch_ms(moment.replace(tzinfo=None)) == epoch_ms(moment)
+    assert from_ms(ms(2020, 4, 17, 6, 30, 15, 250)) == moment.replace(microsecond=250000)
 
 
 def test_basic_stamp():
@@ -79,4 +114,4 @@ def test_next_utc_midnight_property(naive):
     boundary = next_utc_midnight(moment)
     assert boundary > moment
     assert boundary - moment <= timedelta(days=1)
-    assert boundary == day_start(boundary)
+    assert boundary.time() == time(0)
