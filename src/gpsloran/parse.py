@@ -419,14 +419,25 @@ def parse_classified(
                 try:
                     handler(split_sentence(raw), ctx, line_number)
                 except ParseError as exc:
-                    errors.append(ParseIssue(path.name, line_number, str(exc), exc.field_name, raw))
+                    errors.append(
+                        ParseIssue(
+                            source_file=path.name,
+                            line_number=line_number,
+                            message=str(exc),
+                            field_name=exc.field_name,
+                            raw=raw,
+                        )
+                    )
 
     for path in groups.get("GGA", []):
         parse_store(path, lambda f, ctx, n: gps.append(parse_gga(f, ctx, n)))
 
     for sentence in DATE_SENTENCES:
         for path in groups.get(sentence, []):
-            parse_store(path, lambda f, ctx, n: ctx.observe_date(parse_date_sentence(f, sentence)))
+            parse_store(
+                path,
+                lambda f, ctx, n, s=sentence: ctx.observe_date(parse_date_sentence(f, s)),
+            )
 
     for key, paths in groups.items():
         if not key.startswith("P_"):
@@ -437,4 +448,6 @@ def parse_classified(
         for path in paths:
             parse_store(path, lambda f, ctx, n, h=handler: loran.append(h(f, ctx, n)))
 
-    return ParsedSegment(gps, loran, errors, seed_day_ms=seed, date_source=date_source)
+    return ParsedSegment(
+        gps=gps, loran=loran, errors=errors, seed_day_ms=seed, date_source=date_source
+    )

@@ -217,14 +217,25 @@ class GroundTruth:
 # parse(format(x)) so quantized values round-trip bit-exactly.
 
 
+def _coordinate_parts(magnitude: float) -> tuple[int, str]:
+    degrees = int(magnitude)
+    minutes = f"{(magnitude - degrees) * 60.0:07.4f}"
+    if minutes == "60.0000":
+        degrees += 1
+        minutes = "00.0000"
+    return degrees, minutes
+
+
 def format_coordinate(value: float, axis: str) -> tuple[str, str]:
     """Encode signed degrees as an NMEA field pair; zero maps to N/E."""
-    hemispheres, width = ("NS", 2) if axis == "lat" else ("EW", 3)
-    degrees = int(abs(value))
-    minutes = f"{(abs(value) - degrees) * 60.0:07.4f}"
-    if minutes == "60.0000":
-        degrees, minutes = degrees + 1, "00.0000"
-    return f"{degrees:0{width}d}{minutes}", hemispheres[value < 0]
+    if axis == "lat":
+        hemisphere = "N" if value >= 0 else "S"
+        width = 2
+    else:
+        hemisphere = "E" if value >= 0 else "W"
+        width = 3
+    degrees, minutes = _coordinate_parts(abs(value))
+    return f"{degrees:0{width}d}{minutes}", hemisphere
 
 
 def quantize_coordinate(value: float, axis: str = "lat") -> float:

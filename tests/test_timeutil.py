@@ -49,7 +49,7 @@ def test_iso_round_trip_property(stamp):
 
 
 def test_parse_iso_ms_other_forms():
-    assert parse_iso_ms("2020-04-17T12:00:01.5+00:00") == ms(2020, 4, 17, 12, 0, 1, 500)
+    assert parse_iso_ms("2020-04-17T12:00:01.500+00:00") == ms(2020, 4, 17, 12, 0, 1, 500)
     assert parse_iso_ms("2020-04-17T14:00:01+02:00") == ms(2020, 4, 17, 12, 0, 1)
     assert parse_iso_ms("2020-04-17T12:00:01z") == ms(2020, 4, 17, 12, 0, 1)
     assert parse_iso_ms("2020-04-17T12:00:01") == ms(2020, 4, 17, 12, 0, 1)
