@@ -18,8 +18,6 @@ it uses when it runs, so ``stats`` does not load the capture code.
 from __future__ import annotations
 
 import argparse
-import csv
-import functools
 import json
 import logging
 import sys
@@ -134,61 +132,63 @@ def _segment_export_dirs(session_dir: Path) -> list[Path]:
     return sorted(d for d in root.iterdir() if d.is_dir() and not d.name.startswith("."))
 
 
-def _read_segment_file(directory: Path, stem: str, reader):
+def _read_segment(directory: Path, stem: str, reader, emit):
     for extension in ("csv", "jsonl"):
         path = directory / f"{stem}.{extension}"
         if path.exists():
-            return reader(path)
-    return []
-
-
-def _write_series(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+            return reader(path, emit)
+    return ()
 
 
 def cmd_stats(args) -> int:
+    import heapq
+    from contextlib import ExitStack
     from . import convert
+    from .fsutil import AtomicWriter
     session_dir = Path(args.session)
     export_dirs = _segment_export_dirs(session_dir)
     if not export_dirs:
         raise CliError(f"no exports found under {session_dir}")
-
-    gps, loran = [], []
-    for directory in export_dirs:
-        gps.extend(_read_segment_file(directory, "timeline_gps", convert.read_gps_export))
-        loran.extend(_read_segment_file(directory, "timeline_loran", convert.read_loran_export))
-
-    timeline = convert.merge_sort(gps, loran)
-    summary = convert.summarize(timeline, parse_duration(args.gap_threshold))
     out_dir = Path(args.out) if args.out else session_dir / "stats"
     out_dir.mkdir(parents=True, exist_ok=True)
-    stamp = functools.cache(iso_ms)  # each distinct instant formatted once
 
-    fix_rows = [
-        [stamp(f.timestamp), str(f.lat), str(f.lon), "" if f.alt_m is None else str(f.alt_m)]
-        for f in gps
-        if not f.no_fix
-    ]
-    _write_series(out_dir / "gps_fixes.csv", ["timestamp", "lat_deg", "lon_deg", "alt_m"], fix_rows)
+    # Each record is folded and its series row written as it is read.
+    fold, runs, series, stack = convert.SummaryFold(), [], {}, ExitStack()
 
-    stations = [args.station] if args.station else sorted(summary.stations)
-    snr_rows: dict[str, list[list[str]]] = {station: [] for station in stations}
-    for obs in loran:
-        rows = snr_rows.get(obs.station)
-        if rows is not None:
-            rows.append([stamp(obs.timestamp), str(obs.snr_db)])
-    for station, rows in snr_rows.items():
-        _write_series(out_dir / f"snr_{station}.csv", ["timestamp", "snr_db"], rows)
+    def write(name: str, row: str, header: str = "timestamp,snr_db\n") -> None:
+        if name not in series:
+            series[name] = stack.enter_context(AtomicWriter(out_dir / name))
+            series[name].write(header.encode())
+        series[name].write(row.encode())
+
+    def on_fix(fix, stamp: str) -> None:
+        fold.add(fix)
+        if not fix.no_fix:
+            alt = "" if fix.alt_m is None else fix.alt_m
+            write("gps_fixes.csv", f"{stamp},{fix.lat},{fix.lon},{alt}\n")
+
+    def on_obs(obs, stamp: str) -> None:
+        fold.add(obs)
+        if not args.station or obs.station == args.station:
+            write(f"snr_{obs.station}.csv", f"{stamp},{obs.snr_db}\n")
+
+    with stack:  # a failure discards every series
+        write("gps_fixes.csv", "", "timestamp,lat_deg,lon_deg,alt_m\n")
+        if args.station:
+            write(f"snr_{args.station}.csv", "")
+        for segment in export_dirs:
+            runs.append(_read_segment(segment, "timeline_gps", convert.read_gps_export, on_fix))
+            runs.append(_read_segment(segment, "timeline_loran", convert.read_loran_export, on_obs))
+        summary = convert.summarize(fold, heapq.merge(*runs), parse_duration(args.gap_threshold))
+        for writer in series.values():
+            writer.commit()
 
     print(
         f"records={summary.total_records} gps_fixes={summary.gps_fix_count} "
         f"no_fix={summary.no_fix_count} loran={sum(s.count for s in summary.stations.values())}"
     )
     if summary.time_span:
-        print(f"time_span={stamp(summary.time_span[0])}..{stamp(summary.time_span[1])}")
+        print(f"time_span={iso_ms(summary.time_span[0])}..{iso_ms(summary.time_span[1])}")
     if summary.bbox:
         lat_min, lat_max, lon_min, lon_max = summary.bbox
         print(f"bbox_lat={lat_min}..{lat_max} bbox_lon={lon_min}..{lon_max}")
@@ -199,7 +199,7 @@ def cmd_stats(args) -> int:
         )
     print(f"gaps={len(summary.gaps)}")
     for start, end in summary.gaps:
-        print(f"gap={stamp(start)}..{stamp(end)}")
+        print(f"gap={iso_ms(start)}..{iso_ms(end)}")
     return 0
 
 

@@ -7,7 +7,7 @@ truth an analysis reads first.
 
 Records carry integer UTC epoch milliseconds, so sorting, gap finding and
 the manifest work on ints; each distinct instant is formatted to text once
-on export, and each distinct timestamp text read back to an int once.
+on export, and each run of equal timestamp texts read back to an int once.
 
 Export schemas (fixed column order, timestamps as ISO 8601 UTC with
 milliseconds, floats in shortest round-trip form):
@@ -25,11 +25,15 @@ list of gaps longer than the gap threshold.
 from __future__ import annotations
 
 import csv
-import functools
 import json
+import re
 import statistics
+from array import array
+from collections import defaultdict
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import ExitStack
 from dataclasses import dataclass
-from operator import add, attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter, le
 from pathlib import Path
 
 from .fsutil import AtomicWriter, atomic_write_json, read_json
@@ -49,6 +53,8 @@ FORMAT_EXTENSIONS = {"columns": "csv", "lines": "jsonl"}
 DEFAULT_GAP_THRESHOLD_S = 300.0
 
 MANIFEST_NAME = "manifest.json"
+
+_ISO_MS_TEXT = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}Z", re.ASCII)  # as iso_ms writes
 
 
 Record = GpsFix | LoranMeasurement
@@ -164,22 +170,18 @@ def export(
     out_dir.mkdir(parents=True, exist_ok=True)
 
     writers: dict[str, AtomicWriter] = {}
-    try:
+    with ExitStack() as stack:  # a failure discards every writer
         for fmt in formats:
             for name, header in zip(_EXPORT_FILES[fmt], (GPS_COLUMNS, LORAN_COLUMNS, ALL_COLUMNS)):
-                writers[name] = writer = AtomicWriter(out_dir / name)
+                writers[name] = writer = stack.enter_context(AtomicWriter(out_dir / name))
                 if fmt == "columns":
                     writer.write((",".join(header) + "\n").encode("utf-8"))
         for block in _render_blocks(timeline, formats):
             for name, writer in writers.items():
                 writer.write(block[name].encode("utf-8"))
         digests = {name: writer.commit() for name, writer in writers.items()}
-    except BaseException:
-        for writer in writers.values():
-            writer.discard()
-        raise
 
-    summary = summarize(timeline, gap_threshold_s)
+    summary = summarize(SummaryFold(timeline), (r.timestamp for r in timeline), gap_threshold_s)
     station_counts = {key: stats.count for key, stats in sorted(summary.stations.items())}
     manifest = {
         "session_id": session_id,
@@ -210,14 +212,14 @@ def export(
 # --- import readers ---------------------------------------------------------
 
 
-def read_gps_export(path: Path) -> list[GpsFix]:
-    """Read a ``timeline_gps`` export (either format) back into records."""
-    return _read_export(Path(path), GPS_COLUMNS, _gps_fix)
+def read_gps_export(path: Path, emit: Callable[[GpsFix, str], object]) -> array:
+    """Read a ``timeline_gps`` export (either format); see :func:`_read_export`."""
+    return _read_export(Path(path), GPS_COLUMNS, _gps_fix, emit)
 
 
-def read_loran_export(path: Path) -> list[LoranMeasurement]:
-    """Read a ``timeline_loran`` export (either format) back into records."""
-    return _read_export(Path(path), LORAN_COLUMNS, _loran_measurement)
+def read_loran_export(path: Path, emit: Callable[[LoranMeasurement, str], object]) -> array:
+    """Read a ``timeline_loran`` export (either format); see :func:`_read_export`."""
+    return _read_export(Path(path), LORAN_COLUMNS, _loran_measurement, emit)
 
 
 def _gps_fix(timestamp, lat, lon, alt, quality, sats, hdop) -> GpsFix:
@@ -236,14 +238,16 @@ def _optional(value, name: str) -> float | None:
     return None if value is None or value == "" else parse_float(value, name)
 
 
-def _read_export(path: Path, columns: tuple[str, ...], build) -> list:
+def _read_export(path: Path, columns: tuple[str, ...], build, emit) -> array:
     """Read an export file once: a CSV row's values by the header's column
     positions, a JSON line's by member name (an absent one is ``None``).
-    *build* makes a record from them in *columns* order, the timestamp
-    parsed once per distinct text.  A malformed file raises ``ValueError``
+    *build* makes a record from them in *columns* order and hands it to
+    *emit* with its timestamp as ``iso_ms`` text, the file's own text where
+    it has that form; a run of equal texts is parsed once.  Returns the
+    file's timestamps in time order.  A malformed file raises ``ValueError``
     naming the file and the line."""
-    timestamp = functools.cache(parse_iso_ms)
-    records = []
+    stamps = array("q")
+    text = instant = stamp = object()  # no row's timestamp
     line_number = 0  # the line last read, which an error names
 
     def numbered(handle):
@@ -255,10 +259,14 @@ def _read_export(path: Path, columns: tuple[str, ...], build) -> list:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         try:
             for row in rows(numbered(handle), columns):
-                records.append(build(timestamp(row[0]), *row[1:]))
+                if row[0] != text:
+                    text, instant = row[0], parse_iso_ms(row[0])
+                    stamp = text if _ISO_MS_TEXT.fullmatch(text) else iso_ms(instant)
+                stamps.append(instant)
+                emit(build(instant, *row[1:]), stamp)
         except (TypeError, ValueError, csv.Error) as exc:
             raise ValueError(f"{path}:{line_number}: {exc}") from None
-    return records
+    return stamps if all(map(le, stamps, stamps[1:])) else array("q", sorted(stamps))
 
 
 def _csv_rows(lines, columns: tuple[str, ...]):
@@ -311,35 +319,48 @@ class SessionSummary:
     gaps: list[tuple[int, int]]
 
 
-def summarize(timeline: list[Record], gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S) -> SessionSummary:
-    """Per-station SNR stats, GPS fix count/bounding box (no-fix records
-    excluded), overall time span, and gaps longer than the threshold, as
-    pairs of epoch milliseconds."""
-    lats, lons = [], []
-    no_fix = 0
-    snr_by_station: dict[str, list[float]] = {}
-    for record in timeline:
-        if isinstance(record, GpsFix):
-            if record.no_fix:
-                no_fix += 1
-            else:
-                lats.append(record.lat)
-                lons.append(record.lon)
+class SummaryFold:
+    """The order-free part of a summary, folded a record at a time: record
+    counts, the fixes' bounding box and each station's SNR values (8 bytes
+    each)."""
+
+    def __init__(self, records: Iterable[Record] = ()) -> None:
+        self.fixes = self.no_fix = 0
+        self.bbox: tuple[float, float, float, float] | None = None
+        self.snr: dict[str, array] = defaultdict(lambda: array("d"))
+        for record in records:
+            self.add(record)
+
+    def add(self, record: Record) -> None:
+        if isinstance(record, LoranMeasurement):
+            self.snr[record.station].append(record.snr_db)
+        elif record.no_fix:
+            self.no_fix += 1
         else:
-            snr_by_station.setdefault(record.station, []).append(record.snr_db)
+            self.fixes += 1
+            lat, lon = record.lat, record.lon
+            lat_min, lat_max, lon_min, lon_max = self.bbox or (lat, lat, lon, lon)
+            if self.bbox is None or not (lat_min <= lat <= lat_max and lon_min <= lon <= lon_max):
+                self.bbox = (min(lat_min, lat), max(lat_max, lat), min(lon_min, lon), max(lon_max, lon))
 
-    stamps = [record.timestamp for record in timeline]
-    gaps = [
-        (earlier, later)
-        for earlier, later in zip(stamps, stamps[1:])
-        if (later - earlier) / 1000 > gap_threshold_s
-    ]
 
+def summarize(fold: SummaryFold, stamps: Iterator[int],
+              gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S) -> SessionSummary:
+    """Per-station SNR stats, GPS fix count/bounding box (no-fix records
+    excluded) from *fold*, and the overall time span and the gaps longer
+    than the threshold from *stamps*, the same records' timestamps in time
+    order, as pairs of epoch milliseconds."""
+    first = last = next(stamps, None)
+    gaps = []
+    for stamp in stamps:
+        if (stamp - last) / 1000 > gap_threshold_s:
+            gaps.append((last, stamp))
+        last = stamp
     return SessionSummary(
-        total_records=len(timeline),
-        gps_fix_count=len(lats),
-        no_fix_count=no_fix,
-        bbox=(min(lats), max(lats), min(lons), max(lons)) if lats else None,
+        total_records=fold.fixes + fold.no_fix + sum(map(len, fold.snr.values())),
+        gps_fix_count=fold.fixes,
+        no_fix_count=fold.no_fix,
+        bbox=fold.bbox,
         stations={
             station: StationStats(
                 count=len(values),
@@ -347,8 +368,8 @@ def summarize(timeline: list[Record], gap_threshold_s: float = DEFAULT_GAP_THRES
                 mean_snr=statistics.fmean(values),
                 max_snr=max(values),
             )
-            for station, values in sorted(snr_by_station.items())
+            for station, values in sorted(fold.snr.items())
         },
-        time_span=(stamps[0], stamps[-1]) if stamps else None,
+        time_span=None if first is None else (first, last),
         gaps=gaps,
     )

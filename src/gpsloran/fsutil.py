@@ -20,7 +20,8 @@ def sha256_file(path: Path) -> str:
 class AtomicWriter:
     """Stream bytes to *path*, hashing them, via a sibling ``<name>.tmp``
     that :meth:`commit` fsyncs and renames over *path*; rename is atomic on
-    POSIX filesystems, so readers never observe a partial file."""
+    POSIX filesystems, so readers never observe a partial file.  Leaving a
+    ``with`` block by an exception discards the writer."""
 
     def __init__(self, path: Path):
         self.path = Path(path)
@@ -28,6 +29,13 @@ class AtomicWriter:
         self.digest = hashlib.sha256()
         self.committed = False
         self._handle = open(self.tmp, "wb")
+
+    def __enter__(self) -> AtomicWriter:
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if exc_type is not None:
+            self.discard()
 
     def write(self, data: bytes) -> None:
         self.digest.update(data)
@@ -52,13 +60,9 @@ class AtomicWriter:
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
-    writer = AtomicWriter(path)
-    try:
+    with AtomicWriter(path) as writer:
         writer.write(data)
         writer.commit()
-    except BaseException:
-        writer.discard()
-        raise
 
 
 def atomic_write_json(path: Path, payload: Any) -> None:

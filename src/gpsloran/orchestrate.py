@@ -365,7 +365,7 @@ def run_pipeline(
         try:
             source = open_source(endpoint, clock, retry)
         except SourceUnavailable as exc:
-            logger.error("startup failed: %s", exc)
+            logger.error("event=startup_failed error=%s", json.dumps(str(exc)))
             return 1
 
     session = CaptureSession(
@@ -391,7 +391,7 @@ def run_pipeline(
         try:
             process_segment(session.dir, name, settings, state, hooks)
         except Exception as exc:
-            logger.error("segment=%s processing failed: %s", name, exc)
+            logger.error("event=processing_failed segment=%s error=%s", name, json.dumps(str(exc)))
             state.flag(name, str(exc))
 
     def submit(name: str) -> None:
@@ -421,15 +421,15 @@ def run_pipeline(
                 chunk = source.read(READ_CHUNK, READ_TIMEOUT_S)
             except SourceClosed as exc:
                 if stop_on_eof:
-                    logger.info("source ended: %s", exc)
+                    logger.info("event=source_ended reason=%s", json.dumps(str(exc)))
                     break
                 drop_time = clock.now()
-                logger.warning("source dropped (%s); reconnecting", exc)
+                logger.warning("event=source_dropped next=reconnect reason=%s", json.dumps(str(exc)))
                 source.close()
                 try:
                     source = open_source(endpoint, clock, retry)
                 except SourceUnavailable as retry_exc:
-                    logger.error("reconnect failed: %s", retry_exc)
+                    logger.error("event=reconnect_failed error=%s", json.dumps(str(retry_exc)))
                     session.record_gap(drop_time, clock.now(), f"lost source: {retry_exc}")
                     fatal = True
                     break
@@ -441,7 +441,7 @@ def run_pipeline(
             else:
                 session.maybe_flush()
     except OSError as exc:
-        logger.error("fatal capture error: %s", exc)
+        logger.error("event=fatal_capture_error error=%s", json.dumps(str(exc)))
         fatal = True
 
     final_segment = session.close()
@@ -502,9 +502,9 @@ def recover(session_dir: Path, *, hooks: Hooks | None = None) -> int:
         state = StateStore.load(session_dir / STATE_NAME)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         logger.error(
-            "cannot resume: state file unreadable (%s); recoverable segments: %s",
-            exc,
-            ", ".join(raw_names) or "none",
+            "event=cannot_resume reason=state_unreadable error=%s recoverable_segments=%s",
+            json.dumps(str(exc)),
+            ",".join(raw_names) or "none",
         )
         return 1
 
@@ -518,7 +518,7 @@ def recover(session_dir: Path, *, hooks: Hooks | None = None) -> int:
     known = {entry.name for entry in state.entries}
     for name in raw_names:
         if name not in known:
-            logger.info("segment=%s finalizing interrupted capture", name)
+            logger.info("event=finalize_interrupted_capture segment=%s", name)
             _finalize_orphan(session_dir, name, events)
             state.add_segment(name, RECORDED)
 
@@ -532,13 +532,13 @@ def recover(session_dir: Path, *, hooks: Hooks | None = None) -> int:
         if entry.stage == CONVERTED and not entry.flagged:
             continue
         start_stage = CLASSIFIED if entry.stage in (CLASSIFIED, CONVERTED) else RECORDED
-        logger.info("segment=%s reprocessing from stage=%s", entry.name, entry.stage)
+        logger.info("event=reprocess segment=%s stage=%s", entry.name, entry.stage)
         try:
             process_segment(
                 session_dir, entry.name, settings, state, hooks, start_stage=start_stage
             )
         except Exception as exc:
-            logger.error("segment=%s recovery failed: %s", entry.name, exc)
+            logger.error("event=recovery_failed segment=%s error=%s", entry.name, json.dumps(str(exc)))
             state.flag(entry.name, str(exc))
             failures += 1
     return 2 if failures else 0

@@ -193,9 +193,9 @@ def _require_fields(fields: list[str], minimum: int, sentence: str) -> None:
 
 
 def parse_float(value: str, field_name: str) -> float:
-    """*value* as a finite float; ``ParseError`` naming *field_name* if not."""
+    """*value*, not a bool, as a finite float; ``ParseError`` naming *field_name* if not."""
     try:
-        number = float(value)
+        number = float(None if type(value) is bool else value)
     except (TypeError, ValueError, OverflowError):
         raise ParseError(f"malformed {field_name}: {value!r}", field_name) from None
     if not math.isfinite(number):
@@ -204,9 +204,9 @@ def parse_float(value: str, field_name: str) -> float:
 
 
 def parse_int(value: str, field_name: str) -> int:
-    """*value* as an int; ``ParseError`` naming *field_name* if not."""
+    """*value*, a text or an int, as an int; ``ParseError`` naming *field_name* if not."""
     try:
-        return int(value)
+        return int(value if type(value) in (str, int) else None)
     except (TypeError, ValueError, OverflowError):
         raise ParseError(f"malformed {field_name}: {value!r}", field_name) from None
 

@@ -396,7 +396,7 @@ class CaptureSession:
         except OSError as exc:
             # A metadata failure must not abort rotation; note it and go on.
             logging.getLogger(__name__).error(
-                "digest-pending: could not record close of %s: %s", segment.name, exc
+                "event=digest_pending segment=%s error=%s", segment.name, json.dumps(str(exc))
             )
         self.segments.append(segment)
         return segment

@@ -499,11 +499,11 @@ class SimServer:
                     continue
                 except OSError:
                     break
-                logger.info("client connected: %s:%s", *peer[:2])
+                logger.info("event=client_connected peer=%s:%s", *peer[:2])
                 with conn:
                     self._feed(conn)
                 if self._position < len(self._chunks):
-                    logger.info("client left at chunk %d; awaiting reconnect", self._position)
+                    logger.info("event=client_left chunk=%d next=await_reconnect", self._position)
         finally:
             self._listener.close()
 

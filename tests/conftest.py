@@ -75,6 +75,13 @@ def ms(year: int, month: int, day: int, hour: int = 0, minute: int = 0, second: 
     return calendar.timegm((year, month, day, hour, minute, second)) * 1000 + millisecond
 
 
+def read_records(reader, path) -> list:
+    """Every record of an export in file order, through a ``convert`` reader."""
+    records = []
+    reader(path, lambda record, stamp: records.append(record))
+    return records
+
+
 class ScriptedSource:
     """Byte source driven by a list of (advance_seconds, payload) steps.
 

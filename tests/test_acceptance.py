@@ -32,6 +32,7 @@ from conftest import (
     gga_line,
     ms,
     plrm_line,
+    read_records,
     rmc_line,
     sentence,
     utc,
@@ -421,8 +422,8 @@ def test_criterion_6_end_to_end_ground_truth(tmp_path, capsys):
             counts = read_json(directory / MANIFEST_NAME)["record_counts"]
             quarantined += counts["quarantined"]
             parse_errors += counts["parse_errors"]
-            gps_out.extend(read_gps_export(directory / "timeline_gps.csv"))
-            loran_out.extend(read_loran_export(directory / "timeline_loran.csv"))
+            gps_out.extend(read_records(read_gps_export, directory / "timeline_gps.csv"))
+            loran_out.extend(read_records(read_loran_export, directory / "timeline_loran.csv"))
 
         # record-for-record equality with the simulator's ground truth
         assert gps_out == truth.gps

@@ -1,25 +1,36 @@
 import calendar
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import logging
+import statistics
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+import tracemalloc
+import unittest.mock
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gpsloran import cli
+from gpsloran import cli, convert
 from gpsloran.cli import main
-from gpsloran.convert import export, merge_sort, read_gps_export, read_loran_export, read_manifest
+from gpsloran.convert import (SessionSummary, StationStats, export, merge_sort, read_gps_export,
+                              read_loran_export, read_manifest)
 from gpsloran.fsutil import read_json
 from gpsloran.orchestrate import STATE_NAME, StateStore
 from gpsloran.parse import GpsFix, LoranMeasurement
 from gpsloran.simulate import Scenario, generate_stream
+from gpsloran.timeutil import iso_ms
 
-from conftest import crlf, gga_line, ms, plrm_line, sentence, utc, zda_line
+from conftest import crlf, gga_line, ms, plrm_line, read_records, sentence, utc, zda_line
 
 
 def scenario_file(tmp_path, **overrides):
@@ -115,7 +126,7 @@ def test_classify_then_convert_then_stats(tmp_path, capsys):
     assert counts["gps_fix"] == 1
     assert counts["loran"] == 1
     assert counts["quarantined"] == 1
-    gps = read_gps_export(exports / "timeline_gps.csv")
+    gps = read_records(read_gps_export, exports / "timeline_gps.csv")
     assert gps[0].timestamp == ms(2020, 4, 17, 12, 0, 1)
 
     # stats wants a session layout: exports/<segment>/...
@@ -161,7 +172,7 @@ def test_convert_start_date_fallback(tmp_path, capsys):
     )
     assert code == 0
     capsys.readouterr()
-    gps = read_gps_export(exports / "timeline_gps.csv")
+    gps = read_records(read_gps_export, exports / "timeline_gps.csv")
     assert gps[0].timestamp == ms(2021, 6, 1, 12, 0, 0)
 
 
@@ -234,7 +245,7 @@ def test_run_command_with_config(tmp_path, capsys):
     state = StateStore.load(session_dir / STATE_NAME)
     assert all(entry.stage == "converted" for entry in state.entries)
     exports = sorted((session_dir / "exports").iterdir())
-    loran = read_loran_export(exports[0] / "timeline_loran.jsonl")
+    loran = read_records(read_loran_export, exports[0] / "timeline_loran.jsonl")
     assert len(loran) == 6
 
 
@@ -347,6 +358,10 @@ LORAN_JSON = (
 )
 GPS_HEADER = "timestamp,lat_deg,lon_deg,alt_m,fix_quality,num_sats,hdop\n"
 GPS_ROW = "2020-04-17T12:00:00.000Z,37.0,127.0,30.0,1,8,0.9\n"
+GPS_JSON = (
+    '{"timestamp":"2020-04-17T12:00:00.000Z","lat_deg":37.0,"lon_deg":127.0,'
+    '"alt_m":30.0,"fix_quality":1,"num_sats":8,"hdop":0.9}\n'
+)
 
 
 @pytest.mark.parametrize(
@@ -377,9 +392,26 @@ GPS_ROW = "2020-04-17T12:00:00.000Z,37.0,127.0,30.0,1,8,0.9\n"
          "unknown station role: 'Q'"),
         ("timeline_loran.jsonl", LORAN_JSON + LORAN_JSON.replace("100.0", "99300.0"), 2,
          "toa_us outside GRI frame: 99300.0"),
+        # an integer column holds an integer in either format, never a float or a bool
+        ("timeline_loran.csv", LORAN_HEADER + LORAN_ROW.replace("9930,", "9930.7,"), 2,
+         "malformed gri: '9930.7'"),
+        ("timeline_loran.jsonl", LORAN_JSON.replace('"gri":9930', '"gri":9930.7'), 1,
+         "malformed gri: 9930.7"),
+        ("timeline_gps.csv", GPS_HEADER + GPS_ROW.replace(",1,8,", ",true,8,"), 2,
+         "malformed fix_quality: 'true'"),
+        ("timeline_gps.jsonl", GPS_JSON.replace('"fix_quality":1', '"fix_quality":true'), 1,
+         "malformed fix_quality: True"),
+        ("timeline_gps.jsonl", GPS_JSON.replace('"num_sats":8', '"num_sats":8.0'), 1,
+         "malformed num_sats: 8.0"),
+        ("timeline_loran.jsonl", LORAN_JSON.replace('"snr_db":12.0', '"snr_db":true'), 1,
+         "malformed snr_db: True"),
+        ("timeline_gps.jsonl", GPS_JSON.replace('"lat_deg":37.0', '"lat_deg":false'), 1,
+         "malformed lat_deg: False"),
     ],
     ids=["short-row", "long-row", "missing-column", "json-not-object", "json-number-timestamp",
-         "csv-nan", "json-infinity", "csv-latitude", "csv-gri", "csv-role", "json-toa"],
+         "csv-nan", "json-infinity", "csv-latitude", "csv-gri", "csv-role", "json-toa",
+         "csv-float-gri", "json-float-gri", "csv-bool-quality", "json-bool-quality",
+         "json-float-sats", "json-bool-snr", "json-bool-latitude"],
 )
 def test_stats_names_the_file_and_line_of_a_malformed_export(
     tmp_path, capsys, name, text, line, problem
@@ -504,3 +536,151 @@ def test_pace_argument_validation(tmp_path, capsys):
     code = main(["simulate", "serve", "--scenario", str(scenario), "--pace", "warp9"])
     assert code == 1
     assert "pace" in capsys.readouterr().err
+
+
+def test_failed_stats_leaves_no_series_files(tmp_path, capsys):
+    """A malformed export in the last of three segments fails the command
+    after the first two have been read and their rows written: every series
+    file goes, temporary ones included."""
+    session = stats_session(tmp_path)
+    last = session / "exports" / "raw_20200417T122000Z"
+    last.mkdir()
+    (last / "timeline_loran.csv").write_text(LORAN_HEADER + LORAN_ROW + LORAN_ROW[:-5] + "\n")
+    for extra in ([], ["--station", "7430M"]):
+        out = tmp_path / "out"
+        assert main(["stats", "--session", str(session), "--out", str(out), *extra]) == 1
+        assert capsys.readouterr().err == f"error: {last / 'timeline_loran.csv'}:3: 5 cells, header has 6\n"
+        assert list(out.iterdir()) == []
+
+
+def reference_summarize(timeline, gap_threshold_s=300.0):
+    """``convert.summarize`` as it was before it became a fold: lists of
+    every value, over a merged timeline."""
+    lats, lons = [], []
+    no_fix = 0
+    snr_by_station = {}
+    for record in timeline:
+        if isinstance(record, GpsFix):
+            if record.no_fix:
+                no_fix += 1
+            else:
+                lats.append(record.lat)
+                lons.append(record.lon)
+        else:
+            snr_by_station.setdefault(record.station, []).append(record.snr_db)
+
+    stamps = [record.timestamp for record in timeline]
+    gaps = [
+        (earlier, later)
+        for earlier, later in zip(stamps, stamps[1:])
+        if (later - earlier) / 1000 > gap_threshold_s
+    ]
+
+    return SessionSummary(
+        total_records=len(timeline),
+        gps_fix_count=len(lats),
+        no_fix_count=no_fix,
+        bbox=(min(lats), max(lats), min(lons), max(lons)) if lats else None,
+        stations={
+            station: StationStats(
+                count=len(values),
+                min_snr=min(values),
+                mean_snr=statistics.fmean(values),
+                max_snr=max(values),
+            )
+            for station, values in sorted(snr_by_station.items())
+        },
+        time_span=(stamps[0], stamps[-1]) if stamps else None,
+        gaps=gaps,
+    )
+
+
+T_STATS = ms(2020, 4, 17, 12, 0, 0)
+# instants within 30 minutes on a coarse grid, so equal timestamps and
+# 5-minute gaps both occur
+stat_instants = st.builds(lambda second, milli: T_STATS + second * 1000 + milli,
+                          st.integers(0, 1800), st.sampled_from([0, 250, 999]))
+stat_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+stat_fixes = st.one_of(
+    st.builds(GpsFix, stat_instants, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0),
+              st.none() | stat_floats, st.integers(1, 8), st.integers(0, 12),
+              st.none() | st.floats(0.0, 20.0)),
+    st.builds(lambda t: GpsFix(t, None, None, None, 0, 0, None), stat_instants),  # no fix
+)
+stat_observations = st.builds(
+    LoranMeasurement, stat_instants, st.sampled_from([7430, 9930]), st.sampled_from("MXY"),
+    st.floats(0.0, 74_299.0), stat_floats, stat_floats,
+)
+# per segment: its GPS file and its Loran file in any order, either may be
+# empty, and the format they are written in
+stat_segments = st.lists(
+    st.tuples(st.lists(stat_fixes, max_size=12), st.lists(stat_observations, max_size=12),
+              st.sampled_from(["columns", "lines"])),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(segments=stat_segments, station=st.sampled_from([None, "9930M", "8970M"]))
+def test_stats_fold_equals_the_list_based_summary(segments, station):
+    """``stats`` folds records as it reads them, one file at a time and in
+    file order, into the summary that today's list-based code computes over
+    the whole merged timeline; its series hold every row in file order."""
+    captured = []
+
+    def capture(*args, **kwargs):
+        captured.append(real_summarize(*args, **kwargs))
+        return captured[-1]
+
+    real_summarize = convert.summarize
+    with tempfile.TemporaryDirectory() as scratch:
+        session = Path(scratch) / "session"
+        for index, (fixes, observations, fmt) in enumerate(segments):
+            export([*fixes, *observations], fmt, session / "exports" / f"raw_{index:02d}")
+        out = Path(scratch) / "stats"
+        with unittest.mock.patch.object(convert, "summarize", capture), \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert main(["stats", "--session", str(session), "--out", str(out),
+                         *(["--station", station] if station else [])]) == 0
+        series = {path.name: path.read_text() for path in out.iterdir()}
+
+    gps = [fix for fixes, _, _ in segments for fix in fixes]
+    loran = [obs for _, observations, _ in segments for obs in observations]
+    assert captured == [reference_summarize(merge_sort(gps, loran))]
+    stations = [station] if station else sorted({obs.station for obs in loran})
+    assert sorted(series) == sorted(["gps_fixes.csv", *(f"snr_{s}.csv" for s in stations)])
+    assert series["gps_fixes.csv"] == "timestamp,lat_deg,lon_deg,alt_m\n" + "".join(
+        f"{iso_ms(f.timestamp)},{f.lat},{f.lon},{'' if f.alt_m is None else f.alt_m}\n"
+        for f in gps if not f.no_fix)
+    for name in stations:
+        assert series[f"snr_{name}.csv"] == "timestamp,snr_db\n" + "".join(
+            f"{iso_ms(obs.timestamp)},{obs.snr_db}\n" for obs in loran if obs.station == name)
+
+
+def test_stats_memory_grows_by_less_than_64_bytes_a_record(tmp_path):
+    """Beyond what one file needs, ``stats`` keeps 8 bytes per record for
+    its timestamp and 8 per Loran SNR value: four equal segments peak
+    less than 64 bytes a record above one."""
+    fixes = [GpsFix(T_STATS + i * 1000, 37.0 + i * 1e-6, 127.0, 30.0, 1, 8, 0.9)
+             for i in range(1500)]
+    observations = [LoranMeasurement(T_STATS + i * 250, 9930, "MXYZ"[i % 4], 45678.9,
+                                     10.0 + i % 7, 0.5) for i in range(6000)]
+    peaks = {}
+    for count in (1, 4):
+        session = tmp_path / f"session{count}"
+        for index in range(count):
+            shift = index * 3_600_000
+            export(merge_sort([replace(f, timestamp=f.timestamp + shift) for f in fixes],
+                              [replace(o, timestamp=o.timestamp + shift) for o in observations]),
+                   "columns", session / "exports" / f"raw_{index:02d}")
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["stats", "--session", str(session), "--out", str(tmp_path / "warm")])
+            tracemalloc.start()
+            try:
+                assert main(["stats", "--session", str(session), "--out",
+                             str(tmp_path / f"out{count}")]) == 0
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    added = 3 * (len(fixes) + len(observations))
+    assert (peaks[4] - peaks[1]) / added < 64

@@ -4,6 +4,9 @@ import io
 import json
 import os
 import random
+import tempfile
+from datetime import datetime, timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 from gpsloran.convert import (
     ALL_COLUMNS,
+    DEFAULT_GAP_THRESHOLD_S,
     GPS_COLUMNS,
     GPS_TYPE,
     LORAN_COLUMNS,
@@ -21,13 +25,15 @@ from gpsloran.convert import (
     read_gps_export,
     read_loran_export,
     read_manifest,
+    SummaryFold,
     summarize,
 )
 from gpsloran import fsutil
 from gpsloran.fsutil import AtomicWriter, read_json, sha256_file
 from gpsloran.parse import GpsFix, LoranMeasurement
+from gpsloran.timeutil import epoch_ms, iso_ms, parse_iso_ms
 
-from conftest import ms
+from conftest import ms, read_records
 
 
 T0 = ms(2020, 4, 17, 12, 0, 0)
@@ -202,10 +208,10 @@ def test_export_round_trip_both_formats(tmp_path):
     gps_in = [r for r in timeline if type(r) is GpsFix]
     loran_in = [r for r in timeline if type(r) is LoranMeasurement]
     export(timeline, ("columns", "lines"), tmp_path, session_id="s1")
-    assert read_gps_export(tmp_path / "timeline_gps.csv") == gps_in
-    assert read_gps_export(tmp_path / "timeline_gps.jsonl") == gps_in
-    assert read_loran_export(tmp_path / "timeline_loran.csv") == loran_in
-    assert read_loran_export(tmp_path / "timeline_loran.jsonl") == loran_in
+    assert read_records(read_gps_export, tmp_path / "timeline_gps.csv") == gps_in
+    assert read_records(read_gps_export, tmp_path / "timeline_gps.jsonl") == gps_in
+    assert read_records(read_loran_export, tmp_path / "timeline_loran.csv") == loran_in
+    assert read_records(read_loran_export, tmp_path / "timeline_loran.jsonl") == loran_in
 
 
 def golden_timeline():
@@ -374,9 +380,14 @@ def test_manifest_gap_list(tmp_path):
 # --- summary statistics --------------------------------------------------------
 
 
+def summary_of(timeline, gap_threshold_s=DEFAULT_GAP_THRESHOLD_S):
+    """``summarize`` of a time-ordered timeline, as ``export`` calls it."""
+    return summarize(SummaryFold(timeline), (r.timestamp for r in timeline), gap_threshold_s)
+
+
 def test_summarize_snr_stats():
     loran = [loran_at(T0 + i * 1000, snr=snr) for i, snr in enumerate((10.0, 12.0, 14.0))]
-    summary = summarize(merge_sort([], loran))
+    summary = summary_of(merge_sort([], loran))
     stats = summary.stations["9930M"]
     assert stats.count == 3
     assert stats.min_snr == 10.0
@@ -390,7 +401,7 @@ def test_summarize_splits_stations():
         loran_at(T0 + 1000, role="X", snr=20.0),
         loran_at(T0 + 2000, role="M", snr=7.0),
     ]
-    summary = summarize(merge_sort([], loran))
+    summary = summary_of(merge_sort([], loran))
     assert set(summary.stations) == {"9930M", "9930X"}
     assert summary.stations["9930M"].count == 2
     assert summary.stations["9930X"].mean_snr == 20.0
@@ -402,7 +413,7 @@ def test_summarize_excludes_no_fix_from_position_stats():
         fix_at(T0 + 1000, no_fix=True),
         fix_at(T0 + 2000, lat=38.0),
     ]
-    summary = summarize(merge_sort(gps, []))
+    summary = summary_of(merge_sort(gps, []))
     assert summary.gps_fix_count == 2
     assert summary.no_fix_count == 1
     assert summary.bbox == (36.0, 38.0, 127.0, 127.0)
@@ -416,14 +427,14 @@ def test_summarize_gap_detection():
         fix_at(T0 + 7_200_000),
         fix_at(T0 + 7_260_000),
     ]
-    summary = summarize(merge_sort(gps, []), gap_threshold_s=300)
+    summary = summary_of(merge_sort(gps, []), gap_threshold_s=300)
     assert summary.gaps == [
         (T0 + 120_000, T0 + 7_200_000),
     ]
 
 
 def test_summarize_empty_timeline():
-    summary = summarize([])
+    summary = summary_of([])
     assert summary.total_records == 0
     assert summary.bbox is None
     assert summary.time_span is None
@@ -433,5 +444,54 @@ def test_summarize_empty_timeline():
 
 def test_gap_exactly_at_threshold_is_not_a_gap():
     gps = [fix_at(T0), fix_at(T0 + 300_000)]
-    summary = summarize(merge_sort(gps, []), gap_threshold_s=300)
+    summary = summary_of(merge_sort(gps, []), gap_threshold_s=300)
     assert summary.gaps == []
+
+
+def _week_date(moment):
+    year, week, weekday = moment.isocalendar()
+    return f"{year:04d}-W{week:02d}-{weekday}T{moment:%H:%M:%S}.{moment.microsecond // 1000:03d}Z"
+
+
+# Each form ``parse_iso_ms`` accepts, written from the same instant; the
+# first is the one ``iso_ms`` writes, and the week date has its length and
+# separator positions.
+TIMESTAMP_FORMS = (
+    lambda moment: iso_ms(epoch_ms(moment)),
+    _week_date,
+    lambda moment: iso_ms(epoch_ms(moment))[:-1] + "z",
+    lambda moment: iso_ms(epoch_ms(moment))[:-1],
+    lambda moment: iso_ms(epoch_ms(moment))[:-1] + "+00:00",
+    lambda moment: iso_ms(epoch_ms(moment)).replace("T", " "),
+    lambda moment: iso_ms(epoch_ms(moment))[:-1] + "000Z",
+    lambda moment: (moment + timedelta(hours=2)).strftime("%Y-%m-%dT%H:%M:%S.%f") + "+02:00",
+)
+
+
+@given(
+    st.lists(
+        st.tuples(st.datetimes(min_value=datetime(1000, 1, 1), max_value=datetime(9999, 12, 30)),
+                  st.integers(0, len(TIMESTAMP_FORMS) - 1), st.integers(1, 3)),
+        min_size=1, max_size=12,
+    ),
+    st.sampled_from(["csv", "jsonl"]),
+)
+def test_reader_hands_on_each_timestamp_as_iso_ms_text(rows, extension):
+    """Every timestamp text the reader passes on, its own or made, is
+    ``iso_ms(parse_iso_ms(text))``, in both formats and for runs of one text."""
+    texts = [TIMESTAMP_FORMS[form](moment.replace(microsecond=moment.microsecond // 1000 * 1000))
+             for moment, form, repeat in rows for _ in range(repeat)]
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / f"timeline_loran.{extension}"
+        if extension == "csv":
+            path.write_text(",".join(LORAN_COLUMNS) + "\n"
+                            + "".join(f"{text},9930,M,100.0,12.0,0.5\n" for text in texts))
+        else:
+            path.write_text("".join(json.dumps({"timestamp": text, "gri": 9930, "station_role": "M",
+                                                "toa_us": 100.0, "snr_db": 12.0, "ecd_us": 0.5})
+                                    + "\n" for text in texts))
+        passed = []
+        stamps = read_loran_export(path, lambda record, stamp: passed.append((record, stamp)))
+    assert [stamp for _, stamp in passed] == [iso_ms(parse_iso_ms(text)) for text in texts]
+    assert all(iso_ms(record.timestamp) == stamp for record, stamp in passed)
+    assert list(stamps) == sorted(parse_iso_ms(text) for text in texts)

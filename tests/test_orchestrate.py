@@ -1,6 +1,10 @@
+import errno
 import json
+import logging
 import os
+import re
 import shutil
+import socket
 import time as time_mod
 
 import pytest
@@ -26,8 +30,8 @@ from gpsloran.orchestrate import (
     write_parse_errors,
 )
 from gpsloran.parse import ParseIssue
-from gpsloran.record import read_events
-from gpsloran.simulate import Scenario, StationSpec, generate_stream, serve
+from gpsloran.record import CaptureSession, read_events
+from gpsloran.simulate import Scenario, SimServer, StationSpec, generate_stream, serve
 
 from conftest import ScriptedSource, crlf, gga_line, plrm_line, sentence, utc, zda_line
 
@@ -484,3 +488,100 @@ def test_recover_reprocesses_failure_as_exit_2(tmp_path):
     assert recover(session_dir) == 2
     loaded = StateStore.load(session_dir / STATE_NAME)
     assert loaded.entries[0].flagged is True
+
+
+# --- logs ----------------------------------------------------------------------
+
+# One key=value pair: a bare value, or free text quoted by json.dumps.
+KEY_VALUE = r'([a-z_]+)=("(?:[^"\\]|\\.)*"|[^\s"=]+)'
+MESSAGE = re.compile(rf"{KEY_VALUE}(?: {KEY_VALUE})*")
+
+
+def key_value_pairs(message):
+    """*message* as a dict, or None unless it is key=value pairs separated
+    by single spaces; a quoted value is read as JSON text."""
+    if not MESSAGE.fullmatch(message):
+        return None
+    return {key: json.loads(value) if value.startswith('"') else value
+            for key, value in re.findall(KEY_VALUE, message)}
+
+
+def test_log_messages_split_into_key_value_pairs(tmp_path, caplog, monkeypatch):
+    """Each message the capture, processing, recovery and simulator code
+    logs when something ends or fails is made of key=value pairs."""
+    caplog.set_level(logging.INFO, logger="gpsloran")
+    # startup_failed: nothing listens on the discard port
+    assert run_pipeline(base_config(tmp_path / "a", source="tcp:127.0.0.1:9",
+                                    retry={"max_attempts": 1, "initial_delay_s": 0.01})) == 1
+    # processing_failed, source_ended
+    def explode(count):
+        raise RuntimeError('bad "input"\nhere')
+
+    hooks = Hooks()
+    hooks.on("mid-convert", explode)
+    assert run_scripted(tmp_path / "b", [(0, lines_block_one())], hooks=hooks)[0] == 2
+    # fatal_capture_error, digest_pending
+
+    class BrokenSource:
+        def read(self, max_bytes, timeout):
+            raise OSError(errno.EIO, "device gone")
+
+        def close(self):
+            pass
+
+    real_append = CaptureSession._append_event
+
+    def append_event(self, payload):
+        if payload["event"] == "segment_closed":
+            raise OSError(errno.ENOSPC, "disk full")
+        real_append(self, payload)
+
+    monkeypatch.setattr(CaptureSession, "_append_event", append_event)
+    assert run_pipeline(base_config(tmp_path / "c", process_segments=False),
+                        clock=ManualClock(START), source=BrokenSource()) == 1
+    monkeypatch.undo()
+    # cannot_resume
+    corrupt = tmp_path / "d"
+    corrupt.mkdir()
+    (corrupt / "raw_20200417T120000Z.log").write_bytes(lines_block_one())
+    (corrupt / STATE_NAME).write_text("{not json")
+    assert recover(corrupt) == 1
+    # finalize_interrupted_capture, reprocess, recovery_failed
+    orphan = tmp_path / "e"
+    orphan.mkdir()
+    (orphan / "raw_20200417T120000Z.log").write_bytes(lines_block_one())
+    state = StateStore(orphan / STATE_NAME, "unit")
+    state.add_segment("raw_20200417T110000Z.log", RECORDED)  # its raw file is missing
+    assert recover(orphan) == 2
+    # source_dropped, reconnect_failed; client_connected, client_left
+    scenario = Scenario(seed=1, start=START, duration_s=30.0,
+                        stations=[StationSpec(gri=9930, role="M")])
+    server = serve(generate_stream(scenario)[0])
+    assert run_pipeline(base_config(tmp_path / "f", source=f"tcp:{server.address}",
+                                    on_eof="reconnect", rotation="24h",
+                                    retry={"max_attempts": 1, "initial_delay_s": 0.01})) == 1
+    server.stop()
+    stream = generate_stream(Scenario(seed=1, start=START, duration_s=600.0,
+                                      stations=[StationSpec(gri=9930, role="M")]))[0]
+    server = SimServer(stream, pace="accelerated", factor=600.0).start()
+    with socket.create_connection((server.host, server.port), timeout=5.0) as conn:
+        conn.recv(4096)
+    deadline = time_mod.monotonic() + 5.0
+    while "event=client_left" not in caplog.text and time_mod.monotonic() < deadline:
+        time_mod.sleep(0.01)
+    server.stop()
+
+    events = set()
+    for record in caplog.records:
+        if record.name.startswith("gpsloran"):
+            pairs = key_value_pairs(record.getMessage())
+            assert pairs is not None, record.getMessage()
+            events.add(pairs.get("event"))
+    assert events >= {
+        "startup_failed", "processing_failed", "source_ended", "source_dropped",
+        "reconnect_failed", "fatal_capture_error", "cannot_resume", "recovery_failed",
+        "finalize_interrupted_capture", "reprocess", "digest_pending",
+        "client_connected", "client_left",
+    }
+    failed = [r for r in caplog.records if "event=processing_failed" in r.getMessage()]
+    assert key_value_pairs(failed[0].getMessage())["error"] == 'bad "input"\nhere'

@@ -19,7 +19,7 @@ from gpsloran.simulate import (
     write_ground_truth,
 )
 
-from conftest import ms, utc
+from conftest import ms, read_records, utc
 
 
 START = utc(2020, 4, 17)
@@ -235,8 +235,8 @@ def test_scenario_from_json_round_trip():
 def test_write_ground_truth_exports(tmp_path):
     _, truth = generate_stream(one_station_scenario())
     write_ground_truth(truth, tmp_path, ("columns",))
-    gps = read_gps_export(tmp_path / "timeline_gps.csv")
-    loran = read_loran_export(tmp_path / "timeline_loran.csv")
+    gps = read_records(read_gps_export, tmp_path / "timeline_gps.csv")
+    loran = read_records(read_loran_export, tmp_path / "timeline_loran.csv")
     merged = merge_sort(truth.gps, truth.loran)
     assert gps == [r for r in merged if type(r) is GpsFix]
     assert loran == truth.loran
