@@ -549,7 +549,8 @@ def test_failed_stats_leaves_no_series_files(tmp_path, capsys):
     for extra in ([], ["--station", "7430M"]):
         out = tmp_path / "out"
         assert main(["stats", "--session", str(session), "--out", str(out), *extra]) == 1
-        assert capsys.readouterr().err == f"error: {last / 'timeline_loran.csv'}:3: 5 cells, header has 6\n"
+        problem = f"{last / 'timeline_loran.csv'}:3: 5 cells, header has 6"
+        assert capsys.readouterr().err == f"error: {problem}\n"
         assert list(out.iterdir()) == []
 
 
