@@ -142,7 +142,7 @@ def _read_segment(directory: Path, stem: str, reader, emit):
 
 def cmd_stats(args) -> int:
     import heapq
-    from contextlib import ExitStack
+    from contextlib import ExitStack, suppress
     from . import convert
     from .fsutil import AtomicWriter
     session_dir = Path(args.session)
@@ -150,6 +150,7 @@ def cmd_stats(args) -> int:
     if not export_dirs:
         raise CliError(f"no exports found under {session_dir}")
     out_dir = Path(args.out) if args.out else session_dir / "stats"
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # Each record is folded and its series row written as it is read.
@@ -172,7 +173,13 @@ def cmd_stats(args) -> int:
         if not args.station or obs.station == args.station:
             write(f"snr_{obs.station}.csv", f"{stamp},{obs.snr_db}\n")
 
-    with stack:  # a failure discards every series
+    def remove_made(failed, *_) -> None:  # returns None, so the stack re-raises the failure
+        for directory in made if failed else ():
+            with suppress(OSError):
+                directory.rmdir()
+
+    with stack:  # a failure discards every series, then the directories made for them
+        stack.push(remove_made)
         write("gps_fixes.csv", "", "timestamp,lat_deg,lon_deg,alt_m\n")
         if args.station:
             write(f"snr_{args.station}.csv", "")

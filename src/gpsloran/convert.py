@@ -247,7 +247,6 @@ def _read_export(path: Path, columns: tuple[str, ...], build, emit) -> array:
     file's timestamps in time order.  A malformed file raises ``ValueError``
     naming the file and the line."""
     stamps = array("q")
-    text = instant = stamp = object()  # no row's timestamp
     line_number = 0  # the line last read, which an error names
 
     def numbered(handle):
@@ -255,17 +254,22 @@ def _read_export(path: Path, columns: tuple[str, ...], build, emit) -> array:
         for line_number, line in enumerate(handle, 1):
             yield line
 
-    rows = _json_rows if path.suffix == ".jsonl" else _csv_rows
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        try:
-            for row in rows(numbered(handle), columns):
-                if row[0] != text:
-                    text, instant = row[0], parse_iso_ms(row[0])
-                    stamp = text if _ISO_MS_TEXT.fullmatch(text) else iso_ms(instant)
-                stamps.append(instant)
-                emit(build(instant, *row[1:]), stamp)
-        except (TypeError, ValueError, csv.Error) as exc:
-            raise ValueError(f"{path}:{line_number}: {exc}") from None
+    def records():  # only the file's own faults are named by file and line
+        text = instant = stamp = object()  # no row's timestamp
+        rows = _json_rows if path.suffix == ".jsonl" else _csv_rows
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            try:
+                for row in rows(numbered(handle), columns):
+                    if row[0] != text:
+                        text, instant = row[0], parse_iso_ms(row[0])
+                        stamp = text if _ISO_MS_TEXT.fullmatch(text) else iso_ms(instant)
+                    stamps.append(instant)
+                    yield build(instant, *row[1:]), stamp
+            except (TypeError, ValueError, csv.Error) as exc:
+                raise ValueError(f"{path}:{line_number}: {exc}") from None
+
+    for record, stamp in records():
+        emit(record, stamp)
     return stamps if all(map(le, stamps, stamps[1:])) else array("q", sorted(stamps))
 
 
@@ -340,8 +344,7 @@ class SummaryFold:
             self.fixes += 1
             lat, lon = record.lat, record.lon
             lat_min, lat_max, lon_min, lon_max = self.bbox or (lat, lat, lon, lon)
-            if self.bbox is None or not (lat_min <= lat <= lat_max and lon_min <= lon <= lon_max):
-                self.bbox = (min(lat_min, lat), max(lat_max, lat), min(lon_min, lon), max(lon_max, lon))
+            self.bbox = (min(lat_min, lat), max(lat_max, lat), min(lon_min, lon), max(lon_max, lon))
 
 
 def summarize(fold: SummaryFold, stamps: Iterator[int],

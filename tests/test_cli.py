@@ -541,17 +541,28 @@ def test_pace_argument_validation(tmp_path, capsys):
 def test_failed_stats_leaves_no_series_files(tmp_path, capsys):
     """A malformed export in the last of three segments fails the command
     after the first two have been read and their rows written: every series
-    file goes, temporary ones included."""
+    file goes, temporary ones included, and so do the directories the run
+    made; a directory that was there keeps what it held."""
     session = stats_session(tmp_path)
     last = session / "exports" / "raw_20200417T122000Z"
     last.mkdir()
     (last / "timeline_loran.csv").write_text(LORAN_HEADER + LORAN_ROW + LORAN_ROW[:-5] + "\n")
+    problem = f"error: {last / 'timeline_loran.csv'}:3: 5 cells, header has 6\n"
+    out = tmp_path / "out" / "stats"
     for extra in ([], ["--station", "7430M"]):
-        out = tmp_path / "out"
         assert main(["stats", "--session", str(session), "--out", str(out), *extra]) == 1
-        problem = f"{last / 'timeline_loran.csv'}:3: 5 cells, header has 6"
-        assert capsys.readouterr().err == f"error: {problem}\n"
-        assert list(out.iterdir()) == []
+        assert capsys.readouterr().err == problem
+        assert not (tmp_path / "out").exists()
+    assert main(["stats", "--session", str(session)]) == 1
+    assert capsys.readouterr().err == problem
+    assert not (session / "stats").exists()
+
+    out.mkdir(parents=True)
+    (out / "gps_fixes.csv").write_text("from an earlier run\n")
+    assert main(["stats", "--session", str(session), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == problem
+    kept = [(path.name, path.read_text()) for path in out.iterdir()]
+    assert kept == [("gps_fixes.csv", "from an earlier run\n")]
 
 
 def reference_summarize(timeline, gap_threshold_s=300.0):

@@ -495,3 +495,18 @@ def test_reader_hands_on_each_timestamp_as_iso_ms_text(rows, extension):
     assert [stamp for _, stamp in passed] == [iso_ms(parse_iso_ms(text)) for text in texts]
     assert all(iso_ms(record.timestamp) == stamp for record, stamp in passed)
     assert list(stamps) == sorted(parse_iso_ms(text) for text in texts)
+
+
+def test_reader_passes_on_the_callbacks_own_errors(tmp_path):
+    """An error raised by *emit* is the caller's, not a fault of the file:
+    it comes out as raised, without the file and line an export's own
+    faults are named by."""
+    path = tmp_path / "timeline_loran.csv"
+    path.write_text(",".join(LORAN_COLUMNS) + "\n2020-04-17T12:00:00.000Z,9930,M,100.0,12.0,0.5\n")
+
+    def emit(record, stamp):
+        raise ValueError("the caller's fault")
+
+    with pytest.raises(ValueError) as caught:
+        read_loran_export(path, emit)
+    assert str(caught.value) == "the caller's fault"
