@@ -281,7 +281,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=tuple(FORMAT_EXTENSIONS), default="columns")
     p.add_argument("--session-id", default="")
-    p.add_argument("--start-date", default=None, help="fallback date (YYYY-MM-DD) when the segment has no date sentence")
+    p.add_argument("--start-date", default=None, help="YYYY-MM-DD whose noon anchors a segment with no ZDA/RMC instant")
     p.add_argument("--gap-threshold", default="5m")
     p.set_defaults(func=cmd_convert)
 

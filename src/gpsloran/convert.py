@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from operator import add, attrgetter, itemgetter, le
 from pathlib import Path
 
-from .fsutil import AtomicWriter, atomic_write_json, read_json
+from .fsutil import AtomicWriter, atomic_write_json
 from .parse import (STATION_ROLES, GpsFix, LoranMeasurement, check_fix, loran_values,
                     parse_float, parse_int)
 from .timeutil import iso_ms, parse_iso_ms
@@ -295,10 +295,6 @@ def _json_rows(lines, columns: tuple[str, ...]):
             if not isinstance(row, dict):
                 raise ValueError("not a JSON object")
             yield list(map(row.get, columns))
-
-
-def read_manifest(out_dir: Path) -> dict:
-    return read_json(Path(out_dir) / MANIFEST_NAME)
 
 
 # --- summary statistics -----------------------------------------------------

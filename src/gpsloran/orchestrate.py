@@ -239,10 +239,8 @@ def retry_from_config(config: dict) -> RetryPolicy:
 
 
 def segment_open_time(segment_name: str) -> datetime | None:
-    """UTC instant embedded in a segment file name.  Seeds the date
-    context of last resort for segments whose stream carried no date,
-    and anchors the midnight-rollover window so lines buffered from just
-    before a rotation keep their true date."""
+    """UTC instant embedded in a segment file name: the date anchor of a
+    segment whose stream reports no ZDA/RMC instant."""
     match = _STEM_STAMP_RE.match(segment_name)
     if not match:
         return None

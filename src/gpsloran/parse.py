@@ -1,11 +1,16 @@
 """Decode classified receiver sentences into typed GPS and Loran records.
 
-Sentences carry a UTC time of day but (mostly) no date, so parsing threads
-a :class:`DateContext` through each line store: the context is seeded from
-the first date-bearing sentence (ZDA or RMC) in the segment, or from a
-configured fallback date, and advances across midnight when the time of
-day wraps.  Every record's timestamp is the context's day plus the time of
-day, in integer UTC epoch milliseconds.
+Sentences carry a UTC time of day but (mostly) no date.  Each ZDA or RMC
+line reports an instant, its date plus its own time of day, and
+:func:`parse_classified` reads those first.  The segment's *anchor* is the
+earliest reported instant, else the segment's open time, else noon of a
+configured start date.  Every GGA and ``$PLRM`` store is then dated by its
+own :class:`DateContext`: the first time of day takes the instant nearest
+the anchor, each later one advances a day when the time of day jumps back
+more than 12 hours (midnight rollover), and a record that crosses a *hole*,
+12 hours or more between two consecutive reported instants, moves to the
+day the date sentences report after the hole.  A timestamp is integer UTC
+epoch milliseconds.
 
 Each field's range check exists once, here: the parsers call it, and so
 do the export readers in :mod:`gpsloran.convert`, so a record never holds
@@ -23,8 +28,8 @@ Supported sentences:
     field 9   altitude above MSL, meters
 
 ``$--ZDA`` / ``$--RMC``
-    parsed only for their date fields (ZDA: day,month,year at 2,3,4;
-    RMC: ddmmyy at field 9) to maintain the date context.
+    parsed only for the instant they report: the time of day at field 1
+    and the date (ZDA: day,month,year at 2,3,4; RMC: ddmmyy at field 9).
 
 ``$PLRM`` (proprietary Loran observation, one sentence per station)
     ``$PLRM,<hhmmss.sss>,<gri>,<role>,<toa_us>,<snr_db>,<ecd_us>*hh``
@@ -32,9 +37,8 @@ Supported sentences:
     (interval = designator x 10 microseconds), ``role`` is a station
     letter in {M, V, W, X, Y, Z}, ``toa_us`` the time of arrival within
     the GRI frame, ``snr_db`` the signal-to-noise ratio, and ``ecd_us``
-    the envelope-to-cycle difference.  Additional proprietary grammars
-    register in :data:`PROPRIETARY_PARSERS` without touching the batch
-    driver.
+    the envelope-to-cycle difference.  Other ``$P...`` stores stay
+    classified but unparsed.
 
 Malformed lines never abort a batch: each one becomes a structured
 :class:`ParseIssue` and parsing continues, so a day-long unattended run
@@ -44,10 +48,11 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
-from typing import Callable
 
 from .timeutil import MS_PER_DAY, day_ms, epoch_ms
 
@@ -59,9 +64,6 @@ _HALF_DAY_MS = MS_PER_DAY // 2
 _TOD_RE = re.compile(r"^(\d{2})(\d{2})(\d{2})(?:\.(\d{1,3}))?$")
 _COORD_RE = re.compile(r"^(\d{4,5})\.(\d+)$")
 _RMC_DATE_RE = re.compile(r"^(\d{2})(\d{2})(\d{2})$")
-
-# Sentences whose only contribution is the date context.
-DATE_SENTENCES = ("ZDA", "RMC")
 
 
 class ParseError(ValueError):
@@ -124,30 +126,60 @@ class ParseIssue:
     raw: str = ""
 
 
-class DateContext:
-    """Tracks the current UTC day while times of day stream past.
+def _nearest(tod: int, instant: int) -> int:
+    """The instant at time of day *tod* nearest *instant*; a tie at exactly
+    12 hours keeps *instant*'s day."""
+    candidate = instant - instant % MS_PER_DAY + tod
+    if candidate - instant > _HALF_DAY_MS:
+        return candidate - MS_PER_DAY
+    if candidate - instant < -_HALF_DAY_MS:
+        return candidate + MS_PER_DAY
+    return candidate
 
-    ``resolve`` adds a time of day to the current day's start, both in
-    milliseconds, advancing the day when the time of day jumps back more
-    than 12 hours (midnight rollover).  The day never regresses within a
-    context's lifetime.
+
+class DateContext:
+    """Dates one store's times of day, which arrive in receiver order.
+
+    ``resolve`` turns a time of day into an instant, both in milliseconds.
+    The first takes the instant nearest *anchor*.  Each later one keeps the
+    day of the one before, and advances a day when the time of day jumps
+    back more than 12 hours (midnight rollover).
+
+    *holes* are the (start, end) pairs of consecutive reported instants 12
+    hours or more apart.  Take the first hole that ends after the previous
+    instant (for the first time of day, the anchor).  The new instant may
+    have crossed it when it lies behind the previous instant or past the
+    hole's start, and the previous instant lies less than one step past
+    the hole's start (the store was not reporting inside the hole).  It
+    then moves to the instant nearest the hole's end, if that lies nearer
+    the end than the new instant lies to the previous one or to the
+    hole's start.
     """
 
-    def __init__(self, day_ms: int):
-        self.day_ms = day_ms
-        self.last_tod: int | None = None
-
-    def observe_date(self, day: int) -> None:
-        """Adopt an explicitly reported day, but never move backwards."""
-        if day > self.day_ms:
-            self.day_ms = day
-            self.last_tod = None
+    def __init__(self, anchor: int, holes: Sequence[tuple[int, int]] = ()):
+        self.anchor = anchor
+        self.holes = holes
+        self.last: int | None = None
 
     def resolve(self, tod: int) -> int:
-        if self.last_tod is not None and tod - self.last_tod < -_HALF_DAY_MS:
-            self.day_ms += MS_PER_DAY
-        self.last_tod = tod
-        return self.day_ms + tod
+        last = self.last
+        if last is None:
+            last = self.anchor
+            instant = _nearest(tod, last)
+        else:
+            instant = last - last % MS_PER_DAY + tod
+            if instant - last < -_HALF_DAY_MS:
+                instant += MS_PER_DAY
+        for start, end in self.holes:
+            if end > last:
+                step = abs(instant - last)
+                if (instant < last or instant > start) and last - start < step:
+                    moved = _nearest(tod, end)
+                    if abs(moved - end) < min(step, abs(instant - start)):
+                        instant = moved
+                break
+        self.last = instant
+        return instant
 
 
 def parse_tod(value: str) -> int:
@@ -254,24 +286,21 @@ def parse_gga(fields: list[str], ctx: DateContext, source_line: int | None = Non
 
 
 def parse_date_sentence(fields: list[str], sentence: str) -> int:
-    """Epoch milliseconds of the UTC day a ZDA or RMC field list reports."""
+    """Epoch milliseconds of the UTC day a ZDA (else RMC) field list reports."""
+    if sentence == "ZDA":
+        _require_fields(fields, 5, "ZDA")
+        day, month, year = fields[2], fields[3], fields[4]
+    else:
+        _require_fields(fields, 10, "RMC")
+        match = _RMC_DATE_RE.match(fields[9])
+        if not match:
+            raise ParseError(f"malformed RMC date: {fields[9]!r}", "date")
+        day, month, year2 = map(int, match.groups())
+        year = 1900 + year2 if year2 >= 80 else 2000 + year2
     try:
-        if sentence == "ZDA":
-            _require_fields(fields, 5, "ZDA")
-            return day_ms(date(int(fields[4]), int(fields[3]), int(fields[2])))
-        if sentence == "RMC":
-            _require_fields(fields, 10, "RMC")
-            match = _RMC_DATE_RE.match(fields[9])
-            if not match:
-                raise ParseError(f"malformed RMC date: {fields[9]!r}", "date")
-            day, month, year2 = int(match.group(1)), int(match.group(2)), int(match.group(3))
-            year = 1900 + year2 if year2 >= 80 else 2000 + year2
-            return day_ms(date(year, month, day))
-    except ParseError:
-        raise
+        return day_ms(date(int(year), int(month), int(day)))
     except ValueError as exc:
         raise ParseError(f"malformed {sentence} date: {exc}", "date") from None
-    raise ParseError(f"not a date sentence: {sentence}", "sentence")
 
 
 def loran_values(gri, role, toa, snr, ecd) -> tuple[int, str, float, float, float]:
@@ -299,13 +328,6 @@ def parse_loran(
     return LoranMeasurement(ctx.resolve(tod), *values, source_line)
 
 
-# Registry of proprietary vendor tags this pipeline can decode.  Adding a
-# grammar means adding a parse function and one entry here.
-PROPRIETARY_PARSERS: dict[str, Callable[[list[str], DateContext, int | None], LoranMeasurement]] = {
-    "LRM": parse_loran,
-}
-
-
 # --- batch parsing of classified stores ------------------------------------
 
 
@@ -316,8 +338,6 @@ class ParsedSegment:
     gps: list[GpsFix]
     loran: list[LoranMeasurement]
     errors: list[ParseIssue]
-    seed_day_ms: int
-    date_source: str
 
 
 def split_sentence(raw: str) -> list[str]:
@@ -328,27 +348,26 @@ def split_sentence(raw: str) -> list[str]:
     return raw.split(",")
 
 
-def _first(path: Path, decode) -> int | None:
-    """What *decode* makes of the first line of a store it can decode."""
-    with open(path, "rb") as handle:
-        for raw in handle:
-            try:
-                return decode(split_sentence(raw.rstrip(b"\r\n").decode("latin-1")))
-            except (ParseError, IndexError):
-                continue
-    return None
-
-
 def _class_files(classified_dir: Path) -> dict[str, list[Path]]:
-    """Group the class stores we parse: sentence code or ``P_<tag>`` key."""
+    """The standard-sentence stores, grouped by sentence code."""
     groups: dict[str, list[Path]] = {}
-    for path in sorted(classified_dir.glob("*.txt")):
-        stem = path.stem
-        if stem.startswith("P_") and len(stem) > 2:
-            groups.setdefault(stem, []).append(path)
-        elif len(stem) == 5 and stem.isalpha() and stem.isupper():
-            groups.setdefault(stem[2:], []).append(path)
+    for path in sorted(classified_dir.glob("?????.txt")):
+        if path.stem.isalpha() and path.stem.isupper():
+            groups.setdefault(path.stem[2:], []).append(path)
     return groups
+
+
+def _parse_store(path: Path, parse, records, errors: list[ParseIssue]) -> None:
+    """Append ``parse(fields, line_number)`` of each line of the store at
+    *path* to *records*, in line order; a ``ParseError`` becomes a
+    :class:`ParseIssue` in *errors*."""
+    with open(path, "rb") as handle:
+        for line_number, raw_bytes in enumerate(handle, start=1):
+            raw = raw_bytes.rstrip(b"\r\n").decode("latin-1")
+            try:
+                records.append(parse(split_sentence(raw), line_number))
+            except ParseError as exc:
+                errors.append(ParseIssue(path.name, line_number, str(exc), exc.field_name, raw))
 
 
 def parse_classified(
@@ -358,96 +377,42 @@ def parse_classified(
 ) -> ParsedSegment:
     """Parse every supported class store under *classified_dir*.
 
-    The date context seeds from the earliest date carried by the
-    segment's ZDA/RMC stores, else *fallback_date*, else the date of
-    *open_time*; raises ValueError if none exists (a configuration
-    problem, unlike per-line errors, which are collected in the result).
-    Each class store gets its own context seeded from that date, since
-    each store is in receiver order and crosses midnight at most once
-    per day of capture.
-
-    *open_time* is the instant the segment started (for live captures,
-    the segment open timestamp).  When given, it anchors the rollover
-    window before the first line: a store whose first time of day sits
-    more than 12 h ahead of the open time is data buffered from the
-    previous day, so a fallback seed shifts back one day, and a first
-    time of day more than 12 h behind the open time rolls the date
-    forward through the usual midnight rule.  Without it, the first
-    line's time of day is taken at face value against the seed date.
+    The anchor is the earliest instant the ZDA/RMC stores report, else
+    *open_time* (the instant the segment opened), else noon of
+    *fallback_date*; with none, ValueError (a configuration problem, unlike
+    per-line errors, which are collected in the result).  Errors list the
+    GGA stores, then the date stores, then ``P_LRM``, each in line order.
     """
     classified_dir = Path(classified_dir)
     groups = _class_files(classified_dir)
-
-    seed: int | None = None
-    date_source = "configured-start-date"
-    for sentence in DATE_SENTENCES:
+    reported = array("q")
+    date_errors: list[ParseIssue] = []
+    for sentence in ("ZDA", "RMC"):
         for path in groups.get(sentence, []):
-            found = _first(path, lambda fields: parse_date_sentence(fields, sentence))
-            if found is not None and (seed is None or found < seed):
-                seed = found
-                date_source = sentence
-    seeded_from_fallback = False
-    if seed is None:
-        if fallback_date is not None:
-            seed = day_ms(fallback_date)
-        elif open_time is not None:
-            seed = epoch_ms(open_time) // MS_PER_DAY * MS_PER_DAY
-            date_source = "segment-open-time"
-        else:
-            raise ValueError(
-                f"no date sentence in {classified_dir} and no fallback date configured"
-            )
-        seeded_from_fallback = True
+            _parse_store(path, lambda f, n, s=sentence: parse_date_sentence(f, s) + parse_tod(f[1]),
+                         reported, date_errors)
+    reported = array("q", sorted(reported))
+    if reported:
+        anchor = reported[0]
+    elif open_time is not None:
+        anchor = epoch_ms(open_time)
+    elif fallback_date is not None:
+        anchor = day_ms(fallback_date) + _HALF_DAY_MS
+    else:
+        raise ValueError(
+            f"no date sentence in {classified_dir} and no fallback date configured"
+        )
+    holes = [(a, b) for a, b in zip(reported, reported[1:]) if b - a >= _HALF_DAY_MS]
 
     gps: list[GpsFix] = []
     loran: list[LoranMeasurement] = []
     errors: list[ParseIssue] = []
-    open_tod = epoch_ms(open_time) % MS_PER_DAY if open_time is not None else None
-
-    def parse_store(path: Path, handler) -> None:
-        store_seed = seed
-        if seeded_from_fallback and open_tod is not None:
-            first = _first(path, lambda fields: parse_tod(fields[1]))
-            if first is not None and first - open_tod > _HALF_DAY_MS:
-                store_seed -= MS_PER_DAY
-        ctx = DateContext(store_seed)
-        if open_tod is not None:
-            ctx.last_tod = open_tod
-        with open(path, "rb") as handle:
-            for line_number, raw_bytes in enumerate(handle, start=1):
-                raw = raw_bytes.rstrip(b"\r\n").decode("latin-1")
-                try:
-                    handler(split_sentence(raw), ctx, line_number)
-                except ParseError as exc:
-                    errors.append(
-                        ParseIssue(
-                            source_file=path.name,
-                            line_number=line_number,
-                            message=str(exc),
-                            field_name=exc.field_name,
-                            raw=raw,
-                        )
-                    )
-
     for path in groups.get("GGA", []):
-        parse_store(path, lambda f, ctx, n: gps.append(parse_gga(f, ctx, n)))
-
-    for sentence in DATE_SENTENCES:
-        for path in groups.get(sentence, []):
-            parse_store(
-                path,
-                lambda f, ctx, n, s=sentence: ctx.observe_date(parse_date_sentence(f, s)),
-            )
-
-    for key, paths in groups.items():
-        if not key.startswith("P_"):
-            continue
-        handler = PROPRIETARY_PARSERS.get(key[2:])
-        if handler is None:
-            continue
-        for path in paths:
-            parse_store(path, lambda f, ctx, n, h=handler: loran.append(h(f, ctx, n)))
-
-    return ParsedSegment(
-        gps=gps, loran=loran, errors=errors, seed_day_ms=seed, date_source=date_source
-    )
+        ctx = DateContext(anchor, holes)
+        _parse_store(path, lambda f, n: parse_gga(f, ctx, n), gps, errors)
+    errors += date_errors
+    loran_store = classified_dir / "P_LRM.txt"
+    if loran_store.exists():
+        ctx = DateContext(anchor, holes)
+        _parse_store(loran_store, lambda f, n: parse_loran(f, ctx, n), loran, errors)
+    return ParsedSegment(gps=gps, loran=loran, errors=errors)

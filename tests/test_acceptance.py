@@ -254,7 +254,7 @@ def test_criterion_3_checksum_oracle(capsys):
 
 
 def _fresh_ctx() -> DateContext:
-    return DateContext(ms(2020, 4, 17))
+    return DateContext(ms(2020, 4, 17, 12))
 
 
 def _random_fix(rng: random.Random) -> GpsFix:

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 from gpsloran import cli, convert
 from gpsloran.cli import main
-from gpsloran.convert import (SessionSummary, StationStats, export, merge_sort, read_gps_export,
-                              read_loran_export, read_manifest)
+from gpsloran.convert import (MANIFEST_NAME, SessionSummary, StationStats, export, merge_sort,
+                              read_gps_export, read_loran_export)
 from gpsloran.fsutil import read_json
 from gpsloran.orchestrate import STATE_NAME, StateStore
 from gpsloran.parse import GpsFix, LoranMeasurement
@@ -217,7 +217,7 @@ def test_record_replay_and_recover_roundtrip(tmp_path, capsys):
     assert all(entry.stage == "converted" for entry in state.entries)
     export_dirs = list((session_dir / "exports").iterdir())
     assert len(export_dirs) == 1
-    manifest = read_manifest(export_dirs[0])
+    manifest = read_json(export_dirs[0] / MANIFEST_NAME)
     assert manifest["record_counts"]["gps_fix"] == 60
     assert manifest["record_counts"]["loran"] == 6
 
@@ -435,7 +435,8 @@ def test_year_below_1000_survives_convert_and_stats(tmp_path, capsys):
     assert main(["convert", "--classified", str(classified), "--out", str(target)]) == 0
     rows = (target / "timeline_gps.csv").read_text().splitlines()
     assert rows[1].startswith("0999-04-17T12:00:01.000Z,")
-    assert read_manifest(target)["time_span"]["first"] == "0999-04-17T12:00:01.000Z"
+    manifest = read_json(target / MANIFEST_NAME)
+    assert manifest["time_span"]["first"] == "0999-04-17T12:00:01.000Z"
     capsys.readouterr()
 
     assert main(["stats", "--session", str(tmp_path / "session")]) == 0

@@ -24,7 +24,6 @@ from gpsloran.convert import (
     merge_sort,
     read_gps_export,
     read_loran_export,
-    read_manifest,
     SummaryFold,
     summarize,
 )
@@ -147,7 +146,7 @@ def test_export_writes_all_files_and_manifest(tmp_path):
         "first": "2020-04-17T12:00:00.000Z",
         "last": "2020-04-17T12:00:02.000Z",
     }
-    assert read_manifest(tmp_path) == manifest
+    assert read_json(tmp_path / MANIFEST_NAME) == manifest
     # digests in the manifest match the files on disk
     for entry in manifest["export_files"]:
         assert "/" not in entry["path"]

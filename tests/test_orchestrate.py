@@ -10,7 +10,7 @@ import time as time_mod
 import pytest
 
 from gpsloran.clock import AcceleratedClock, ManualClock, SystemClock
-from gpsloran.convert import MANIFEST_NAME, read_manifest
+from gpsloran.convert import MANIFEST_NAME
 from gpsloran.fsutil import read_json
 from gpsloran.orchestrate import (
     CLASSIFIED,
@@ -238,7 +238,7 @@ def test_process_segment_stages_and_outputs(tmp_path):
     assert (session_dir / "classified" / stem / "GPGGA.txt").exists()
     assert (session_dir / "exports" / stem / "timeline_gps.csv").exists()
     assert (session_dir / "exports" / stem / "parse_errors.jsonl").exists()
-    manifest = read_manifest(session_dir / "exports" / stem)
+    manifest = read_json(session_dir / "exports" / stem / MANIFEST_NAME)
     assert manifest["record_counts"]["gps_fix"] == 1
     assert manifest["record_counts"]["loran"] == 1
     assert state.entries[0].stage == CONVERTED
@@ -307,9 +307,9 @@ def test_run_pipeline_rotates_and_processes(tmp_path):
     state = StateStore.load(session_dir / STATE_NAME)
     assert [entry.stage for entry in state.entries] == [CONVERTED, CONVERTED]
 
-    manifest1 = read_manifest(session_dir / "exports" / "raw_20200417T120000Z")
+    manifest1 = read_json(session_dir / "exports" / "raw_20200417T120000Z" / MANIFEST_NAME)
     assert manifest1["record_counts"]["gps_fix"] == 1
-    manifest2 = read_manifest(session_dir / "exports" / "raw_20200417T130140Z")
+    manifest2 = read_json(session_dir / "exports" / "raw_20200417T130140Z" / MANIFEST_NAME)
     assert manifest2["record_counts"]["gps_fix"] == 1
 
     closed = [e for e in read_events(session_dir) if e["event"] == "segment_closed"]
@@ -394,7 +394,7 @@ def test_run_pipeline_reconnect_exhaustion_records_gap(tmp_path):
     # the captured bytes still got processed on shutdown
     state = StateStore.load(session_dir / STATE_NAME)
     assert all(entry.stage == CONVERTED for entry in state.entries)
-    manifest = read_manifest(session_dir / "exports" / state.entries[0].name[:-4])
+    manifest = read_json(session_dir / "exports" / state.entries[0].name[:-4] / MANIFEST_NAME)
     assert manifest["record_counts"]["gps_fix"] == len(truth.gps)
 
 

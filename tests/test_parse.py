@@ -10,7 +10,6 @@ from gpsloran.parse import (
     GpsFix,
     LoranMeasurement,
     ParseError,
-    PROPRIETARY_PARSERS,
     parse_classified,
     parse_coordinate,
     parse_date_sentence,
@@ -30,8 +29,8 @@ from gpsloran.simulate import (
 from conftest import gga_line, ms, plrm_line, rmc_line, sentence, utc, zda_line
 
 
-def ctx(day=ms(2020, 4, 17)):
-    return DateContext(day)
+def ctx(anchor=ms(2020, 4, 17, 12)):
+    return DateContext(anchor)
 
 
 def tod(hour: int, minute: int, second: int, milli: int = 0) -> int:
@@ -162,12 +161,29 @@ def test_rollover_needs_a_jump_of_more_than_12_hours():
     assert c.resolve(tod(11, 59, 59, 998)) == ms(2020, 4, 18, 11, 59, 59, 998)
 
 
-def test_observe_date_never_regresses():
-    c = ctx()
-    c.observe_date(ms(2020, 4, 18))
-    assert c.day_ms == ms(2020, 4, 18)
-    c.observe_date(ms(2020, 4, 16))
-    assert c.day_ms == ms(2020, 4, 18)
+def test_first_time_of_day_takes_the_instant_nearest_the_anchor():
+    anchor = ms(2020, 4, 18, 0, 0, 5)
+    assert DateContext(anchor).resolve(tod(23, 59, 59)) == ms(2020, 4, 17, 23, 59, 59)
+    assert DateContext(anchor).resolve(tod(11, 0, 0)) == ms(2020, 4, 18, 11, 0, 0)
+    # a tie at exactly 12 hours keeps the anchor's day, either way
+    assert DateContext(anchor).resolve(tod(12, 0, 5)) == ms(2020, 4, 18, 12, 0, 5)
+    assert DateContext(ms(2020, 4, 18, 12)).resolve(0) == ms(2020, 4, 18)
+
+
+def test_hole_moves_a_record_to_the_date_after_it():
+    hole = (ms(2020, 4, 17, 12, 0, 29), ms(2020, 4, 18, 18, 0, 0))
+    c = DateContext(ms(2020, 4, 17, 12), [hole])
+    assert c.resolve(tod(12, 0, 29)) == ms(2020, 4, 17, 12, 0, 29)
+    assert c.resolve(tod(18, 0, 0)) == ms(2020, 4, 18, 18, 0, 0)
+    assert c.resolve(tod(18, 0, 1)) == ms(2020, 4, 18, 18, 0, 1)
+
+
+@pytest.mark.parametrize("hole_h", [20, 30])
+def test_records_that_keep_reporting_through_a_hole_stay(hole_h):
+    hole = (ms(2020, 4, 17, 12), ms(2020, 4, 17, 12) + hole_h * 3_600_000)
+    c = DateContext(ms(2020, 4, 17, 12), [hole])
+    for hour in range(12, 12 + hole_h + 1):
+        assert c.resolve(tod(hour % 24, 0, 0)) == ms(2020, 4, 17, 12) + (hour - 12) * 3_600_000
 
 
 def test_two_midnights_two_days():
@@ -279,10 +295,6 @@ def test_parse_loran_full():
     assert rec.snr_db == 12.0
     assert rec.ecd_us == 0.5
     assert rec.source_line == 12
-
-
-def test_parse_loran_registry_entry():
-    assert PROPRIETARY_PARSERS["LRM"] is parse_loran
 
 
 @pytest.mark.parametrize(
@@ -496,8 +508,6 @@ def test_parse_classified_seeds_from_zda(tmp_path):
     out = tmp_path / "classified"
     route(segment, out)
     parsed = parse_classified(out)
-    assert parsed.date_source == "ZDA"
-    assert parsed.seed_day_ms == ms(2020, 4, 17)
     assert [f.timestamp for f in parsed.gps] == [
         ms(2020, 4, 17, 23, 59, 55),
         ms(2020, 4, 18, 0, 0, 5),
@@ -515,7 +525,6 @@ def test_parse_classified_seeds_from_rmc_when_no_zda(tmp_path):
     out = tmp_path / "classified"
     route(segment, out)
     parsed = parse_classified(out)
-    assert parsed.date_source == "RMC"
     assert parsed.gps[0].timestamp == ms(2020, 4, 17, 12, 0, 1)
 
 
@@ -578,6 +587,39 @@ def test_parse_classified_open_time_forward_skew(tmp_path):
     route(segment, out)
     parsed = parse_classified(out, open_time=utc(2020, 4, 17, 23, 59, 58))
     assert parsed.gps[0].timestamp == ms(2020, 4, 18, 0, 0, 1)
+
+
+def test_parse_classified_parses_only_p_lrm_among_proprietary_stores(tmp_path):
+    segment = tmp_path / "raw.log"
+    write_segment(
+        segment,
+        [
+            zda_line(utc(2020, 4, 17, 12)),
+            plrm_line(tod="120001.000"),
+            sentence("PXYZ,120002.000,1"),
+        ],
+    )
+    out = tmp_path / "classified"
+    route(segment, out)
+    parsed = parse_classified(out)
+    assert (out / "P_XYZ.txt").exists()
+    assert [m.timestamp for m in parsed.loran] == [ms(2020, 4, 17, 12, 0, 1)]
+    assert parsed.errors == []
+
+
+def test_parse_classified_malformed_date_sentence_time_is_an_error(tmp_path):
+    segment = tmp_path / "raw.log"
+    write_segment(
+        segment,
+        [sentence("GPZDA,1200,17,04,2020,00,00"), zda_line(utc(2020, 4, 17, 12)), gga_line()],
+    )
+    out = tmp_path / "classified"
+    route(segment, out)
+    parsed = parse_classified(out)
+    assert [(e.source_file, e.line_number, e.field_name) for e in parsed.errors] == [
+        ("GPZDA.txt", 1, "time")
+    ]
+    assert parsed.gps[0].timestamp == ms(2020, 4, 17, 12)
 
 
 def test_parse_classified_per_class_contexts(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from gpsloran.classify import ChecksumStatus, classify_line, extract_lines, verify_checksum
 from gpsloran.convert import merge_sort, read_gps_export, read_loran_export
-from gpsloran.parse import DateContext, PROPRIETARY_PARSERS, GpsFix, parse_gga, split_sentence
+from gpsloran.parse import DateContext, GpsFix, parse_gga, parse_loran, split_sentence
 from gpsloran.simulate import (
     Corruption,
     GroundTruth,
@@ -111,7 +111,7 @@ def test_every_clean_line_verifies_and_reparses():
         if label == "GPGGA":
             gps.append(parse_gga(fields, ctx))
         elif label == "P_LRM":
-            loran.append(PROPRIETARY_PARSERS["LRM"](fields, ctx, None))
+            loran.append(parse_loran(fields, ctx, None))
     assert gps == truth.gps
     assert loran == truth.loran
 
@@ -169,7 +169,7 @@ def test_truncated_lines_do_not_parse():
             if label == "GPGGA":
                 parse_gga(fields, ctx)
             elif label == "P_LRM":
-                PROPRIETARY_PARSERS["LRM"](fields, ctx, None)
+                parse_loran(fields, ctx, None)
             elif label == "GPZDA":
                 from gpsloran.parse import parse_date_sentence
 
