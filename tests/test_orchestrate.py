@@ -480,6 +480,165 @@ def test_recover_after_crash_matches_clean_run(tmp_path):
             assert path.read_bytes() == (clean_exports / path.name).read_bytes(), path.name
 
 
+GOLDEN_FIXED_SESSION = """{
+  "flush_interval_s": 0.0,
+  "pipeline": {
+    "flush_interval_s": 0.0,
+    "formats": [
+      "columns"
+    ],
+    "gap_threshold_s": 300.0,
+    "quarantine_invalid": true
+  },
+  "rotation": {
+    "interval_s": 0.4,
+    "mode": "fixed-interval"
+  },
+  "session_id": "fixed",
+  "source": "injected",
+  "start_time": "2020-04-17T23:59:00.250Z"
+}
+"""
+
+GOLDEN_FIXED_EVENTS = [
+    '{"event": "segment_open", "open_time": "2020-04-17T23:59:00.250Z", "segment": "raw_20200417T235900Z.log"}',
+    '{"boundary": "2020-04-17T23:59:00.650Z", "byte_count": 76, "close_time": "2020-04-17T23:59:00.750Z", '
+    '"digest": "42e5b0ec2d90091f6f6d2c7c5b7c89ab98bc53392440544b24cce8ddb27c5d24", "event": "segment_closed", '
+    '"open_time": "2020-04-17T23:59:00.250Z", "segment": "raw_20200417T235900Z.log"}',
+    '{"event": "segment_open", "open_time": "2020-04-17T23:59:00.750Z", "segment": "raw_20200417T235900Z_2.log"}',
+    '{"boundary": "2020-04-17T23:59:01.050Z", "byte_count": 69, "close_time": "2020-04-18T00:00:00.375Z", '
+    '"digest": "675d8518579a419a8541bf253877efed78641e9ae98252f26c03dc86070fa5b3", "event": "segment_closed", '
+    '"open_time": "2020-04-17T23:59:00.750Z", "segment": "raw_20200417T235900Z_2.log"}',
+    '{"event": "segment_open", "open_time": "2020-04-18T00:00:00.375Z", "segment": "raw_20200418T000000Z.log"}',
+    '{"byte_count": 69, "digest": "c43e13e18cb7a1d2fb66662c2bb1703b3a819690e4d40b94fe4ef00edad82d3e", '
+    '"event": "segment_closed", "open_time": "2020-04-18T00:00:00.375Z", "recovered": true, '
+    '"segment": "raw_20200418T000000Z.log"}',
+]
+
+GOLDEN_FIXED_STATE = """{
+  "segments": [
+    {
+      "error": null,
+      "flagged": false,
+      "name": "raw_20200417T235900Z.log",
+      "stage": "converted"
+    },
+    {
+      "error": null,
+      "flagged": false,
+      "name": "raw_20200417T235900Z_2.log",
+      "stage": "converted"
+    },
+    {
+      "error": null,
+      "flagged": false,
+      "name": "raw_20200418T000000Z.log",
+      "stage": "converted"
+    }
+  ],
+  "session_id": "fixed"
+}
+"""
+
+GOLDEN_MIDNIGHT_SESSION = """{
+  "flush_interval_s": 1.0,
+  "rotation": {
+    "interval_s": 86400.0,
+    "mode": "utc-midnight"
+  },
+  "session_id": "midnight",
+  "source": "",
+  "start_time": "2020-04-17T23:59:58.500Z"
+}
+"""
+
+GOLDEN_MIDNIGHT_EVENTS = [
+    '{"event": "segment_open", "open_time": "2020-04-17T23:59:58.500Z", "segment": "raw_20200417T235958Z.log"}',
+    '{"end": "2020-04-18T00:00:00.250Z", "event": "gap", "reason": "reconnected after drop", '
+    '"start": "2020-04-17T23:59:59.500Z"}',
+    '{"boundary": "2020-04-18T00:00:00.000Z", "byte_count": 17, "close_time": "2020-04-18T00:00:00.250Z", '
+    '"digest": "1ba945f2a3c0b123ba3c82ab70ef2ee2776c74fbb6c1628557b7af8527da3c84", "event": "segment_closed", '
+    '"open_time": "2020-04-17T23:59:58.500Z", "segment": "raw_20200417T235958Z.log"}',
+    '{"event": "segment_open", "open_time": "2020-04-18T00:00:00.250Z", "segment": "raw_20200418T000000Z.log"}',
+    '{"boundary": "2020-04-19T00:00:00.000Z", "byte_count": 11, "close_time": "2020-04-19T00:00:00.000Z", '
+    '"digest": "3205a82cfea6d4abdd65f7c6ebe0463fda56e9f8c93218a78a99e571ca4d789d", "event": "segment_closed", '
+    '"open_time": "2020-04-18T00:00:00.250Z", "segment": "raw_20200418T000000Z.log"}',
+    '{"event": "segment_open", "open_time": "2020-04-19T00:00:00.000Z", "segment": "raw_20200419T000000Z.log"}',
+    '{"boundary": "2020-04-20T00:00:00.000Z", "byte_count": 12, "close_time": "2020-04-20T00:00:00.000Z", '
+    '"digest": "14b86bc4a937ecc25cd32d222b411f6a022ca8d903713fa3882d47049ef5f85b", "event": "segment_closed", '
+    '"open_time": "2020-04-19T00:00:00.000Z", "segment": "raw_20200419T000000Z.log"}',
+    '{"event": "segment_open", "open_time": "2020-04-20T00:00:00.000Z", "segment": "raw_20200420T000000Z.log"}',
+    '{"byte_count": 0, "close_time": "2020-04-20T01:00:00.000Z", '
+    '"digest": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "event": "segment_closed", '
+    '"open_time": "2020-04-20T00:00:00.000Z", "segment": "raw_20200420T000000Z.log"}',
+]
+
+
+def test_capture_metadata_golden(tmp_path):
+    """The exact text a session writes under a manual clock: segment names
+    (with a ``_2`` bump), ``session.json``, ``events.jsonl`` through
+    fixed-interval and midnight rotations, a gap and a recovered orphan,
+    and ``state.json`` after recovery."""
+    clock = ManualClock(utc(2020, 4, 17, 23, 59, 0, 250000))
+    hooks = Hooks()
+
+    def crash(count):
+        if count == 4:
+            raise SimulatedCrash("kill after the fourth append")
+
+    hooks.on("mid-capture", crash)
+    steps = [
+        (0, crlf(gga_line(tod="235900.250"))),
+        (0.5, b"partial"),  # crosses 23:59:00.650; the next segment opens in the same second
+        (0.125, crlf(gga_line(tod="235900.875"))),
+        (59.5, b""),  # crosses 149 boundaries at once: one rotation
+        (0, crlf(gga_line(tod="000000.375"))),  # the crash leaves this segment an orphan
+        (0.1, b"never read"),
+    ]
+    config = base_config(tmp_path, session_id="fixed", formats=["columns"], flush_interval_s=0.0,
+                         rotation={"mode": "fixed-interval", "interval_s": 0.4})
+    with pytest.raises(SimulatedCrash):
+        run_pipeline(config, clock=clock, source=ScriptedSource(clock, steps), hooks=hooks)
+    fixed = tmp_path / "fixed"
+    assert recover(fixed) == 0
+    assert sorted(p.name for p in fixed.glob("raw_*.log")) == [
+        "raw_20200417T235900Z.log", "raw_20200417T235900Z_2.log", "raw_20200418T000000Z.log",
+    ]
+    assert (fixed / "session.json").read_text() == GOLDEN_FIXED_SESSION
+    assert (fixed / "events.jsonl").read_text() == "".join(f"{e}\n" for e in GOLDEN_FIXED_EVENTS)
+    assert (fixed / STATE_NAME).read_text() == GOLDEN_FIXED_STATE
+
+    clock = ManualClock(utc(2020, 4, 17, 23, 59, 58, 500000))
+    session = CaptureSession(tmp_path, session_id="midnight", clock=clock)
+    session.append(b"before midnight\r\n")
+    clock.advance(1.0)
+    assert not session.due_rotation()
+    drop = clock.now()
+    clock.advance(0.75)
+    session.record_gap(drop, clock.now(), "reconnected after drop")
+    while session.due_rotation(clock.now()):
+        session.rotate()
+    session.append(b"first day\r\n")
+    clock.advance(86399.75)  # lands exactly on the next midnight
+    while session.due_rotation():
+        session.rotate()
+    session.append(b"second day\r\n")
+    clock.advance(86399.999)  # a segment opened on midnight spans the whole day
+    assert not session.due_rotation()
+    clock.advance(0.001)
+    while session.due_rotation():
+        session.rotate()
+    clock.advance(3600)
+    session.close()
+    midnight = tmp_path / "midnight"
+    assert sorted(p.name for p in midnight.glob("raw_*.log")) == [
+        "raw_20200417T235958Z.log", "raw_20200418T000000Z.log", "raw_20200419T000000Z.log",
+        "raw_20200420T000000Z.log",
+    ]
+    assert (midnight / "session.json").read_text() == GOLDEN_MIDNIGHT_SESSION
+    assert (midnight / "events.jsonl").read_text() == "".join(f"{e}\n" for e in GOLDEN_MIDNIGHT_EVENTS)
+
+
 def test_recover_reprocesses_failure_as_exit_2(tmp_path):
     session_dir = tmp_path / "session"
     session_dir.mkdir()
