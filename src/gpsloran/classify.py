@@ -145,10 +145,6 @@ class ClassificationReport:
             "trailing_unterminated": self.trailing_unterminated,
         }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "ClassificationReport":
-        return cls(**payload)
-
 
 REPORT_NAME = "report.json"
 

@@ -80,32 +80,15 @@ def cmd_classify(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    from . import classify, convert, orchestrate
-    from .parse import parse_classified
-    classified = Path(args.classified)
-    fallback = date.fromisoformat(args.start_date) if args.start_date else None
-    try:
-        parsed = parse_classified(classified, fallback)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-    quarantined = 0
-    report_path = classified / classify.REPORT_NAME
-    if report_path.exists():
-        quarantined = read_json(report_path).get("quarantined_lines", 0)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    orchestrate.write_parse_errors(out_dir / "parse_errors.jsonl", parsed.errors)
-    timeline = convert.merge_sort(parsed.gps, parsed.loran)
-    manifest = convert.export(
-        timeline,
+    from . import orchestrate
+    manifest = orchestrate.convert_classified(
+        Path(args.classified),
+        Path(args.out),
         args.format,
-        out_dir,
+        orchestrate.Hooks(),
         session_id=args.session_id,
-        parse_errors=len(parsed.errors),
-        quarantined=quarantined,
         gap_threshold_s=parse_duration(args.gap_threshold),
+        fallback_date=date.fromisoformat(args.start_date) if args.start_date else None,
     )
     print(json.dumps(manifest["record_counts"]))
     return 0

@@ -1,21 +1,23 @@
 """Injectable time sources.
 
-Long-running capture code never calls ``datetime.now`` or ``time.sleep``
+Long-running capture code never calls ``time.time`` or ``time.sleep``
 directly; it goes through a :class:`Clock` so tests (and accelerated
-simulation runs) can substitute their own notion of time.
+simulation runs) can substitute their own notion of time.  ``now()`` is
+an int of UTC epoch milliseconds, the form every instant takes on its
+way to disk; only the constructors take an aware ``datetime`` start.
 """
 from __future__ import annotations
 
 import time
-from datetime import datetime, timedelta
+from datetime import datetime
 from typing import Protocol
 
-from .timeutil import UTC, ensure_utc
+from .timeutil import epoch_ms
 
 
 class Clock(Protocol):
-    def now(self) -> datetime:
-        """Current time as an aware UTC datetime."""
+    def now(self) -> int:
+        """Current instant in UTC epoch milliseconds."""
         ...
 
     def monotonic(self) -> float:
@@ -30,8 +32,8 @@ class Clock(Protocol):
 class SystemClock:
     """Wall-clock time."""
 
-    def now(self) -> datetime:
-        return datetime.now(tz=UTC)
+    def now(self) -> int:
+        return time.time_ns() // 1_000_000
 
     monotonic = staticmethod(time.monotonic)
 
@@ -51,13 +53,13 @@ class AcceleratedClock:
     def __init__(self, start: datetime, factor: float = 1.0):
         if factor <= 0:
             raise ValueError("factor must be positive")
-        self.start = ensure_utc(start)
+        self.start = epoch_ms(start)
         self.factor = float(factor)
         self._anchor = time.monotonic()
 
-    def now(self) -> datetime:
+    def now(self) -> int:
         elapsed = time.monotonic() - self._anchor
-        return self.start + timedelta(seconds=elapsed * self.factor)
+        return self.start + int(elapsed * self.factor * 1000)
 
     monotonic = staticmethod(time.monotonic)
 
@@ -75,20 +77,17 @@ class ManualClock:
     """
 
     def __init__(self, start: datetime):
-        self._now = self._start = ensure_utc(start)
+        self._now = self._start = epoch_ms(start)
 
-    def now(self) -> datetime:
+    def now(self) -> int:
         return self._now
 
     def monotonic(self) -> float:
-        return (self._now - self._start).total_seconds()
+        return (self._now - self._start) / 1000
 
     def sleep(self, seconds: float) -> None:
         if seconds > 0:
             self.advance(seconds)
 
     def advance(self, seconds: float) -> None:
-        self._now += timedelta(seconds=seconds)
-
-    def set(self, moment: datetime) -> None:
-        self._now = ensure_utc(moment)
+        self._now += round(seconds * 1000)

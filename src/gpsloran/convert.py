@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
-import statistics
 from array import array
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
@@ -364,7 +364,7 @@ def summarize(fold: SummaryFold, stamps: Iterator[int],
             station: StationStats(
                 count=len(values),
                 min_snr=min(values),
-                mean_snr=statistics.fmean(values),
+                mean_snr=math.fsum(values) / len(values),
                 max_snr=max(values),
             )
             for station, values in sorted(fold.snr.items())

@@ -35,12 +35,11 @@ import shutil
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import date
 from pathlib import Path
 from typing import Callable
 
-from . import classify as classify_mod
-from .classify import ClassificationReport, route
+from .classify import REPORT_NAME, route
 from .clock import AcceleratedClock, Clock, SystemClock
 from .convert import export, export_formats, merge_sort
 from .fsutil import atomic_write_bytes, atomic_write_json, read_json, sha256_file
@@ -56,7 +55,7 @@ from .record import (
     open_source,
     read_events,
 )
-from .timeutil import UTC, from_ms, parse_duration, parse_iso_ms
+from .timeutil import from_ms, parse_duration, parse_iso_ms
 
 logger = logging.getLogger(__name__)
 
@@ -69,7 +68,7 @@ STATE_NAME = "state.json"
 READ_CHUNK = 1 << 16
 READ_TIMEOUT_S = 0.05
 
-_STEM_STAMP_RE = re.compile(r"raw_(\d{8}T\d{6})Z")
+_STEM_STAMP_RE = re.compile(r"raw_(\d{4})(\d{2})(\d{2})T(\d{2})(\d{2})(\d{2})Z")
 
 
 class SimulatedCrash(BaseException):
@@ -238,13 +237,13 @@ def retry_from_config(config: dict) -> RetryPolicy:
 # --- per-segment processing -------------------------------------------------
 
 
-def segment_open_time(segment_name: str) -> datetime | None:
-    """UTC instant embedded in a segment file name: the date anchor of a
-    segment whose stream reports no ZDA/RMC instant."""
+def segment_open_time(segment_name: str) -> int | None:
+    """UTC epoch milliseconds embedded in a segment file name: the date
+    anchor of a segment whose stream reports no ZDA/RMC instant."""
     match = _STEM_STAMP_RE.match(segment_name)
     if not match:
         return None
-    return datetime.strptime(match.group(1), "%Y%m%dT%H%M%S").replace(tzinfo=UTC)
+    return parse_iso_ms("{}-{}-{}T{}:{}:{}.000Z".format(*match.groups()))
 
 
 def write_parse_errors(path: Path, issues) -> None:
@@ -264,6 +263,25 @@ def write_parse_errors(path: Path, issues) -> None:
         for issue in issues
     )
     atomic_write_bytes(path, lines.encode("utf-8"))
+
+
+def convert_classified(classified_dir: Path, out_dir: Path, formats: tuple[str, ...] | str,
+                       hooks: Hooks, *, session_id: str, gap_threshold_s: float,
+                       open_time: int | None = None, fallback_date: date | None = None) -> dict:
+    """Parse *classified_dir* (see :func:`parse_classified` for the date
+    anchor) and write its parse errors, timeline exports and manifest into
+    *out_dir*; return the manifest.  The quarantined count is read from
+    ``report.json``, and is 0 without one."""
+    parsed = parse_classified(classified_dir, fallback_date, open_time)
+    hooks.fire("mid-parse")
+    report = classified_dir / REPORT_NAME
+    quarantined = read_json(report).get("quarantined_lines", 0) if report.exists() else 0
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_parse_errors(out_dir / "parse_errors.jsonl", parsed.errors)
+    timeline = merge_sort(parsed.gps, parsed.loran)
+    return export(timeline, formats, out_dir, session_id=session_id,
+                  parse_errors=len(parsed.errors), quarantined=quarantined,
+                  gap_threshold_s=gap_threshold_s)
 
 
 def process_segment(
@@ -302,37 +320,20 @@ def process_segment(
         os.replace(tmp, classified_dir)
         state.set_stage(segment_name, CLASSIFIED)
 
-    report = ClassificationReport.from_json(read_json(classified_dir / classify_mod.REPORT_NAME))
-    parsed = parse_classified(classified_dir, open_time=segment_open_time(segment_name))
-    hooks.fire("mid-parse")
-    timeline = merge_sort(parsed.gps, parsed.loran)
-
     tmp = session_dir / "exports" / f".tmp-{stem}"
     if tmp.exists():
         shutil.rmtree(tmp)
-    tmp.mkdir(parents=True)
-    write_parse_errors(tmp / "parse_errors.jsonl", parsed.errors)
-    export(
-        timeline,
-        tuple(settings["formats"]),
-        tmp,
-        session_id=state.session_id,
-        parse_errors=len(parsed.errors),
-        quarantined=report.quarantined_lines,
-        gap_threshold_s=settings["gap_threshold_s"],
-    )
+    counts = convert_classified(
+        classified_dir, tmp, tuple(settings["formats"]), hooks, session_id=state.session_id,
+        gap_threshold_s=settings["gap_threshold_s"], open_time=segment_open_time(segment_name),
+    )["record_counts"]
     hooks.fire("mid-convert")
     if exports_dir.exists():
         shutil.rmtree(exports_dir)
     os.replace(tmp, exports_dir)
     state.set_stage(segment_name, CONVERTED)
-    logger.info(
-        "segment=%s stage=converted records=%d errors=%d quarantined=%d",
-        segment_name,
-        len(timeline),
-        len(parsed.errors),
-        report.quarantined_lines,
-    )
+    logger.info("segment=%s stage=converted records=%d errors=%d quarantined=%d", segment_name,
+                counts["gps_fix"] + counts["loran"], counts["parse_errors"], counts["quarantined"])
 
 
 # --- the long-running pipeline ----------------------------------------------

@@ -51,10 +51,10 @@ import re
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from datetime import date, datetime
+from datetime import date
 from pathlib import Path
 
-from .timeutil import MS_PER_DAY, day_ms, epoch_ms
+from .timeutil import MS_PER_DAY, day_ms
 
 STATION_ROLES = frozenset("MVWXYZ")
 GRI_MIN = 4000
@@ -373,15 +373,16 @@ def _parse_store(path: Path, parse, records, errors: list[ParseIssue]) -> None:
 def parse_classified(
     classified_dir: Path,
     fallback_date: date | None = None,
-    open_time: datetime | None = None,
+    open_time: int | None = None,
 ) -> ParsedSegment:
     """Parse every supported class store under *classified_dir*.
 
     The anchor is the earliest instant the ZDA/RMC stores report, else
-    *open_time* (the instant the segment opened), else noon of
-    *fallback_date*; with none, ValueError (a configuration problem, unlike
-    per-line errors, which are collected in the result).  Errors list the
-    GGA stores, then the date stores, then ``P_LRM``, each in line order.
+    *open_time* (the epoch milliseconds the segment opened at), else noon
+    of *fallback_date*; with none, ValueError (a configuration problem,
+    unlike per-line errors, which are collected in the result).  Errors
+    list the GGA stores, then the date stores, then ``P_LRM``, each in
+    line order.
     """
     classified_dir = Path(classified_dir)
     groups = _class_files(classified_dir)
@@ -395,7 +396,7 @@ def parse_classified(
     if reported:
         anchor = reported[0]
     elif open_time is not None:
-        anchor = epoch_ms(open_time)
+        anchor = open_time
     elif fallback_date is not None:
         anchor = day_ms(fallback_date) + _HALF_DAY_MS
     else:

@@ -17,24 +17,28 @@ chunks, so no chunk is ever split.  Appended bytes are flushed and
 fsynced at least every ``flush_interval`` wall-clock seconds (the clock's
 ``monotonic()``, which an accelerated replay does not speed up), which
 bounds how much a crash can lose.
+
+Every instant here, from the clock's ``now()`` through boundaries,
+segment times and events, is an int of UTC epoch milliseconds, the same
+form records carry; :mod:`timeutil` formats it only when it is written.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import logging
+import math
 import os
 import select
 import socket
 from dataclasses import dataclass
-from datetime import datetime, timedelta
 from enum import Enum
 from pathlib import Path
 from typing import Protocol
 
 from .clock import Clock, SystemClock
 from .fsutil import atomic_write_json
-from .timeutil import basic_stamp, ensure_utc, epoch_ms, iso_ms, next_utc_midnight
+from .timeutil import MS_PER_DAY, basic_stamp, iso_ms
 
 # Pacing base for file replay: a classic 4800-baud NMEA feed moves about
 # 480 bytes per second (10 bits per byte on the wire).  replay_speed
@@ -95,25 +99,19 @@ class RotationPolicy:
     def __post_init__(self) -> None:
         if self.mode not in ("utc-midnight", "fixed-interval"):
             raise ValueError(f"unknown rotation mode: {self.mode!r}")
-        if self.interval_s <= 0:
-            raise ValueError("rotation interval must be positive")
+        if not 0.5 < self.interval_s * 1000 < math.inf:  # round() gives at least 1 ms
+            raise ValueError(f"rotation interval must be finite and >= 1 ms: {self.interval_s!r}")
 
-    def next_boundary(self, now: datetime, session_start: datetime) -> datetime:
-        """First boundary strictly after *now*.
+    def next_boundary(self, now: int, session_start: int) -> int:
+        """First boundary strictly after *now*, in epoch milliseconds.
 
         A timestamp exactly on a boundary maps to the following one, so a
         segment opened on a boundary spans a full period.
         """
-        now = ensure_utc(now)
         if self.mode == "utc-midnight":
-            return next_utc_midnight(now)
-        start = ensure_utc(session_start)
-        elapsed = (now - start).total_seconds()
-        periods = int(elapsed // self.interval_s) + 1
-        boundary = start + timedelta(seconds=periods * self.interval_s)
-        if boundary <= now:
-            boundary += timedelta(seconds=self.interval_s)
-        return boundary
+            return now - now % MS_PER_DAY + MS_PER_DAY
+        interval = round(self.interval_s * 1000)
+        return now + interval - (now - session_start) % interval
 
     def to_json(self) -> dict:
         return {"mode": self.mode, "interval_s": self.interval_s}
@@ -125,8 +123,8 @@ class RawSegment:
 
     path: Path
     session_id: str
-    open_time: datetime
-    close_time: datetime | None = None
+    open_time: int
+    close_time: int | None = None
     byte_count: int = 0
     digest: str | None = None
 
@@ -206,7 +204,7 @@ class FileReplaySource:
         self._handle = open(address, "rb")
         self._speed = replay_speed
         self._clock = clock or SystemClock()
-        self._started: datetime | None = None
+        self._started: int | None = None
         self._sent = 0
 
     def read(self, max_bytes: int, timeout: float) -> bytes:
@@ -219,7 +217,7 @@ class FileReplaySource:
         if self._started is None:
             self._started = now
         rate = REPLAY_BYTES_PER_SECOND * self._speed
-        budget = int((now - self._started).total_seconds() * rate) - self._sent
+        budget = int((now - self._started) / 1000 * rate) - self._sent
         if budget < 1:
             self._clock.sleep(min(timeout, max(1.0 / rate, 0.001)))
             return b""
@@ -310,7 +308,7 @@ class CaptureSession:
             "source": source_text,
             "rotation": self.rotation.to_json(),
             "flush_interval_s": flush_interval,
-            "start_time": iso_ms(epoch_ms(now)),
+            "start_time": iso_ms(now),
         }
         if extra_config:
             metadata.update(extra_config)
@@ -321,7 +319,7 @@ class CaptureSession:
 
     # -- segment lifecycle
 
-    def _open_segment(self, now: datetime) -> RawSegment:
+    def _open_segment(self, now: int) -> RawSegment:
         stem = f"raw_{basic_stamp(now)}"
         path = self.dir / f"{stem}.log"
         bump = 1
@@ -333,7 +331,7 @@ class CaptureSession:
         self._hasher = hashlib.sha256()
         self._last_flush = self.clock.monotonic()
         self._append_event({"event": "segment_open", "segment": path.name,
-                            "open_time": iso_ms(epoch_ms(now))})
+                            "open_time": iso_ms(now)})
         return segment
 
     def append(self, chunk: bytes) -> None:
@@ -355,8 +353,8 @@ class CaptureSession:
             os.fsync(self._handle.fileno())
             self._last_flush = now
 
-    def due_rotation(self, now: datetime | None = None) -> bool:
-        return (now or self.clock.now()) >= self.next_boundary
+    def due_rotation(self, now: int | None = None) -> bool:
+        return (self.clock.now() if now is None else now) >= self.next_boundary
 
     def rotate(self) -> RawSegment:
         """Close the active segment at the current boundary and open the
@@ -374,7 +372,7 @@ class CaptureSession:
         self._handle = None
         return closed
 
-    def _close_active(self, boundary: datetime | None) -> RawSegment:
+    def _close_active(self, boundary: int | None) -> RawSegment:
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self._handle.close()
@@ -384,13 +382,13 @@ class CaptureSession:
         event = {
             "event": "segment_closed",
             "segment": segment.name,
-            "open_time": iso_ms(epoch_ms(segment.open_time)),
-            "close_time": iso_ms(epoch_ms(segment.close_time)),
+            "open_time": iso_ms(segment.open_time),
+            "close_time": iso_ms(segment.close_time),
             "byte_count": segment.byte_count,
             "digest": segment.digest,
         }
         if boundary is not None:
-            event["boundary"] = iso_ms(epoch_ms(boundary))
+            event["boundary"] = iso_ms(boundary)
         try:
             self._append_event(event)
         except OSError as exc:
@@ -401,9 +399,9 @@ class CaptureSession:
         self.segments.append(segment)
         return segment
 
-    def record_gap(self, start: datetime, end: datetime, reason: str) -> None:
-        self._append_event({"event": "gap", "start": iso_ms(epoch_ms(start)),
-                            "end": iso_ms(epoch_ms(end)), "reason": reason})
+    def record_gap(self, start: int, end: int, reason: str) -> None:
+        self._append_event({"event": "gap", "start": iso_ms(start), "end": iso_ms(end),
+                            "reason": reason})
 
     def _append_event(self, payload: dict) -> None:
         line = json.dumps(payload, sort_keys=True) + "\n"

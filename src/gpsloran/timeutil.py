@@ -1,8 +1,9 @@
 """Shared time formatting and parsing helpers.
 
-A record's timestamp is an int: UTC milliseconds since the Unix epoch.
-The capture layer's clocks keep aware UTC datetimes, which
-:func:`epoch_ms` turns into the same ints.  The helpers here are the
+An instant is an int: UTC milliseconds since the Unix epoch, from the
+capture clock through segment names and the event log to the records
+and exports.  :func:`epoch_ms` and :func:`from_ms` convert at the edges
+where a ``datetime`` comes in or is needed.  The helpers here are the
 single place where times are rendered to or read from text, so exports
 and logs stay byte-for-byte reproducible.
 """
@@ -21,13 +22,6 @@ _ONE_MS = timedelta(milliseconds=1)
 
 _DURATION_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(ms|s|m|h|d)?\s*$")
 _UNIT_SECONDS = {"ms": 0.001, "s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
-
-
-def ensure_utc(dt: datetime) -> datetime:
-    """Return *dt* as an aware UTC datetime (naive input is taken as UTC)."""
-    if dt.tzinfo is None:
-        return dt.replace(tzinfo=UTC)
-    return dt.astimezone(UTC)
 
 
 def epoch_ms(dt: datetime) -> int:
@@ -77,9 +71,10 @@ def parse_iso_ms(text: str) -> int:
     return epoch_ms(datetime.fromisoformat(text))
 
 
-def basic_stamp(dt: datetime) -> str:
-    """Format a UTC timestamp in basic ISO 8601 for use in file names."""
-    return f"{ensure_utc(dt):%Y%m%dT%H%M%S}Z"
+def basic_stamp(ms: int) -> str:
+    """Format epoch milliseconds in basic ISO 8601, to the second, for use
+    in file names."""
+    return iso_ms(ms)[:19].replace("-", "").replace(":", "") + "Z"
 
 
 def parse_duration(text: str | float | int) -> float:
@@ -98,13 +93,3 @@ def parse_duration(text: str | float | int) -> float:
     if value < 0:
         raise ValueError(f"duration must be non-negative: {text!r}")
     return value
-
-
-def next_utc_midnight(dt: datetime) -> datetime:
-    """First UTC midnight strictly after *dt*.
-
-    A timestamp exactly on a midnight maps to the following midnight, so a
-    segment opened at a day boundary always spans a full day.
-    """
-    midnight = ensure_utc(dt).replace(hour=0, minute=0, second=0, microsecond=0)
-    return midnight + timedelta(days=1)

@@ -275,6 +275,20 @@ def test_run_rejects_unknown_export_format_before_capture(tmp_path, capsys, form
     assert not (tmp_path / "sessions").exists()
 
 
+@pytest.mark.parametrize("interval", ["1e400", "NaN", "0.0001"])
+def test_run_rejects_a_rotation_interval_of_no_whole_ms(tmp_path, capsys, interval):
+    stream_path = tmp_path / "stream.bin"
+    stream_path.write_bytes(gga_line() + b"\r\n")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        f'{{"source": "replay:{stream_path}", "out_dir": "{tmp_path / "sessions"}", '
+        f'"rotation": {{"mode": "fixed-interval", "interval_s": {interval}}}}}'
+    )
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert "error: rotation interval must be finite and >= 1 ms: " in capsys.readouterr().err
+    assert not (tmp_path / "sessions").exists()
+
+
 def test_recover_corrupt_state_exits_1(tmp_path):
     session_dir = tmp_path / "session"
     session_dir.mkdir()

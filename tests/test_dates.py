@@ -193,7 +193,7 @@ def test_parse_classified_timestamps_equal_the_receiver_instants(
         segment.write_bytes(rx.to_bytes())
         classified = Path(scratch) / "classified"
         route(segment, classified)
-        parsed = parse_classified(classified, open_time=from_ms(start + buffered * 1000))
+        parsed = parse_classified(classified, open_time=start + buffered * 1000)
     assert [f.timestamp for f in parsed.gps] == rx.gps
     assert [m.timestamp for m in parsed.loran] == rx.loran
     assert parsed.errors == []

@@ -33,10 +33,11 @@ from gpsloran.parse import ParseIssue
 from gpsloran.record import CaptureSession, read_events
 from gpsloran.simulate import Scenario, SimServer, StationSpec, generate_stream, serve
 
-from conftest import ScriptedSource, crlf, gga_line, plrm_line, sentence, utc, zda_line
+from conftest import ScriptedSource, crlf, gga_line, ms, plrm_line, sentence, utc, zda_line
 
 
 START = utc(2020, 4, 17, 12, 0, 0)
+START_MS = ms(2020, 4, 17, 12, 0, 0)
 
 
 def base_config(tmp_path, **overrides):
@@ -93,7 +94,7 @@ def test_clock_from_config():
         {"clock": {"kind": "accelerated", "start": "2020-04-17T00:00:00.000Z", "factor": 100}}
     )
     assert isinstance(clock, AcceleratedClock)
-    assert clock.now() >= utc(2020, 4, 17)
+    assert clock.now() >= ms(2020, 4, 17)
     with pytest.raises(ValueError):
         clock_from_config({"clock": {"kind": "lunar"}})
 
@@ -102,7 +103,7 @@ def test_accelerated_clock_scales_time():
     clock = AcceleratedClock(start=START, factor=1000.0)
     wall_before = time_mod.monotonic()
     time_mod.sleep(0.02)
-    elapsed = (clock.now() - START).total_seconds()
+    elapsed = (clock.now() - START_MS) / 1000
     wall = time_mod.monotonic() - wall_before
     assert elapsed >= 0.02 * 1000 * 0.5
     assert elapsed <= (wall + 0.1) * 1000
@@ -149,9 +150,11 @@ def test_accelerated_clock_sleep_divides():
 
 
 def test_segment_open_time():
-    assert segment_open_time("raw_20200417T093005Z.log") == utc(2020, 4, 17, 9, 30, 5)
-    assert segment_open_time("raw_20200417T093005Z_2.log") == utc(2020, 4, 17, 9, 30, 5)
+    assert segment_open_time("raw_20200417T093005Z.log") == ms(2020, 4, 17, 9, 30, 5)
+    assert segment_open_time("raw_20200417T093005Z_2.log") == ms(2020, 4, 17, 9, 30, 5)
     assert segment_open_time("notes.txt") is None
+    with pytest.raises(ValueError):
+        segment_open_time("raw_20201317T093005Z.log")
 
 
 # --- hooks and state ------------------------------------------------------------

@@ -571,7 +571,7 @@ def test_parse_classified_anchors_rollover_to_segment_open(tmp_path):
     write_segment(segment, [gga_line(tod="235958.500"), gga_line(tod="235959.500"), gga_line(tod="000000.500")])
     out = tmp_path / "classified"
     route(segment, out)
-    parsed = parse_classified(out, open_time=utc(2020, 4, 18))
+    parsed = parse_classified(out, open_time=ms(2020, 4, 18))
     assert [f.timestamp for f in parsed.gps] == [
         ms(2020, 4, 17, 23, 59, 58, 500),
         ms(2020, 4, 17, 23, 59, 59, 500),
@@ -585,7 +585,7 @@ def test_parse_classified_open_time_forward_skew(tmp_path):
     write_segment(segment, [gga_line(tod="000001.000")])
     out = tmp_path / "classified"
     route(segment, out)
-    parsed = parse_classified(out, open_time=utc(2020, 4, 17, 23, 59, 58))
+    parsed = parse_classified(out, open_time=ms(2020, 4, 17, 23, 59, 58))
     assert parsed.gps[0].timestamp == ms(2020, 4, 18, 0, 0, 1)
 
 

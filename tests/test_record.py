@@ -1,9 +1,10 @@
+import calendar
 import hashlib
 import json
 import random
 import socket
 import threading
-from datetime import timedelta
+from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import given
@@ -25,10 +26,11 @@ from gpsloran.record import (
 )
 from gpsloran.fsutil import read_json, sha256_file
 
-from conftest import utc
+from conftest import ms, utc
 
 
 START = utc(2020, 4, 17, 9, 30, 0)
+START_MS = ms(2020, 4, 17, 9, 30, 0)
 
 
 def make_session(tmp_path, clock, **kwargs):
@@ -42,21 +44,40 @@ def make_session(tmp_path, clock, **kwargs):
 
 def test_midnight_boundary_from_midday():
     policy = RotationPolicy()
-    assert policy.next_boundary(START, START) == utc(2020, 4, 18)
+    assert policy.next_boundary(START_MS, START_MS) == ms(2020, 4, 18)
 
 
 def test_midnight_boundary_exactly_at_midnight():
     policy = RotationPolicy()
-    midnight = utc(2020, 4, 17)
-    assert policy.next_boundary(midnight, midnight) == utc(2020, 4, 18)
+    midnight = ms(2020, 4, 17)
+    assert policy.next_boundary(midnight, midnight) == ms(2020, 4, 18)
+
+
+def test_midnight_boundary_strictly_after():
+    policy = RotationPolicy()
+    midnight = ms(2020, 4, 17)
+    # a hair past or before midnight rolls to the nearest one after it
+    assert policy.next_boundary(midnight + 1, midnight) == ms(2020, 4, 18)
+    assert policy.next_boundary(midnight - 1, midnight) == midnight
+    # the session start plays no part
+    assert policy.next_boundary(START_MS, 0) == ms(2020, 4, 18)
+    # instants before the epoch are ints like any other
+    assert policy.next_boundary(ms(1969, 12, 31, 12), 0) == 0
+
+
+@given(st.integers(min_value=ms(2000, 1, 1), max_value=ms(2099, 12, 31, 23, 59, 59, 999)))
+def test_midnight_boundary_property(now):
+    boundary = RotationPolicy().next_boundary(now, START_MS)
+    assert now < boundary <= now + 86_400_000
+    assert boundary % 86_400_000 == 0
 
 
 def test_fixed_interval_boundaries_from_start():
     policy = RotationPolicy(mode="fixed-interval", interval_s=3600.0)
     # session started 09:30: boundaries at 10:30, 11:30, ... aligned to start
-    assert policy.next_boundary(START, START) == utc(2020, 4, 17, 10, 30)
-    assert policy.next_boundary(utc(2020, 4, 17, 10, 30), START) == utc(2020, 4, 17, 11, 30)
-    assert policy.next_boundary(utc(2020, 4, 17, 11, 29, 59), START) == utc(2020, 4, 17, 11, 30)
+    assert policy.next_boundary(START_MS, START_MS) == ms(2020, 4, 17, 10, 30)
+    assert policy.next_boundary(ms(2020, 4, 17, 10, 30), START_MS) == ms(2020, 4, 17, 11, 30)
+    assert policy.next_boundary(ms(2020, 4, 17, 11, 29, 59), START_MS) == ms(2020, 4, 17, 11, 30)
 
 
 def test_rotation_policy_validation():
@@ -64,21 +85,48 @@ def test_rotation_policy_validation():
         RotationPolicy(mode="hourly")
     with pytest.raises(ValueError):
         RotationPolicy(interval_s=0)
+    with pytest.raises(ValueError):
+        RotationPolicy(interval_s=-60)
+    for interval in (0.0001, 0.0005, float("inf"), float("nan")):  # 0 ms, or not a number of ms
+        with pytest.raises(ValueError):
+            RotationPolicy(mode="fixed-interval", interval_s=interval)
+    assert RotationPolicy(mode="fixed-interval", interval_s=0.001).next_boundary(5, 0) == 6
 
 
 @given(
     st.integers(min_value=0, max_value=10 * 86400 * 1000),
-    st.sampled_from([60.0, 3600.0, 86400.0, 900.5]),
+    st.sampled_from([60.0, 3600.0, 86400.0, 900.5, 0.4]),
 )
 def test_fixed_interval_boundary_properties(offset_ms, interval):
     policy = RotationPolicy(mode="fixed-interval", interval_s=interval)
-    now = START + timedelta(milliseconds=offset_ms)
-    boundary = policy.next_boundary(now, START)
-    assert boundary > now
+    now = START_MS + offset_ms
+    boundary = policy.next_boundary(now, START_MS)
+    assert now < boundary <= now + interval * 1000
     # boundary sits on the session-start lattice
-    steps = (boundary - START).total_seconds() / interval
-    assert abs(steps - round(steps)) < 1e-6
-    assert (boundary - now).total_seconds() <= interval + 1e-6
+    assert (boundary - START_MS) % round(interval * 1000) == 0
+
+
+def calendar_ms(moment: datetime) -> int:
+    return calendar.timegm(moment.timetuple()) * 1000 + moment.microsecond // 1000
+
+
+@given(
+    st.datetimes(min_value=datetime(2000, 1, 1), max_value=datetime(2099, 12, 31)),
+    st.integers(min_value=0, max_value=400 * 86400 * 1000),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=3 * 86400 * 1000)),
+)
+def test_next_boundary_matches_calendar_arithmetic(start, offset_ms, interval_ms):
+    """Both modes against a computation on datetimes and the calendar."""
+    start = start.replace(microsecond=start.microsecond // 1000 * 1000)
+    now = start + timedelta(milliseconds=offset_ms)
+    if interval_ms is None:
+        policy = RotationPolicy()
+        expected = datetime.combine(now.date() + timedelta(days=1), datetime.min.time())
+    else:
+        policy = RotationPolicy(mode="fixed-interval", interval_s=interval_ms / 1000)
+        periods = (now - start) // timedelta(milliseconds=interval_ms) + 1
+        expected = start + periods * timedelta(milliseconds=interval_ms)
+    assert policy.next_boundary(calendar_ms(now), calendar_ms(start)) == calendar_ms(expected)
 
 
 # --- lossless capture ----------------------------------------------------------
@@ -116,6 +164,15 @@ def test_segment_digests_match_contents(tmp_path):
     assert segment.byte_count == segment.path.stat().st_size
     expected = hashlib.sha256(segment.path.read_bytes()).hexdigest()
     assert segment.digest == expected
+
+
+def test_due_rotation_takes_instant_zero_as_given(tmp_path):
+    clock = ManualClock(utc(1970, 1, 1))
+    session = make_session(tmp_path, clock)
+    clock.advance(2 * 86400)
+    assert session.due_rotation()
+    assert not session.due_rotation(0)  # the epoch itself is an instant, not "now"
+    session.close()
 
 
 def test_rotation_never_splits_a_chunk(tmp_path):
@@ -325,7 +382,7 @@ def test_open_source_retries_then_gives_up(tmp_path):
     with pytest.raises(SourceUnavailable):
         open_source(endpoint, clock=clock, retry=retry)
     # two backoff sleeps between three attempts: 0.5 + 1.0
-    assert clock.now() == START + timedelta(seconds=1.5)
+    assert clock.now() == START_MS + 1500
 
 
 def test_open_source_recovers_when_source_appears(tmp_path):

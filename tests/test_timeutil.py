@@ -1,4 +1,4 @@
-from datetime import datetime, time, timedelta
+from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import given
@@ -10,12 +10,11 @@ from gpsloran.timeutil import (
     epoch_ms,
     from_ms,
     iso_ms,
-    next_utc_midnight,
     parse_duration,
     parse_iso_ms,
 )
 
-from conftest import ms, utc
+from conftest import ms
 
 # Epoch milliseconds of 0001-01-01T00:00:00.000Z and 9999-12-31T23:59:59.999Z.
 FIRST_MS = ms(1, 1, 1)
@@ -71,8 +70,8 @@ def test_epoch_ms_and_back():
 
 
 def test_basic_stamp():
-    assert basic_stamp(utc(2020, 4, 17)) == "20200417T000000Z"
-    assert basic_stamp(datetime(2020, 4, 17, 9, 30, 5, tzinfo=UTC)) == "20200417T093005Z"
+    assert basic_stamp(ms(2020, 4, 17)) == "20200417T000000Z"
+    assert basic_stamp(ms(2020, 4, 17, 9, 30, 5, 999)) == "20200417T093005Z"  # rounded down
 
 
 def test_parse_duration_units():
@@ -91,27 +90,3 @@ def test_parse_duration_rejects(bad):
     with pytest.raises(ValueError):
         parse_duration(bad)
 
-
-def test_next_utc_midnight_strictly_after():
-    # mid-day rolls to the next 00:00
-    assert next_utc_midnight(datetime(2020, 4, 17, 9, 30, tzinfo=UTC)) == utc(2020, 4, 18)
-    # exactly at midnight, the boundary is the following midnight
-    assert next_utc_midnight(utc(2020, 4, 17)) == utc(2020, 4, 18)
-    # a hair past midnight still rolls to the next day
-    assert next_utc_midnight(
-        datetime(2020, 4, 17, 0, 0, 0, 1, tzinfo=UTC)
-    ) == utc(2020, 4, 18)
-
-
-@given(
-    st.datetimes(
-        min_value=datetime(2000, 1, 1),
-        max_value=datetime(2099, 12, 31),
-    )
-)
-def test_next_utc_midnight_property(naive):
-    moment = naive.replace(tzinfo=UTC)
-    boundary = next_utc_midnight(moment)
-    assert boundary > moment
-    assert boundary - moment <= timedelta(days=1)
-    assert boundary.time() == time(0)
