@@ -132,12 +132,13 @@ def cmd_stats(args) -> int:
     export_dirs = _segment_export_dirs(session_dir)
     if not export_dirs:
         raise CliError(f"no exports found under {session_dir}")
+    gap_threshold_s = parse_duration(args.gap_threshold)
     out_dir = Path(args.out) if args.out else session_dir / "stats"
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # Each record is folded and its series row written as it is read.
-    fold, runs, series, stack = convert.SummaryFold(), [], {}, ExitStack()
+    fold, runs, series, stack = convert.SummaryFold(gap_threshold_s), [], {}, ExitStack()
 
     def write(name: str, row: str, header: str = "timestamp,snr_db\n") -> None:
         if name not in series:
@@ -169,7 +170,9 @@ def cmd_stats(args) -> int:
         for segment in export_dirs:
             runs.append(_read_segment(segment, "timeline_gps", convert.read_gps_export, on_fix))
             runs.append(_read_segment(segment, "timeline_loran", convert.read_loran_export, on_obs))
-        summary = convert.summarize(fold, heapq.merge(*runs), parse_duration(args.gap_threshold))
+        for instant in heapq.merge(*runs):
+            fold.stamp(instant)
+        summary = convert.summarize(fold)
         for writer in series.values():
             writer.commit()
 

@@ -1,9 +1,12 @@
 """Merge parsed records into one timestamp-sorted timeline and export it.
 
-The merged timeline orders records by (timestamp, GPS before Loran,
-arrival order) - a deterministic total order, so identical inputs always
-export byte-identical files.  GPS wins ties because it is the reference
-truth an analysis reads first.
+The merged timeline orders records by (timestamp, store order, arrival
+order) - a deterministic total order, so identical inputs always export
+byte-identical files.  The GPS stores come before the Loran store, so GPS
+wins ties: it is the reference truth an analysis reads first.  The merge
+holds a bounded window of each store and yields the timeline in blocks,
+which the export renders as they come, so a segment of any length is
+converted in the same memory.
 
 Records carry integer UTC epoch milliseconds, so sorting, gap finding and
 the manifest work on ints; each distinct instant is formatted to text once
@@ -29,10 +32,12 @@ import json
 import math
 import re
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import chain, islice
 from operator import add, attrgetter, itemgetter, le
 from pathlib import Path
 
@@ -60,14 +65,77 @@ _ISO_MS_TEXT = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}Z", re.ASCII)  
 Record = GpsFix | LoranMeasurement
 
 
-def merge_sort(gps: list[GpsFix], loran: list[LoranMeasurement]) -> list[Record]:
-    """Merge both record streams into one timeline sorted by timestamp.
+# The newest records of each store the merge holds back.  A record that
+# arrives after fewer than this many records of its store with later
+# timestamps is merged in place; a later one can raise ReorderOverflow, and
+# convert_classified then sorts each whole store instead.
+REORDER_WINDOW = 256
+_BLOCK_RECORDS = 256  # records a yielded block holds at most
+_timestamp = attrgetter("timestamp")
 
-    The sort is stable and GPS comes first in its input, so ties at equal
-    timestamps break GPS-before-Loran, then by arrival order within each
-    stream; the result is a stable total order.
+
+class ReorderOverflow(ValueError):
+    """A record of store number *store* came at or before a timestamp
+    :func:`merge_sort` had already yielded."""
+
+    def __init__(self, store: int, record: Record):
+        super().__init__(f"store {store}: a record at {iso_ms(record.timestamp)} "
+                         "arrived later than the reorder window")
+        self.store = store
+        self.record = record
+
+
+def merge_sort(*stores: Iterable[Record],
+               window: int | None = REORDER_WINDOW) -> Iterator[list[Record]]:
+    """Merge record stores into one timeline sorted by timestamp, yielded
+    in time order as blocks of at most ``_BLOCK_RECORDS`` records.
+
+    Ties at equal timestamps break by store order, then by arrival order
+    within a store, so the timeline is ``sorted(chain(*stores),
+    key=timestamp)``, a stable total order.  With a *window* the stores are
+    read as the timeline is yielded (see :func:`_windowed`), and a record
+    that arrives too late raises :class:`ReorderOverflow`; with
+    ``window=None`` each store is read whole and sorted, which never raises.
     """
-    return sorted([*gps, *loran], key=attrgetter("timestamp"))
+    runs = [sorted(chain(*stores), key=_timestamp)] if window is None else _windowed(stores, window)
+    for run in runs:
+        for start in range(0, len(run), _BLOCK_RECORDS):
+            yield run[start : start + _BLOCK_RECORDS]
+
+
+def _windowed(stores: tuple[Iterable[Record], ...], window: int) -> Iterator[list[Record]]:
+    """The timeline of *stores* in consecutive sorted runs.  The store whose
+    held records end earliest gives up its next *window* records, the
+    newest *window* records read from each store are held back, and what
+    is older than every store's held-back records is yielded.  A record
+    read at or before a timestamp already yielded raises
+    :class:`ReorderOverflow`."""
+    sources = [iter(store) for store in stores]
+    held: list[list[Record]] = [[] for _ in sources]  # each in time order
+    live = list(range(len(sources)))  # the stores not yet read to the end
+    last = -math.inf  # the latest timestamp yielded
+    while live:
+        k = min(live, key=lambda j: held[j][-1].timestamp if held[j] else -math.inf)
+        chunk = sorted(islice(sources[k], window), key=_timestamp)
+        if len(chunk) < window:
+            live.remove(k)
+        if chunk:
+            if chunk[0].timestamp <= last:
+                raise ReorderOverflow(k, chunk[0])
+            hold = held[k]
+            cut = bisect_right(hold, chunk[0].timestamp, key=_timestamp)
+            hold[cut:] = sorted([*hold[cut:], *chunk], key=_timestamp)
+        frontier = min((held[j][-window].timestamp if held[j] else -math.inf for j in live),
+                       default=math.inf)
+        run = []
+        for hold in held:
+            cut = bisect_left(hold, frontier, key=_timestamp)
+            run += hold[:cut]
+            del hold[:cut]
+        if run:
+            run.sort(key=_timestamp)
+            last = run[-1].timestamp
+            yield run
 
 
 # --- export -----------------------------------------------------------------
@@ -89,48 +157,46 @@ _LORAN_LAYOUT = (
 _JSON_ROLES = {role: json.dumps(role) for role in STATION_ROLES}
 _EXPORT_FILES = {fmt: [f"timeline_{kind}.{ext}" for kind in ("gps", "loran", "all")]
                  for fmt, ext in FORMAT_EXTENSIONS.items()}
-_BLOCK_RECORDS = 1024  # records rendered between two writes to each file
 
 
-def _render_blocks(timeline: list[Record], formats: tuple[str, ...]):
-    """Yield ``{file name: text}`` of all six export files, a block of
-    records at a time.  Each distinct timestamp is formatted once and each
-    value converted with ``str()`` once (``None`` is an empty CSV cell and
-    a JSON ``null``); every file is built from those texts.  Parsing admits
-    finite numbers only, so ``str()`` of a number is its JSON text."""
+def _render(block: list[Record], formats: tuple[str, ...]) -> dict[str, str]:
+    """``{file name: text}`` of a block of records in all six export files.
+    Each distinct timestamp is formatted once and each value converted with
+    ``str()`` once (``None`` is an empty CSV cell and a JSON ``null``);
+    every file is built from those texts.  Parsing admits finite numbers
+    only, so ``str()`` of a number is its JSON text."""
     columns = "columns" in formats
     lines = "lines" in formats
     instant = stamp = None
-    for start in range(0, len(timeline), _BLOCK_RECORDS):
-        gps_csv, loran_csv, all_csv, gps_json, loran_json, all_json = [], [], [], [], [], []
-        for record in timeline[start : start + _BLOCK_RECORDS]:
-            if record.timestamp != instant:
-                instant = record.timestamp
-                stamp = iso_ms(instant)
-            if isinstance(record, GpsFix):
-                values, keys, all_head, all_tail, json_type, role = _GPS_LAYOUT
-                own_csv, own_json = gps_csv, gps_json
+    gps_csv, loran_csv, all_csv, gps_json, loran_json, all_json = [], [], [], [], [], []
+    for record in block:
+        if record.timestamp != instant:
+            instant = record.timestamp
+            stamp = iso_ms(instant)
+        if isinstance(record, GpsFix):
+            values, keys, all_head, all_tail, json_type, role = _GPS_LAYOUT
+            own_csv, own_json = gps_csv, gps_json
+        else:
+            values, keys, all_head, all_tail, json_type, role = _LORAN_LAYOUT
+            own_csv, own_json = loran_csv, loran_json
+        texts = [None if value is None else str(value) for value in values(record)]
+        complete = None not in texts
+        if columns:
+            row = ",".join(texts) if complete else ",".join([text or "" for text in texts])
+            own_csv.append(f"{stamp},{row}\n")
+            all_csv.append(f"{stamp}{all_head}{row}{all_tail}\n")
+        if lines:
+            if role is not None:
+                texts[role] = _JSON_ROLES[texts[role]]
+            if complete:
+                members = sparse = "".join(map(add, keys, texts))
             else:
-                values, keys, all_head, all_tail, json_type, role = _LORAN_LAYOUT
-                own_csv, own_json = loran_csv, loran_json
-            texts = [None if value is None else str(value) for value in values(record)]
-            complete = None not in texts
-            if columns:
-                row = ",".join(texts) if complete else ",".join([text or "" for text in texts])
-                own_csv.append(f"{stamp},{row}\n")
-                all_csv.append(f"{stamp}{all_head}{row}{all_tail}\n")
-            if lines:
-                if role is not None:
-                    texts[role] = _JSON_ROLES[texts[role]]
-                if complete:
-                    members = sparse = "".join(map(add, keys, texts))
-                else:
-                    members = "".join([key + (text or "null") for key, text in zip(keys, texts)])
-                    sparse = "".join([key + text for key, text in zip(keys, texts) if text])
-                own_json.append(f'{{"timestamp":"{stamp}"{members}}}\n')
-                all_json.append(f'{{"timestamp":"{stamp}{json_type}{sparse}}}\n')
-        rendered = map("".join, (gps_csv, loran_csv, all_csv, gps_json, loran_json, all_json))
-        yield dict(zip(_EXPORT_FILES["columns"] + _EXPORT_FILES["lines"], rendered))
+                members = "".join([key + (text or "null") for key, text in zip(keys, texts)])
+                sparse = "".join([key + text for key, text in zip(keys, texts) if text])
+            own_json.append(f'{{"timestamp":"{stamp}"{members}}}\n')
+            all_json.append(f'{{"timestamp":"{stamp}{json_type}{sparse}}}\n')
+    rendered = map("".join, (gps_csv, loran_csv, all_csv, gps_json, loran_json, all_json))
+    return dict(zip(_EXPORT_FILES["columns"] + _EXPORT_FILES["lines"], rendered))
 
 
 def export_formats(formats: str | tuple[str, ...] | list[str]) -> tuple[str, ...]:
@@ -148,20 +214,23 @@ def export_formats(formats: str | tuple[str, ...] | list[str]) -> tuple[str, ...
 
 
 def export(
-    timeline: list[Record],
+    blocks: Iterable[list[Record]],
     formats: tuple[str, ...] | str,
     out_dir: Path,
     *,
     session_id: str = "",
-    parse_errors: int = 0,
+    parse_errors: int | Callable[[], int] = 0,
     quarantined: int = 0,
     gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S,
 ) -> dict:
     """Write timeline exports plus ``manifest.json`` into *out_dir*.
 
-    Deterministic: the same timeline always produces byte-identical
-    files.  All files are streamed to disk in one pass over the timeline,
-    each hashed as it is written.  On any failure every file this call
+    *blocks* are the timeline in time order, a block of records at a time
+    (as :func:`merge_sort` yields it).  Deterministic: the same timeline
+    always produces byte-identical files.  Each block is rendered, hashed
+    and written, and folded into the summary, as it arrives.  The parse
+    error count may be a callable, read once the timeline is written, for
+    stores parsed as they are merged.  On any failure every file this call
     made, final or temporary, is removed, so a directory never holds a
     partial export set.  Returns the manifest payload.
     """
@@ -176,12 +245,17 @@ def export(
                 writers[name] = writer = stack.enter_context(AtomicWriter(out_dir / name))
                 if fmt == "columns":
                     writer.write((",".join(header) + "\n").encode("utf-8"))
-        for block in _render_blocks(timeline, formats):
+        fold = SummaryFold(gap_threshold_s)
+        for block in blocks:
+            rendered = _render(block, formats)
             for name, writer in writers.items():
-                writer.write(block[name].encode("utf-8"))
+                writer.write(rendered[name].encode("utf-8"))
+            for record in block:
+                fold.add(record)
+                fold.stamp(record.timestamp)
         digests = {name: writer.commit() for name, writer in writers.items()}
 
-    summary = summarize(SummaryFold(timeline), (r.timestamp for r in timeline), gap_threshold_s)
+    summary = summarize(fold)
     station_counts = {key: stats.count for key, stats in sorted(summary.stations.items())}
     manifest = {
         "session_id": session_id,
@@ -192,7 +266,7 @@ def export(
             "gps_fix": summary.gps_fix_count + summary.no_fix_count,
             "loran": sum(station_counts.values()),
             "loran_by_station": station_counts,
-            "parse_errors": parse_errors,
+            "parse_errors": parse_errors() if callable(parse_errors) else parse_errors,
             "quarantined": quarantined,
         },
         "export_files": [
@@ -320,16 +394,20 @@ class SessionSummary:
 
 
 class SummaryFold:
-    """The order-free part of a summary, folded a record at a time: record
-    counts, the fixes' bounding box and each station's SNR values (8 bytes
-    each)."""
+    """A summary folded a record at a time.  :meth:`add` takes records in
+    any order, for the record counts, the fixes' bounding box and each
+    station's SNR values (8 bytes each); :meth:`stamp` takes the same
+    records' timestamps in time order, for the time span and the gaps
+    longer than *gap_threshold_s*."""
 
-    def __init__(self, records: Iterable[Record] = ()) -> None:
+    def __init__(self, gap_threshold_s: float) -> None:
         self.fixes = self.no_fix = 0
         self.bbox: tuple[float, float, float, float] | None = None
         self.snr: dict[str, array] = defaultdict(lambda: array("d"))
-        for record in records:
-            self.add(record)
+        self.gap_threshold_s = gap_threshold_s
+        self.first: int | None = None
+        self.last: int | None = None
+        self.gaps: list[tuple[int, int]] = []
 
     def add(self, record: Record) -> None:
         if isinstance(record, LoranMeasurement):
@@ -342,19 +420,19 @@ class SummaryFold:
             lat_min, lat_max, lon_min, lon_max = self.bbox or (lat, lat, lon, lon)
             self.bbox = (min(lat_min, lat), max(lat_max, lat), min(lon_min, lon), max(lon_max, lon))
 
+    def stamp(self, instant: int) -> None:
+        last = self.last
+        if last is None:
+            self.first = instant
+        elif (instant - last) / 1000 > self.gap_threshold_s:
+            self.gaps.append((last, instant))
+        self.last = instant
 
-def summarize(fold: SummaryFold, stamps: Iterator[int],
-              gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S) -> SessionSummary:
+
+def summarize(fold: SummaryFold) -> SessionSummary:
     """Per-station SNR stats, GPS fix count/bounding box (no-fix records
-    excluded) from *fold*, and the overall time span and the gaps longer
-    than the threshold from *stamps*, the same records' timestamps in time
-    order, as pairs of epoch milliseconds."""
-    first = last = next(stamps, None)
-    gaps = []
-    for stamp in stamps:
-        if (stamp - last) / 1000 > gap_threshold_s:
-            gaps.append((last, stamp))
-        last = stamp
+    excluded), the overall time span and the gaps, as pairs of epoch
+    milliseconds, of what *fold* took."""
     return SessionSummary(
         total_records=fold.fixes + fold.no_fix + sum(map(len, fold.snr.values())),
         gps_fix_count=fold.fixes,
@@ -369,6 +447,6 @@ def summarize(fold: SummaryFold, stamps: Iterator[int],
             )
             for station, values in sorted(fold.snr.items())
         },
-        time_span=None if first is None else (first, last),
-        gaps=gaps,
+        time_span=None if fold.first is None else (fold.first, fold.last),
+        gaps=fold.gaps,
     )

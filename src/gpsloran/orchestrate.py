@@ -41,7 +41,7 @@ from typing import Callable
 
 from .classify import REPORT_NAME, route
 from .clock import AcceleratedClock, Clock, SystemClock
-from .convert import export, export_formats, merge_sort
+from .convert import REORDER_WINDOW, ReorderOverflow, export, export_formats, merge_sort
 from .fsutil import atomic_write_bytes, atomic_write_json, read_json, sha256_file
 from .parse import parse_classified
 from .record import (
@@ -269,19 +269,29 @@ def convert_classified(classified_dir: Path, out_dir: Path, formats: tuple[str, 
                        hooks: Hooks, *, session_id: str, gap_threshold_s: float,
                        open_time: int | None = None, fallback_date: date | None = None) -> dict:
     """Parse *classified_dir* (see :func:`parse_classified` for the date
-    anchor) and write its parse errors, timeline exports and manifest into
+    anchor) and write its timeline exports, manifest and parse errors into
     *out_dir*; return the manifest.  The quarantined count is read from
-    ``report.json``, and is 0 without one."""
-    parsed = parse_classified(classified_dir, fallback_date, open_time)
-    hooks.fire("mid-parse")
+    ``report.json``, and is 0 without one.
+
+    The stores are parsed as they are merged and exported, holding a
+    reorder window of each.  A segment whose records arrive further out of
+    time order than that is parsed again, each whole store sorted, and
+    logs ``event=reorder_retry``; the exports are the same either way."""
     report = classified_dir / REPORT_NAME
     quarantined = read_json(report).get("quarantined_lines", 0) if report.exists() else 0
-    out_dir.mkdir(parents=True, exist_ok=True)
+    for window in (REORDER_WINDOW, None):
+        parsed = parse_classified(classified_dir, fallback_date, open_time)
+        hooks.fire("mid-parse")
+        try:
+            manifest = export(merge_sort(*parsed.stores, window=window), formats, out_dir,
+                              session_id=session_id, parse_errors=lambda: len(parsed.errors),
+                              quarantined=quarantined, gap_threshold_s=gap_threshold_s)
+            break
+        except ReorderOverflow as exc:
+            logger.warning("event=reorder_retry segment=%s store=%s line=%s", classified_dir.name,
+                           parsed.names[exc.store], exc.record.source_line)
     write_parse_errors(out_dir / "parse_errors.jsonl", parsed.errors)
-    timeline = merge_sort(parsed.gps, parsed.loran)
-    return export(timeline, formats, out_dir, session_id=session_id,
-                  parse_errors=len(parsed.errors), quarantined=quarantined,
-                  gap_threshold_s=gap_threshold_s)
+    return manifest
 
 
 def process_segment(

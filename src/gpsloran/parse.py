@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -333,11 +333,22 @@ def parse_loran(
 
 @dataclass
 class ParsedSegment:
-    """Everything parse_classified() extracted from one segment."""
+    """One segment's record stores, parsed as they are read.
 
-    gps: list[GpsFix]
-    loran: list[LoranMeasurement]
-    errors: list[ParseIssue]
+    *stores* are the GGA stores in glob order, then ``P_LRM``, each a lazy
+    iterator of its records in line order, and *names* their file names.
+    *issues* are lists of :class:`ParseIssue`: one per GGA store, the date
+    stores', then ``P_LRM``'s; a store's list fills as it is read."""
+
+    names: list[str]
+    stores: list[Iterator[GpsFix | LoranMeasurement]]
+    issues: list[list[ParseIssue]]
+
+    @property
+    def errors(self) -> list[ParseIssue]:
+        """The issues found so far: the GGA stores', the date stores', then
+        ``P_LRM``'s, each in line order."""
+        return [issue for issues in self.issues for issue in issues]
 
 
 def split_sentence(raw: str) -> list[str]:
@@ -357,17 +368,19 @@ def _class_files(classified_dir: Path) -> dict[str, list[Path]]:
     return groups
 
 
-def _parse_store(path: Path, parse, records, errors: list[ParseIssue]) -> None:
-    """Append ``parse(fields, line_number)`` of each line of the store at
-    *path* to *records*, in line order; a ``ParseError`` becomes a
-    :class:`ParseIssue` in *errors*."""
+def _parse_store(path: Path, parse, errors: list[ParseIssue]) -> Iterator:
+    """Yield ``parse(fields, line_number)`` of each line of the store at
+    *path*, in line order; a ``ParseError`` becomes a :class:`ParseIssue`
+    in *errors*."""
     with open(path, "rb") as handle:
         for line_number, raw_bytes in enumerate(handle, start=1):
             raw = raw_bytes.rstrip(b"\r\n").decode("latin-1")
             try:
-                records.append(parse(split_sentence(raw), line_number))
+                record = parse(split_sentence(raw), line_number)
             except ParseError as exc:
                 errors.append(ParseIssue(path.name, line_number, str(exc), exc.field_name, raw))
+            else:
+                yield record
 
 
 def parse_classified(
@@ -375,14 +388,13 @@ def parse_classified(
     fallback_date: date | None = None,
     open_time: int | None = None,
 ) -> ParsedSegment:
-    """Parse every supported class store under *classified_dir*.
+    """Read the date stores under *classified_dir* and return its GGA and
+    ``P_LRM`` stores, to be parsed as they are read.
 
     The anchor is the earliest instant the ZDA/RMC stores report, else
     *open_time* (the epoch milliseconds the segment opened at), else noon
     of *fallback_date*; with none, ValueError (a configuration problem,
-    unlike per-line errors, which are collected in the result).  Errors
-    list the GGA stores, then the date stores, then ``P_LRM``, each in
-    line order.
+    unlike per-line errors, which are collected in the result).
     """
     classified_dir = Path(classified_dir)
     groups = _class_files(classified_dir)
@@ -390,8 +402,9 @@ def parse_classified(
     date_errors: list[ParseIssue] = []
     for sentence in ("ZDA", "RMC"):
         for path in groups.get(sentence, []):
-            _parse_store(path, lambda f, n, s=sentence: parse_date_sentence(f, s) + parse_tod(f[1]),
-                         reported, date_errors)
+            reported.extend(_parse_store(
+                path, lambda f, n, s=sentence: parse_date_sentence(f, s) + parse_tod(f[1]),
+                date_errors))
     reported = array("q", sorted(reported))
     if reported:
         anchor = reported[0]
@@ -405,15 +418,16 @@ def parse_classified(
         )
     holes = [(a, b) for a, b in zip(reported, reported[1:]) if b - a >= _HALF_DAY_MS]
 
-    gps: list[GpsFix] = []
-    loran: list[LoranMeasurement] = []
-    errors: list[ParseIssue] = []
-    for path in groups.get("GGA", []):
-        ctx = DateContext(anchor, holes)
-        _parse_store(path, lambda f, n: parse_gga(f, ctx, n), gps, errors)
-    errors += date_errors
+    gga = groups.get("GGA", [])
+    stores = [(path, parse_gga) for path in gga]
     loran_store = classified_dir / "P_LRM.txt"
     if loran_store.exists():
-        ctx = DateContext(anchor, holes)
-        _parse_store(loran_store, lambda f, n: parse_loran(f, ctx, n), loran, errors)
-    return ParsedSegment(gps=gps, loran=loran, errors=errors)
+        stores.append((loran_store, parse_loran))
+    issues: list[list[ParseIssue]] = [[] for _ in stores]
+    return ParsedSegment(
+        names=[path.name for path, _ in stores],
+        stores=[_parse_store(path, lambda f, n, parse=parse, ctx=DateContext(anchor, holes):
+                             parse(f, ctx, n), errors)
+                for (path, parse), errors in zip(stores, issues)],
+        issues=[*issues[:len(gga)], date_errors, *issues[len(gga):]],
+    )

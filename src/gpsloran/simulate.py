@@ -433,9 +433,8 @@ def write_ground_truth(
 ) -> dict:
     """Export the ground truth with the same schema files a pipeline run
     produces, so the two can be compared record for record."""
-    timeline = merge_sort(truth.gps, truth.loran)
     return export(
-        timeline,
+        merge_sort(truth.gps, truth.loran, window=None),
         formats,
         Path(out_dir),
         session_id="ground-truth",

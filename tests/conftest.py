@@ -11,7 +11,10 @@ import calendar
 import functools
 import operator
 from datetime import datetime
+from types import SimpleNamespace
 
+from gpsloran.convert import REORDER_WINDOW, merge_sort
+from gpsloran.parse import GpsFix, LoranMeasurement, parse_classified
 from gpsloran.timeutil import UTC
 
 
@@ -80,6 +83,21 @@ def read_records(reader, path) -> list:
     records = []
     reader(path, lambda record, stamp: records.append(record))
     return records
+
+
+def flat_timeline(*stores, window=REORDER_WINDOW) -> list:
+    """The timeline ``merge_sort`` yields in blocks, as one list of records."""
+    return [record for block in merge_sort(*stores, window=window) for record in block]
+
+
+def parse_records(classified_dir, **kwargs) -> SimpleNamespace:
+    """``parse_classified`` with every store read: its ``gps`` fixes,
+    ``loran`` observations and ``errors``."""
+    parsed = parse_classified(classified_dir, **kwargs)
+    records = [record for store in parsed.stores for record in store]
+    return SimpleNamespace(gps=[r for r in records if isinstance(r, GpsFix)],
+                           loran=[r for r in records if isinstance(r, LoranMeasurement)],
+                           errors=parsed.errors)
 
 
 class ScriptedSource:

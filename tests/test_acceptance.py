@@ -29,6 +29,7 @@ import crash_driver
 from conftest import (
     ScriptedSource,
     crlf,
+    flat_timeline,
     gga_line,
     ms,
     plrm_line,
@@ -42,7 +43,7 @@ from conftest import (
 from gpsloran.classify import ChecksumStatus, route, verify_checksum
 from gpsloran.cli import main as cli_main
 from gpsloran.clock import AcceleratedClock, ManualClock
-from gpsloran.convert import MANIFEST_NAME, merge_sort, read_gps_export, read_loran_export
+from gpsloran.convert import MANIFEST_NAME, read_gps_export, read_loran_export
 from gpsloran.fsutil import read_json
 from gpsloran.orchestrate import (
     CLASSIFIED,
@@ -349,7 +350,7 @@ def test_criterion_5_merge_oracle(capsys):
                     )
                 )
 
-        merged = merge_sort(gps, loran)
+        merged = flat_timeline(gps, loran, window=None)  # random arrival order
         assert len(merged) == 50_000
 
         ts_ms = np.array(

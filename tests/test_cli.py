@@ -30,7 +30,8 @@ from gpsloran.parse import GpsFix, LoranMeasurement
 from gpsloran.simulate import Scenario, generate_stream
 from gpsloran.timeutil import iso_ms
 
-from conftest import crlf, gga_line, ms, plrm_line, read_records, sentence, utc, zda_line
+from conftest import (crlf, flat_timeline, gga_line, ms, plrm_line, read_records, sentence, utc,
+                      zda_line)
 
 
 def scenario_file(tmp_path, **overrides):
@@ -663,7 +664,7 @@ def test_stats_fold_equals_the_list_based_summary(segments, station):
     with tempfile.TemporaryDirectory() as scratch:
         session = Path(scratch) / "session"
         for index, (fixes, observations, fmt) in enumerate(segments):
-            export([*fixes, *observations], fmt, session / "exports" / f"raw_{index:02d}")
+            export([[*fixes, *observations]], fmt, session / "exports" / f"raw_{index:02d}")
         out = Path(scratch) / "stats"
         with unittest.mock.patch.object(convert, "summarize", capture), \
                 contextlib.redirect_stdout(io.StringIO()):
@@ -673,7 +674,7 @@ def test_stats_fold_equals_the_list_based_summary(segments, station):
 
     gps = [fix for fixes, _, _ in segments for fix in fixes]
     loran = [obs for _, observations, _ in segments for obs in observations]
-    assert captured == [reference_summarize(merge_sort(gps, loran))]
+    assert captured == [reference_summarize(flat_timeline(gps, loran, window=None))]
     stations = [station] if station else sorted({obs.station for obs in loran})
     assert sorted(series) == sorted(["gps_fixes.csv", *(f"snr_{s}.csv" for s in stations)])
     assert series["gps_fixes.csv"] == "timestamp,lat_deg,lon_deg,alt_m\n" + "".join(

@@ -1,6 +1,7 @@
 import csv
 import errno
 import io
+import itertools
 import json
 import os
 import random
@@ -9,7 +10,7 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpsloran.convert import (
@@ -20,6 +21,7 @@ from gpsloran.convert import (
     LORAN_COLUMNS,
     LORAN_TYPE,
     MANIFEST_NAME,
+    ReorderOverflow,
     export,
     merge_sort,
     read_gps_export,
@@ -32,7 +34,7 @@ from gpsloran.fsutil import AtomicWriter, read_json, sha256_file
 from gpsloran.parse import GpsFix, LoranMeasurement
 from gpsloran.timeutil import epoch_ms, iso_ms, parse_iso_ms
 
-from conftest import ms, read_records
+from conftest import flat_timeline, ms, read_records
 
 
 T0 = ms(2020, 4, 17, 12, 0, 0)
@@ -55,7 +57,7 @@ def test_merge_tie_breaks_gps_first_then_arrival():
     t1 = T0 + 1000
     gps = [fix_at(t1), fix_at(T0)]
     loran = [loran_at(t1)]
-    merged = merge_sort(gps, loran)
+    merged = flat_timeline(gps, loran)
     assert [(r.timestamp, type(r)) for r in merged] == [
         (T0, GpsFix),
         (t1, GpsFix),
@@ -69,12 +71,12 @@ def test_merge_tie_breaks_gps_first_then_arrival():
 
 def test_merge_preserves_arrival_order_within_equal_keys():
     measurements = [loran_at(T0, role=role) for role in "MXYZ"]
-    merged = merge_sort([], measurements)
+    merged = flat_timeline([], measurements)
     assert all(r is m for r, m in zip(merged, measurements, strict=True))
 
 
 def test_merge_empty_inputs():
-    assert merge_sort([], []) == []
+    assert list(merge_sort([], [])) == []
 
 
 @given(
@@ -84,7 +86,7 @@ def test_merge_empty_inputs():
 def test_merge_is_sorted_and_loses_nothing(gps_offsets, loran_offsets):
     gps = [fix_at(T0 + s * 1000) for s in gps_offsets]
     loran = [loran_at(T0 + s * 1000) for s in loran_offsets]
-    merged = merge_sort(gps, loran)
+    merged = flat_timeline(gps, loran)
     assert len(merged) == len(gps) + len(loran)
     times = [r.timestamp for r in merged]
     assert times == sorted(times)
@@ -100,6 +102,47 @@ def test_merge_is_sorted_and_loses_nothing(gps_offsets, loran_offsets):
         assert all(r is e for r, e in zip(own, expected, strict=True))
 
 
+def _displaced(steps, swaps):
+    """Offsets in time order (a step of 0 is a tie) with the adjacent pairs
+    at *swaps* exchanged in turn, so a record may come many places late."""
+    offsets = list(itertools.accumulate(steps))
+    for at in swaps:
+        if at + 1 < len(offsets):
+            offsets[at], offsets[at + 1] = offsets[at + 1], offsets[at]
+    return offsets
+
+
+displaced_offsets = st.builds(_displaced, st.lists(st.integers(0, 3), max_size=40),
+                              st.lists(st.integers(0, 40), max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(displaced_offsets, max_size=4), st.integers(1, 8), st.booleans())
+def test_windowed_merge_equals_the_full_sort_or_raises(offsets, window, gps_first):
+    """With a window the merge yields the stable full sort or raises; a
+    store in time order never raises, and without a window it never does."""
+    stores = [[fix_at(T0 + 100 * s) if gps_first and not index else loran_at(T0 + 100 * s)
+               for s in store] for index, store in enumerate(offsets)]
+    expected = sorted(itertools.chain(*stores), key=lambda r: r.timestamp)
+    assert all(r is e for r, e in zip(flat_timeline(*stores, window=None), expected, strict=True))
+    try:
+        merged = flat_timeline(*stores, window=window)
+    except ReorderOverflow as exc:
+        assert stores[exc.store] != sorted(stores[exc.store], key=lambda r: r.timestamp)
+        assert any(exc.record is r for r in stores[exc.store])
+    else:
+        assert all(r is e for r, e in zip(merged, expected, strict=True))
+
+
+def test_windowed_merge_raises_on_a_record_later_than_the_window():
+    late = loran_at(T0 + 500)
+    store = [loran_at(T0 + 1000 * s) for s in range(1, 12)] + [late]
+    with pytest.raises(ReorderOverflow) as raised:
+        flat_timeline([fix_at(T0 + 1000 * s) for s in range(12)], store, window=2)
+    assert raised.value.store == 1 and raised.value.record is late
+    assert flat_timeline(store, window=None)[0] is late
+
+
 # --- exports -----------------------------------------------------------------
 
 
@@ -113,7 +156,7 @@ def sample_timeline():
         loran_at(T0 + 500),
         loran_at(T0 + 1500, role="X", snr=9.5),
     ]
-    return merge_sort(gps, loran)
+    return list(merge_sort(gps, loran))  # its blocks, to export more than once
 
 
 def test_export_writes_all_files_and_manifest(tmp_path):
@@ -204,8 +247,8 @@ def test_export_is_deterministic(tmp_path):
 
 def test_export_round_trip_both_formats(tmp_path):
     timeline = sample_timeline()
-    gps_in = [r for r in timeline if type(r) is GpsFix]
-    loran_in = [r for r in timeline if type(r) is LoranMeasurement]
+    gps_in = [r for block in timeline for r in block if type(r) is GpsFix]
+    loran_in = [r for block in timeline for r in block if type(r) is LoranMeasurement]
     export(timeline, ("columns", "lines"), tmp_path, session_id="s1")
     assert read_records(read_gps_export, tmp_path / "timeline_gps.csv") == gps_in
     assert read_records(read_gps_export, tmp_path / "timeline_gps.jsonl") == gps_in
@@ -379,9 +422,14 @@ def test_manifest_gap_list(tmp_path):
 # --- summary statistics --------------------------------------------------------
 
 
-def summary_of(timeline, gap_threshold_s=DEFAULT_GAP_THRESHOLD_S):
-    """``summarize`` of a time-ordered timeline, as ``export`` calls it."""
-    return summarize(SummaryFold(timeline), (r.timestamp for r in timeline), gap_threshold_s)
+def summary_of(blocks, gap_threshold_s=DEFAULT_GAP_THRESHOLD_S):
+    """``summarize`` of a time-ordered timeline, folded as ``export`` folds it."""
+    fold = SummaryFold(gap_threshold_s)
+    for block in blocks:
+        for record in block:
+            fold.add(record)
+            fold.stamp(record.timestamp)
+    return summarize(fold)
 
 
 def test_summarize_snr_stats():

@@ -16,11 +16,11 @@ from gpsloran.cli import main
 from gpsloran.convert import read_gps_export, read_loran_export
 from gpsloran.orchestrate import (RECORDED, STATE_NAME, Hooks, StateStore, pipeline_settings,
                                   process_segment)
-from gpsloran.parse import GpsFix, LoranMeasurement, parse_classified
+from gpsloran.parse import GpsFix, LoranMeasurement
 from gpsloran.simulate import serialize, serialize_zda
 from gpsloran.timeutil import MS_PER_DAY, from_ms, iso_ms
 
-from conftest import ms, read_records, rmc_line
+from conftest import ms, parse_records, read_records, rmc_line
 
 HOUR = 3_600_000
 
@@ -193,7 +193,7 @@ def test_parse_classified_timestamps_equal_the_receiver_instants(
         segment.write_bytes(rx.to_bytes())
         classified = Path(scratch) / "classified"
         route(segment, classified)
-        parsed = parse_classified(classified, open_time=start + buffered * 1000)
+        parsed = parse_records(classified, open_time=start + buffered * 1000)
     assert [f.timestamp for f in parsed.gps] == rx.gps
     assert [m.timestamp for m in parsed.loran] == rx.loran
     assert parsed.errors == []

@@ -2,15 +2,18 @@ import errno
 import json
 import logging
 import os
+import random
 import re
 import shutil
 import socket
 import time as time_mod
+import tracemalloc
 
 import pytest
 
 from gpsloran.clock import AcceleratedClock, ManualClock, SystemClock
-from gpsloran.convert import MANIFEST_NAME
+from gpsloran.classify import REPORT_NAME
+from gpsloran.convert import MANIFEST_NAME, export, merge_sort
 from gpsloran.fsutil import read_json
 from gpsloran.orchestrate import (
     CLASSIFIED,
@@ -21,6 +24,7 @@ from gpsloran.orchestrate import (
     SimulatedCrash,
     StateStore,
     clock_from_config,
+    convert_classified,
     pipeline_settings,
     process_segment,
     recover,
@@ -29,7 +33,7 @@ from gpsloran.orchestrate import (
     segment_open_time,
     write_parse_errors,
 )
-from gpsloran.parse import ParseIssue
+from gpsloran.parse import ParseIssue, parse_classified
 from gpsloran.record import CaptureSession, read_events
 from gpsloran.simulate import Scenario, SimServer, StationSpec, generate_stream, serve
 
@@ -747,3 +751,116 @@ def test_log_messages_split_into_key_value_pairs(tmp_path, caplog, monkeypatch):
     }
     failed = [r for r in caplog.records if "event=processing_failed" in r.getMessage()]
     assert key_value_pairs(failed[0].getMessage())["error"] == 'bad "input"\nhere'
+
+
+# --- the reorder window ----------------------------------------------------------
+
+
+def fully_sorted_exports(classified_dir, out_dir, formats, session_id):
+    """What convert_classified writes, with each whole store sorted."""
+    parsed = parse_classified(classified_dir, open_time=segment_open_time(classified_dir.name))
+    export(merge_sort(*parsed.stores, window=None), formats, out_dir, session_id=session_id,
+           parse_errors=lambda: len(parsed.errors),
+           quarantined=read_json(classified_dir / REPORT_NAME)["quarantined_lines"])
+    write_parse_errors(out_dir / "parse_errors.jsonl", parsed.errors)
+
+
+def one_hz_lines(seconds, talkers=("GP",)):
+    """A ZDA line, then each second a GGA fix per talker (at .000, .250, ...)
+    and one Loran observation at .500, from 2020-04-17T12:00:00Z."""
+    lines = [zda_line(utc(2020, 4, 17, 12, 0, 0))]
+    loran = []
+    for second in range(seconds):
+        tod = f"12{second // 60:02d}{second % 60:02d}"
+        for index, talker in enumerate(talkers):
+            lines.append(sentence(f"{talker}GGA,{tod}.{250 * index:03d},3700.0000,N,12700.0000,"
+                                  f"E,1,08,1.00,30.0,M,,M,,"))
+        loran.append(plrm_line(tod=f"{tod}.500", snr=f"{10 + second % 7}.0"))
+        lines.append(loran[-1])
+    return lines, loran
+
+
+@pytest.mark.parametrize("case", ["late-loran-line", "two-gga-stores"])
+def test_a_segment_beyond_the_reorder_window_is_parsed_again(tmp_path, caplog, case):
+    """A Loran line moved to the end of a 600-line store, far more than the
+    window later, makes the streaming merge give up once: the exports are
+    then those of the full sort, and no temporary file is left.  Two GGA
+    stores that each report in time order are merged without a retry."""
+    if case == "late-loran-line":
+        lines, loran = one_hz_lines(600)
+        lines.remove(loran[10])
+        lines.append(loran[10])
+    else:
+        lines, _ = one_hz_lines(600, talkers=("GN", "GP"))
+    session_dir, name, state = make_session_dir(tmp_path, payload=crlf(*lines))
+    formats = ("columns", "lines")
+    caplog.set_level(logging.WARNING, logger="gpsloran")
+    process_segment(session_dir, name, pipeline_settings({"formats": list(formats)}), state,
+                    Hooks())
+
+    stem = name.removesuffix(".log")
+    fully_sorted_exports(session_dir / "classified" / stem, tmp_path / "sorted", formats,
+                         state.session_id)
+    exports = session_dir / "exports" / stem
+    assert sorted(p.name for p in exports.iterdir()) == sorted(
+        p.name for p in (tmp_path / "sorted").iterdir())
+    for path in (tmp_path / "sorted").iterdir():
+        assert (exports / path.name).read_bytes() == path.read_bytes(), path.name
+    assert read_json(exports / MANIFEST_NAME)["record_counts"]["loran"] == 600
+    assert not [p for p in session_dir.rglob("*") if p.name.endswith(".tmp") or ".tmp-" in p.name]
+    retries = [key_value_pairs(r.getMessage()) for r in caplog.records
+               if "event=reorder_retry" in r.getMessage()]
+    if case == "late-loran-line":
+        assert retries == [{"event": "reorder_retry", "segment": stem, "store": "P_LRM.txt",
+                            "line": "600"}]
+    else:
+        assert sorted(p.name for p in (session_dir / "classified" / stem).glob("G?GGA.txt")) == [
+            "GNGGA.txt", "GPGGA.txt"]
+        assert retries == []
+
+
+def dense_classified(directory, start, seconds):
+    """A classified segment: a 1 Hz GGA store and a 7 Hz ``P_LRM`` store
+    whose stations report in shuffled order within each second, as a
+    receiver does; two stations share each instant."""
+    rng = random.Random(seconds)
+    stations = [(9930, "M"), (9930, "W"), (9930, "X"), (9930, "Y"), (7430, "M"), (7430, "X"),
+                (7430, "Y")]
+    gga, loran = [], []
+    for second in range(seconds):
+        tod = time_mod.strftime("%H%M%S", time_mod.gmtime(start // 1000 + second))
+        gga.append(gga_line(tod=f"{tod}.000"))
+        order = list(range(len(stations)))
+        rng.shuffle(order)
+        for index in order:
+            gri, role = stations[index]
+            loran.append(plrm_line(tod=f"{tod}.{200 * (index // 2):03d}", gri=gri, role=role,
+                                   snr=f"{rng.uniform(5, 25):.1f}"))
+    directory.mkdir(parents=True)
+    (directory / "GPGGA.txt").write_bytes(b"\n".join(gga) + b"\n")
+    (directory / "P_LRM.txt").write_bytes(b"\n".join(loran) + b"\n")
+
+
+def test_convert_memory_does_not_grow_with_the_segment(tmp_path):
+    """Beyond 8 bytes per Loran SNR value (the summary keeps them for its
+    statistics), converting a 4 h dense segment peaks within 1 MB of a
+    30 min one: the merge holds a window of each store, not the segment."""
+    start = ms(2020, 4, 17, 1)
+    peaks, loran = {}, {}
+    for seconds in (1800, 4 * 3600):
+        classified = tmp_path / f"classified-{seconds}"
+        dense_classified(classified, start, seconds)
+        convert = lambda out: convert_classified(  # noqa: E731
+            classified, out, "columns", Hooks(), session_id="m", gap_threshold_s=300.0,
+            open_time=start)
+        if not peaks:
+            convert(tmp_path / "warm")  # module caches fill outside the measurement
+        tracemalloc.start()
+        try:
+            counts = convert(tmp_path / f"exports-{seconds}")["record_counts"]
+            peaks[seconds] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts["loran"] == 7 * seconds and counts["parse_errors"] == 0
+        loran[seconds] = counts["loran"]
+    assert peaks[4 * 3600] - peaks[1800] < 2**20 + 8 * (loran[4 * 3600] - loran[1800])

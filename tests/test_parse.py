@@ -26,7 +26,7 @@ from gpsloran.simulate import (
     serialize_zda,
 )
 
-from conftest import gga_line, ms, plrm_line, rmc_line, sentence, utc, zda_line
+from conftest import gga_line, ms, parse_records, plrm_line, rmc_line, sentence, utc, zda_line
 
 
 def ctx(anchor=ms(2020, 4, 17, 12)):
@@ -507,7 +507,7 @@ def test_parse_classified_seeds_from_zda(tmp_path):
     )
     out = tmp_path / "classified"
     route(segment, out)
-    parsed = parse_classified(out)
+    parsed = parse_records(out)
     assert [f.timestamp for f in parsed.gps] == [
         ms(2020, 4, 17, 23, 59, 55),
         ms(2020, 4, 18, 0, 0, 5),
@@ -524,7 +524,7 @@ def test_parse_classified_seeds_from_rmc_when_no_zda(tmp_path):
     write_segment(segment, [rmc_line(utc(2020, 4, 17, 12, 0, 0)), gga_line(tod="120001.000")])
     out = tmp_path / "classified"
     route(segment, out)
-    parsed = parse_classified(out)
+    parsed = parse_records(out)
     assert parsed.gps[0].timestamp == ms(2020, 4, 17, 12, 0, 1)
 
 
@@ -535,7 +535,7 @@ def test_parse_classified_requires_some_date(tmp_path):
     route(segment, out)
     with pytest.raises(ValueError):
         parse_classified(out)
-    parsed = parse_classified(out, fallback_date=date(2021, 1, 2))
+    parsed = parse_records(out, fallback_date=date(2021, 1, 2))
     assert parsed.gps[0].timestamp == ms(2021, 1, 2, 12, 0, 0)
 
 
@@ -553,7 +553,7 @@ def test_parse_classified_collects_errors_with_provenance(tmp_path):
     )
     out = tmp_path / "classified"
     route(segment, out)
-    parsed = parse_classified(out)
+    parsed = parse_records(out)
     assert len(parsed.gps) == 1
     assert len(parsed.loran) == 1
     assert len(parsed.errors) == 2
@@ -571,7 +571,7 @@ def test_parse_classified_anchors_rollover_to_segment_open(tmp_path):
     write_segment(segment, [gga_line(tod="235958.500"), gga_line(tod="235959.500"), gga_line(tod="000000.500")])
     out = tmp_path / "classified"
     route(segment, out)
-    parsed = parse_classified(out, open_time=ms(2020, 4, 18))
+    parsed = parse_records(out, open_time=ms(2020, 4, 18))
     assert [f.timestamp for f in parsed.gps] == [
         ms(2020, 4, 17, 23, 59, 58, 500),
         ms(2020, 4, 17, 23, 59, 59, 500),
@@ -585,7 +585,7 @@ def test_parse_classified_open_time_forward_skew(tmp_path):
     write_segment(segment, [gga_line(tod="000001.000")])
     out = tmp_path / "classified"
     route(segment, out)
-    parsed = parse_classified(out, open_time=ms(2020, 4, 17, 23, 59, 58))
+    parsed = parse_records(out, open_time=ms(2020, 4, 17, 23, 59, 58))
     assert parsed.gps[0].timestamp == ms(2020, 4, 18, 0, 0, 1)
 
 
@@ -601,7 +601,7 @@ def test_parse_classified_parses_only_p_lrm_among_proprietary_stores(tmp_path):
     )
     out = tmp_path / "classified"
     route(segment, out)
-    parsed = parse_classified(out)
+    parsed = parse_records(out)
     assert (out / "P_XYZ.txt").exists()
     assert [m.timestamp for m in parsed.loran] == [ms(2020, 4, 17, 12, 0, 1)]
     assert parsed.errors == []
@@ -615,7 +615,7 @@ def test_parse_classified_malformed_date_sentence_time_is_an_error(tmp_path):
     )
     out = tmp_path / "classified"
     route(segment, out)
-    parsed = parse_classified(out)
+    parsed = parse_records(out)
     assert [(e.source_file, e.line_number, e.field_name) for e in parsed.errors] == [
         ("GPZDA.txt", 1, "time")
     ]
@@ -638,6 +638,6 @@ def test_parse_classified_per_class_contexts(tmp_path):
     )
     out = tmp_path / "classified"
     route(segment, out)
-    parsed = parse_classified(out)
+    parsed = parse_records(out)
     assert parsed.loran[0].timestamp == ms(2020, 4, 17, 23, 59, 59, 500)
     assert parsed.loran[1].timestamp == ms(2020, 4, 18, 0, 0, 1, 500)

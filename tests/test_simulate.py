@@ -5,7 +5,7 @@ from datetime import timedelta
 import pytest
 
 from gpsloran.classify import ChecksumStatus, classify_line, extract_lines, verify_checksum
-from gpsloran.convert import merge_sort, read_gps_export, read_loran_export
+from gpsloran.convert import read_gps_export, read_loran_export
 from gpsloran.parse import DateContext, GpsFix, parse_gga, parse_loran, split_sentence
 from gpsloran.simulate import (
     Corruption,
@@ -19,7 +19,7 @@ from gpsloran.simulate import (
     write_ground_truth,
 )
 
-from conftest import ms, read_records, utc
+from conftest import flat_timeline, ms, read_records, utc
 
 
 START = utc(2020, 4, 17)
@@ -237,7 +237,7 @@ def test_write_ground_truth_exports(tmp_path):
     write_ground_truth(truth, tmp_path, ("columns",))
     gps = read_records(read_gps_export, tmp_path / "timeline_gps.csv")
     loran = read_records(read_loran_export, tmp_path / "timeline_loran.csv")
-    merged = merge_sort(truth.gps, truth.loran)
+    merged = flat_timeline(truth.gps, truth.loran)
     assert gps == [r for r in merged if type(r) is GpsFix]
     assert loran == truth.loran
 
