@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import BinaryIO
@@ -43,36 +43,10 @@ _HEADER_RE = re.compile(rb"\$(?:P([A-Z0-9]+)|([A-Z]{2})([A-Z]{3}))(?:[,*]|\Z)")
 _HEX_DIGITS = frozenset(b"0123456789abcdefABCDEF")
 
 
-class MessageKind(str, Enum):
-    STANDARD = "nmea-standard"
-    PROPRIETARY = "nmea-proprietary"
-    UNKNOWN = "unknown"
-
-
 class ChecksumStatus(str, Enum):
     VALID = "valid"
     INVALID = "invalid"
     ABSENT = "absent"
-
-
-@dataclass(frozen=True)
-class MessageClass:
-    kind: MessageKind
-    talker: str | None = None
-    sentence: str | None = None
-    vendor_tag: str | None = None
-
-    @property
-    def label(self) -> str:
-        """File-name-safe class label: ``GPGGA``, ``P_LRM``, or ``unknown``."""
-        if self.kind is MessageKind.STANDARD:
-            return f"{self.talker}{self.sentence}"
-        if self.kind is MessageKind.PROPRIETARY:
-            return f"P_{self.vendor_tag}"
-        return "unknown"
-
-
-UNKNOWN_CLASS = MessageClass(MessageKind.UNKNOWN)
 
 
 def extract_lines(data: bytes, carry: bytes = b"") -> tuple[list[bytes], bytes]:
@@ -88,17 +62,16 @@ def extract_lines(data: bytes, carry: bytes = b"") -> tuple[list[bytes], bytes]:
     return [line[:-1] if line.endswith(b"\r") else line for line in lines], residual
 
 
-def classify_line(line: bytes) -> MessageClass:
-    """Classify one line by its header.  Total: never raises."""
+def classify_line(line: bytes) -> str:
+    """The file-name-safe class label of one line, from its header:
+    ``GPGGA``, ``P_LRM``, or ``unknown``.  Total: never raises."""
     match = _HEADER_RE.match(line)
     if match is None:
-        return UNKNOWN_CLASS
+        return "unknown"
     vendor_tag, talker, sentence = match.groups()
     if vendor_tag is not None:
-        return MessageClass(MessageKind.PROPRIETARY, vendor_tag=vendor_tag.decode("ascii"))
-    return MessageClass(
-        MessageKind.STANDARD, talker=talker.decode("ascii"), sentence=sentence.decode("ascii")
-    )
+        return f"P_{vendor_tag.decode('ascii')}"
+    return (talker + sentence).decode("ascii")
 
 
 def verify_checksum(line: bytes) -> ChecksumStatus:
@@ -133,17 +106,6 @@ class ClassificationReport:
     output_paths: dict[str, str]
     checksum_counts: dict[str, int]
     trailing_unterminated: bool
-
-    def to_json(self) -> dict:
-        return {
-            "segment": self.segment,
-            "total_lines": self.total_lines,
-            "quarantined_lines": self.quarantined_lines,
-            "counts": self.counts,
-            "output_paths": self.output_paths,
-            "checksum_counts": self.checksum_counts,
-            "trailing_unterminated": self.trailing_unterminated,
-        }
 
 
 REPORT_NAME = "report.json"
@@ -205,7 +167,7 @@ def route(
                         key = match.group()
                         label = labels.get(key)
                         if label is None:
-                            label = labels[key] = classify_line(key).label
+                            label = labels[key] = classify_line(key)
                     pending[label].append(line)
                 for label, group in pending.items():
                     writer = writers.get(label)
@@ -228,5 +190,5 @@ def route(
         checksum_counts={status.value: n for status, n in checksum_counts.items()},
         trailing_unterminated=bool(tail),
     )
-    atomic_write_json(out_dir / REPORT_NAME, report.to_json())
+    atomic_write_json(out_dir / REPORT_NAME, asdict(report))
     return report

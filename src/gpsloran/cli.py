@@ -69,13 +69,14 @@ def cmd_record(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from dataclasses import asdict
     from . import classify
     report = classify.route(
         Path(args.segment),
         Path(args.out),
         quarantine_invalid=not args.keep_invalid_checksums,
     )
-    print(json.dumps(report.to_json()))
+    print(json.dumps(asdict(report)))
     return 0
 
 
@@ -172,26 +173,23 @@ def cmd_stats(args) -> int:
             runs.append(_read_segment(segment, "timeline_loran", convert.read_loran_export, on_obs))
         for instant in heapq.merge(*runs):
             fold.stamp(instant)
-        summary = convert.summarize(fold)
+        stations = convert.summarize(fold)
         for writer in series.values():
             writer.commit()
 
-    print(
-        f"records={summary.total_records} gps_fixes={summary.gps_fix_count} "
-        f"no_fix={summary.no_fix_count} loran={sum(s.count for s in summary.stations.values())}"
-    )
-    if summary.time_span:
-        print(f"time_span={iso_ms(summary.time_span[0])}..{iso_ms(summary.time_span[1])}")
-    if summary.bbox:
-        lat_min, lat_max, lon_min, lon_max = summary.bbox
+    loran = sum(count for count, *_ in stations.values())
+    print(f"records={fold.fixes + fold.no_fix + loran} gps_fixes={fold.fixes} "
+          f"no_fix={fold.no_fix} loran={loran}")
+    if fold.first is not None:
+        print(f"time_span={iso_ms(fold.first)}..{iso_ms(fold.last)}")
+    if fold.bbox:
+        lat_min, lat_max, lon_min, lon_max = fold.bbox
         print(f"bbox_lat={lat_min}..{lat_max} bbox_lon={lon_min}..{lon_max}")
-    for station, stats in summary.stations.items():
-        print(
-            f"station={station} count={stats.count} snr_min={stats.min_snr} "
-            f"snr_mean={stats.mean_snr} snr_max={stats.max_snr}"
-        )
-    print(f"gaps={len(summary.gaps)}")
-    for start, end in summary.gaps:
+    for station, (count, snr_min, snr_mean, snr_max) in stations.items():
+        print(f"station={station} count={count} snr_min={snr_min} "
+              f"snr_mean={snr_mean} snr_max={snr_max}")
+    print(f"gaps={len(fold.gaps)}")
+    for start, end in fold.gaps:
         print(f"gap={iso_ms(start)}..{iso_ms(end)}")
     return 0
 

@@ -36,7 +36,6 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack
-from dataclasses import dataclass
 from itertools import chain, islice
 from operator import add, attrgetter, itemgetter, le
 from pathlib import Path
@@ -255,15 +254,14 @@ def export(
                 fold.stamp(record.timestamp)
         digests = {name: writer.commit() for name, writer in writers.items()}
 
-    summary = summarize(fold)
-    station_counts = {key: stats.count for key, stats in sorted(summary.stations.items())}
+    station_counts = {station: len(values) for station, values in sorted(fold.snr.items())}
     manifest = {
         "session_id": session_id,
         "time_span": None
-        if summary.time_span is None
-        else {"first": iso_ms(summary.time_span[0]), "last": iso_ms(summary.time_span[1])},
+        if fold.first is None
+        else {"first": iso_ms(fold.first), "last": iso_ms(fold.last)},
         "record_counts": {
-            "gps_fix": summary.gps_fix_count + summary.no_fix_count,
+            "gps_fix": fold.fixes + fold.no_fix,
             "loran": sum(station_counts.values()),
             "loran_by_station": station_counts,
             "parse_errors": parse_errors() if callable(parse_errors) else parse_errors,
@@ -276,7 +274,7 @@ def export(
         ],
         "gap_threshold_s": gap_threshold_s,
         "gap_list": [
-            {"start": iso_ms(start), "end": iso_ms(end)} for start, end in summary.gaps
+            {"start": iso_ms(start), "end": iso_ms(end)} for start, end in fold.gaps
         ],
     }
     atomic_write_json(out_dir / MANIFEST_NAME, manifest)
@@ -374,25 +372,6 @@ def _json_rows(lines, columns: tuple[str, ...]):
 # --- summary statistics -----------------------------------------------------
 
 
-@dataclass
-class StationStats:
-    count: int
-    min_snr: float
-    mean_snr: float
-    max_snr: float
-
-
-@dataclass
-class SessionSummary:
-    total_records: int
-    gps_fix_count: int
-    no_fix_count: int
-    bbox: tuple[float, float, float, float] | None
-    stations: dict[str, StationStats]
-    time_span: tuple[int, int] | None
-    gaps: list[tuple[int, int]]
-
-
 class SummaryFold:
     """A summary folded a record at a time.  :meth:`add` takes records in
     any order, for the record counts, the fixes' bounding box and each
@@ -429,24 +408,8 @@ class SummaryFold:
         self.last = instant
 
 
-def summarize(fold: SummaryFold) -> SessionSummary:
-    """Per-station SNR stats, GPS fix count/bounding box (no-fix records
-    excluded), the overall time span and the gaps, as pairs of epoch
-    milliseconds, of what *fold* took."""
-    return SessionSummary(
-        total_records=fold.fixes + fold.no_fix + sum(map(len, fold.snr.values())),
-        gps_fix_count=fold.fixes,
-        no_fix_count=fold.no_fix,
-        bbox=fold.bbox,
-        stations={
-            station: StationStats(
-                count=len(values),
-                min_snr=min(values),
-                mean_snr=math.fsum(values) / len(values),
-                max_snr=max(values),
-            )
-            for station, values in sorted(fold.snr.items())
-        },
-        time_span=None if fold.first is None else (fold.first, fold.last),
-        gaps=fold.gaps,
-    )
+def summarize(fold: SummaryFold) -> dict[str, tuple[int, float, float, float]]:
+    """Each station's SNR count, min, mean (by ``math.fsum``) and max, by
+    station name in sorted order, of what *fold* took."""
+    return {station: (len(values), min(values), math.fsum(values) / len(values), max(values))
+            for station, values in sorted(fold.snr.items())}

@@ -34,7 +34,7 @@ import re
 import shutil
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date
 from pathlib import Path
 from typing import Callable
@@ -52,6 +52,7 @@ from .record import (
     SourceEndpoint,
     SourceKind,
     SourceUnavailable,
+    append_event,
     open_source,
     read_events,
 )
@@ -143,10 +144,7 @@ class StateStore:
     def save(self) -> None:
         payload = {
             "session_id": self.session_id,
-            "segments": [
-                {"name": e.name, "stage": e.stage, "flagged": e.flagged, "error": e.error}
-                for e in self.entries
-            ],
+            "segments": [asdict(entry) for entry in self.entries],
         }
         atomic_write_json(self.path, payload)
 
@@ -489,9 +487,7 @@ def _finalize_orphan(session_dir: Path, name: str, events: list[dict]) -> None:
     }
     if open_time:
         payload["open_time"] = open_time
-    line = json.dumps(payload, sort_keys=True) + "\n"
-    with open(session_dir / "events.jsonl", "ab") as handle:
-        handle.write(line.encode("utf-8"))
+    append_event(session_dir, payload)
 
 
 def recover(session_dir: Path, *, hooks: Hooks | None = None) -> int:

@@ -122,7 +122,6 @@ class RawSegment:
     """One closed (or active) capture file."""
 
     path: Path
-    session_id: str
     open_time: int
     close_time: int | None = None
     byte_count: int = 0
@@ -302,7 +301,6 @@ class CaptureSession:
         self.dir = Path(out_dir) / self.session_id
         self.dir.mkdir(parents=True, exist_ok=True)
         self.session_start = now
-        self.segments: list[RawSegment] = []
         metadata = {
             "session_id": self.session_id,
             "source": source_text,
@@ -326,12 +324,12 @@ class CaptureSession:
         while path.exists():
             bump += 1
             path = self.dir / f"{stem}_{bump}.log"
-        segment = RawSegment(path=path, session_id=self.session_id, open_time=now)
+        segment = RawSegment(path=path, open_time=now)
         self._handle = open(path, "wb")
         self._hasher = hashlib.sha256()
         self._last_flush = self.clock.monotonic()
-        self._append_event({"event": "segment_open", "segment": path.name,
-                            "open_time": iso_ms(now)})
+        append_event(self.dir, {"event": "segment_open", "segment": path.name,
+                                "open_time": iso_ms(now)})
         return segment
 
     def append(self, chunk: bytes) -> None:
@@ -390,29 +388,37 @@ class CaptureSession:
         if boundary is not None:
             event["boundary"] = iso_ms(boundary)
         try:
-            self._append_event(event)
+            append_event(self.dir, event)
         except OSError as exc:
             # A metadata failure must not abort rotation; note it and go on.
             logging.getLogger(__name__).error(
                 "event=digest_pending segment=%s error=%s", segment.name, json.dumps(str(exc))
             )
-        self.segments.append(segment)
         return segment
 
     def record_gap(self, start: int, end: int, reason: str) -> None:
-        self._append_event({"event": "gap", "start": iso_ms(start), "end": iso_ms(end),
-                            "reason": reason})
+        append_event(self.dir, {"event": "gap", "start": iso_ms(start), "end": iso_ms(end),
+                                "reason": reason})
 
-    def _append_event(self, payload: dict) -> None:
-        line = json.dumps(payload, sort_keys=True) + "\n"
-        with open(self.dir / "events.jsonl", "ab") as handle:
-            handle.write(line.encode("utf-8"))
-            handle.flush()
-            os.fsync(handle.fileno())
+
+def append_event(session_dir: Path, payload: dict) -> None:
+    """Append *payload* to the session's event log as one JSON line and
+    fsync it.  A torn last line, left by a crash mid-write, is ended
+    first, so the event starts on a line of its own."""
+    line = json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
+    with open(Path(session_dir) / "events.jsonl", "a+b") as handle:
+        if end := handle.seek(0, os.SEEK_END):
+            handle.seek(end - 1)
+            if handle.read(1) != b"\n":
+                line = b"\n" + line
+        handle.write(line)
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
 def read_events(session_dir: Path) -> list[dict]:
-    """Load the session's event log; tolerates a torn final line."""
+    """Load the session's event log, skipping any line that is not JSON,
+    such as one torn by a crash mid-write."""
     path = Path(session_dir) / "events.jsonl"
     events = []
     if not path.exists():
@@ -422,5 +428,5 @@ def read_events(session_dir: Path) -> list[dict]:
             try:
                 events.append(json.loads(raw.decode("utf-8")))
             except (ValueError, UnicodeDecodeError):
-                break
+                continue
     return events

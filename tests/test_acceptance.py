@@ -120,16 +120,16 @@ def test_criterion_1_losslessness(tmp_path, capsys):
                 flush_interval=5.0,
                 clock=clock,
             )
+            segments = []
             for index, chunk in enumerate(chunks):
                 clock.advance(0.01)
                 session.append(chunk)
                 if index in rotate_after:
                     clock.advance(61.0)
                     while session.due_rotation():
-                        session.rotate()
-            session.close()
+                        segments.append(session.rotate())
+            segments.append(session.close())
 
-            segments = session.segments
             assert len(segments) >= 4  # 3 forced rotations plus the final close
             assert b"".join(seg.path.read_bytes() for seg in segments) == blob
             assert sum(seg.byte_count for seg in segments) == total

@@ -2,6 +2,7 @@ import hashlib
 import random
 import tempfile
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +16,6 @@ from gpsloran.classify import (
     QUARANTINE_LABEL,
     REPORT_NAME,
     ChecksumStatus,
-    MessageKind,
     classify_line,
     extract_lines,
     route,
@@ -81,34 +81,26 @@ def test_extract_lines_chunking_invariance(data, cuts):
 
 
 def test_classify_standard_sentence():
-    cls = classify_line(b"$GPGGA,120000,3700.0,N")
-    assert cls.kind is MessageKind.STANDARD
-    assert (cls.talker, cls.sentence) == ("GP", "GGA")
-    assert cls.label == "GPGGA"
+    assert classify_line(b"$GPGGA,120000,3700.0,N") == "GPGGA"
 
 
 def test_classify_other_talkers():
-    assert classify_line(b"$GLGSV,1,1,00*65").label == "GLGSV"
-    assert classify_line(b"$GPZDA,0*XX").label == "GPZDA"
+    assert classify_line(b"$GLGSV,1,1,00*65") == "GLGSV"
+    assert classify_line(b"$GPZDA,0*XX") == "GPZDA"
 
 
 def test_classify_proprietary():
-    cls = classify_line(b"$PLRM,120000.000,9930,M,45678.9,12.0,0.5*4F")
-    assert cls.kind is MessageKind.PROPRIETARY
-    assert cls.vendor_tag == "LRM"
-    assert cls.label == "P_LRM"
+    assert classify_line(b"$PLRM,120000.000,9930,M,45678.9,12.0,0.5*4F") == "P_LRM"
 
 
 def test_classify_proprietary_wins_over_standard_shape():
     # $P starts the proprietary namespace even when five letters follow
-    cls = classify_line(b"$PGRMZ,93,f,3*21")
-    assert cls.kind is MessageKind.PROPRIETARY
-    assert cls.label == "P_GRMZ"
+    assert classify_line(b"$PGRMZ,93,f,3*21") == "P_GRMZ"
 
 
 def test_classify_bare_header_no_fields():
-    assert classify_line(b"$GPGGA").label == "GPGGA"
-    assert classify_line(b"$GPGGA*00").label == "GPGGA"
+    assert classify_line(b"$GPGGA") == "GPGGA"
+    assert classify_line(b"$GPGGA*00") == "GPGGA"
 
 
 @pytest.mark.parametrize(
@@ -125,9 +117,7 @@ def test_classify_bare_header_no_fields():
     ],
 )
 def test_classify_unknown(line):
-    cls = classify_line(line)
-    assert cls.kind is MessageKind.UNKNOWN
-    assert cls.label == "unknown"
+    assert classify_line(line) == "unknown"
 
 
 # --- checksum verification ---------------------------------------------------
@@ -322,7 +312,7 @@ def test_report_round_trips_through_json(tmp_path):
     out = tmp_path / "classified"
     report = route(segment, out)
     loaded = read_json(out / REPORT_NAME)
-    assert loaded == report.to_json()
+    assert loaded == asdict(report)
     assert loaded["counts"] == {"GPGGA": 1, "P_LRM": 1}
 
 
@@ -474,10 +464,9 @@ _LINES = st.one_of(
 def test_route_follows_the_line_rules(lines, chunk, limit, quarantine_invalid, terminate_last):
     expected: dict[str, list[bytes]] = {}
     for line in lines:
-        message_class = classify_line(line)
-        label = message_class.label
+        label = classify_line(line)
         if (
-            message_class.kind is MessageKind.UNKNOWN
+            label == "unknown"
             or len(line) > limit
             or (quarantine_invalid and verify_checksum(line) is ChecksumStatus.INVALID)
         ):

@@ -22,15 +22,15 @@ from hypothesis import strategies as st
 
 from gpsloran import cli, convert
 from gpsloran.cli import main
-from gpsloran.convert import (MANIFEST_NAME, SessionSummary, StationStats, export, merge_sort,
-                              read_gps_export, read_loran_export)
+from gpsloran.convert import (MANIFEST_NAME, export, merge_sort, read_gps_export,
+                              read_loran_export)
 from gpsloran.fsutil import read_json
 from gpsloran.orchestrate import STATE_NAME, StateStore
 from gpsloran.parse import GpsFix, LoranMeasurement
 from gpsloran.simulate import Scenario, generate_stream
 from gpsloran.timeutil import iso_ms
 
-from conftest import (crlf, flat_timeline, gga_line, ms, plrm_line, read_records, sentence, utc,
+from conftest import (crlf, gga_line, ms, plrm_line, read_records, sentence, utc,
                       zda_line)
 
 
@@ -93,10 +93,38 @@ def test_classify_command(tmp_path, capsys):
     segment = segment_file(tmp_path)
     out = tmp_path / "classified"
     assert main(["classify", "--segment", str(segment), "--out", str(out)]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["total_lines"] == 4
-    assert report["counts"]["GPGGA"] == 1
-    assert report["counts"]["quarantine"] == 1
+    assert capsys.readouterr().out == (
+        '{"segment": "raw_20200417T120000Z.log", "total_lines": 4, "quarantined_lines": 1, '
+        '"counts": {"GPGGA": 1, "GPZDA": 1, "P_LRM": 1, "quarantine": 1}, '
+        '"output_paths": {"GPGGA": "GPGGA.txt", "GPZDA": "GPZDA.txt", "P_LRM": "P_LRM.txt", '
+        '"quarantine": "quarantine.txt"}, '
+        '"checksum_counts": {"valid": 3, "invalid": 0, "absent": 1}, '
+        '"trailing_unterminated": false}\n'
+    )
+    assert (out / "report.json").read_text() == """{
+  "checksum_counts": {
+    "absent": 1,
+    "invalid": 0,
+    "valid": 3
+  },
+  "counts": {
+    "GPGGA": 1,
+    "GPZDA": 1,
+    "P_LRM": 1,
+    "quarantine": 1
+  },
+  "output_paths": {
+    "GPGGA": "GPGGA.txt",
+    "GPZDA": "GPZDA.txt",
+    "P_LRM": "P_LRM.txt",
+    "quarantine": "quarantine.txt"
+  },
+  "quarantined_lines": 1,
+  "segment": "raw_20200417T120000Z.log",
+  "total_lines": 4,
+  "trailing_unterminated": false
+}
+"""
     assert (out / "GPGGA.txt").exists()
 
 
@@ -581,13 +609,14 @@ def test_failed_stats_leaves_no_series_files(tmp_path, capsys):
     assert kept == [("gps_fixes.csv", "from an earlier run\n")]
 
 
-def reference_summarize(timeline, gap_threshold_s=300.0):
-    """``convert.summarize`` as it was before it became a fold: lists of
-    every value, over a merged timeline."""
+def reference_stats_stdout(records, gap_threshold_s=300.0):
+    """``gpsloran stats``' stdout for *records* in the order it reads
+    them, computed from lists of every value; the time span and the gaps
+    come from all their timestamps, sorted."""
     lats, lons = [], []
     no_fix = 0
     snr_by_station = {}
-    for record in timeline:
+    for record in records:
         if isinstance(record, GpsFix):
             if record.no_fix:
                 no_fix += 1
@@ -597,30 +626,24 @@ def reference_summarize(timeline, gap_threshold_s=300.0):
         else:
             snr_by_station.setdefault(record.station, []).append(record.snr_db)
 
-    stamps = [record.timestamp for record in timeline]
+    stamps = sorted(record.timestamp for record in records)
     gaps = [
         (earlier, later)
         for earlier, later in zip(stamps, stamps[1:])
         if (later - earlier) / 1000 > gap_threshold_s
     ]
-
-    return SessionSummary(
-        total_records=len(timeline),
-        gps_fix_count=len(lats),
-        no_fix_count=no_fix,
-        bbox=(min(lats), max(lats), min(lons), max(lons)) if lats else None,
-        stations={
-            station: StationStats(
-                count=len(values),
-                min_snr=min(values),
-                mean_snr=statistics.fmean(values),
-                max_snr=max(values),
-            )
-            for station, values in sorted(snr_by_station.items())
-        },
-        time_span=(stamps[0], stamps[-1]) if stamps else None,
-        gaps=gaps,
-    )
+    loran = len(records) - len(lats) - no_fix
+    lines = [f"records={len(records)} gps_fixes={len(lats)} no_fix={no_fix} loran={loran}"]
+    if stamps:
+        lines.append(f"time_span={iso_ms(stamps[0])}..{iso_ms(stamps[-1])}")
+    if lats:
+        lines.append(f"bbox_lat={min(lats)}..{max(lats)} bbox_lon={min(lons)}..{max(lons)}")
+    for station, values in sorted(snr_by_station.items()):
+        lines.append(f"station={station} count={len(values)} snr_min={min(values)} "
+                     f"snr_mean={statistics.fmean(values)} snr_max={max(values)}")
+    lines.append(f"gaps={len(gaps)}")
+    lines += [f"gap={iso_ms(start)}..{iso_ms(end)}" for start, end in gaps]
+    return "".join(f"{line}\n" for line in lines)
 
 
 T_STATS = ms(2020, 4, 17, 12, 0, 0)
@@ -652,29 +675,22 @@ stat_segments = st.lists(
 @given(segments=stat_segments, station=st.sampled_from([None, "9930M", "8970M"]))
 def test_stats_fold_equals_the_list_based_summary(segments, station):
     """``stats`` folds records as it reads them, one file at a time and in
-    file order, into the summary that today's list-based code computes over
-    the whole merged timeline; its series hold every row in file order."""
-    captured = []
-
-    def capture(*args, **kwargs):
-        captured.append(real_summarize(*args, **kwargs))
-        return captured[-1]
-
-    real_summarize = convert.summarize
+    file order, and prints what list-based code computes from every value;
+    its series hold every row in file order."""
     with tempfile.TemporaryDirectory() as scratch:
         session = Path(scratch) / "session"
         for index, (fixes, observations, fmt) in enumerate(segments):
             export([[*fixes, *observations]], fmt, session / "exports" / f"raw_{index:02d}")
         out = Path(scratch) / "stats"
-        with unittest.mock.patch.object(convert, "summarize", capture), \
-                contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
             assert main(["stats", "--session", str(session), "--out", str(out),
                          *(["--station", station] if station else [])]) == 0
         series = {path.name: path.read_text() for path in out.iterdir()}
 
+    read_order = [record for fixes, observations, _ in segments for record in (*fixes, *observations)]
+    assert stdout.getvalue() == reference_stats_stdout(read_order)
     gps = [fix for fixes, _, _ in segments for fix in fixes]
     loran = [obs for _, observations, _ in segments for obs in observations]
-    assert captured == [reference_summarize(flat_timeline(gps, loran, window=None))]
     stations = [station] if station else sorted({obs.station for obs in loran})
     assert sorted(series) == sorted(["gps_fixes.csv", *(f"snr_{s}.csv" for s in stations)])
     assert series["gps_fixes.csv"] == "timestamp,lat_deg,lon_deg,alt_m\n" + "".join(
@@ -683,6 +699,35 @@ def test_stats_fold_equals_the_list_based_summary(segments, station):
     for name in stations:
         assert series[f"snr_{name}.csv"] == "timestamp,snr_db\n" + "".join(
             f"{iso_ms(obs.timestamp)},{obs.snr_db}\n" for obs in loran if obs.station == name)
+
+
+def test_stats_calls_convert_summarize_once(tmp_path, capsys):
+    """The benchmark times ``convert.summarize`` inside ``stats``, so one
+    run calls it exactly once, through the module attribute."""
+    session = stats_session(tmp_path)
+    with unittest.mock.patch.object(convert, "summarize", wraps=convert.summarize) as summarize:
+        assert main(["stats", "--session", str(session)]) == 0
+    assert summarize.call_count == 1
+    capsys.readouterr()
+
+
+def test_the_names_the_benchmark_wraps_exist():
+    """``bench/`` times each layer by wrapping these attributes by name,
+    and a span around a name that is gone would read nothing."""
+    from gpsloran import orchestrate, record
+    wrapped = [
+        *((orchestrate, name) for name in
+          ("process_segment", "route", "parse_classified", "merge_sort", "export",
+           "write_parse_errors")),
+        (orchestrate.StateStore, "add_segment"),
+        (record.CaptureSession, "rotate"),
+        *((convert, name) for name in ("read_gps_export", "read_loran_export", "merge_sort",
+                                               "summarize")),
+        (cli, "cmd_stats"),
+    ]
+    missing = [f"{owner.__name__}.{name}" for owner, name in wrapped
+               if not callable(getattr(owner, name, None))]
+    assert missing == []
 
 
 def test_stats_memory_grows_by_less_than_64_bytes_a_record(tmp_path):

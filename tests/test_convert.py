@@ -422,24 +422,19 @@ def test_manifest_gap_list(tmp_path):
 # --- summary statistics --------------------------------------------------------
 
 
-def summary_of(blocks, gap_threshold_s=DEFAULT_GAP_THRESHOLD_S):
-    """``summarize`` of a time-ordered timeline, folded as ``export`` folds it."""
+def fold_of(blocks, gap_threshold_s=DEFAULT_GAP_THRESHOLD_S):
+    """A time-ordered timeline folded as ``export`` folds it."""
     fold = SummaryFold(gap_threshold_s)
     for block in blocks:
         for record in block:
             fold.add(record)
             fold.stamp(record.timestamp)
-    return summarize(fold)
+    return fold
 
 
 def test_summarize_snr_stats():
     loran = [loran_at(T0 + i * 1000, snr=snr) for i, snr in enumerate((10.0, 12.0, 14.0))]
-    summary = summary_of(merge_sort([], loran))
-    stats = summary.stations["9930M"]
-    assert stats.count == 3
-    assert stats.min_snr == 10.0
-    assert stats.mean_snr == 12.0
-    assert stats.max_snr == 14.0
+    assert summarize(fold_of(merge_sort([], loran))) == {"9930M": (3, 10.0, 12.0, 14.0)}
 
 
 def test_summarize_splits_stations():
@@ -448,10 +443,10 @@ def test_summarize_splits_stations():
         loran_at(T0 + 1000, role="X", snr=20.0),
         loran_at(T0 + 2000, role="M", snr=7.0),
     ]
-    summary = summary_of(merge_sort([], loran))
-    assert set(summary.stations) == {"9930M", "9930X"}
-    assert summary.stations["9930M"].count == 2
-    assert summary.stations["9930X"].mean_snr == 20.0
+    stations = summarize(fold_of(merge_sort([], loran)))
+    assert list(stations) == ["9930M", "9930X"]
+    assert stations["9930M"][0] == 2
+    assert stations["9930X"][2] == 20.0
 
 
 def test_summarize_excludes_no_fix_from_position_stats():
@@ -460,11 +455,11 @@ def test_summarize_excludes_no_fix_from_position_stats():
         fix_at(T0 + 1000, no_fix=True),
         fix_at(T0 + 2000, lat=38.0),
     ]
-    summary = summary_of(merge_sort(gps, []))
-    assert summary.gps_fix_count == 2
-    assert summary.no_fix_count == 1
-    assert summary.bbox == (36.0, 38.0, 127.0, 127.0)
-    assert summary.total_records == 3
+    fold = fold_of(merge_sort(gps, []))
+    assert fold.fixes == 2
+    assert fold.no_fix == 1
+    assert fold.bbox == (36.0, 38.0, 127.0, 127.0)
+    assert summarize(fold) == {}
 
 
 def test_summarize_gap_detection():
@@ -474,25 +469,25 @@ def test_summarize_gap_detection():
         fix_at(T0 + 7_200_000),
         fix_at(T0 + 7_260_000),
     ]
-    summary = summary_of(merge_sort(gps, []), gap_threshold_s=300)
-    assert summary.gaps == [
+    fold = fold_of(merge_sort(gps, []), gap_threshold_s=300)
+    assert fold.gaps == [
         (T0 + 120_000, T0 + 7_200_000),
     ]
+    assert (fold.first, fold.last) == (T0, T0 + 7_260_000)
 
 
 def test_summarize_empty_timeline():
-    summary = summary_of([])
-    assert summary.total_records == 0
-    assert summary.bbox is None
-    assert summary.time_span is None
-    assert summary.stations == {}
-    assert summary.gaps == []
+    fold = fold_of([])
+    assert fold.fixes == fold.no_fix == 0
+    assert fold.bbox is None
+    assert fold.first is None
+    assert summarize(fold) == {}
+    assert fold.gaps == []
 
 
 def test_gap_exactly_at_threshold_is_not_a_gap():
     gps = [fix_at(T0), fix_at(T0 + 300_000)]
-    summary = summary_of(merge_sort(gps, []), gap_threshold_s=300)
-    assert summary.gaps == []
+    assert fold_of(merge_sort(gps, []), gap_threshold_s=300).gaps == []
 
 
 def _week_date(moment):

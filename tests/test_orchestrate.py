@@ -14,7 +14,7 @@ import pytest
 from gpsloran.clock import AcceleratedClock, ManualClock, SystemClock
 from gpsloran.classify import REPORT_NAME
 from gpsloran.convert import MANIFEST_NAME, export, merge_sort
-from gpsloran.fsutil import read_json
+from gpsloran.fsutil import read_json, sha256_file
 from gpsloran.orchestrate import (
     CLASSIFIED,
     CONVERTED,
@@ -34,7 +34,7 @@ from gpsloran.orchestrate import (
     write_parse_errors,
 )
 from gpsloran.parse import ParseIssue, parse_classified
-from gpsloran.record import CaptureSession, read_events
+from gpsloran.record import CaptureSession, append_event, read_events
 from gpsloran.simulate import Scenario, SimServer, StationSpec, generate_stream, serve
 
 from conftest import ScriptedSource, crlf, gga_line, ms, plrm_line, sentence, utc, zda_line
@@ -434,6 +434,30 @@ def test_recover_noop_when_all_converted(tmp_path):
     assert fired == []
 
 
+def test_recover_ends_a_torn_event_line_before_its_own(tmp_path):
+    """A crash mid-write leaves ``events.jsonl`` ending inside a JSON
+    object; the close event recovery writes starts on a line of its own,
+    and reading the log skips the torn line and keeps what follows."""
+    session_dir = tmp_path / "session"
+    session_dir.mkdir()
+    name = "raw_20200417T120000Z.log"
+    (session_dir / name).write_bytes(lines_block_one())
+    StateStore(session_dir / STATE_NAME, "unit").save()
+    opened = json.dumps({"event": "segment_open", "open_time": "2020-04-17T12:00:00.000Z",
+                         "segment": name}, sort_keys=True)
+    torn = '{"end": "2020-04-17T12:00:03.000Z", "event": "ga'
+    (session_dir / "events.jsonl").write_text(f"{opened}\n{torn}")
+
+    assert recover(session_dir) == 0
+    events = read_events(session_dir)
+    assert [event["event"] for event in events] == ["segment_open", "segment_closed"]
+    assert events[1]["recovered"] is True
+    assert events[1]["digest"] == sha256_file(session_dir / name)
+    assert events[1]["open_time"] == "2020-04-17T12:00:00.000Z"
+    lines = (session_dir / "events.jsonl").read_text().split("\n")
+    assert lines == [opened, torn, json.dumps(events[1], sort_keys=True), ""]
+
+
 def test_recover_after_crash_matches_clean_run(tmp_path):
     hooks = Hooks()
 
@@ -695,14 +719,12 @@ def test_log_messages_split_into_key_value_pairs(tmp_path, caplog, monkeypatch):
         def close(self):
             pass
 
-    real_append = CaptureSession._append_event
-
-    def append_event(self, payload):
+    def full_disk_append(session_dir, payload):
         if payload["event"] == "segment_closed":
             raise OSError(errno.ENOSPC, "disk full")
-        real_append(self, payload)
+        append_event(session_dir, payload)
 
-    monkeypatch.setattr(CaptureSession, "_append_event", append_event)
+    monkeypatch.setattr("gpsloran.record.append_event", full_disk_append)
     assert run_pipeline(base_config(tmp_path / "c", process_segments=False),
                         clock=ManualClock(START), source=BrokenSource()) == 1
     monkeypatch.undo()

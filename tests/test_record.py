@@ -1,4 +1,5 @@
 import calendar
+import errno
 import hashlib
 import json
 import random
@@ -21,6 +22,7 @@ from gpsloran.record import (
     SourceKind,
     SourceUnavailable,
     TcpSource,
+    append_event,
     open_source,
     read_events,
 )
@@ -140,6 +142,7 @@ def test_capture_concatenation_is_input(tmp_path):
         tmp_path, clock, rotation=RotationPolicy(mode="fixed-interval", interval_s=60)
     )
     position = 0
+    segments = []
     while position < len(data):
         size = rng.randrange(1, 700)
         session.append(data[position : position + size])
@@ -147,10 +150,10 @@ def test_capture_concatenation_is_input(tmp_path):
         if rng.random() < 0.05:
             clock.advance(61)
         while session.due_rotation(clock.now()):
-            session.rotate()
-    session.close()
-    assert len(session.segments) >= 3
-    replay = b"".join(seg.path.read_bytes() for seg in session.segments)
+            segments.append(session.rotate())
+    segments.append(session.close())
+    assert len(segments) >= 3
+    replay = b"".join(seg.path.read_bytes() for seg in segments)
     assert replay == data
 
 
@@ -181,13 +184,14 @@ def test_rotation_never_splits_a_chunk(tmp_path):
         tmp_path, clock, rotation=RotationPolicy(mode="fixed-interval", interval_s=10)
     )
     chunk = b"$GPGGA,atomic-chunk*00\r\n"
+    segments = []
     for _ in range(5):
         session.append(chunk)
         clock.advance(11)
         while session.due_rotation(clock.now()):
-            session.rotate()
-    session.close()
-    for seg in session.segments:
+            segments.append(session.rotate())
+    segments.append(session.close())
+    for seg in segments:
         content = seg.path.read_bytes()
         assert len(content) % len(chunk) == 0
 
@@ -198,10 +202,10 @@ def test_empty_segments_are_valid(tmp_path):
         tmp_path, clock, rotation=RotationPolicy(mode="fixed-interval", interval_s=10)
     )
     clock.advance(11)
-    session.rotate()
+    first = session.rotate()
     final = session.close()
-    assert session.segments[0].byte_count == 0
-    assert session.segments[0].path.exists()
+    assert first.byte_count == 0
+    assert first.path.exists()
     assert final.byte_count == 0
 
 
@@ -210,11 +214,12 @@ def test_segment_names_unique_under_fast_rotation(tmp_path):
     session = make_session(
         tmp_path, clock, rotation=RotationPolicy(mode="fixed-interval", interval_s=0.25)
     )
+    segments = []
     for _ in range(4):
         clock.advance(0.26)
-        session.rotate()
-    session.close()
-    names = [seg.name for seg in session.segments]
+        segments.append(session.rotate())
+    segments.append(session.close())
+    names = [seg.name for seg in segments]
     assert len(names) == len(set(names))
 
 
@@ -263,7 +268,7 @@ def test_session_metadata_and_events(tmp_path):
 
     session.append(b"hello\r\n")
     clock.advance(61)
-    session.rotate()
+    first = session.rotate()
     session.record_gap(clock.now(), clock.now(), "reconnect")
     session.close()
 
@@ -273,7 +278,7 @@ def test_session_metadata_and_events(tmp_path):
     assert "gap" in kinds
     closed = [event for event in events if event["event"] == "segment_closed"]
     assert closed[0]["byte_count"] == 7
-    assert closed[0]["digest"] == sha256_file(session.segments[0].path)
+    assert closed[0]["digest"] == sha256_file(first.path)
     # rotation-driven close records the policy boundary it honored
     assert closed[0]["boundary"] == "2020-04-17T09:31:00.000Z"
     assert "boundary" not in closed[1]
@@ -289,6 +294,45 @@ def test_read_events_tolerates_torn_tail(tmp_path):
         handle.write(b'{"event": "segment_clo')  # torn write mid-crash
     events = read_events(session.dir)
     assert [event["event"] for event in events] == ["segment_open", "segment_closed"]
+
+
+def test_an_event_after_a_torn_line_starts_a_line_of_its_own(tmp_path):
+    clock = ManualClock(START)
+    session = make_session(tmp_path, clock)
+    session.close()
+    events_path = session.dir / "events.jsonl"
+    with open(events_path, "ab") as handle:
+        handle.write(b'{"event": "segment_clo')  # torn write mid-crash
+    append_event(session.dir, {"event": "gap", "reason": "test"})
+    append_event(session.dir, {"event": "gap", "reason": "again"})
+    lines = events_path.read_bytes().split(b"\n")
+    assert lines[2:] == [b'{"event": "segment_clo', b'{"event": "gap", "reason": "test"}',
+                         b'{"event": "gap", "reason": "again"}', b""]
+    assert [event["event"] for event in read_events(session.dir)] == [
+        "segment_open", "segment_closed", "gap", "gap"]
+
+
+def test_a_close_event_that_cannot_be_written_does_not_stop_rotation(
+        tmp_path, monkeypatch, caplog):
+    def full_disk_append(session_dir, payload):
+        if payload["event"] == "segment_closed":
+            raise OSError(errno.ENOSPC, "disk full")
+        append_event(session_dir, payload)
+
+    monkeypatch.setattr("gpsloran.record.append_event", full_disk_append)
+    clock = ManualClock(START)
+    session = make_session(
+        tmp_path, clock, rotation=RotationPolicy(mode="fixed-interval", interval_s=10)
+    )
+    session.append(b"kept")
+    clock.advance(11)
+    closed = session.rotate()
+    session.append(b"more")
+    assert closed.digest == sha256_file(closed.path)
+    assert session.close().path.read_bytes() == b"more"
+    assert f"event=digest_pending segment={closed.name}" in caplog.text
+    assert [(event["event"], event["segment"]) for event in read_events(session.dir)] == [
+        ("segment_open", closed.name), ("segment_open", session.active.name)]
 
 
 # --- sources --------------------------------------------------------------------

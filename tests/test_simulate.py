@@ -74,7 +74,7 @@ def test_example_scenario_counts():
     lines, rest = extract_lines(stream.to_bytes())
     assert rest == b""
     assert len(lines) == 72
-    labels = [classify_line(line).label for line in lines]
+    labels = [classify_line(line) for line in lines]
     assert labels.count("GPGGA") == 60
     assert labels.count("P_LRM") == 6
     assert labels.count("GPZDA") == 6
@@ -105,7 +105,7 @@ def test_every_clean_line_verifies_and_reparses():
     for line in lines:
         if verify_checksum(line) is not ChecksumStatus.VALID:
             continue
-        label = classify_line(line).label
+        label = classify_line(line)
         ctx = contexts.setdefault(label, DateContext(ms(2020, 4, 17)))
         fields = split_sentence(line.decode("ascii"))
         if label == "GPGGA":
@@ -149,7 +149,7 @@ def test_garbage_lines_fail_classification():
     stream, truth = generate_stream(scenario)
     assert truth.garbage_lines > 0
     lines, _ = extract_lines(stream.to_bytes())
-    unknown = [line for line in lines if classify_line(line).label == "unknown"]
+    unknown = [line for line in lines if classify_line(line) == "unknown"]
     assert len(unknown) == truth.garbage_lines
 
 
@@ -163,7 +163,7 @@ def test_truncated_lines_do_not_parse():
     for line in lines:
         if verify_checksum(line) is not ChecksumStatus.ABSENT:
             continue
-        label = classify_line(line).label
+        label = classify_line(line)
         fields = split_sentence(line.decode("ascii", "replace"))
         try:
             if label == "GPGGA":
