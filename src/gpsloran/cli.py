@@ -138,14 +138,17 @@ def cmd_stats(args) -> int:
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Each record is folded and its series row written as it is read.
+    # Each record is folded as it is read; series rows are written in blocks.
     fold, runs, series, stack = convert.SummaryFold(gap_threshold_s), [], {}, ExitStack()
 
     def write(name: str, row: str, header: str = "timestamp,snr_db\n") -> None:
         if name not in series:
-            series[name] = stack.enter_context(AtomicWriter(out_dir / name))
-            series[name].write(header.encode())
-        series[name].write(row.encode())
+            series[name] = (stack.enter_context(AtomicWriter(out_dir / name)), [header])
+        writer, rows = series[name]
+        rows.append(row)
+        if len(rows) >= convert._BLOCK_RECORDS:
+            writer.write("".join(rows).encode())
+            rows.clear()
 
     def on_fix(fix, stamp: str) -> None:
         fold.add(fix)
@@ -174,7 +177,8 @@ def cmd_stats(args) -> int:
         for instant in heapq.merge(*runs):
             fold.stamp(instant)
         stations = convert.summarize(fold)
-        for writer in series.values():
+        for writer, rows in series.values():
+            writer.write("".join(rows).encode())
             writer.commit()
 
     loran = sum(count for count, *_ in stations.values())

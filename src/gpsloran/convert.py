@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 import re
 from array import array
@@ -40,7 +41,7 @@ from itertools import chain, islice
 from operator import add, attrgetter, itemgetter, le
 from pathlib import Path
 
-from .fsutil import AtomicWriter, atomic_write_json
+from .fsutil import AtomicWriter, atomic_write_json, read_json, sha256_file
 from .parse import (STATION_ROLES, GpsFix, LoranMeasurement, check_fix, loran_values,
                     parse_float, parse_int)
 from .timeutil import iso_ms, parse_iso_ms
@@ -286,12 +287,12 @@ def export(
 
 def read_gps_export(path: Path, emit: Callable[[GpsFix, str], object]) -> array:
     """Read a ``timeline_gps`` export (either format); see :func:`_read_export`."""
-    return _read_export(Path(path), GPS_COLUMNS, _gps_fix, emit)
+    return _read_export(Path(path), GPS_COLUMNS, (_gps_fix, _exported_gps_fix), emit)
 
 
 def read_loran_export(path: Path, emit: Callable[[LoranMeasurement, str], object]) -> array:
     """Read a ``timeline_loran`` export (either format); see :func:`_read_export`."""
-    return _read_export(Path(path), LORAN_COLUMNS, _loran_measurement, emit)
+    return _read_export(Path(path), LORAN_COLUMNS, (_loran_measurement, _exported_loran), emit)
 
 
 def _gps_fix(timestamp, lat, lon, alt, quality, sats, hdop) -> GpsFix:
@@ -310,14 +311,46 @@ def _optional(value, name: str) -> float | None:
     return None if value is None or value == "" else parse_float(value, name)
 
 
-def _read_export(path: Path, columns: tuple[str, ...], build, emit) -> array:
-    """Read an export file once: a CSV row's values by the header's column
+# For a file its manifest vouches for: export wrote str() of checked values.
+def _exported_gps_fix(timestamp, lat, lon, alt, quality, sats, hdop) -> GpsFix:
+    lat, lon, alt, hdop = [None if v is None or v == "" else float(v) for v in (lat, lon, alt, hdop)]
+    return GpsFix(timestamp, lat, lon, alt, int(quality), int(sats), hdop)
+
+
+def _exported_loran(timestamp, gri, role, toa, snr, ecd) -> LoranMeasurement:
+    return LoranMeasurement(timestamp, int(gri), role, float(toa), float(snr), float(ecd))
+
+
+def _verified(path: Path) -> bool:
+    """Whether *path*'s sha256 is its manifest's digest for it.  A stale
+    digest or an unreadable manifest logs a warning; no entry does not."""
+    try:
+        manifest = read_json(path.with_name(MANIFEST_NAME))
+        digests = {entry["path"]: entry["digest"] for entry in manifest["export_files"]}
+    except FileNotFoundError:
+        return False
+    except (OSError, ValueError, LookupError, TypeError):
+        reason = "manifest_unreadable"
+    else:
+        if path.name not in digests or sha256_file(path) == digests[path.name]:
+            return path.name in digests  # a file made by hand, or as exported
+        reason = "digest_mismatch"
+    logging.getLogger(__name__).warning("event=export_unverified file=%s reason=%s", path, reason)
+    return False
+
+
+def _read_export(path: Path, columns: tuple[str, ...], builders, emit) -> array:
+    """Read an export file: a CSV row's values by the header's column
     positions, a JSON line's by member name (an absent one is ``None``).
-    *build* makes a record from them in *columns* order and hands it to
-    *emit* with its timestamp as ``iso_ms`` text, the file's own text where
-    it has that form; a run of equal texts is parsed once.  Returns the
-    file's timestamps in time order.  A malformed file raises ``ValueError``
-    naming the file and the line."""
+    In a file its manifest vouches for (:func:`_verified`) CSV rows are
+    split on commas and the second of *builders* makes each record; other
+    files are parsed by ``csv`` and the first checks every value.  *emit*
+    takes each record with its timestamp as ``iso_ms`` text, the file's
+    own text where it has that form; a run of equal texts is parsed once.
+    Returns the timestamps in time order; a malformed file raises
+    ``ValueError`` naming the file and the line."""
+    trusted = _verified(path)
+    build = builders[trusted]
     stamps = array("q")
     line_number = 0  # the line last read, which an error names
 
@@ -328,13 +361,15 @@ def _read_export(path: Path, columns: tuple[str, ...], build, emit) -> array:
 
     def records():  # only the file's own faults are named by file and line
         text = instant = stamp = object()  # no row's timestamp
-        rows = _json_rows if path.suffix == ".jsonl" else _csv_rows
         with open(path, "r", encoding="utf-8", newline="") as handle:
+            lines = numbered(handle)
+            cells = (line.rstrip("\n").split(",") for line in lines) if trusted else csv.reader(lines)
+            rows = _json_rows(lines, columns) if path.suffix == ".jsonl" else _csv_rows(cells, columns)
             try:
-                for row in rows(numbered(handle), columns):
+                for row in rows:
                     if row[0] != text:
                         text, instant = row[0], parse_iso_ms(row[0])
-                        stamp = text if _ISO_MS_TEXT.fullmatch(text) else iso_ms(instant)
+                        stamp = text if trusted or _ISO_MS_TEXT.fullmatch(text) else iso_ms(instant)
                     stamps.append(instant)
                     yield build(instant, *row[1:]), stamp
             except (TypeError, ValueError, csv.Error) as exc:
@@ -345,8 +380,7 @@ def _read_export(path: Path, columns: tuple[str, ...], build, emit) -> array:
     return stamps if all(map(le, stamps, stamps[1:])) else array("q", sorted(stamps))
 
 
-def _csv_rows(lines, columns: tuple[str, ...]):
-    reader = csv.reader(lines)
+def _csv_rows(reader, columns: tuple[str, ...]):
     header = next(reader, None)
     if header is None:
         return

@@ -471,7 +471,7 @@ def run_pipeline(
 
 
 def _finalize_orphan(session_dir: Path, name: str, events: list[dict]) -> None:
-    """Close the books on a segment whose writer died: take the flushed
+    """Close the books on a segment with no close event: take the flushed
     bytes on disk as its content and record a synthetic close event."""
     path = session_dir / name
     open_time = None
@@ -520,11 +520,13 @@ def recover(session_dir: Path, *, hooks: Hooks | None = None) -> int:
     settings = pipeline_settings(session_meta.get("pipeline", {}))
 
     events = read_events(session_dir)
+    closed = {event.get("segment") for event in events if event.get("event") == "segment_closed"}
     known = {entry.name for entry in state.entries}
     for name in raw_names:
-        if name not in known:
+        if name not in closed:
             logger.info("event=finalize_interrupted_capture segment=%s", name)
             _finalize_orphan(session_dir, name, events)
+        if name not in known:
             state.add_segment(name, RECORDED)
 
     for stray in list(session_dir.glob("classified/.tmp-*")) + list(

@@ -466,6 +466,79 @@ def test_stats_names_the_file_and_line_of_a_malformed_export(
     assert capsys.readouterr().err == f"error: {directory / name}:{line}: {problem}\n"
 
 
+def stats_series(out: Path) -> dict[str, str]:
+    return {path.name: path.read_text() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("manifest, reason", [
+    ("stale", "digest_mismatch"), ("unreadable", "manifest_unreadable"),
+    ("absent", None), ("without-entry", None),
+])
+def test_stats_reads_an_export_its_manifest_does_not_vouch_for_strictly(
+    tmp_path, capsys, caplog, manifest, reason
+):
+    """An export whose digest its manifest does not give is read by the
+    strict reader, which writes each timestamp in ``iso_ms`` form again, so
+    the results equal those of the file before it was altered.  A stale
+    digest or an unreadable manifest logs one warning a file; no manifest,
+    or no entry for the file, is silent."""
+    session = stats_session(tmp_path)
+    assert main(["stats", "--session", str(session), "--out", str(tmp_path / "before")]) == 0
+    expected = capsys.readouterr().out
+    directory = session / "exports" / "raw_20200417T120000Z"
+    gps, loran = directory / "timeline_gps.csv", directory / "timeline_loran.csv"
+    gps.write_text(gps.read_text().replace(".000Z,", ".000+00:00,"))
+    if manifest == "unreadable":
+        (directory / MANIFEST_NAME).write_text("{not json")
+    elif manifest == "absent":
+        (directory / MANIFEST_NAME).unlink()
+    elif manifest == "without-entry":
+        payload = read_json(directory / MANIFEST_NAME)
+        payload["export_files"] = [entry for entry in payload["export_files"]
+                                   if entry["path"] != gps.name]
+        (directory / MANIFEST_NAME).write_text(json.dumps(payload))
+    caplog.clear()
+
+    assert main(["stats", "--session", str(session), "--out", str(tmp_path / "after")]) == 0
+    assert capsys.readouterr().out == expected
+    assert stats_series(tmp_path / "after") == stats_series(tmp_path / "before")
+    warned = {"stale": [gps], "unreadable": [gps, loran]}.get(manifest, [])
+    assert [(record.levelname, record.getMessage()) for record in caplog.records] == [
+        ("WARNING", f"event=export_unverified file={path} reason={reason}") for path in warned]
+
+
+def test_stats_checks_an_altered_export_whose_manifest_is_stale(tmp_path, capsys, caplog):
+    """A value altered out of range after export no longer matches the
+    manifest's digest, so the strict reader finds it."""
+    session = stats_session(tmp_path)
+    gps = session / "exports" / "raw_20200417T120000Z" / "timeline_gps.csv"
+    gps.write_text(gps.read_text().replace(",37.123456789,", ",-90.5,"))
+    assert main(["stats", "--session", str(session)]) == 1
+    assert capsys.readouterr().err == f"error: {gps}:2: latitude out of range: -90.5\n"
+    assert f"event=export_unverified file={gps} reason=digest_mismatch" in caplog.text
+
+
+def test_stats_checks_no_field_of_an_export_its_manifest_vouches_for(tmp_path, capsys):
+    """The parser checked every value before export wrote it, so ``stats``
+    does not check them again in a file whose digest its manifest gives;
+    without the manifests it does."""
+    session = stats_session(tmp_path)
+    checks = ("parse_float", "parse_int", "check_fix", "loran_values")
+
+    def calls() -> list[int]:
+        with contextlib.ExitStack() as stack:
+            spies = [stack.enter_context(unittest.mock.patch.object(
+                convert, name, wraps=getattr(convert, name))) for name in checks]
+            assert main(["stats", "--session", str(session)]) == 0
+        return [spy.call_count for spy in spies]
+
+    assert calls() == [0, 0, 0, 0]
+    for manifest in session.glob(f"exports/*/{MANIFEST_NAME}"):
+        manifest.unlink()
+    assert all(calls())
+    capsys.readouterr()
+
+
 def test_year_below_1000_survives_convert_and_stats(tmp_path, capsys):
     """A receiver reporting year 999 gets a four-digit year in every file,
     which stats then reads back."""
@@ -681,14 +754,21 @@ def test_stats_fold_equals_the_list_based_summary(segments, station):
         session = Path(scratch) / "session"
         for index, (fixes, observations, fmt) in enumerate(segments):
             export([[*fixes, *observations]], fmt, session / "exports" / f"raw_{index:02d}")
-        out = Path(scratch) / "stats"
-        with contextlib.redirect_stdout(io.StringIO()) as stdout:
-            assert main(["stats", "--session", str(session), "--out", str(out),
-                         *(["--station", station] if station else [])]) == 0
-        series = {path.name: path.read_text() for path in out.iterdir()}
+
+        def stats(out: Path) -> tuple[str, dict[str, str]]:
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                assert main(["stats", "--session", str(session), "--out", str(out),
+                             *(["--station", station] if station else [])]) == 0
+            return stdout.getvalue(), stats_series(out)
+
+        stdout, series = stats(Path(scratch) / "trusted")
+        # without manifests every file is read by the strict reader
+        for manifest in session.glob(f"exports/*/{MANIFEST_NAME}"):
+            manifest.unlink()
+        assert stats(Path(scratch) / "strict") == (stdout, series)
 
     read_order = [record for fixes, observations, _ in segments for record in (*fixes, *observations)]
-    assert stdout.getvalue() == reference_stats_stdout(read_order)
+    assert stdout == reference_stats_stdout(read_order)
     gps = [fix for fixes, _, _ in segments for fix in fixes]
     loran = [obs for _, observations, _ in segments for obs in observations]
     stations = [station] if station else sorted({obs.station for obs in loran})

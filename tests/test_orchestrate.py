@@ -458,6 +458,34 @@ def test_recover_ends_a_torn_event_line_before_its_own(tmp_path):
     assert lines == [opened, torn, json.dumps(events[1], sort_keys=True), ""]
 
 
+def test_recover_writes_the_close_events_a_full_disk_kept_out(tmp_path, monkeypatch, caplog):
+    """A segment whose ``segment_closed`` event could not be written
+    (``digest_pending``) is already in the state; ``recover`` still gives
+    it a close event with the digest of its bytes, and adds no entry."""
+    def full_disk_append(session_dir, payload):
+        if payload["event"] == "segment_closed":
+            raise OSError(errno.ENOSPC, "disk full")
+        append_event(session_dir, payload)
+
+    monkeypatch.setattr("gpsloran.record.append_event", full_disk_append)
+    code, session_dir = run_scripted(
+        tmp_path, [(0, lines_block_one()), (3700, b""), (0, lines_block_two())])
+    monkeypatch.undo()
+    assert code == 0
+    names = ["raw_20200417T120000Z.log", "raw_20200417T130140Z.log"]
+    assert caplog.text.count("event=digest_pending") == 2
+    assert [event["event"] for event in read_events(session_dir)] == ["segment_open"] * 2
+    state = (session_dir / STATE_NAME).read_text()
+
+    assert recover(session_dir) == 0
+    closed = [event for event in read_events(session_dir) if event["event"] == "segment_closed"]
+    assert [(event["segment"], event["digest"], event["recovered"]) for event in closed] == [
+        (name, sha256_file(session_dir / name), True) for name in names]
+    assert (session_dir / STATE_NAME).read_text() == state
+    assert recover(session_dir) == 0
+    assert len(read_events(session_dir)) == 4  # a second run finds nothing to close
+
+
 def test_recover_after_crash_matches_clean_run(tmp_path):
     hooks = Hooks()
 
