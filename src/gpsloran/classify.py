@@ -40,7 +40,9 @@ READ_CHUNK = 1 << 16
 # Proprietary is the first alternative, so it wins; a standard match never
 # starts with ``$P`` because any such header also matches the proprietary one.
 _HEADER_RE = re.compile(rb"\$(?:P([A-Z0-9]+)|([A-Z]{2})([A-Z]{3}))(?:[,*]|\Z)")
-_HEX_DIGITS = frozenset(b"0123456789abcdefABCDEF")
+# Each two-byte checksum field, either case, to its value; anything else is not hex.
+_HEX_PAIRS = {bytes((high, low)): int(bytes((high, low)), 16)
+              for high in b"0123456789abcdefABCDEF" for low in b"0123456789abcdefABCDEF"}
 
 
 class ChecksumStatus(str, Enum):
@@ -74,7 +76,19 @@ def classify_line(line: bytes) -> str:
     return (talker + sentence).decode("ascii")
 
 
-def verify_checksum(line: bytes) -> ChecksumStatus:
+def _suffix_xors(data: bytes) -> bytes:
+    """Byte ``i`` of the result is the XOR of ``data[i:]`` and a zero byte
+    ends it, so the XOR of ``data[a:b]`` is ``result[a] ^ result[b]``.  Each
+    shift of the little-endian int doubles the bytes every byte folds."""
+    fold = int.from_bytes(data, "little")
+    shift, bits = 8, 8 * len(data)
+    while shift < bits:
+        fold ^= fold >> shift
+        shift <<= 1
+    return fold.to_bytes(len(data) + 1, "little")
+
+
+def verify_checksum(line: bytes, xors: bytes | None = None, at: int = 0) -> ChecksumStatus:
     """Check the trailing ``*hh`` checksum field of an NMEA-style line.
 
     The checksum is the XOR of all bytes strictly between ``$`` and the
@@ -83,18 +97,20 @@ def verify_checksum(line: bytes) -> ChecksumStatus:
 
     Returns ABSENT when the line has no two-character ``*``-introduced
     suffix at all, INVALID when the suffix is present but not hex or does
-    not match.  Total: never raises.
+    not match.  *xors* are the :func:`_suffix_xors` of a buffer holding
+    *line* at offset *at*, as :func:`route` passes its chunk's; without
+    them the line's own are taken.  Total: never raises.
     """
     star = line.rfind(b"*")
     if star == -1 or len(line) - star != 3:
         return ChecksumStatus.ABSENT
-    high, low = line[star + 1], line[star + 2]
-    if high not in _HEX_DIGITS or low not in _HEX_DIGITS:
+    expected = _HEX_PAIRS.get(line[star + 1 :])
+    if expected is None:
         return ChecksumStatus.INVALID
-    fold = 0
-    for byte in line[line.find(b"$") + 1 : star]:
-        fold ^= byte
-    return ChecksumStatus.VALID if fold == int(line[star + 1 :], 16) else ChecksumStatus.INVALID
+    if xors is None:
+        xors = _suffix_xors(line)
+    start = at + line.find(b"$", 0, star) + 1
+    return ChecksumStatus.VALID if xors[start] ^ xors[at + star] == expected else ChecksumStatus.INVALID
 
 
 @dataclass
@@ -124,8 +140,10 @@ def route(
     invalid-checksum lines go to ``quarantine.txt``.  Within each file,
     lines keep their segment order and exact byte content.  Re-running on
     the same segment reproduces byte-identical outputs.  The segment is
-    read in ``READ_CHUNK``-byte chunks and each class file gets one write
-    per chunk, so memory stays bounded by one chunk plus the longest line.
+    read in ``READ_CHUNK``-byte chunks; each chunk's checksums come from
+    one :func:`_suffix_xors` of its lines and each class file gets one
+    write per chunk, so memory stays within a few times one chunk plus the
+    longest line.
 
     A ``report.json`` with the counts is written last, so its presence
     marks a completed classification.
@@ -140,6 +158,7 @@ def route(
     writers: dict[str, BinaryIO] = {}
     match_header = _HEADER_RE.match
     invalid = ChecksumStatus.INVALID
+    limit = MAX_LINE_BYTES
     carry: list[bytes] = []  # pieces of the unfinished line, joined once when it ends
     try:
         with open(segment_path, "rb") as stream:
@@ -153,13 +172,21 @@ def route(
                 if not data and tail:  # end of segment: an unterminated tail is kept verbatim
                     lines.append(tail)
                 pending: defaultdict[str, list[bytes]] = defaultdict(list)
+                # The lines as the class files hold them, less the overlong ones: a
+                # segment without LF is one such line, folded only if it ends in *hh.
+                xors = _suffix_xors(b"\n".join([line for line in lines if len(line) <= limit]))
+                at = 0  # where the next line within the limit starts in those bytes
                 for line in lines:
-                    status = verify_checksum(line)
+                    if len(line) > limit:
+                        status = verify_checksum(line)
+                    else:
+                        status = verify_checksum(line, xors, at)
+                        at += len(line) + 1
                     checksum_counts[status] += 1
                     match = match_header(line)
                     if (
                         match is None
-                        or len(line) > MAX_LINE_BYTES
+                        or len(line) > limit
                         or (quarantine_invalid and status is invalid)
                     ):
                         label = QUARANTINE_LABEL

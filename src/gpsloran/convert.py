@@ -42,7 +42,7 @@ from operator import add, attrgetter, itemgetter, le
 from pathlib import Path
 
 from .fsutil import AtomicWriter, atomic_write_json, read_json, sha256_file
-from .parse import (STATION_ROLES, GpsFix, LoranMeasurement, check_fix, loran_values,
+from .parse import (GpsFix, LoranMeasurement, check_fix, loran_values,
                     parse_float, parse_int)
 from .timeutil import iso_ms, parse_iso_ms
 
@@ -140,61 +140,61 @@ def _windowed(stores: tuple[Iterable[Record], ...], window: int) -> Iterator[lis
 
 # --- export -----------------------------------------------------------------
 
-# Per record type: its values in column order, their JSON keys, the cells
-# around them in a timeline_all CSV row, its record_type JSON member, and
-# the index of the station role, the one value JSON quotes.
-_GPS_LAYOUT = (
-    attrgetter("lat", "lon", "alt_m", "fix_quality", "num_sats", "hdop"),
-    tuple(f',"{name}":' for name in GPS_COLUMNS[1:]),
-    f",{GPS_TYPE},", "," * (len(LORAN_COLUMNS) - 1), f'","record_type":"{GPS_TYPE}"', None,
-)
-_LORAN_LAYOUT = (
-    attrgetter("gri", "station_role", "toa_us", "snr_db", "ecd_us"),
-    tuple(f',"{name}":' for name in LORAN_COLUMNS[1:]),
-    f",{LORAN_TYPE}" + "," * len(GPS_COLUMNS), "", f'","record_type":"{LORAN_TYPE}"',
-    LORAN_COLUMNS.index("station_role") - 1,
-)
-_JSON_ROLES = {role: json.dumps(role) for role in STATION_ROLES}
+# A fix's values in column order, their JSON keys, and the empty Loran
+# cells after them in a timeline_all CSV row.
+_GPS_VALUES = attrgetter("lat", "lon", "alt_m", "fix_quality", "num_sats", "hdop")
+_GPS_KEYS = tuple(f',"{name}":' for name in GPS_COLUMNS[1:])
+_GPS_ALL_TAIL = "," * (len(LORAN_COLUMNS) - 1)
 _EXPORT_FILES = {fmt: [f"timeline_{kind}.{ext}" for kind in ("gps", "loran", "all")]
                  for fmt, ext in FORMAT_EXTENSIONS.items()}
 
 
-def _render(block: list[Record], formats: tuple[str, ...]) -> dict[str, str]:
-    """``{file name: text}`` of a block of records in all six export files.
-    Each distinct timestamp is formatted once and each value converted with
-    ``str()`` once (``None`` is an empty CSV cell and a JSON ``null``);
-    every file is built from those texts.  Parsing admits finite numbers
-    only, so ``str()`` of a number is its JSON text."""
+def _render(block: list[Record], formats: tuple[str, ...], fold: SummaryFold) -> dict[str, str]:
+    """``{file name: text}`` of a block of records in all six export files,
+    each record folded into *fold* as it is rendered.  Each distinct
+    timestamp is formatted and stamped once and each value converted to
+    text once (``None`` is an empty CSV cell and a JSON ``null``).  Parsing
+    admits finite numbers and the ``STATION_ROLES`` letters only, so the
+    text of a number is its JSON text and a role needs no escaping."""
     columns = "columns" in formats
     lines = "lines" in formats
     instant = stamp = None
+    snr = fold.snr
     gps_csv, loran_csv, all_csv, gps_json, loran_json, all_json = [], [], [], [], [], []
     for record in block:
         if record.timestamp != instant:
             instant = record.timestamp
             stamp = iso_ms(instant)
-        if isinstance(record, GpsFix):
-            values, keys, all_head, all_tail, json_type, role = _GPS_LAYOUT
-            own_csv, own_json = gps_csv, gps_json
-        else:
-            values, keys, all_head, all_tail, json_type, role = _LORAN_LAYOUT
-            own_csv, own_json = loran_csv, loran_json
-        texts = [None if value is None else str(value) for value in values(record)]
+            fold.stamp(instant)
+        if type(record) is LoranMeasurement:
+            gri, role = str(record.gri), record.station_role
+            toa, snr_db, ecd = repr(record.toa_us), repr(record.snr_db), repr(record.ecd_us)
+            snr[gri + role].append(record.snr_db)
+            if columns:  # a timeline_all row leaves the six GPS cells empty
+                loran_csv.append(f"{stamp},{gri},{role},{toa},{snr_db},{ecd}\n")
+                all_csv.append(f"{stamp},{LORAN_TYPE},,,,,,,{gri},{role},{toa},{snr_db},{ecd}\n")
+            if lines:
+                loran_json.append(f'{{"timestamp":"{stamp}","gri":{gri},"station_role":"{role}",'
+                                  f'"toa_us":{toa},"snr_db":{snr_db},"ecd_us":{ecd}}}\n')
+                all_json.append(f'{{"timestamp":"{stamp}","record_type":"{LORAN_TYPE}","gri":{gri},'
+                                f'"station_role":"{role}","toa_us":{toa},"snr_db":{snr_db},'
+                                f'"ecd_us":{ecd}}}\n')
+            continue
+        fold.add(record)
+        texts = [None if value is None else str(value) for value in _GPS_VALUES(record)]
         complete = None not in texts
         if columns:
             row = ",".join(texts) if complete else ",".join([text or "" for text in texts])
-            own_csv.append(f"{stamp},{row}\n")
-            all_csv.append(f"{stamp}{all_head}{row}{all_tail}\n")
+            gps_csv.append(f"{stamp},{row}\n")
+            all_csv.append(f"{stamp},{GPS_TYPE},{row}{_GPS_ALL_TAIL}\n")
         if lines:
-            if role is not None:
-                texts[role] = _JSON_ROLES[texts[role]]
             if complete:
-                members = sparse = "".join(map(add, keys, texts))
+                members = sparse = "".join(map(add, _GPS_KEYS, texts))
             else:
-                members = "".join([key + (text or "null") for key, text in zip(keys, texts)])
-                sparse = "".join([key + text for key, text in zip(keys, texts) if text])
-            own_json.append(f'{{"timestamp":"{stamp}"{members}}}\n')
-            all_json.append(f'{{"timestamp":"{stamp}{json_type}{sparse}}}\n')
+                members = "".join([key + (text or "null") for key, text in zip(_GPS_KEYS, texts)])
+                sparse = "".join([key + text for key, text in zip(_GPS_KEYS, texts) if text])
+            gps_json.append(f'{{"timestamp":"{stamp}"{members}}}\n')
+            all_json.append(f'{{"timestamp":"{stamp}","record_type":"{GPS_TYPE}"{sparse}}}\n')
     rendered = map("".join, (gps_csv, loran_csv, all_csv, gps_json, loran_json, all_json))
     return dict(zip(_EXPORT_FILES["columns"] + _EXPORT_FILES["lines"], rendered))
 
@@ -247,12 +247,9 @@ def export(
                     writer.write((",".join(header) + "\n").encode("utf-8"))
         fold = SummaryFold(gap_threshold_s)
         for block in blocks:
-            rendered = _render(block, formats)
+            rendered = _render(block, formats, fold)
             for name, writer in writers.items():
                 writer.write(rendered[name].encode("utf-8"))
-            for record in block:
-                fold.add(record)
-                fold.stamp(record.timestamp)
         digests = {name: writer.commit() for name, writer in writers.items()}
 
     station_counts = {station: len(values) for station, values in sorted(fold.snr.items())}

@@ -356,7 +356,9 @@ def run_pipeline(
 ) -> int:
     """Capture continuously, processing each closed segment, until the
     source ends (or fails fatally).  Returns the process exit code:
-    0 success, 1 fatal capture/config error, 2 some segments flagged.
+    0 success, 1 fatal capture/config error, 2 some segments flagged, 130
+    stopped by an interrupt (Ctrl-C), which closes the session as an ended
+    source does.
     """
     hooks = hooks or Hooks()
     settings = pipeline_settings(config)
@@ -409,7 +411,7 @@ def run_pipeline(
         else:
             executor.submit(safe_process, name)
 
-    fatal = False
+    fatal = interrupted = False
     stop_on_eof = (
         settings["on_eof"] == "stop"
         or endpoint is None  # injected sources cannot be reopened
@@ -450,6 +452,9 @@ def run_pipeline(
     except OSError as exc:
         logger.error("event=fatal_capture_error error=%s", json.dumps(str(exc)))
         fatal = True
+    except KeyboardInterrupt:
+        logger.info("event=interrupted")
+        interrupted = True
 
     final_segment = session.close()
     state.add_segment(final_segment.name, RECORDED)
@@ -458,6 +463,8 @@ def run_pipeline(
     if executor is not None:
         executor.shutdown(wait=True)
 
+    if interrupted:
+        return 130
     if fatal:
         return 1
     if settings["process_segments"] and any(

@@ -64,6 +64,9 @@ _HALF_DAY_MS = MS_PER_DAY // 2
 _TOD_RE = re.compile(r"^(\d{2})(\d{2})(\d{2})(?:\.(\d{1,3}))?$")
 _COORD_RE = re.compile(r"^(\d{4,5})\.(\d+)$")
 _RMC_DATE_RE = re.compile(r"^(\d{2})(\d{2})(\d{2})$")
+# What int() and float() forgive in a number and NMEA never writes in one:
+# digit separators and surrounding white space.
+_NUMBER_NOISE = re.compile(r"[_\s]").search
 
 
 class ParseError(ValueError):
@@ -185,14 +188,21 @@ class DateContext:
 def parse_tod(value: str) -> int:
     """Milliseconds into the UTC day of ``hhmmss`` with up to three
     fractional digits."""
-    match = _TOD_RE.match(value)
-    if not match:
-        raise ParseError(f"malformed time of day: {value!r}", "time")
-    hour, minute, second, fraction = match.groups()
-    hour, minute, second = int(hour), int(minute), int(second)
+    if (len(value) == 10 and value[6] == "." and value.isascii()
+            and (digits := value[:6] + value[7:]).isdigit()):  # hhmmss.sss, the receivers' form
+        whole = int(digits)
+        hour, minute, second = whole // 10_000_000, whole // 100_000 % 100, whole // 1000 % 100
+        ms = whole % 1000
+    else:
+        match = _TOD_RE.match(value)
+        if not match:
+            raise ParseError(f"malformed time of day: {value!r}", "time")
+        hour, minute, second, fraction = match.groups()
+        hour, minute, second = int(hour), int(minute), int(second)
+        ms = int((fraction or "").ljust(3, "0"))
     if hour > 23 or minute > 59 or second > 59:
         raise ParseError(f"time of day out of range: {value!r}", "time")
-    return ((hour * 60 + minute) * 60 + second) * 1000 + int((fraction or "").ljust(3, "0"))
+    return ((hour * 60 + minute) * 60 + second) * 1000 + ms
 
 
 def parse_coordinate(value: str, hemisphere: str, field_name: str = "coordinate") -> float:
@@ -225,9 +235,11 @@ def _require_fields(fields: list[str], minimum: int, sentence: str) -> None:
 
 
 def parse_float(value: str, field_name: str) -> float:
-    """*value*, not a bool, as a finite float; ``ParseError`` naming *field_name* if not."""
+    """*value*, not a bool, as a finite float; ``ParseError`` naming *field_name* if not.
+    A text must not hold ``_`` or white space."""
+    kind = type(value)
     try:
-        number = float(None if type(value) is bool else value)
+        number = float(None if kind is bool or kind is str and _NUMBER_NOISE(value) else value)
     except (TypeError, ValueError, OverflowError):
         raise ParseError(f"malformed {field_name}: {value!r}", field_name) from None
     if not math.isfinite(number):
@@ -236,9 +248,11 @@ def parse_float(value: str, field_name: str) -> float:
 
 
 def parse_int(value: str, field_name: str) -> int:
-    """*value*, a text or an int, as an int; ``ParseError`` naming *field_name* if not."""
+    """*value*, a text or an int, as an int; ``ParseError`` naming *field_name* if not.
+    A text must not hold ``_`` or white space."""
+    kind = type(value)
     try:
-        return int(value if type(value) in (str, int) else None)
+        return int(value if kind is int or kind is str and not _NUMBER_NOISE(value) else None)
     except (TypeError, ValueError, OverflowError):
         raise ParseError(f"malformed {field_name}: {value!r}", field_name) from None
 
@@ -290,6 +304,8 @@ def parse_date_sentence(fields: list[str], sentence: str) -> int:
     if sentence == "ZDA":
         _require_fields(fields, 5, "ZDA")
         day, month, year = fields[2], fields[3], fields[4]
+        if _NUMBER_NOISE(day + month + year):
+            raise ParseError(f"malformed ZDA date: {day!r},{month!r},{year!r}", "date")
     else:
         _require_fields(fields, 10, "RMC")
         match = _RMC_DATE_RE.match(fields[9])
@@ -305,16 +321,31 @@ def parse_date_sentence(fields: list[str], sentence: str) -> int:
 
 def loran_values(gri, role, toa, snr, ecd) -> tuple[int, str, float, float, float]:
     """A Loran observation's values, from text (or numbers), checked in
-    field order; ``ParseError`` naming the first field that fails."""
-    gri = parse_int(gri, "gri")
+    field order; ``ParseError`` naming the first field that fails.  Four
+    clean texts of finite numbers, as a receiver writes, convert at once;
+    anything else converts field by field, each after the checks before it."""
+    try:  # '+' raises TypeError unless all four are texts
+        if _NUMBER_NOISE(gri + toa + snr + ecd):
+            raise ValueError
+        numbers = int(gri), float(toa), float(snr), float(ecd)
+        each = not math.isfinite(numbers[1] + numbers[2] + numbers[3])
+    except (TypeError, ValueError):
+        each = True
+    if each:
+        gri = parse_int(gri, "gri")
+    else:
+        gri, toa, snr, ecd = numbers
     if not GRI_MIN <= gri <= GRI_MAX:
         raise ParseError(f"GRI designator out of range: {gri}", "gri")
     if role not in STATION_ROLES:
         raise ParseError(f"unknown station role: {role!r}", "station_role")
-    toa = parse_float(toa, "toa_us")
+    if each:
+        toa = parse_float(toa, "toa_us")
     if not 0.0 <= toa < gri * 10:
         raise ParseError(f"toa_us outside GRI frame: {toa}", "toa_us")
-    return gri, role, toa, parse_float(snr, "snr_db"), parse_float(ecd, "ecd_us")
+    if each:
+        snr, ecd = parse_float(snr, "snr_db"), parse_float(ecd, "ecd_us")
+    return gri, role, toa, snr, ecd
 
 
 def parse_loran(

@@ -447,6 +447,7 @@ def _with_checksum(header: bytes, body: bytes) -> bytes:
 
 _LINES = st.one_of(
     _NO_LF,
+    st.lists(st.sampled_from(b"$*,\r09aFG"), max_size=24).map(bytes),  # stars, dollars, hex
     st.builds(lambda h, sep, body: h + sep + body, st.sampled_from(_HEADERS),
               st.sampled_from([b"", b",", b"*"]), _NO_LF),
     st.builds(_with_checksum, st.sampled_from(_HEADERS),
@@ -463,6 +464,7 @@ _LINES = st.one_of(
 )
 def test_route_follows_the_line_rules(lines, chunk, limit, quarantine_invalid, terminate_last):
     expected: dict[str, list[bytes]] = {}
+    statuses = Counter(verify_checksum(line).value for line in lines)
     for line in lines:
         label = classify_line(line)
         if (
@@ -489,4 +491,5 @@ def test_route_follows_the_line_rules(lines, chunk, limit, quarantine_invalid, t
     assert files.pop(REPORT_NAME)
     assert files == {name: b"".join(line + b"\n" for line in group) for name, group in expected.items()}
     assert report.total_lines == len(lines)
+    assert report.checksum_counts == {status.value: statuses[status.value] for status in ChecksumStatus}
     assert report.trailing_unterminated is unterminated

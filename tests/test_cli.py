@@ -450,11 +450,17 @@ GPS_JSON = (
          "malformed snr_db: True"),
         ("timeline_gps.jsonl", GPS_JSON.replace('"lat_deg":37.0', '"lat_deg":false'), 1,
          "malformed lat_deg: False"),
+        # int() and float() forgive digit separators and white space; a number here never has them
+        ("timeline_loran.csv", LORAN_HEADER + LORAN_ROW.replace("9930,", "9_930,"), 2,
+         "malformed gri: '9_930'"),
+        ("timeline_gps.csv", GPS_HEADER + GPS_ROW.replace(",0.9", ", 0.9"), 2,
+         "malformed hdop: ' 0.9'"),
     ],
     ids=["short-row", "long-row", "missing-column", "json-not-object", "json-number-timestamp",
          "csv-nan", "json-infinity", "csv-latitude", "csv-gri", "csv-role", "json-toa",
          "csv-float-gri", "json-float-gri", "csv-bool-quality", "json-bool-quality",
-         "json-float-sats", "json-bool-snr", "json-bool-latitude"],
+         "json-float-sats", "json-bool-snr", "json-bool-latitude", "csv-separator-gri",
+         "csv-spaced-hdop"],
 )
 def test_stats_names_the_file_and_line_of_a_malformed_export(
     tmp_path, capsys, name, text, line, problem

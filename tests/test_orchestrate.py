@@ -326,6 +326,38 @@ def test_run_pipeline_rotates_and_processes(tmp_path):
     assert meta["pipeline"]["formats"] == ["columns", "lines"]
 
 
+def test_run_pipeline_stops_cleanly_on_an_interrupt(tmp_path, caplog):
+    """Ctrl-C in the capture loop closes the session as an ended source
+    does: the close event with its digest, the state entry, the source
+    closed and the pool drained; then exit 130, with no traceback."""
+    caplog.set_level(logging.INFO, logger="gpsloran")
+    clock = ManualClock(START)
+
+    class InterruptedSource(ScriptedSource):
+        closed = False
+
+        def read(self, max_bytes, timeout):
+            if not self.steps:
+                raise KeyboardInterrupt
+            return super().read(max_bytes, timeout)
+
+        def close(self):
+            self.closed = True
+
+    source = InterruptedSource(clock, [(0, lines_block_one())])
+    config = base_config(tmp_path, inline_processing=False)
+    assert run_pipeline(config, clock=clock, source=source) == 130
+    assert source.closed
+    session_dir = tmp_path / "unit"
+    segment = session_dir / "raw_20200417T120000Z.log"
+    assert segment.read_bytes() == lines_block_one()
+    closed = [e for e in read_events(session_dir) if e["event"] == "segment_closed"]
+    assert [(e["segment"], e["digest"]) for e in closed] == [(segment.name, sha256_file(segment))]
+    state = StateStore.load(session_dir / STATE_NAME)
+    assert [(e.name, e.stage, e.flagged) for e in state.entries] == [(segment.name, CONVERTED, False)]
+    assert "event=interrupted" in caplog.text
+
+
 def test_run_pipeline_capture_only_mode(tmp_path):
     code, session_dir = run_scripted(
         tmp_path,

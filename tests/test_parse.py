@@ -1,3 +1,4 @@
+import re
 from datetime import date
 
 import pytest
@@ -13,7 +14,9 @@ from gpsloran.parse import (
     parse_classified,
     parse_coordinate,
     parse_date_sentence,
+    parse_float,
     parse_gga,
+    parse_int,
     parse_loran,
     parse_tod,
     split_sentence,
@@ -52,6 +55,46 @@ def test_parse_tod():
 def test_parse_tod_rejects(bad):
     with pytest.raises(ParseError):
         parse_tod(bad)
+
+
+TOD_RULE = re.compile(r"^(\d{2})(\d{2})(\d{2})(?:\.(\d{1,3}))?$")
+
+
+def outcome(parse, *args):
+    """What *parse* gives for *args*: its result, or its error's text and field."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.field_name)
+
+
+def tod_by_rule(value: str) -> int:
+    """The time-of-day rule, every text through TOD_RULE."""
+    match = TOD_RULE.match(value)
+    if not match:
+        raise ParseError(f"malformed time of day: {value!r}", "time")
+    hour, minute, second = map(int, match.groups()[:3])
+    if hour > 23 or minute > 59 or second > 59:
+        raise ParseError(f"time of day out of range: {value!r}", "time")
+    return tod(hour, minute, second, int((match.group(4) or "").ljust(3, "0")))
+
+
+_TOD_TEXTS = st.one_of(
+    # hhmmss with 0-3 fraction digits, in range or not, at times with a trailing line feed
+    st.builds(lambda h, m, s, fraction, end: f"{h:02d}{m:02d}{s:02d}{fraction}{end}",
+              st.integers(0, 25), st.integers(0, 61), st.integers(0, 61),
+              st.sampled_from(["", ".", ".5", ".25", ".999", ".1234"]), st.sampled_from(["", "\n"])),
+    # hhmmss.sss with one character swapped for a digit that is not ASCII (a latin-1
+    # superscript or fraction, an Arabic-Indic digit), a space or a separator
+    st.builds(lambda at, char: f"{'123456.789'[:at]}{char}{'123456.789'[at + 1:]}",
+              st.integers(0, 9), st.sampled_from("\xb2\xb3\xb9\xbd\u0663 _\n")),
+    st.text(alphabet="0129.\n \xb2\xb3\xb9\xbd\u0663_", max_size=11),
+)
+
+
+@given(_TOD_TEXTS)
+def test_parse_tod_follows_the_rule(value):
+    assert outcome(parse_tod, value) == outcome(tod_by_rule, value)
 
 
 # --- coordinates -------------------------------------------------------------
@@ -275,6 +318,8 @@ def test_parse_rmc_date_and_century_pivot():
 def test_parse_date_sentence_rejects_bad_dates():
     with pytest.raises(ParseError):
         parse_date_sentence(split_sentence("GPZDA,120000,17,13,2020,00,00"), "ZDA")
+    with pytest.raises(ParseError, match="malformed ZDA date: '1_7',' 04','2020'"):
+        parse_date_sentence(split_sentence("GPZDA,120000,1_7, 04,2020,00,00"), "ZDA")
     with pytest.raises(ParseError):
         parse_date_sentence(
             split_sentence("GPRMC,120000,A,,,,,,,17042,,"), "RMC"
@@ -336,6 +381,69 @@ def test_non_finite_numbers_are_parse_errors(body, bad_field):
         parser(split_sentence(body), ctx())
     assert info.value.field_name == bad_field
     assert "non-finite" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "body,bad_field",
+    [
+        ("PLRM,123456.400,9_930,M,1_2345.6, 14.3 ,-1.2", "gri"),
+        ("PLRM,123456.400,9930,M,1_2345.6, 14.3 ,-1.2", "toa_us"),
+        ("PLRM,123456.400,9930,M,12345.6, 14.3 ,-1.2", "snr_db"),
+        ("PLRM,123456.400,9930,M,12345.6,14.3,-1.2\t", "ecd_us"),
+        ("PLRM,123456.400,9930,M,12345.6,14.3,\xa0-1.2", "ecd_us"),
+        ("GPGGA,120000.000,3700.0000,N,12700.0000,E,0_1,08,1.0,30.0,M,,M,,", "fix_quality"),
+        ("GPGGA,120000.000,3700.0000,N,12700.0000,E,1,08 ,1.0,30.0,M,,M,,", "num_sats"),
+        ("GPGGA,120000.000,3700.0000,N,12700.0000,E,1,08,1.0,3_0.0,M,,M,,", "alt_m"),
+    ],
+)
+def test_numbers_with_separators_or_spaces_are_parse_errors(body, bad_field):
+    """int() and float() forgive ``_`` between digits and white space around
+    them; an NMEA number never holds either, so the parser does not."""
+    parser = parse_loran if body.startswith("PLRM") else parse_gga
+    with pytest.raises(ParseError) as info:
+        parser(split_sentence(body), ctx())
+    assert info.value.field_name == bad_field
+    assert str(info.value).startswith(f"malformed {bad_field}: ")
+
+
+def loran_by_field(fields: list[str]) -> LoranMeasurement:
+    """A ``$PLRM`` record, each field converted and checked before the next."""
+    if len(fields) != 7:
+        raise ParseError(f"PLRM needs 7 fields, got {len(fields)}", "field-count")
+    instant = ctx().resolve(parse_tod(fields[1]))
+    gri = parse_int(fields[2], "gri")
+    if not 4000 <= gri <= 9999:
+        raise ParseError(f"GRI designator out of range: {gri}", "gri")
+    if fields[3] not in set("MVWXYZ"):
+        raise ParseError(f"unknown station role: {fields[3]!r}", "station_role")
+    toa = parse_float(fields[4], "toa_us")
+    if not 0.0 <= toa < gri * 10:
+        raise ParseError(f"toa_us outside GRI frame: {toa}", "toa_us")
+    return LoranMeasurement(instant, gri, fields[3], toa, parse_float(fields[5], "snr_db"),
+                            parse_float(fields[6], "ecd_us"))
+
+
+_NUMBER_TEXTS = st.one_of(
+    st.sampled_from(["9930", "3999", "10000", "+7430", "9_930", " 9930", "9930.0", "", "x", "nan",
+                     "-inf", "1e999", "1e308", "-1e308", "45678.9", "-0.5", "0x10", "\u0669\u0669",
+                     "12.3\n", "\xa012"]),
+    st.floats(allow_nan=True).map(repr),
+    st.text(alphabet="0123456789.-+e_ \t", max_size=8),
+)
+
+
+def mostly(usual):
+    """Mostly *usual*, at times one of _NUMBER_TEXTS."""
+    return st.integers(0, 3).flatmap(lambda draw: _NUMBER_TEXTS if draw == 3 else usual)
+
+
+@given(mostly(st.integers(4000, 9999).map(str)), st.sampled_from(["M", "Z", "Q"]),
+       *[mostly(st.floats(-100, 100_010).map(repr))] * 3)
+def test_parse_loran_equals_field_by_field_checks(gri, role, toa, snr, ecd):
+    """The one-go conversion gives the record, or the error text and field,
+    that converting and checking each field in turn gives."""
+    fields = ["PLRM", "120000.500", gri, role, toa, snr, ecd]
+    assert outcome(parse_loran, fields, ctx()) == outcome(loran_by_field, fields)
 
 
 def test_toa_upper_bound_tracks_gri():
