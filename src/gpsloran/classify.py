@@ -99,7 +99,8 @@ def verify_checksum(line: bytes, xors: bytes | None = None, at: int = 0) -> Chec
     suffix at all, INVALID when the suffix is present but not hex or does
     not match.  *xors* are the :func:`_suffix_xors` of a buffer holding
     *line* at offset *at*, as :func:`route` passes its chunk's; without
-    them the line's own are taken.  Total: never raises.
+    them the line is folded ``READ_CHUNK`` bytes at a time, so a line of
+    any length costs a few chunks of memory.  Total: never raises.
     """
     star = line.rfind(b"*")
     if star == -1 or len(line) - star != 3:
@@ -107,10 +108,14 @@ def verify_checksum(line: bytes, xors: bytes | None = None, at: int = 0) -> Chec
     expected = _HEX_PAIRS.get(line[star + 1 :])
     if expected is None:
         return ChecksumStatus.INVALID
+    start = line.find(b"$", 0, star) + 1
     if xors is None:
-        xors = _suffix_xors(line)
-    start = at + line.find(b"$", 0, star) + 1
-    return ChecksumStatus.VALID if xors[start] ^ xors[at + star] == expected else ChecksumStatus.INVALID
+        view, checksum = memoryview(line), 0
+        for begin in range(start, star, READ_CHUNK):
+            checksum ^= _suffix_xors(view[begin : min(begin + READ_CHUNK, star)])[0]
+    else:
+        checksum = xors[at + start] ^ xors[at + star]
+    return ChecksumStatus.VALID if checksum == expected else ChecksumStatus.INVALID
 
 
 @dataclass

@@ -116,16 +116,8 @@ def _segment_export_dirs(session_dir: Path) -> list[Path]:
     return sorted(d for d in root.iterdir() if d.is_dir() and not d.name.startswith("."))
 
 
-def _read_segment(directory: Path, stem: str, reader, emit):
-    for extension in ("csv", "jsonl"):
-        path = directory / f"{stem}.{extension}"
-        if path.exists():
-            return reader(path, emit)
-    return ()
-
-
 def cmd_stats(args) -> int:
-    import heapq
+    from collections import defaultdict
     from contextlib import ExitStack, suppress
     from . import convert
     from .fsutil import AtomicWriter
@@ -138,28 +130,40 @@ def cmd_stats(args) -> int:
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Each record is folded as it is read; series rows are written in blocks.
-    fold, runs, series, stack = convert.SummaryFold(gap_threshold_s), [], {}, ExitStack()
+    # Each block of rows the readers hand on is folded, and its series rows
+    # written, as it is read; a row is the texts of its cells.
+    fold, series, stack = convert.SummaryFold(gap_threshold_s), {}, ExitStack()
+    wanted = args.station
 
-    def write(name: str, row: str, header: str = "timestamp,snr_db\n") -> None:
+    def write(name: str, rows, header: str = "timestamp,snr_db\n") -> None:
         if name not in series:
-            series[name] = (stack.enter_context(AtomicWriter(out_dir / name)), [header])
-        writer, rows = series[name]
-        rows.append(row)
-        if len(rows) >= convert._BLOCK_RECORDS:
-            writer.write("".join(rows).encode())
-            rows.clear()
+            series[name] = stack.enter_context(AtomicWriter(out_dir / name))
+            series[name].write(header.encode())
+        series[name].write("".join(rows).encode())
 
-    def on_fix(fix, stamp: str) -> None:
-        fold.add(fix)
-        if not fix.no_fix:
-            alt = "" if fix.alt_m is None else fix.alt_m
-            write("gps_fixes.csv", f"{stamp},{fix.lat},{fix.lon},{alt}\n")
+    def on_fixes(rows) -> None:  # timestamp, lat, lon, alt, fix_quality, num_sats, hdop
+        fold.take({row[0] for row in rows})
+        fixes = [row for row in rows if row[4] != "0"]
+        fold.no_fix += len(rows) - len(fixes)
+        if fixes:
+            fold.fixes += len(fixes)
+            lats, lons = [float(row[1]) for row in fixes], [float(row[2]) for row in fixes]
+            # min() and max() keep the first of equal extremes (0.0 and -0.0), as a fix-by-fix fold
+            lat_min, lat_max, lon_min, lon_max = fold.bbox or (lats[0], lats[0], lons[0], lons[0])
+            fold.bbox = (min(lat_min, min(lats)), max(lat_max, max(lats)),
+                         min(lon_min, min(lons)), max(lon_max, max(lons)))
+            write("gps_fixes.csv", [f"{t},{lat},{lon},{alt}\n" for t, lat, lon, alt, *_ in fixes])
 
-    def on_obs(obs, stamp: str) -> None:
-        fold.add(obs)
-        if not args.station or obs.station == args.station:
-            write(f"snr_{obs.station}.csv", f"{stamp},{obs.snr_db}\n")
+    def on_observations(rows) -> None:  # timestamp, gri, station_role, toa_us, snr_db, ecd_us
+        fold.take({row[0] for row in rows})
+        values, kept = fold.snr, defaultdict(list)
+        for stamp, gri, role, _, snr, _ in rows:
+            station = gri + role
+            values[station].append(float(snr))
+            if not wanted or station == wanted:
+                kept[station].append(f"{stamp},{snr}\n")
+        for station, lines in kept.items():
+            write(f"snr_{station}.csv", lines)
 
     def remove_made(failed, *_) -> None:  # returns None, so the stack re-raises the failure
         for directory in made if failed else ():
@@ -168,17 +172,18 @@ def cmd_stats(args) -> int:
 
     with stack:  # a failure discards every series, then the directories made for them
         stack.push(remove_made)
-        write("gps_fixes.csv", "", "timestamp,lat_deg,lon_deg,alt_m\n")
-        if args.station:
-            write(f"snr_{args.station}.csv", "")
+        write("gps_fixes.csv", (), "timestamp,lat_deg,lon_deg,alt_m\n")
+        if wanted:
+            write(f"snr_{wanted}.csv", ())
         for segment in export_dirs:
-            runs.append(_read_segment(segment, "timeline_gps", convert.read_gps_export, on_fix))
-            runs.append(_read_segment(segment, "timeline_loran", convert.read_loran_export, on_obs))
-        for instant in heapq.merge(*runs):
-            fold.stamp(instant)
+            digests = convert.export_digests(segment)  # one manifest read a directory
+            for kind, reader, emit in (("gps", convert.read_gps_export, on_fixes),
+                                       ("loran", convert.read_loran_export, on_observations)):
+                path = segment / f"timeline_{kind}.csv"  # else its JSON lines
+                if path.exists() or (path := path.with_suffix(".jsonl")).exists():
+                    reader(path, emit, digests)
         stations = convert.summarize(fold)
-        for writer, rows in series.values():
-            writer.write("".join(rows).encode())
+        for writer in series.values():
             writer.commit()
 
     loran = sum(count for count, *_ in stations.values())

@@ -66,28 +66,3 @@ class AcceleratedClock:
     def sleep(self, seconds: float) -> None:
         if seconds > 0:
             time.sleep(seconds / self.factor)
-
-
-class ManualClock:
-    """Clock that only moves when told to; for deterministic tests.
-
-    ``sleep`` advances the clock by the requested amount so code that waits
-    in a loop still makes progress.  Its ``monotonic`` seconds move with
-    ``advance`` too, standing in for the wall clock.
-    """
-
-    def __init__(self, start: datetime):
-        self._now = self._start = epoch_ms(start)
-
-    def now(self) -> int:
-        return self._now
-
-    def monotonic(self) -> float:
-        return (self._now - self._start) / 1000
-
-    def sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            self.advance(seconds)
-
-    def advance(self, seconds: float) -> None:
-        self._now += round(seconds * 1000)

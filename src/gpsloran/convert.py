@@ -28,6 +28,7 @@ list of gaps longer than the gap threshold.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import math
@@ -38,7 +39,7 @@ from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack
 from itertools import chain, islice
-from operator import add, attrgetter, itemgetter, le
+from operator import add, attrgetter, itemgetter
 from pathlib import Path
 
 from .fsutil import AtomicWriter, atomic_write_json, read_json, sha256_file
@@ -213,16 +214,9 @@ def export_formats(formats: str | tuple[str, ...] | list[str]) -> tuple[str, ...
     return tuple(dict.fromkeys(formats))
 
 
-def export(
-    blocks: Iterable[list[Record]],
-    formats: tuple[str, ...] | str,
-    out_dir: Path,
-    *,
-    session_id: str = "",
-    parse_errors: int | Callable[[], int] = 0,
-    quarantined: int = 0,
-    gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S,
-) -> dict:
+def export(blocks: Iterable[list[Record]], formats: tuple[str, ...] | str, out_dir: Path, *,
+           session_id: str = "", parse_errors: int | Callable[[], int] = 0,
+           quarantined: int = 0, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S) -> dict:
     """Write timeline exports plus ``manifest.json`` into *out_dir*.
 
     *blocks* are the timeline in time order, a block of records at a time
@@ -282,73 +276,63 @@ def export(
 # --- import readers ---------------------------------------------------------
 
 
-def read_gps_export(path: Path, emit: Callable[[GpsFix, str], object]) -> array:
+def read_gps_export(path: Path, emit: Callable[[list], object], digests: dict | None) -> None:
     """Read a ``timeline_gps`` export (either format); see :func:`_read_export`."""
-    return _read_export(Path(path), GPS_COLUMNS, (_gps_fix, _exported_gps_fix), emit)
+    _read_export(Path(path), GPS_COLUMNS, _gps_values, emit, digests)
 
 
-def read_loran_export(path: Path, emit: Callable[[LoranMeasurement, str], object]) -> array:
+def read_loran_export(path: Path, emit: Callable[[list], object], digests: dict | None) -> None:
     """Read a ``timeline_loran`` export (either format); see :func:`_read_export`."""
-    return _read_export(Path(path), LORAN_COLUMNS, (_loran_measurement, _exported_loran), emit)
+    _read_export(Path(path), LORAN_COLUMNS, loran_values, emit, digests)
 
 
-def _gps_fix(timestamp, lat, lon, alt, quality, sats, hdop) -> GpsFix:
+def _gps_values(lat, lon, alt, quality, sats, hdop) -> tuple:
     lat, lon, alt = _optional(lat, "lat_deg"), _optional(lon, "lon_deg"), _optional(alt, "alt_m")
     quality, sats = parse_int(quality, "fix_quality"), parse_int(sats, "num_sats")
     hdop = _optional(hdop, "hdop")
     check_fix(lat, lon, quality, sats, hdop)
-    return GpsFix(timestamp, lat, lon, alt, quality, sats, hdop)
-
-
-def _loran_measurement(timestamp, gri, role, toa, snr, ecd) -> LoranMeasurement:
-    return LoranMeasurement(timestamp, *loran_values(gri, role, toa, snr, ecd))
+    return lat, lon, alt, quality, sats, hdop
 
 
 def _optional(value, name: str) -> float | None:
     return None if value is None or value == "" else parse_float(value, name)
 
 
-# For a file its manifest vouches for: export wrote str() of checked values.
-def _exported_gps_fix(timestamp, lat, lon, alt, quality, sats, hdop) -> GpsFix:
-    lat, lon, alt, hdop = [None if v is None or v == "" else float(v) for v in (lat, lon, alt, hdop)]
-    return GpsFix(timestamp, lat, lon, alt, int(quality), int(sats), hdop)
-
-
-def _exported_loran(timestamp, gri, role, toa, snr, ecd) -> LoranMeasurement:
-    return LoranMeasurement(timestamp, int(gri), role, float(toa), float(snr), float(ecd))
-
-
-def _verified(path: Path) -> bool:
-    """Whether *path*'s sha256 is its manifest's digest for it.  A stale
-    digest or an unreadable manifest logs a warning; no entry does not."""
+def export_digests(directory: Path) -> dict[str, str] | None:
+    """The digest the ``manifest.json`` in *directory* gives each export
+    file, by name: none without a manifest, ``None`` if it cannot be read."""
     try:
-        manifest = read_json(path.with_name(MANIFEST_NAME))
-        digests = {entry["path"]: entry["digest"] for entry in manifest["export_files"]}
+        manifest = read_json(Path(directory) / MANIFEST_NAME)
+        return {entry["path"]: entry["digest"] for entry in manifest["export_files"]}
     except FileNotFoundError:
-        return False
+        return {}
     except (OSError, ValueError, LookupError, TypeError):
-        reason = "manifest_unreadable"
-    else:
-        if path.name not in digests or sha256_file(path) == digests[path.name]:
-            return path.name in digests  # a file made by hand, or as exported
-        reason = "digest_mismatch"
+        return None
+
+
+def _verified(path: Path, digests: dict[str, str] | None) -> bool:
+    """Whether *path*'s sha256 is the digest *digests* give it; a stale digest
+    or an unreadable manifest (``None``) logs a warning, no entry does not."""
+    name = path.name
+    if digests is not None and (name not in digests or sha256_file(path) == digests[name]):
+        return name in digests  # a file made by hand, or as exported
+    reason = "digest_mismatch" if digests else "manifest_unreadable"
     logging.getLogger(__name__).warning("event=export_unverified file=%s reason=%s", path, reason)
     return False
 
 
-def _read_export(path: Path, columns: tuple[str, ...], builders, emit) -> array:
-    """Read an export file: a CSV row's values by the header's column
-    positions, a JSON line's by member name (an absent one is ``None``).
-    In a file its manifest vouches for (:func:`_verified`) CSV rows are
-    split on commas and the second of *builders* makes each record; other
-    files are parsed by ``csv`` and the first checks every value.  *emit*
-    takes each record with its timestamp as ``iso_ms`` text, the file's
-    own text where it has that form; a run of equal texts is parsed once.
-    Returns the timestamps in time order; a malformed file raises
-    ``ValueError`` naming the file and the line."""
-    trusted = _verified(path)
-    build = builders[trusted]
-    stamps = array("q")
+def _read_export(path: Path, columns: tuple[str, ...], check, emit, digests) -> None:
+    """Read an export file and hand *emit* its rows, ``_BLOCK_RECORDS`` at
+    a time: each row the texts of its *columns* as export writes them, the
+    timestamp in ``iso_ms`` form, ``str()`` of each value and ``""`` for
+    none.  A CSV row's cells are taken by the header's column positions, a
+    JSON line's by member name.  A file its manifest vouches for
+    (:func:`_verified`) is taken as written: CSV rows split on commas, JSON
+    values through ``str()``.  Other files are parsed by ``csv``, and each
+    row's timestamp and values, by *check*, are checked before their texts
+    are made.  A malformed file raises ``ValueError`` naming the file and
+    the line; what *emit* raises passes as raised."""
+    trusted = _verified(path, digests)
     line_number = 0  # the line last read, which an error names
 
     def numbered(handle):
@@ -356,25 +340,36 @@ def _read_export(path: Path, columns: tuple[str, ...], builders, emit) -> array:
         for line_number, line in enumerate(handle, 1):
             yield line
 
-    def records():  # only the file's own faults are named by file and line
-        text = instant = stamp = object()  # no row's timestamp
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            lines = numbered(handle)
-            cells = (line.rstrip("\n").split(",") for line in lines) if trusted else csv.reader(lines)
-            rows = _json_rows(lines, columns) if path.suffix == ".jsonl" else _csv_rows(cells, columns)
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        lines = numbered(handle)
+        if path.suffix == ".jsonl":
+            rows = _json_rows(lines, columns)
+        else:
+            rows = _csv_rows((line[:-1].split(",") for line in lines) if trusted
+                             else csv.reader(lines), columns)
+        if not trusted:
+            rows = _checked(rows, check)
+        elif path.suffix == ".jsonl":
+            rows = (["" if value is None else str(value) for value in row] for row in rows)
+        while True:
             try:
-                for row in rows:
-                    if row[0] != text:
-                        text, instant = row[0], parse_iso_ms(row[0])
-                        stamp = text if trusted or _ISO_MS_TEXT.fullmatch(text) else iso_ms(instant)
-                    stamps.append(instant)
-                    yield build(instant, *row[1:]), stamp
+                block = list(islice(rows, _BLOCK_RECORDS))
             except (TypeError, ValueError, csv.Error) as exc:
                 raise ValueError(f"{path}:{line_number}: {exc}") from None
+            if not block:
+                return
+            emit(block)
 
-    for record, stamp in records():
-        emit(record, stamp)
-    return stamps if all(map(le, stamps, stamps[1:])) else array("q", sorted(stamps))
+
+def _checked(rows, check):
+    """*rows* with each timestamp and value checked, as texts; a run of
+    equal timestamp texts is checked once."""
+    text = stamp = object()  # no row's timestamp
+    for row in rows:
+        if row[0] != text:
+            text, instant = row[0], parse_iso_ms(row[0])
+            stamp = text if _ISO_MS_TEXT.fullmatch(text) else iso_ms(instant)
+        yield (stamp, *["" if value is None else str(value) for value in check(*row[1:])])
 
 
 def _csv_rows(reader, columns: tuple[str, ...]):
@@ -400,15 +395,22 @@ def _json_rows(lines, columns: tuple[str, ...]):
             yield list(map(row.get, columns))
 
 
+_minute_ms = functools.lru_cache(maxsize=64)(lambda minute: parse_iso_ms(minute + ":00.000Z"))
+
+
+def _instant(stamp: str) -> int:  # of an iso_ms text; each minute is parsed once
+    return _minute_ms(stamp[:16]) + int(stamp[17:19] + stamp[20:23])
+
+
 # --- summary statistics -----------------------------------------------------
 
 
 class SummaryFold:
-    """A summary folded a record at a time.  :meth:`add` takes records in
-    any order, for the record counts, the fixes' bounding box and each
-    station's SNR values (8 bytes each); :meth:`stamp` takes the same
-    records' timestamps in time order, for the time span and the gaps
-    longer than *gap_threshold_s*."""
+    """A summary folded a record at a time.  :meth:`add` takes fixes in any
+    order, for their counts and bounding box, and :attr:`snr` holds each
+    station's SNR values (8 bytes each); :meth:`stamp` takes the records'
+    timestamps in time order, or :meth:`take` a set of their texts in any
+    order, for the time span and the gaps longer than *gap_threshold_s*."""
 
     def __init__(self, gap_threshold_s: float) -> None:
         self.fixes = self.no_fix = 0
@@ -419,14 +421,12 @@ class SummaryFold:
         self.last: int | None = None
         self.gaps: list[tuple[int, int]] = []
 
-    def add(self, record: Record) -> None:
-        if isinstance(record, LoranMeasurement):
-            self.snr[record.station].append(record.snr_db)
-        elif record.no_fix:
+    def add(self, fix: GpsFix) -> None:
+        if fix.no_fix:
             self.no_fix += 1
         else:
             self.fixes += 1
-            lat, lon = record.lat, record.lon
+            lat, lon = fix.lat, fix.lon
             lat_min, lat_max, lon_min, lon_max = self.bbox or (lat, lat, lon, lon)
             self.bbox = (min(lat_min, lat), max(lat_max, lat), min(lon_min, lon), max(lon_max, lon))
 
@@ -437,6 +437,37 @@ class SummaryFold:
         elif (instant - last) / 1000 > self.gap_threshold_s:
             self.gaps.append((last, instant))
         self.last = instant
+
+    def take(self, stamps: Iterable[str]) -> None:
+        """Fold a set of ``iso_ms`` timestamp texts, in any order, into the
+        span and the gaps: the stretches free of it (before, between when
+        longer than the threshold, and after its instants) intersected with
+        those free of the sets before are those free of all, and a gap is
+        one between two instants.  Stretches only shrink: only those
+        reaching into the set's span are swept, and no instant is kept."""
+        stamps, limit = set(stamps), self.gap_threshold_s
+        if not stamps:
+            return
+        lo, hi = _instant(min(stamps)), _instant(max(stamps))  # the texts sort as their instants
+        # no gap lies within a span no longer than the threshold
+        ordered = [lo, hi] if (hi - lo) / 1000 <= limit else sorted(map(_instant, stamps))
+        free = [(-math.inf, lo), *((a, b) for a, b in zip(ordered, ordered[1:])
+                                   if (b - a) / 1000 > limit), (hi, math.inf)]
+        if self.first is None:
+            self.first, self.last, self.gaps = lo, hi, free[1:-1]
+            return
+        i = bisect_right(self.gaps, lo, key=itemgetter(1))
+        j = bisect_left(self.gaps, hi, key=itemgetter(0))
+        held = ([(-math.inf, self.first)] * (self.first > lo) + self.gaps[i:j]
+                + [(self.last, math.inf)] * (self.last < hi))
+        both, k, m = [], 0, 0
+        while k < len(held) and m < len(free):  # a linear sweep of two sorted lists
+            (a, b), (c, d) = held[k], free[m]
+            if (min(b, d) - max(a, c)) / 1000 > limit:
+                both.append((max(a, c), min(b, d)))
+            k, m = (k + 1, m) if b < d else (k, m + 1)
+        self.gaps[i:j] = [(a, b) for a, b in both if -math.inf < a and b < math.inf]
+        self.first, self.last = min(self.first, lo), max(self.last, hi)
 
 
 def summarize(fold: SummaryFold) -> dict[str, tuple[int, float, float, float]]:

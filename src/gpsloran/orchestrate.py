@@ -44,18 +44,8 @@ from .clock import AcceleratedClock, Clock, SystemClock
 from .convert import REORDER_WINDOW, ReorderOverflow, export, export_formats, merge_sort
 from .fsutil import atomic_write_bytes, atomic_write_json, read_json, sha256_file
 from .parse import parse_classified
-from .record import (
-    CaptureSession,
-    RetryPolicy,
-    RotationPolicy,
-    SourceClosed,
-    SourceEndpoint,
-    SourceKind,
-    SourceUnavailable,
-    append_event,
-    open_source,
-    read_events,
-)
+from .record import (CaptureSession, RetryPolicy, RotationPolicy, SourceClosed, SourceEndpoint,
+                     SourceKind, SourceUnavailable, append_event, open_source, read_events)
 from .timeutil import from_ms, parse_duration, parse_iso_ms
 
 logger = logging.getLogger(__name__)
@@ -72,21 +62,13 @@ READ_TIMEOUT_S = 0.05
 _STEM_STAMP_RE = re.compile(r"raw_(\d{4})(\d{2})(\d{2})T(\d{2})(\d{2})(\d{2})Z")
 
 
-class SimulatedCrash(BaseException):
-    """Raised by test hooks to kill the pipeline at a chosen point.
-
-    Derives from BaseException so ordinary per-segment error handling
-    (which contains Exception) cannot swallow it — it takes the whole
-    process down, exactly like a real crash.
-    """
-
-
 class Hooks:
     """Named instrumentation points the pipeline fires as it runs.
 
-    Tests register callbacks that count invocations and raise (e.g.
-    :class:`SimulatedCrash`) at a chosen occurrence.  Production runs use
-    the default empty registry, which makes fire() a no-op.
+    Tests register callbacks that count invocations and raise (e.g. a
+    ``BaseException`` standing in for a crash) at a chosen occurrence.
+    Production runs use the default empty registry, which makes fire() a
+    no-op.
     """
 
     def __init__(self) -> None:

@@ -11,11 +11,13 @@ import calendar
 import functools
 import operator
 from datetime import datetime
+from pathlib import Path
 from types import SimpleNamespace
 
-from gpsloran.convert import REORDER_WINDOW, merge_sort
+from gpsloran.convert import (REORDER_WINDOW, export_digests, merge_sort,
+                              read_gps_export)
 from gpsloran.parse import GpsFix, LoranMeasurement, parse_classified
-from gpsloran.timeutil import UTC
+from gpsloran.timeutil import UTC, epoch_ms, parse_iso_ms
 
 
 def xor_fold(body: bytes) -> int:
@@ -78,10 +80,58 @@ def ms(year: int, month: int, day: int, hour: int = 0, minute: int = 0, second: 
     return calendar.timegm((year, month, day, hour, minute, second)) * 1000 + millisecond
 
 
+class SimulatedCrash(BaseException):
+    """Raised by test hooks to kill the pipeline at a chosen point.
+
+    Derives from BaseException so ordinary per-segment error handling
+    (which contains Exception) cannot swallow it — it takes the whole
+    process down, exactly like a real crash.
+    """
+
+
+class ManualClock:
+    """Clock that only moves when told to; for deterministic tests.
+
+    ``sleep`` advances the clock by the requested amount so code that waits
+    in a loop still makes progress.  Its ``monotonic`` seconds move with
+    ``advance`` too, standing in for the wall clock.
+    """
+
+    def __init__(self, start: datetime):
+        self._now = self._start = epoch_ms(start)
+
+    def now(self) -> int:
+        return self._now
+
+    def monotonic(self) -> float:
+        return (self._now - self._start) / 1000
+
+    def sleep(self, seconds: float) -> None:
+        if seconds > 0:
+            self.advance(seconds)
+
+    def advance(self, seconds: float) -> None:
+        self._now += round(seconds * 1000)
+
+
 def read_records(reader, path) -> list:
-    """Every record of an export in file order, through a ``convert`` reader."""
+    """Every record of an export in file order, made from the texts a
+    ``convert`` reader hands on for it, whose manifest it is checked against."""
+    def number(text, kind=float):
+        return None if text == "" else kind(text)
+
+    def record(stamp, *cells):
+        if reader is read_gps_export:
+            lat, lon, alt, quality, sats, hdop = cells
+            return GpsFix(parse_iso_ms(stamp), number(lat), number(lon), number(alt),
+                          int(quality), int(sats), number(hdop))
+        gri, role, toa, snr, ecd = cells
+        return LoranMeasurement(parse_iso_ms(stamp), int(gri), role, float(toa), float(snr),
+                                float(ecd))
+
     records = []
-    reader(path, lambda record, stamp: records.append(record))
+    reader(path, lambda rows: records.extend(record(*row) for row in rows),
+           export_digests(Path(path).parent))
     return records
 
 

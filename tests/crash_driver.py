@@ -19,12 +19,13 @@ from __future__ import annotations
 import os
 import sys
 
-from gpsloran.clock import ManualClock
 from gpsloran.orchestrate import Hooks, run_pipeline
 from gpsloran.parse import GpsFix, LoranMeasurement
 from gpsloran.record import SourceClosed
 from gpsloran.simulate import serialize, serialize_zda
 from gpsloran.timeutil import from_ms, parse_iso_ms
+
+from conftest import ManualClock
 
 START_MS = parse_iso_ms("2020-04-17T12:00:00.000Z")
 START = from_ms(START_MS)

@@ -27,6 +27,7 @@ import numpy as np
 
 import crash_driver
 from conftest import (
+    ManualClock,
     ScriptedSource,
     crlf,
     flat_timeline,
@@ -42,7 +43,7 @@ from conftest import (
 )
 from gpsloran.classify import ChecksumStatus, route, verify_checksum
 from gpsloran.cli import main as cli_main
-from gpsloran.clock import AcceleratedClock, ManualClock
+from gpsloran.clock import AcceleratedClock
 from gpsloran.convert import MANIFEST_NAME, read_gps_export, read_loran_export
 from gpsloran.fsutil import read_json
 from gpsloran.orchestrate import (

@@ -1,13 +1,14 @@
 import hashlib
 import random
 import tempfile
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpsloran import classify
@@ -173,6 +174,38 @@ def test_checksum_agrees_with_oracle_on_sentences(body, fudge):
     if b"*" not in payload:
         assert verify_checksum(line) is expected
     assert verify_checksum(line) is _oracle_status(line)
+
+
+@settings(max_examples=200)
+@given(st.binary(max_size=90).map(lambda b: b.replace(b"*", b"")),
+       st.sampled_from([b"$", b"#", b""]), st.integers(0, 255),
+       st.sampled_from([b"%02X", b"%02x", b"ZZ"]), st.integers(1, 9))
+def test_a_line_alone_gets_the_chunk_kernels_status(payload, lead, fudge, suffix, chunk):
+    """A line checked alone is folded ``READ_CHUNK`` bytes at a time; a
+    chunk of a few bytes splits it many times over, and its status is the
+    one the kernel over a whole buffer gives it."""
+    line = lead + payload + b"*" + (suffix % ((xor_fold(payload) + fudge) % 256)
+                                    if b"%" in suffix else suffix)
+    with mock.patch.object(classify, "READ_CHUNK", chunk):
+        alone = verify_checksum(line)
+    padded = b"noise\n" + line
+    assert alone is verify_checksum(line, classify._suffix_xors(padded), len(b"noise\n"))
+    assert alone is _oracle_status(line)
+
+
+def test_an_overlong_line_alone_is_checked_in_a_few_chunks_of_memory():
+    """A 16.8 MB line without LF that ends in a checksum is folded a chunk
+    at a time: its check peaks below half the line's size."""
+    body = bytes(range(33, 127)) * (16_800_000 // 94)
+    line = b"$" + body + b"*%02X" % xor_fold(body)
+    tracemalloc.start()
+    try:
+        status = verify_checksum(line)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status is ChecksumStatus.VALID
+    assert peak < len(line) / 2
 
 
 # --- routing -----------------------------------------------------------------

@@ -731,11 +731,17 @@ T_STATS = ms(2020, 4, 17, 12, 0, 0)
 stat_instants = st.builds(lambda second, milli: T_STATS + second * 1000 + milli,
                           st.integers(0, 1800), st.sampled_from([0, 250, 999]))
 stat_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+# both zeros often, since the bounding box keeps the first of equal extremes
+stat_lats = st.sampled_from([0.0, -0.0]) | st.floats(-90.0, 90.0)
+stat_lons = st.sampled_from([0.0, -0.0]) | st.floats(-180.0, 180.0)
 stat_fixes = st.one_of(
-    st.builds(GpsFix, stat_instants, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0),
-              st.none() | stat_floats, st.integers(1, 8), st.integers(0, 12),
-              st.none() | st.floats(0.0, 20.0)),
+    st.builds(GpsFix, stat_instants, stat_lats, stat_lons, st.none() | stat_floats,
+              st.integers(1, 8), st.integers(0, 12), st.none() | st.floats(0.0, 20.0)),
     st.builds(lambda t: GpsFix(t, None, None, None, 0, 0, None), stat_instants),  # no fix
+    # a no-fix record that still carries a position, as parse_gga makes one
+    # when the position fields are present
+    st.builds(GpsFix, stat_instants, stat_lats, stat_lons, st.none() | stat_floats,
+              st.just(0), st.integers(0, 12), st.none() | st.floats(0.0, 20.0)),
 )
 stat_observations = st.builds(
     LoranMeasurement, stat_instants, st.sampled_from([7430, 9930]), st.sampled_from("MXY"),
@@ -787,6 +793,74 @@ def test_stats_fold_equals_the_list_based_summary(segments, station):
             f"{iso_ms(obs.timestamp)},{obs.snr_db}\n" for obs in loran if obs.station == name)
 
 
+def stats_gaps(tmp_path, segments, threshold: str) -> list[str]:
+    """The time span and gap lines ``stats`` prints for a session of
+    *segments*, each a list of GPS fix and Loran observation seconds after
+    T_STATS."""
+    session = tmp_path / "session"
+    if not session.exists():
+        for index, (fix_seconds, observation_seconds) in enumerate(segments):
+            export(merge_sort([GpsFix(T_STATS + s * 1000, 37.0, 127.0, 30.0, 1, 8, 0.9)
+                               for s in fix_seconds],
+                              [LoranMeasurement(T_STATS + s * 1000, 9930, "M", 45678.9, 12.0, 0.5)
+                               for s in observation_seconds]),
+                   "columns", session / "exports" / f"raw_{index:02d}")
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main(["stats", "--session", str(session), "--out", str(tmp_path / threshold),
+                     "--gap-threshold", threshold]) == 0
+    return [line for line in stdout.getvalue().splitlines()
+            if line.startswith(("time_span=", "gap"))]
+
+
+def stat_span(name: str, start: int, end: int) -> str:
+    return f"{name}={iso_ms(T_STATS + start * 1000)}..{iso_ms(T_STATS + end * 1000)}"
+
+
+def test_stats_gaps_are_those_of_the_merged_files_not_of_each(tmp_path):
+    """A GPS file silent from 0 to 400 s and a Loran file silent from 200
+    to 600 s leave the merged timeline silent only from 200 to 400 s: no
+    gap over 300 s, exactly that one over 150 s."""
+    segment = ([-100, -50, 0, 400, 450, 500], [-100, -50, 0, 50, 100, 150, 200, 600, 650, 700])
+    span = stat_span("time_span", -100, 700)
+    assert stats_gaps(tmp_path, [segment], "300s") == [span, "gaps=0"]
+    assert stats_gaps(tmp_path, [segment], "150s") == [span, "gaps=1", stat_span("gap", 200, 400)]
+
+
+def test_stats_finds_the_gap_a_block_just_longer_than_the_threshold_holds(tmp_path):
+    """A block that spans just over the threshold is read whole: of its
+    instants at 0, 1 and 302 s, only 1 to 302 s is a gap, over 300 s and
+    not over 301 s."""
+    span = stat_span("time_span", 0, 302)
+    assert stats_gaps(tmp_path, [([0, 1, 302], [])], "301s") == [span, "gaps=0"]
+    assert stats_gaps(tmp_path, [([0, 1, 302], [])], "300s") == [
+        span, "gaps=1", stat_span("gap", 1, 302)]
+
+
+def test_stats_gaps_of_overlapping_segments(tmp_path):
+    """A segment whose Loran file fills the GPS silence of an earlier one
+    splits that silence; the time span covers both."""
+    segments = [([0, 100, 200, 300, 800, 900], []), ([], [500, 1000])]
+    span = stat_span("time_span", 0, 1000)
+    assert stats_gaps(tmp_path, segments, "250s") == [span, "gaps=1", stat_span("gap", 500, 800)]
+    assert stats_gaps(tmp_path, segments, "150s") == [
+        span, "gaps=2", stat_span("gap", 300, 500), stat_span("gap", 500, 800)]
+    assert stats_gaps(tmp_path, segments, "350s") == [span, "gaps=0"]
+
+
+def test_stats_loads_no_capture_code(tmp_path):
+    """``gpsloran stats`` in a fresh interpreter imports neither the
+    capture, the routing nor the simulation code, as the module says."""
+    session = stats_session(tmp_path)
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "gpsloran.cli", "stats",
+                          "--session", str(session)], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    imported = {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "gpsloran.convert" in imported
+    assert imported.isdisjoint({f"gpsloran.{name}" for name in
+                                ("record", "orchestrate", "classify", "simulate")})
+
+
 def test_stats_calls_convert_summarize_once(tmp_path, capsys):
     """The benchmark times ``convert.summarize`` inside ``stats``, so one
     run calls it exactly once, through the module attribute."""
@@ -816,10 +890,10 @@ def test_the_names_the_benchmark_wraps_exist():
     assert missing == []
 
 
-def test_stats_memory_grows_by_less_than_64_bytes_a_record(tmp_path):
-    """Beyond what one file needs, ``stats`` keeps 8 bytes per record for
-    its timestamp and 8 per Loran SNR value: four equal segments peak
-    less than 64 bytes a record above one."""
+def test_stats_memory_grows_by_8_bytes_an_snr_value_and_under_2_a_record(tmp_path):
+    """Beyond what one file needs, ``stats`` keeps 8 bytes per Loran SNR
+    value, for the exact mean, and no timestamp: four equal segments peak
+    less than 8 bytes an SNR value plus 2 bytes a record above one."""
     fixes = [GpsFix(T_STATS + i * 1000, 37.0 + i * 1e-6, 127.0, 30.0, 1, 8, 0.9)
              for i in range(1500)]
     observations = [LoranMeasurement(T_STATS + i * 250, 9930, "MXYZ"[i % 4], 45678.9,
@@ -841,5 +915,5 @@ def test_stats_memory_grows_by_less_than_64_bytes_a_record(tmp_path):
                 peaks[count] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-    added = 3 * (len(fixes) + len(observations))
-    assert (peaks[4] - peaks[1]) / added < 64
+    added, snr_values = 3 * (len(fixes) + len(observations)), 3 * len(observations)
+    assert peaks[4] - peaks[1] < 8 * snr_values + 2 * added

@@ -427,7 +427,10 @@ def fold_of(blocks, gap_threshold_s=DEFAULT_GAP_THRESHOLD_S):
     fold = SummaryFold(gap_threshold_s)
     for block in blocks:
         for record in block:
-            fold.add(record)
+            if isinstance(record, LoranMeasurement):
+                fold.snr[f"{record.gri}{record.station_role}"].append(record.snr_db)
+            else:
+                fold.add(record)
             fold.stamp(record.timestamp)
     return fold
 
@@ -490,6 +493,20 @@ def test_gap_exactly_at_threshold_is_not_a_gap():
     assert fold_of(merge_sort(gps, []), gap_threshold_s=300).gaps == []
 
 
+@given(st.lists(st.lists(st.integers(0, 40).map(lambda k: T0 + k * 250), max_size=15),
+                max_size=6), st.sampled_from([0, 0.25, 1, 3]))
+def test_take_gives_the_span_and_gaps_of_the_sorted_instants(sets, threshold):
+    """Sets of timestamp texts taken one after another, each in any order
+    and overlapping the others, give the span and the gaps that ``stamp``
+    finds in all their instants sorted."""
+    taken, stamped = SummaryFold(threshold), SummaryFold(threshold)
+    for instants in sets:
+        taken.take(map(iso_ms, instants))
+    for instant in sorted(instant for instants in sets for instant in instants):
+        stamped.stamp(instant)
+    assert (taken.first, taken.last, taken.gaps) == (stamped.first, stamped.last, stamped.gaps)
+
+
 def _week_date(moment):
     year, week, weekday = moment.isocalendar()
     return f"{year:04d}-W{week:02d}-{weekday}T{moment:%H:%M:%S}.{moment.microsecond // 1000:03d}Z"
@@ -520,7 +537,8 @@ TIMESTAMP_FORMS = (
 )
 def test_reader_hands_on_each_timestamp_as_iso_ms_text(rows, extension):
     """Every timestamp text the reader passes on, its own or made, is
-    ``iso_ms(parse_iso_ms(text))``, in both formats and for runs of one text."""
+    ``iso_ms(parse_iso_ms(text))``, in both formats and for runs of one
+    text, and every other cell is ``str()`` of its checked value."""
     texts = [TIMESTAMP_FORMS[form](moment.replace(microsecond=moment.microsecond // 1000 * 1000))
              for moment, form, repeat in rows for _ in range(repeat)]
     with tempfile.TemporaryDirectory() as scratch:
@@ -533,10 +551,9 @@ def test_reader_hands_on_each_timestamp_as_iso_ms_text(rows, extension):
                                                 "toa_us": 100.0, "snr_db": 12.0, "ecd_us": 0.5})
                                     + "\n" for text in texts))
         passed = []
-        stamps = read_loran_export(path, lambda record, stamp: passed.append((record, stamp)))
-    assert [stamp for _, stamp in passed] == [iso_ms(parse_iso_ms(text)) for text in texts]
-    assert all(iso_ms(record.timestamp) == stamp for record, stamp in passed)
-    assert list(stamps) == sorted(parse_iso_ms(text) for text in texts)
+        read_loran_export(path, passed.extend, {})
+    assert [row[0] for row in passed] == [iso_ms(parse_iso_ms(text)) for text in texts]
+    assert all(tuple(row[1:]) == ("9930", "M", "100.0", "12.0", "0.5") for row in passed)
 
 
 def test_reader_passes_on_the_callbacks_own_errors(tmp_path):
@@ -546,9 +563,9 @@ def test_reader_passes_on_the_callbacks_own_errors(tmp_path):
     path = tmp_path / "timeline_loran.csv"
     path.write_text(",".join(LORAN_COLUMNS) + "\n2020-04-17T12:00:00.000Z,9930,M,100.0,12.0,0.5\n")
 
-    def emit(record, stamp):
+    def emit(rows):
         raise ValueError("the caller's fault")
 
     with pytest.raises(ValueError) as caught:
-        read_loran_export(path, emit)
+        read_loran_export(path, emit, {})
     assert str(caught.value) == "the caller's fault"

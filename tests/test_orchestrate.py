@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from gpsloran.clock import AcceleratedClock, ManualClock, SystemClock
+from gpsloran.clock import AcceleratedClock, SystemClock
 from gpsloran.classify import REPORT_NAME
 from gpsloran.convert import MANIFEST_NAME, export, merge_sort
 from gpsloran.fsutil import read_json, sha256_file
@@ -21,7 +21,6 @@ from gpsloran.orchestrate import (
     RECORDED,
     STATE_NAME,
     Hooks,
-    SimulatedCrash,
     StateStore,
     clock_from_config,
     convert_classified,
@@ -37,7 +36,8 @@ from gpsloran.parse import ParseIssue, parse_classified
 from gpsloran.record import CaptureSession, append_event, read_events
 from gpsloran.simulate import Scenario, SimServer, StationSpec, generate_stream, serve
 
-from conftest import ScriptedSource, crlf, gga_line, ms, plrm_line, sentence, utc, zda_line
+from conftest import (ManualClock, ScriptedSource, SimulatedCrash, crlf, gga_line, ms, plrm_line,
+                      sentence, utc, zda_line)
 
 
 START = utc(2020, 4, 17, 12, 0, 0)

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gpsloran.clock import ManualClock
 from gpsloran.record import (
     CaptureSession,
     FileReplaySource,
@@ -28,7 +27,7 @@ from gpsloran.record import (
 )
 from gpsloran.fsutil import read_json, sha256_file
 
-from conftest import ms, utc
+from conftest import ManualClock, ms, utc
 
 
 START = utc(2020, 4, 17, 9, 30, 0)
