@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 from .fsutil import atomic_write_json
 
@@ -118,8 +117,7 @@ def verify_checksum(line: bytes, xors: bytes | None = None, at: int = 0) -> Chec
     return ChecksumStatus.VALID if checksum == expected else ChecksumStatus.INVALID
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     segment: str
     total_lines: int
     quarantined_lines: int
@@ -222,5 +220,5 @@ def route(
         checksum_counts={status.value: n for status, n in checksum_counts.items()},
         trailing_unterminated=bool(tail),
     )
-    atomic_write_json(out_dir / REPORT_NAME, asdict(report))
+    atomic_write_json(out_dir / REPORT_NAME, report._asdict())
     return report

@@ -13,7 +13,13 @@ Subcommands::
 Exit codes: 0 success, 1 fatal configuration or I/O error, 2 partial
 (some segments flagged).  Logs are line-oriented ``key=value`` text on
 stderr; command results go to stdout.  Each command imports the modules
-it uses when it runs, so ``stats`` does not load the capture code.
+it uses when it runs, and each module the standard library modules it
+uses where it uses them.  So ``stats`` loads neither the capture code nor
+the parser and ``csv``, which only an export its manifest does not vouch
+for needs; ``record``, ``run`` and the pipeline load no ``dataclasses``
+(nor the ``inspect`` it loads), and ``socket``, ``select`` and
+``concurrent.futures`` only for a TCP source, a serial source and the
+worker pool.
 """
 from __future__ import annotations
 
@@ -69,14 +75,13 @@ def cmd_record(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from dataclasses import asdict
     from . import classify
     report = classify.route(
         Path(args.segment),
         Path(args.out),
         quarantine_invalid=not args.keep_invalid_checksums,
     )
-    print(json.dumps(asdict(report)))
+    print(json.dumps(report._asdict()))
     return 0
 
 
@@ -164,6 +169,7 @@ def cmd_stats(args) -> int:
                 kept[station].append(f"{stamp},{snr}\n")
         for station, lines in kept.items():
             write(f"snr_{station}.csv", lines)
+        fold.fold_snr()
 
     def remove_made(failed, *_) -> None:  # returns None, so the stack re-raises the failure
         for directory in made if failed else ():

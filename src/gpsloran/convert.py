@@ -27,7 +27,6 @@ list of gaps longer than the gap threshold.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import logging
@@ -41,10 +40,9 @@ from contextlib import ExitStack
 from itertools import chain, islice
 from operator import add, attrgetter, itemgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .fsutil import AtomicWriter, atomic_write_json, read_json, sha256_file
-from .parse import (GpsFix, LoranMeasurement, check_fix, loran_values,
-                    parse_float, parse_int)
 from .timeutil import iso_ms, parse_iso_ms
 
 GPS_TYPE = "gps_fix"
@@ -62,8 +60,9 @@ MANIFEST_NAME = "manifest.json"
 
 _ISO_MS_TEXT = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}Z", re.ASCII)  # as iso_ms writes
 
-
-Record = GpsFix | LoranMeasurement
+if TYPE_CHECKING:  # the records come from parse, which reading an export does not load
+    from .parse import GpsFix, LoranMeasurement
+    Record = GpsFix | LoranMeasurement
 
 
 # The newest records of each store the merge holds back.  A record that
@@ -157,6 +156,7 @@ def _render(block: list[Record], formats: tuple[str, ...], fold: SummaryFold) ->
     text once (``None`` is an empty CSV cell and a JSON ``null``).  Parsing
     admits finite numbers and the ``STATION_ROLES`` letters only, so the
     text of a number is its JSON text and a role needs no escaping."""
+    from .parse import LoranMeasurement  # loaded already by what parsed the block
     columns = "columns" in formats
     lines = "lines" in formats
     instant = stamp = None
@@ -196,6 +196,7 @@ def _render(block: list[Record], formats: tuple[str, ...], fold: SummaryFold) ->
                 sparse = "".join([key + text for key, text in zip(_GPS_KEYS, texts) if text])
             gps_json.append(f'{{"timestamp":"{stamp}"{members}}}\n')
             all_json.append(f'{{"timestamp":"{stamp}","record_type":"{GPS_TYPE}"{sparse}}}\n')
+    fold.fold_snr()
     rendered = map("".join, (gps_csv, loran_csv, all_csv, gps_json, loran_json, all_json))
     return dict(zip(_EXPORT_FILES["columns"] + _EXPORT_FILES["lines"], rendered))
 
@@ -246,7 +247,7 @@ def export(blocks: Iterable[list[Record]], formats: tuple[str, ...] | str, out_d
                 writer.write(rendered[name].encode("utf-8"))
         digests = {name: writer.commit() for name, writer in writers.items()}
 
-    station_counts = {station: len(values) for station, values in sorted(fold.snr.items())}
+    station_counts = {station: count for station, (count, *_) in summarize(fold).items()}
     manifest = {
         "session_id": session_id,
         "time_span": None
@@ -278,24 +279,12 @@ def export(blocks: Iterable[list[Record]], formats: tuple[str, ...] | str, out_d
 
 def read_gps_export(path: Path, emit: Callable[[list], object], digests: dict | None) -> None:
     """Read a ``timeline_gps`` export (either format); see :func:`_read_export`."""
-    _read_export(Path(path), GPS_COLUMNS, _gps_values, emit, digests)
+    _read_export(Path(path), GPS_COLUMNS, emit, digests)
 
 
 def read_loran_export(path: Path, emit: Callable[[list], object], digests: dict | None) -> None:
     """Read a ``timeline_loran`` export (either format); see :func:`_read_export`."""
-    _read_export(Path(path), LORAN_COLUMNS, loran_values, emit, digests)
-
-
-def _gps_values(lat, lon, alt, quality, sats, hdop) -> tuple:
-    lat, lon, alt = _optional(lat, "lat_deg"), _optional(lon, "lon_deg"), _optional(alt, "alt_m")
-    quality, sats = parse_int(quality, "fix_quality"), parse_int(sats, "num_sats")
-    hdop = _optional(hdop, "hdop")
-    check_fix(lat, lon, quality, sats, hdop)
-    return lat, lon, alt, quality, sats, hdop
-
-
-def _optional(value, name: str) -> float | None:
-    return None if value is None or value == "" else parse_float(value, name)
+    _read_export(Path(path), LORAN_COLUMNS, emit, digests)
 
 
 def export_digests(directory: Path) -> dict[str, str] | None:
@@ -321,7 +310,7 @@ def _verified(path: Path, digests: dict[str, str] | None) -> bool:
     return False
 
 
-def _read_export(path: Path, columns: tuple[str, ...], check, emit, digests) -> None:
+def _read_export(path: Path, columns: tuple[str, ...], emit, digests) -> None:
     """Read an export file and hand *emit* its rows, ``_BLOCK_RECORDS`` at
     a time: each row the texts of its *columns* as export writes them, the
     timestamp in ``iso_ms`` form, ``str()`` of each value and ``""`` for
@@ -329,10 +318,15 @@ def _read_export(path: Path, columns: tuple[str, ...], check, emit, digests) -> 
     JSON line's by member name.  A file its manifest vouches for
     (:func:`_verified`) is taken as written: CSV rows split on commas, JSON
     values through ``str()``.  Other files are parsed by ``csv``, and each
-    row's timestamp and values, by *check*, are checked before their texts
-    are made.  A malformed file raises ``ValueError`` naming the file and
-    the line; what *emit* raises passes as raised."""
-    trusted = _verified(path, digests)
+    row's timestamp and values (by :mod:`gpsloran.parse`'s ``gps_values`` or
+    ``loran_values``) are checked before their texts are made; only they
+    load ``csv`` and the parser.  A malformed file raises ``ValueError``
+    naming the file and the line; what *emit* raises passes as raised."""
+    trusted, errors = _verified(path, digests), (TypeError, ValueError)
+    if not trusted:
+        import csv
+        from .parse import gps_values, loran_values
+        errors += (csv.Error,)
     line_number = 0  # the line last read, which an error names
 
     def numbered(handle):
@@ -348,13 +342,13 @@ def _read_export(path: Path, columns: tuple[str, ...], check, emit, digests) -> 
             rows = _csv_rows((line[:-1].split(",") for line in lines) if trusted
                              else csv.reader(lines), columns)
         if not trusted:
-            rows = _checked(rows, check)
+            rows = _checked(rows, gps_values if columns is GPS_COLUMNS else loran_values)
         elif path.suffix == ".jsonl":
             rows = (["" if value is None else str(value) for value in row] for row in rows)
         while True:
             try:
                 block = list(islice(rows, _BLOCK_RECORDS))
-            except (TypeError, ValueError, csv.Error) as exc:
+            except errors as exc:
                 raise ValueError(f"{path}:{line_number}: {exc}") from None
             if not block:
                 return
@@ -405,17 +399,22 @@ def _instant(stamp: str) -> int:  # of an iso_ms text; each minute is parsed onc
 # --- summary statistics -----------------------------------------------------
 
 
+_SNR_BLOCK = 4096  # SNR values the stations hold between them before they are folded
+
+
 class SummaryFold:
     """A summary folded a record at a time.  :meth:`add` takes fixes in any
-    order, for their counts and bounding box, and :attr:`snr` holds each
-    station's SNR values (8 bytes each); :meth:`stamp` takes the records'
-    timestamps in time order, or :meth:`take` a set of their texts in any
-    order, for the time span and the gaps longer than *gap_threshold_s*."""
+    order, for their counts and bounding box; :attr:`snr` takes each
+    station's SNR values, which :meth:`fold_snr` folds a block at a time
+    into :attr:`stations`; :meth:`stamp` takes the records' timestamps in
+    time order, or :meth:`take` a set of their texts in any order, for the
+    time span and the gaps longer than *gap_threshold_s*."""
 
     def __init__(self, gap_threshold_s: float) -> None:
         self.fixes = self.no_fix = 0
         self.bbox: tuple[float, float, float, float] | None = None
         self.snr: dict[str, array] = defaultdict(lambda: array("d"))
+        self.stations: dict[str, tuple[int, float, float, list]] = {}  # count, min, max, sum
         self.gap_threshold_s = gap_threshold_s
         self.first: int | None = None
         self.last: int | None = None
@@ -429,6 +428,19 @@ class SummaryFold:
             lat, lon = fix.lat, fix.lon
             lat_min, lat_max, lon_min, lon_max = self.bbox or (lat, lat, lon, lon)
             self.bbox = (min(lat_min, lat), max(lat_max, lat), min(lon_min, lon), max(lon_max, lon))
+
+    def fold_snr(self, least: int = _SNR_BLOCK) -> None:
+        """Once the stations hold *least* SNR values or more between them,
+        fold each one's into its count, min and max (the first of equal
+        extremes, as ``min`` and ``max`` keep) and exact sum, and drop them."""
+        if sum(map(len, self.snr.values())) < least:
+            return
+        for station, values in self.snr.items():
+            if values:
+                count, low, high, terms = self.stations.get(station, (0, values[0], values[0], []))
+                self.stations[station] = (count + len(values), min(low, min(values)),
+                                          max(high, max(values)), _sum_terms(terms, values))
+                del values[:]
 
     def stamp(self, instant: int) -> None:
         last = self.last
@@ -470,8 +482,36 @@ class SummaryFold:
         self.first, self.last = min(self.first, lo), max(self.last, hi)
 
 
+def _sum_terms(held: list, values: array) -> list:
+    """Floats whose exact sum is that of *held* and *values*, each the rounded
+    sum (``math.fsum``, at C speed) of what those before it leave, so the
+    first is the rounded sum of all; or that sum as one Fraction once a
+    float sum overflows."""
+    if all(type(term) is float for term in held):
+        rest, terms = array("d", held), []
+        rest += values
+        try:
+            while not terms or terms[-1]:
+                terms.append(math.fsum(rest))
+                rest.append(-terms[-1])
+            return terms[:-1] or terms  # a sum of zero keeps the sign fsum gave it
+        except OverflowError:
+            pass
+    from fractions import Fraction
+    return [sum(map(Fraction, values), sum(map(Fraction, held)))]
+
+
 def summarize(fold: SummaryFold) -> dict[str, tuple[int, float, float, float]]:
-    """Each station's SNR count, min, mean (by ``math.fsum``) and max, by
-    station name in sorted order, of what *fold* took."""
-    return {station: (len(values), min(values), math.fsum(values) / len(values), max(values))
-            for station, values in sorted(fold.snr.items())}
+    """Each station's SNR count, min, mean and max, by station name in
+    sorted order, of what *fold* took.  The mean is the rounded sum
+    (``math.fsum``'s) over the count, or, past the float range, the exact
+    sum over the count, rounded."""
+    fold.fold_snr(1)
+    stations = {}
+    for station, (count, low, high, terms) in sorted(fold.stations.items()):
+        try:
+            mean = math.fsum(terms) / count
+        except OverflowError:
+            mean = float(terms[0] / count)  # the sum, a Fraction past the float range
+        stations[station] = count, low, mean, high
+    return stations

@@ -33,8 +33,6 @@ import os
 import re
 import shutil
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
 from datetime import date
 from pathlib import Path
 from typing import Callable
@@ -87,12 +85,9 @@ class Hooks:
             handler(count)
 
 
-@dataclass
 class SegmentEntry:
-    name: str
-    stage: str
-    flagged: bool = False
-    error: str | None = None
+    def __init__(self, name: str, stage: str, flagged: bool = False, error: str | None = None):
+        self.name, self.stage, self.flagged, self.error = name, stage, flagged, error
 
 
 class StateStore:
@@ -112,21 +107,13 @@ class StateStore:
     def load(cls, path: Path) -> "StateStore":
         payload = read_json(path)
         store = cls(path, payload["session_id"])
-        store.entries = [
-            SegmentEntry(
-                name=item["name"],
-                stage=item["stage"],
-                flagged=item.get("flagged", False),
-                error=item.get("error"),
-            )
-            for item in payload["segments"]
-        ]
+        store.entries = [SegmentEntry(**item) for item in payload["segments"]]
         return store
 
     def save(self) -> None:
         payload = {
             "session_id": self.session_id,
-            "segments": [asdict(entry) for entry in self.entries],
+            "segments": [vars(entry) for entry in self.entries],  # name, stage, flagged, error
         }
         atomic_write_json(self.path, payload)
 
@@ -188,10 +175,8 @@ def rotation_from_config(config: dict) -> RotationPolicy:
         if rotation == "utc-midnight":
             return RotationPolicy()
         return RotationPolicy(mode="fixed-interval", interval_s=parse_duration(rotation))
-    return RotationPolicy(
-        mode=rotation.get("mode", "utc-midnight"),
-        interval_s=float(rotation.get("interval_s", 86400.0)),
-    )
+    return RotationPolicy(rotation.get("mode", "utc-midnight"),
+                          float(rotation.get("interval_s", 86400.0)))
 
 
 def clock_from_config(config: dict) -> Clock:
@@ -199,19 +184,14 @@ def clock_from_config(config: dict) -> Clock:
     if not spec or spec.get("kind", "system") == "system":
         return SystemClock()
     if spec["kind"] == "accelerated":
-        return AcceleratedClock(
-            start=from_ms(parse_iso_ms(spec["start"])), factor=float(spec.get("factor", 1.0))
-        )
+        return AcceleratedClock(from_ms(parse_iso_ms(spec["start"])), float(spec.get("factor", 1)))
     raise ValueError(f"unknown clock kind: {spec['kind']!r}")
 
 
 def retry_from_config(config: dict) -> RetryPolicy:
     spec = config.get("retry") or {}
-    return RetryPolicy(
-        max_attempts=int(spec.get("max_attempts", 5)),
-        initial_delay_s=float(spec.get("initial_delay_s", 0.5)),
-        max_delay_s=float(spec.get("max_delay_s", 30.0)),
-    )
+    return RetryPolicy(int(spec.get("max_attempts", 5)), float(spec.get("initial_delay_s", 0.5)),
+                       float(spec.get("max_delay_s", 30.0)))
 
 
 # --- per-segment processing -------------------------------------------------
@@ -228,20 +208,9 @@ def segment_open_time(segment_name: str) -> int | None:
 
 def write_parse_errors(path: Path, issues) -> None:
     """Write one JSON object per skipped line, in input order."""
-    lines = "".join(
-        json.dumps(
-            {
-                "source_file": issue.source_file,
-                "line_number": issue.line_number,
-                "field": issue.field_name,
-                "message": issue.message,
-                "raw": issue.raw,
-            },
-            sort_keys=True,
-        )
-        + "\n"
-        for issue in issues
-    )
+    lines = "".join(json.dumps({"source_file": issue.source_file, "line_number": issue.line_number,
+                                "field": issue.field_name, "message": issue.message,
+                                "raw": issue.raw}, sort_keys=True) + "\n" for issue in issues)
     atomic_write_bytes(path, lines.encode("utf-8"))
 
 
@@ -274,15 +243,8 @@ def convert_classified(classified_dir: Path, out_dir: Path, formats: tuple[str, 
     return manifest
 
 
-def process_segment(
-    session_dir: Path,
-    segment_name: str,
-    settings: dict,
-    state: StateStore,
-    hooks: Hooks,
-    *,
-    start_stage: str = RECORDED,
-) -> None:
+def process_segment(session_dir: Path, segment_name: str, settings: dict, state: StateStore,
+                    hooks: Hooks, *, start_stage: str = RECORDED) -> None:
     """Run classify -> parse -> convert for one closed segment.
 
     Stage outputs land in a temp directory that is renamed into place
@@ -299,11 +261,7 @@ def process_segment(
         tmp = session_dir / "classified" / f".tmp-{stem}"
         if tmp.exists():
             shutil.rmtree(tmp)
-        route(
-            session_dir / segment_name,
-            tmp,
-            quarantine_invalid=settings["quarantine_invalid"],
-        )
+        route(session_dir / segment_name, tmp, quarantine_invalid=settings["quarantine_invalid"])
         hooks.fire("mid-classify")
         if classified_dir.exists():
             shutil.rmtree(classified_dir)
@@ -329,13 +287,8 @@ def process_segment(
 # --- the long-running pipeline ----------------------------------------------
 
 
-def run_pipeline(
-    config: dict,
-    *,
-    clock: Clock | None = None,
-    source=None,
-    hooks: Hooks | None = None,
-) -> int:
+def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
+                 hooks: Hooks | None = None) -> int:
     """Capture continuously, processing each closed segment, until the
     source ends (or fails fatally).  Returns the process exit code:
     0 success, 1 fatal capture/config error, 2 some segments flagged, 130
@@ -350,9 +303,7 @@ def run_pipeline(
 
     endpoint: SourceEndpoint | None = None
     if source is None:
-        endpoint = SourceEndpoint.from_text(
-            config["source"], replay_speed=float(settings["replay_speed"])
-        )
+        endpoint = SourceEndpoint.from_text(config["source"], float(settings["replay_speed"]))
         try:
             source = open_source(endpoint, clock, retry)
         except SourceUnavailable as exc:
@@ -360,22 +311,18 @@ def run_pipeline(
             return 1
 
     session = CaptureSession(
-        Path(config["out_dir"]),
-        session_id=config.get("session_id"),
-        source_text=config.get("source", "injected"),
-        rotation=rotation,
-        flush_interval=float(settings["flush_interval_s"]),
-        clock=clock,
+        Path(config["out_dir"]), session_id=config.get("session_id"),
+        source_text=config.get("source", "injected"), rotation=rotation,
+        flush_interval=float(settings["flush_interval_s"]), clock=clock,
         extra_config={"pipeline": {k: settings[k] for k in (
-            "formats", "gap_threshold_s", "quarantine_invalid", "flush_interval_s"
-        )}},
-    )
+            "formats", "gap_threshold_s", "quarantine_invalid", "flush_interval_s")}})
     state = StateStore(session.dir / STATE_NAME, session.session_id)
     state.save()
     logger.info("session=%s dir=%s", session.session_id, session.dir)
 
-    executor: ThreadPoolExecutor | None = None
+    executor = None
     if settings["process_segments"] and not settings["inline_processing"]:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
         executor = ThreadPoolExecutor(max_workers=int(settings["max_workers"]))
 
     def safe_process(name: str) -> None:
@@ -394,11 +341,8 @@ def run_pipeline(
             executor.submit(safe_process, name)
 
     fatal = interrupted = False
-    stop_on_eof = (
-        settings["on_eof"] == "stop"
-        or endpoint is None  # injected sources cannot be reopened
-        or endpoint.kind is SourceKind.REPLAY
-    )
+    stop_on_eof = (settings["on_eof"] == "stop" or endpoint is None  # an injected source
+                   or endpoint.kind is SourceKind.REPLAY)  # cannot be reopened
     try:
         while True:
             now = clock.now()
@@ -449,9 +393,8 @@ def run_pipeline(
         return 130
     if fatal:
         return 1
-    if settings["process_segments"] and any(
-        e.stage != CONVERTED or e.flagged for e in state.entries
-    ):
+    if settings["process_segments"] and any(e.stage != CONVERTED or e.flagged
+                                            for e in state.entries):
         return 2
     return 0
 
@@ -495,11 +438,8 @@ def recover(session_dir: Path, *, hooks: Hooks | None = None) -> int:
     try:
         state = StateStore.load(session_dir / STATE_NAME)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        logger.error(
-            "event=cannot_resume reason=state_unreadable error=%s recoverable_segments=%s",
-            json.dumps(str(exc)),
-            ",".join(raw_names) or "none",
-        )
+        logger.error("event=cannot_resume reason=state_unreadable error=%s recoverable_segments=%s",
+                     json.dumps(str(exc)), ",".join(raw_names) or "none")
         return 1
 
     try:
@@ -518,9 +458,7 @@ def recover(session_dir: Path, *, hooks: Hooks | None = None) -> int:
         if name not in known:
             state.add_segment(name, RECORDED)
 
-    for stray in list(session_dir.glob("classified/.tmp-*")) + list(
-        session_dir.glob("exports/.tmp-*")
-    ):
+    for stray in [*session_dir.glob("classified/.tmp-*"), *session_dir.glob("exports/.tmp-*")]:
         shutil.rmtree(stray)
 
     failures = 0
@@ -530,9 +468,7 @@ def recover(session_dir: Path, *, hooks: Hooks | None = None) -> int:
         start_stage = CLASSIFIED if entry.stage in (CLASSIFIED, CONVERTED) else RECORDED
         logger.info("event=reprocess segment=%s stage=%s", entry.name, entry.stage)
         try:
-            process_segment(
-                session_dir, entry.name, settings, state, hooks, start_stage=start_stage
-            )
+            process_segment(session_dir, entry.name, settings, state, hooks, start_stage=start_stage)
         except Exception as exc:
             logger.error("event=recovery_failed segment=%s error=%s", entry.name, json.dumps(str(exc)))
             state.flag(entry.name, str(exc))

@@ -50,9 +50,9 @@ import math
 import re
 from array import array
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
+from typing import NamedTuple
 
 from .timeutil import MS_PER_DAY, day_ms
 
@@ -77,40 +77,65 @@ class ParseError(ValueError):
         self.field_name = field_name
 
 
-@dataclass(slots=True)
-class GpsFix:
+class _Record:
+    """Equality and repr over a record's fields; the last, ``source_line``,
+    only says where the record came from, so equality leaves it out."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        fields = self.__slots__[:-1]
+        return [getattr(self, name) for name in fields] == [getattr(other, name) for name in fields]
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({values})"
+
+
+class GpsFix(_Record):
     """One GGA fix, timestamped in UTC epoch milliseconds.  ``fix_quality
     == 0`` marks a no-fix record whose position fields are None; such
     records are excluded from position statistics but kept in the
     timeline.  :func:`check_fix` holds its range checks."""
 
-    timestamp: int
-    lat: float | None
-    lon: float | None
-    alt_m: float | None
-    fix_quality: int
-    num_sats: int
-    hdop: float | None
-    source_line: int | None = field(default=None, compare=False)
+    __slots__ = ("timestamp", "lat", "lon", "alt_m", "fix_quality", "num_sats", "hdop",
+                 "source_line")
+
+    def __init__(self, timestamp: int, lat: float | None, lon: float | None,
+                 alt_m: float | None, fix_quality: int, num_sats: int, hdop: float | None,
+                 source_line: int | None = None) -> None:
+        self.timestamp = timestamp
+        self.lat = lat
+        self.lon = lon
+        self.alt_m = alt_m
+        self.fix_quality = fix_quality
+        self.num_sats = num_sats
+        self.hdop = hdop
+        self.source_line = source_line
 
     @property
     def no_fix(self) -> bool:
         return self.fix_quality == 0
 
 
-@dataclass(slots=True)
-class LoranMeasurement:
+class LoranMeasurement(_Record):
     """One Loran station observation from a ``$PLRM`` sentence,
     timestamped in UTC epoch milliseconds.  :func:`loran_values` holds its
     range checks."""
 
-    timestamp: int
-    gri: int
-    station_role: str
-    toa_us: float
-    snr_db: float
-    ecd_us: float
-    source_line: int | None = field(default=None, compare=False)
+    __slots__ = ("timestamp", "gri", "station_role", "toa_us", "snr_db", "ecd_us", "source_line")
+
+    def __init__(self, timestamp: int, gri: int, station_role: str, toa_us: float,
+                 snr_db: float, ecd_us: float, source_line: int | None = None) -> None:
+        self.timestamp = timestamp
+        self.gri = gri
+        self.station_role = station_role
+        self.toa_us = toa_us
+        self.snr_db = snr_db
+        self.ecd_us = ecd_us
+        self.source_line = source_line
 
     @property
     def station(self) -> str:
@@ -118,8 +143,7 @@ class LoranMeasurement:
         return f"{self.gri}{self.station_role}"
 
 
-@dataclass
-class ParseIssue:
+class ParseIssue(NamedTuple):
     """One skipped line, with provenance into its classified store."""
 
     source_file: str
@@ -348,6 +372,20 @@ def loran_values(gri, role, toa, snr, ecd) -> tuple[int, str, float, float, floa
     return gri, role, toa, snr, ecd
 
 
+def gps_values(lat, lon, alt, quality, sats, hdop) -> tuple:
+    """A fix's values as an export holds them, from text (``""`` for none)
+    or numbers, checked by :func:`check_fix`; ``ParseError`` if not."""
+    lat, lon, alt = _optional(lat, "lat_deg"), _optional(lon, "lon_deg"), _optional(alt, "alt_m")
+    quality, sats = parse_int(quality, "fix_quality"), parse_int(sats, "num_sats")
+    hdop = _optional(hdop, "hdop")
+    check_fix(lat, lon, quality, sats, hdop)
+    return lat, lon, alt, quality, sats, hdop
+
+
+def _optional(value, name: str) -> float | None:
+    return None if value is None or value == "" else parse_float(value, name)
+
+
 def parse_loran(
     fields: list[str], ctx: DateContext, source_line: int | None = None
 ) -> LoranMeasurement:
@@ -362,8 +400,7 @@ def parse_loran(
 # --- batch parsing of classified stores ------------------------------------
 
 
-@dataclass
-class ParsedSegment:
+class ParsedSegment(NamedTuple):
     """One segment's record stores, parsed as they are read.
 
     *stores* are the GGA stores in glob order, then ``P_LRM``, each a lazy

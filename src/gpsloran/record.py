@@ -29,12 +29,9 @@ import json
 import logging
 import math
 import os
-import select
-import socket
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .clock import Clock, SystemClock
 from .fsutil import atomic_write_json
@@ -60,21 +57,17 @@ class SourceKind(str, Enum):
     REPLAY = "replay"
 
 
-@dataclass(frozen=True)
 class SourceEndpoint:
     """Where bytes come from: a device path, host:port, or file to replay."""
 
-    kind: SourceKind
-    address: str
-    replay_speed: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.address:
+    def __init__(self, kind: SourceKind, address: str, replay_speed: float = 1.0) -> None:
+        if not address:
             raise ValueError("source address must be non-empty")
-        if self.kind is SourceKind.TCP and ":" not in self.address:
-            raise ValueError(f"tcp address must be host:port, got {self.address!r}")
-        if self.replay_speed < 0:
+        if kind is SourceKind.TCP and ":" not in address:
+            raise ValueError(f"tcp address must be host:port, got {address!r}")
+        if replay_speed < 0:
             raise ValueError("replay_speed must be >= 0")
+        self.kind, self.address, self.replay_speed = kind, address, replay_speed
 
     @classmethod
     def from_text(cls, text: str, replay_speed: float = 1.0) -> "SourceEndpoint":
@@ -88,19 +81,16 @@ class SourceEndpoint:
         return cls(kind=kind, address=address, replay_speed=replay_speed)
 
 
-@dataclass(frozen=True)
 class RotationPolicy:
     """When to close the active segment: UTC-midnight-aligned (default)
     or a fixed interval from session start."""
 
-    mode: str = "utc-midnight"
-    interval_s: float = 86400.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("utc-midnight", "fixed-interval"):
-            raise ValueError(f"unknown rotation mode: {self.mode!r}")
-        if not 0.5 < self.interval_s * 1000 < math.inf:  # round() gives at least 1 ms
-            raise ValueError(f"rotation interval must be finite and >= 1 ms: {self.interval_s!r}")
+    def __init__(self, mode: str = "utc-midnight", interval_s: float = 86400.0) -> None:
+        if mode not in ("utc-midnight", "fixed-interval"):
+            raise ValueError(f"unknown rotation mode: {mode!r}")
+        if not 0.5 < interval_s * 1000 < math.inf:  # round() gives at least 1 ms
+            raise ValueError(f"rotation interval must be finite and >= 1 ms: {interval_s!r}")
+        self.mode, self.interval_s = mode, interval_s
 
     def next_boundary(self, now: int, session_start: int) -> int:
         """First boundary strictly after *now*, in epoch milliseconds.
@@ -117,15 +107,14 @@ class RotationPolicy:
         return {"mode": self.mode, "interval_s": self.interval_s}
 
 
-@dataclass
 class RawSegment:
     """One closed (or active) capture file."""
 
-    path: Path
-    open_time: int
-    close_time: int | None = None
-    byte_count: int = 0
-    digest: str | None = None
+    def __init__(self, path: Path, open_time: int) -> None:
+        self.path, self.open_time = path, open_time
+        self.close_time: int | None = None
+        self.byte_count = 0
+        self.digest: str | None = None
 
     @property
     def name(self) -> str:
@@ -145,6 +134,7 @@ class ByteSource(Protocol):
 
 class TcpSource:
     def __init__(self, address: str, connect_timeout: float = 5.0):
+        import socket  # only a TCP source loads it
         host, _, port = address.rpartition(":")
         self._sock = socket.create_connection((host, int(port)), timeout=connect_timeout)
 
@@ -171,10 +161,12 @@ class SerialSource:
     """Reads a serial-style character device (or FIFO) as raw bytes."""
 
     def __init__(self, address: str):
+        from select import select  # only a serial source loads it
+        self._select = select
         self._fd = os.open(address, os.O_RDONLY | os.O_NONBLOCK)
 
     def read(self, max_bytes: int, timeout: float) -> bytes:
-        ready, _, _ = select.select([self._fd], [], [], timeout)
+        ready, _, _ = self._select([self._fd], [], [], timeout)
         if not ready:
             return b""
         try:
@@ -230,8 +222,7 @@ class FileReplaySource:
         self._handle.close()
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(NamedTuple):
     """Exponential backoff for opening (and reopening) a source."""
 
     max_attempts: int = 5
@@ -245,11 +236,8 @@ class RetryPolicy:
             delay = min(delay * 2, self.max_delay_s)
 
 
-def open_source(
-    endpoint: SourceEndpoint,
-    clock: Clock | None = None,
-    retry: RetryPolicy = RetryPolicy(),
-) -> ByteSource:
+def open_source(endpoint: SourceEndpoint, clock: Clock | None = None,
+                retry: RetryPolicy = RetryPolicy()) -> ByteSource:
     """Open the endpoint's byte source, retrying with backoff before
     declaring it unavailable."""
     clock = clock or SystemClock()
@@ -267,9 +255,8 @@ def open_source(
             delay = next(delays, None)
             if delay is not None:
                 clock.sleep(delay)
-    raise SourceUnavailable(
-        f"cannot open {endpoint.kind.value} source {endpoint.address!r}: {last_error}"
-    )
+    raise SourceUnavailable(f"cannot open {endpoint.kind.value} source {endpoint.address!r}: "
+                            f"{last_error}")
 
 
 # --- capture session --------------------------------------------------------
@@ -282,17 +269,9 @@ class CaptureSession:
     segments are immutable and safe for concurrent readers.
     """
 
-    def __init__(
-        self,
-        out_dir: Path,
-        *,
-        session_id: str | None = None,
-        source_text: str = "",
-        rotation: RotationPolicy | None = None,
-        flush_interval: float = 1.0,
-        clock: Clock | None = None,
-        extra_config: dict | None = None,
-    ):
+    def __init__(self, out_dir: Path, *, session_id: str | None = None, source_text: str = "",
+                 rotation: RotationPolicy | None = None, flush_interval: float = 1.0,
+                 clock: Clock | None = None, extra_config: dict | None = None):
         self.clock = clock or SystemClock()
         self.rotation = rotation or RotationPolicy()
         self.flush_interval = flush_interval

@@ -3,7 +3,6 @@ import random
 import tempfile
 import tracemalloc
 from collections import Counter
-from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -345,7 +344,7 @@ def test_report_round_trips_through_json(tmp_path):
     out = tmp_path / "classified"
     report = route(segment, out)
     loaded = read_json(out / REPORT_NAME)
-    assert loaded == asdict(report)
+    assert loaded == report._asdict()
     assert loaded["counts"] == {"GPGGA": 1, "P_LRM": 1}
 
 

@@ -13,14 +13,13 @@ import threading
 import time
 import tracemalloc
 import unittest.mock
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpsloran import cli, convert
+from gpsloran import cli, convert, parse
 from gpsloran.cli import main
 from gpsloran.convert import (MANIFEST_NAME, export, merge_sort, read_gps_export,
                               read_loran_export)
@@ -534,7 +533,7 @@ def test_stats_checks_no_field_of_an_export_its_manifest_vouches_for(tmp_path, c
     def calls() -> list[int]:
         with contextlib.ExitStack() as stack:
             spies = [stack.enter_context(unittest.mock.patch.object(
-                convert, name, wraps=getattr(convert, name))) for name in checks]
+                parse, name, wraps=getattr(parse, name))) for name in checks]
             assert main(["stats", "--session", str(session)]) == 0
         return [spy.call_count for spy in spies]
 
@@ -543,6 +542,26 @@ def test_stats_checks_no_field_of_an_export_its_manifest_vouches_for(tmp_path, c
         manifest.unlink()
     assert all(calls())
     capsys.readouterr()
+
+
+def test_stats_prints_the_mean_of_snr_values_whose_sum_passes_the_float_range(tmp_path, capsys):
+    """Two SNR values of 1e308, which the parser accepts and export writes
+    as ``1e+308``, sum past the float range; ``stats`` prints their exact
+    mean rather than failing."""
+    segment = tmp_path / "seg.log"
+    segment.write_bytes(crlf(zda_line(utc(2020, 4, 17, 12, 0, 0)),
+                             *(plrm_line(tod=f"12000{i}.000", toa="100.0", snr="1e308")
+                               for i in (1, 2))))
+    classified = tmp_path / "classified"
+    target = tmp_path / "session" / "exports" / "raw_20200417T120000Z"
+    assert main(["classify", "--segment", str(segment), "--out", str(classified)]) == 0
+    assert main(["convert", "--classified", str(classified), "--out", str(target)]) == 0
+    assert (target / "timeline_loran.csv").read_text().splitlines()[1] == (
+        "2020-04-17T12:00:01.000Z,9930,M,100.0,1e+308,0.5")
+    capsys.readouterr()
+    assert main(["stats", "--session", str(tmp_path / "session")]) == 0
+    assert ("station=9930M count=2 snr_min=1e+308 snr_mean=1e+308 snr_max=1e+308\n"
+            in capsys.readouterr().out)
 
 
 def test_year_below_1000_survives_convert_and_stats(tmp_path, capsys):
@@ -849,16 +868,49 @@ def test_stats_gaps_of_overlapping_segments(tmp_path):
 
 def test_stats_loads_no_capture_code(tmp_path):
     """``gpsloran stats`` in a fresh interpreter imports neither the
-    capture, the routing nor the simulation code, as the module says."""
+    capture, the routing nor the simulation code, as the module says, and
+    over exports their manifests vouch for, neither the parser nor ``csv``
+    (nor ``dataclasses`` and the ``inspect`` it loads)."""
     session = stats_session(tmp_path)
-    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "gpsloran.cli", "stats",
-                          "--session", str(session)], capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    imported = {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()
+
+    def imported(*argv: str) -> set[str]:
+        run = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True,
+                             text=True)
+        assert run.returncode == 0, run.stderr
+        return {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()
                 if line.startswith("import time:")}
-    assert "gpsloran.convert" in imported
-    assert imported.isdisjoint({f"gpsloran.{name}" for name in
-                                ("record", "orchestrate", "classify", "simulate")})
+
+    loaded = imported("-m", "gpsloran.cli", "stats", "--session", str(session))
+    loaded -= imported("-c", "pass")  # what the interpreter's own start imports on this host
+    assert "gpsloran.convert" in loaded
+    assert loaded.isdisjoint({f"gpsloran.{name}" for name in
+                              ("record", "orchestrate", "classify", "simulate", "parse")})
+    assert loaded.isdisjoint({"csv", "dataclasses", "inspect"})
+
+
+def _modules_added(code: str) -> set[str]:
+    """The modules a fresh interpreter loads while it runs *code*, by the
+    module set before and after, so what its own start loads is left out."""
+    script = f"import sys\nbefore = set(sys.modules)\n{code}\nprint(*set(sys.modules) - before)"
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.split())
+
+
+def test_the_worker_and_record_load_only_what_they_run(tmp_path):
+    """The segment path and a ``gpsloran record`` start load no
+    ``dataclasses`` (nor the ``inspect`` it loads), and no socket, select or
+    ``csv`` module, which only a TCP source, a serial source and the strict
+    export reader use; importing the pipeline loads no thread pool."""
+    unused = {"dataclasses", "inspect", "socket", "select", "csv"}
+    assert _modules_added("import gpsloran.orchestrate").isdisjoint(unused | {"concurrent.futures"})
+    empty = tmp_path / "empty.log"
+    empty.write_bytes(b"")
+    argv = ["record", "--source", f"replay:{empty}", "--out", str(tmp_path / "out"),
+            "--replay-speed", "0", "--on-eof", "stop"]
+    added = _modules_added(f"from gpsloran.cli import main\nassert main({argv!r}) == 0")
+    assert "gpsloran.record" in added
+    assert added.isdisjoint(unused)
 
 
 def test_stats_calls_convert_summarize_once(tmp_path, capsys):
@@ -890,22 +942,20 @@ def test_the_names_the_benchmark_wraps_exist():
     assert missing == []
 
 
-def test_stats_memory_grows_by_8_bytes_an_snr_value_and_under_2_a_record(tmp_path):
-    """Beyond what one file needs, ``stats`` keeps 8 bytes per Loran SNR
-    value, for the exact mean, and no timestamp: four equal segments peak
-    less than 8 bytes an SNR value plus 2 bytes a record above one."""
-    fixes = [GpsFix(T_STATS + i * 1000, 37.0 + i * 1e-6, 127.0, 30.0, 1, 8, 0.9)
-             for i in range(1500)]
-    observations = [LoranMeasurement(T_STATS + i * 250, 9930, "MXYZ"[i % 4], 45678.9,
-                                     10.0 + i % 7, 0.5) for i in range(6000)]
+def test_stats_memory_grows_by_under_2_bytes_a_record(tmp_path):
+    """Beyond what one file needs, ``stats`` keeps no timestamp and no SNR
+    value (the summary folds them a block at a time): four equal segments
+    peak less than 2 bytes a record above one."""
     peaks = {}
     for count in (1, 4):
         session = tmp_path / f"session{count}"
         for index in range(count):
             shift = index * 3_600_000
-            export(merge_sort([replace(f, timestamp=f.timestamp + shift) for f in fixes],
-                              [replace(o, timestamp=o.timestamp + shift) for o in observations]),
-                   "columns", session / "exports" / f"raw_{index:02d}")
+            fixes = [GpsFix(T_STATS + shift + i * 1000, 37.0 + i * 1e-6, 127.0, 30.0, 1, 8, 0.9)
+                     for i in range(1500)]
+            observations = [LoranMeasurement(T_STATS + shift + i * 250, 9930, "MXYZ"[i % 4],
+                                             45678.9, 10.0 + i % 7, 0.5) for i in range(6000)]
+            export(merge_sort(fixes, observations), "columns", session / "exports" / f"raw_{index:02d}")
         with contextlib.redirect_stdout(io.StringIO()):
             main(["stats", "--session", str(session), "--out", str(tmp_path / "warm")])
             tracemalloc.start()
@@ -915,5 +965,5 @@ def test_stats_memory_grows_by_8_bytes_an_snr_value_and_under_2_a_record(tmp_pat
                 peaks[count] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-    added, snr_values = 3 * (len(fixes) + len(observations)), 3 * len(observations)
-    assert peaks[4] - peaks[1] < 8 * snr_values + 2 * added
+    added = 3 * (len(fixes) + len(observations))
+    assert peaks[4] - peaks[1] < 2 * added

@@ -3,14 +3,16 @@ import errno
 import io
 import itertools
 import json
+import math
 import os
 import random
 import tempfile
 from datetime import datetime, timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpsloran.convert import (
@@ -438,6 +440,41 @@ def fold_of(blocks, gap_threshold_s=DEFAULT_GAP_THRESHOLD_S):
 def test_summarize_snr_stats():
     loran = [loran_at(T0 + i * 1000, snr=snr) for i, snr in enumerate((10.0, 12.0, 14.0))]
     assert summarize(fold_of(merge_sort([], loran))) == {"9930M": (3, 10.0, 12.0, 14.0)}
+
+
+SNR_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.0, -0.0, 1e308, -1e308, 5e-324, 12.5]))
+
+
+@given(st.lists(st.lists(st.tuples(st.sampled_from("MX"), SNR_VALUES), max_size=20), max_size=8),
+       st.integers(1, 40))
+@example([[("M", 1e308), ("M", 1e308)]], 1)
+@example([[("M", 1e308)], [("M", 1e308), ("M", -1e308)]], 1)
+@example([[("M", -0.0), ("M", 0.0)], [("M", -0.0)]], 1)
+def test_snr_fold_gives_the_count_min_mean_and_max_of_all_values(blocks, least):
+    """SNR values folded a block at a time, once the stations hold *least*
+    of them, give each station's count, min and max of all its values, and
+    the mean ``math.fsum(values) / count``; where that sum overflows, the
+    exact sum rounded over the count, or past the float range the exact
+    mean rounded."""
+    fold, values = SummaryFold(300.0), {}
+    for block in blocks:
+        for role, value in block:
+            fold.snr["9930" + role].append(value)
+            values.setdefault("9930" + role, []).append(value)
+        fold.fold_snr(least)
+    expected = {}
+    for station, kept in sorted(values.items()):
+        try:
+            mean = math.fsum(kept) / len(kept)
+        except OverflowError:
+            exact = sum(map(Fraction, kept))
+            try:
+                mean = float(exact) / len(kept)
+            except OverflowError:
+                mean = float(exact / len(kept))
+        expected[station] = repr((len(kept), min(kept), mean, max(kept)))
+    assert {station: repr(stats) for station, stats in summarize(fold).items()} == expected
 
 
 def test_summarize_splits_stations():

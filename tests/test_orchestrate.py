@@ -924,11 +924,11 @@ def dense_classified(directory, start, seconds):
 
 
 def test_convert_memory_does_not_grow_with_the_segment(tmp_path):
-    """Beyond 8 bytes per Loran SNR value (the summary keeps them for its
-    statistics), converting a 4 h dense segment peaks within 1 MB of a
-    30 min one: the merge holds a window of each store, not the segment."""
+    """Converting a 4 h dense segment peaks within 1 MB of a 30 min one: the
+    merge holds a window of each store, not the segment, and the summary
+    folds the SNR values a block at a time."""
     start = ms(2020, 4, 17, 1)
-    peaks, loran = {}, {}
+    peaks = {}
     for seconds in (1800, 4 * 3600):
         classified = tmp_path / f"classified-{seconds}"
         dense_classified(classified, start, seconds)
@@ -944,5 +944,4 @@ def test_convert_memory_does_not_grow_with_the_segment(tmp_path):
         finally:
             tracemalloc.stop()
         assert counts["loran"] == 7 * seconds and counts["parse_errors"] == 0
-        loran[seconds] = counts["loran"]
-    assert peaks[4 * 3600] - peaks[1800] < 2**20 + 8 * (loran[4 * 3600] - loran[1800])
+    assert peaks[4 * 3600] - peaks[1800] < 2**20
