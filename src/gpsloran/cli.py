@@ -16,8 +16,9 @@ stderr; command results go to stdout.  Each command imports the modules
 it uses when it runs, and each module the standard library modules it
 uses where it uses them.  So ``stats`` loads neither the capture code nor
 the parser and ``csv``, which only an export its manifest does not vouch
-for needs; ``record``, ``run`` and the pipeline load no ``dataclasses``
-(nor the ``inspect`` it loads), and ``socket``, ``select`` and
+for needs; ``convert`` loads no capture code (``record``, ``clock``);
+``record``, ``run`` and the pipeline load no ``dataclasses`` (nor the
+``inspect`` it loads), and ``socket``, ``select`` and
 ``concurrent.futures`` only for a TCP source, a serial source and the
 worker pool.
 """

@@ -8,9 +8,10 @@ holds a bounded window of each store and yields the timeline in blocks,
 which the export renders as they come, so a segment of any length is
 converted in the same memory.
 
-Records carry integer UTC epoch milliseconds, so sorting, gap finding and
-the manifest work on ints; each distinct instant is formatted to text once
-on export, and each run of equal timestamp texts read back to an int once.
+Records carry integer UTC epoch milliseconds, so the merge sorts ints.
+Each distinct instant is formatted to text once on export, and the span
+and gaps are folded from those texts (:meth:`SummaryFold.take`), as
+``stats`` folds them from the texts it reads back.
 
 Export schemas (fixed column order, timestamps as ISO 8601 UTC with
 milliseconds, floats in shortest round-trip form):
@@ -23,7 +24,9 @@ milliseconds, floats in shortest round-trip form):
 
 Two formats: ``columns`` (CSV) and ``lines`` (one JSON object per line).
 A ``manifest.json`` records counts, time span, per-file digests, and the
-list of gaps longer than the gap threshold.
+list of gaps longer than the gap threshold; that is all the export folds.
+The SNR figures and the bounding box are ``stats``' alone, from the
+exports.
 """
 from __future__ import annotations
 
@@ -149,28 +152,30 @@ _EXPORT_FILES = {fmt: [f"timeline_{kind}.{ext}" for kind in ("gps", "loran", "al
                  for fmt, ext in FORMAT_EXTENSIONS.items()}
 
 
-def _render(block: list[Record], formats: tuple[str, ...], fold: SummaryFold) -> dict[str, str]:
-    """``{file name: text}`` of a block of records in all six export files,
-    each record folded into *fold* as it is rendered.  Each distinct
-    timestamp is formatted and stamped once and each value converted to
-    text once (``None`` is an empty CSV cell and a JSON ``null``).  Parsing
-    admits finite numbers and the ``STATION_ROLES`` letters only, so the
-    text of a number is its JSON text and a role needs no escaping."""
+def _render(block: list[Record], formats: tuple[str, ...], fold: SummaryFold,
+            counts: dict[str, int]) -> dict[str, str]:
+    """``{file name: text}`` of a block of records in all six export files.
+    Each distinct timestamp is formatted once, and the block's texts go to
+    *fold* for the span and gaps; each Loran record is counted in *counts*
+    by station.  Each value is converted to text once (``None`` is an
+    empty CSV cell and a JSON ``null``).  Parsing admits finite numbers and
+    the ``STATION_ROLES`` letters only, so the text of a number is its JSON
+    text and a role needs no escaping."""
     from .parse import LoranMeasurement  # loaded already by what parsed the block
     columns = "columns" in formats
     lines = "lines" in formats
     instant = stamp = None
-    snr = fold.snr
+    stamps = []
     gps_csv, loran_csv, all_csv, gps_json, loran_json, all_json = [], [], [], [], [], []
     for record in block:
         if record.timestamp != instant:
             instant = record.timestamp
             stamp = iso_ms(instant)
-            fold.stamp(instant)
+            stamps.append(stamp)
         if type(record) is LoranMeasurement:
             gri, role = str(record.gri), record.station_role
             toa, snr_db, ecd = repr(record.toa_us), repr(record.snr_db), repr(record.ecd_us)
-            snr[gri + role].append(record.snr_db)
+            counts[gri + role] += 1
             if columns:  # a timeline_all row leaves the six GPS cells empty
                 loran_csv.append(f"{stamp},{gri},{role},{toa},{snr_db},{ecd}\n")
                 all_csv.append(f"{stamp},{LORAN_TYPE},,,,,,,{gri},{role},{toa},{snr_db},{ecd}\n")
@@ -181,7 +186,6 @@ def _render(block: list[Record], formats: tuple[str, ...], fold: SummaryFold) ->
                                 f'"station_role":"{role}","toa_us":{toa},"snr_db":{snr_db},'
                                 f'"ecd_us":{ecd}}}\n')
             continue
-        fold.add(record)
         texts = [None if value is None else str(value) for value in _GPS_VALUES(record)]
         complete = None not in texts
         if columns:
@@ -196,7 +200,7 @@ def _render(block: list[Record], formats: tuple[str, ...], fold: SummaryFold) ->
                 sparse = "".join([key + text for key, text in zip(_GPS_KEYS, texts) if text])
             gps_json.append(f'{{"timestamp":"{stamp}"{members}}}\n')
             all_json.append(f'{{"timestamp":"{stamp}","record_type":"{GPS_TYPE}"{sparse}}}\n')
-    fold.fold_snr()
+    fold.take(stamps)
     rendered = map("".join, (gps_csv, loran_csv, all_csv, gps_json, loran_json, all_json))
     return dict(zip(_EXPORT_FILES["columns"] + _EXPORT_FILES["lines"], rendered))
 
@@ -223,11 +227,11 @@ def export(blocks: Iterable[list[Record]], formats: tuple[str, ...] | str, out_d
     *blocks* are the timeline in time order, a block of records at a time
     (as :func:`merge_sort` yields it).  Deterministic: the same timeline
     always produces byte-identical files.  Each block is rendered, hashed
-    and written, and folded into the summary, as it arrives.  The parse
-    error count may be a callable, read once the timeline is written, for
-    stores parsed as they are merged.  On any failure every file this call
-    made, final or temporary, is removed, so a directory never holds a
-    partial export set.  Returns the manifest payload.
+    and written, and its counts, time span and gaps folded, as it arrives.
+    The parse error count may be a callable, read once the timeline is
+    written, for stores parsed as they are merged.  On any failure every
+    file this call made, final or temporary, is removed, so a directory
+    never holds a partial export set.  Returns the manifest payload.
     """
     formats = export_formats(formats)
     out_dir = Path(out_dir)
@@ -240,23 +244,24 @@ def export(blocks: Iterable[list[Record]], formats: tuple[str, ...] | str, out_d
                 writers[name] = writer = stack.enter_context(AtomicWriter(out_dir / name))
                 if fmt == "columns":
                     writer.write((",".join(header) + "\n").encode("utf-8"))
-        fold = SummaryFold(gap_threshold_s)
+        fold, counts, records = SummaryFold(gap_threshold_s), defaultdict(int), 0
         for block in blocks:
-            rendered = _render(block, formats, fold)
+            rendered = _render(block, formats, fold, counts)
+            records += len(block)
             for name, writer in writers.items():
                 writer.write(rendered[name].encode("utf-8"))
         digests = {name: writer.commit() for name, writer in writers.items()}
 
-    station_counts = {station: count for station, (count, *_) in summarize(fold).items()}
+    loran = sum(counts.values())
     manifest = {
         "session_id": session_id,
         "time_span": None
         if fold.first is None
         else {"first": iso_ms(fold.first), "last": iso_ms(fold.last)},
         "record_counts": {
-            "gps_fix": fold.fixes + fold.no_fix,
-            "loran": sum(station_counts.values()),
-            "loran_by_station": station_counts,
+            "gps_fix": records - loran,
+            "loran": loran,
+            "loran_by_station": dict(sorted(counts.items())),
             "parse_errors": parse_errors() if callable(parse_errors) else parse_errors,
             "quarantined": quarantined,
         },
@@ -403,12 +408,12 @@ _SNR_BLOCK = 4096  # SNR values the stations hold between them before they are f
 
 
 class SummaryFold:
-    """A summary folded a record at a time.  :meth:`add` takes fixes in any
-    order, for their counts and bounding box; :attr:`snr` takes each
-    station's SNR values, which :meth:`fold_snr` folds a block at a time
-    into :attr:`stations`; :meth:`stamp` takes the records' timestamps in
-    time order, or :meth:`take` a set of their texts in any order, for the
-    time span and the gaps longer than *gap_threshold_s*."""
+    """A summary folded a block of records at a time.  :meth:`take` takes a
+    set of their timestamp texts in any order, for the time span and the
+    gaps longer than *gap_threshold_s*: all that :func:`export` folds.
+    ``stats`` also fills in the fix counts and bounding box, and :attr:`snr`
+    with each station's SNR values, which :meth:`fold_snr` folds a block
+    at a time into :attr:`stations`."""
 
     def __init__(self, gap_threshold_s: float) -> None:
         self.fixes = self.no_fix = 0
@@ -419,15 +424,6 @@ class SummaryFold:
         self.first: int | None = None
         self.last: int | None = None
         self.gaps: list[tuple[int, int]] = []
-
-    def add(self, fix: GpsFix) -> None:
-        if fix.no_fix:
-            self.no_fix += 1
-        else:
-            self.fixes += 1
-            lat, lon = fix.lat, fix.lon
-            lat_min, lat_max, lon_min, lon_max = self.bbox or (lat, lat, lon, lon)
-            self.bbox = (min(lat_min, lat), max(lat_max, lat), min(lon_min, lon), max(lon_max, lon))
 
     def fold_snr(self, least: int = _SNR_BLOCK) -> None:
         """Once the stations hold *least* SNR values or more between them,
@@ -441,14 +437,6 @@ class SummaryFold:
                 self.stations[station] = (count + len(values), min(low, min(values)),
                                           max(high, max(values)), _sum_terms(terms, values))
                 del values[:]
-
-    def stamp(self, instant: int) -> None:
-        last = self.last
-        if last is None:
-            self.first = instant
-        elif (instant - last) / 1000 > self.gap_threshold_s:
-            self.gaps.append((last, instant))
-        self.last = instant
 
     def take(self, stamps: Iterable[str]) -> None:
         """Fold a set of ``iso_ms`` timestamp texts, in any order, into the

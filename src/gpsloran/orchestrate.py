@@ -35,16 +35,17 @@ import shutil
 import threading
 from datetime import date
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .classify import REPORT_NAME, route
-from .clock import AcceleratedClock, Clock, SystemClock
 from .convert import REORDER_WINDOW, ReorderOverflow, export, export_formats, merge_sort
 from .fsutil import atomic_write_bytes, atomic_write_json, read_json, sha256_file
 from .parse import parse_classified
-from .record import (CaptureSession, RetryPolicy, RotationPolicy, SourceClosed, SourceEndpoint,
-                     SourceKind, SourceUnavailable, append_event, open_source, read_events)
 from .timeutil import from_ms, parse_duration, parse_iso_ms
+
+if TYPE_CHECKING:  # the capture code, which only capture and recovery load
+    from .clock import Clock
+    from .record import RetryPolicy, RotationPolicy
 
 logger = logging.getLogger(__name__)
 
@@ -168,6 +169,7 @@ def pipeline_settings(config: dict) -> dict:
 
 
 def rotation_from_config(config: dict) -> RotationPolicy:
+    from .record import RotationPolicy
     rotation = config.get("rotation")
     if rotation is None:
         return RotationPolicy()
@@ -180,6 +182,7 @@ def rotation_from_config(config: dict) -> RotationPolicy:
 
 
 def clock_from_config(config: dict) -> Clock:
+    from .clock import AcceleratedClock, SystemClock
     spec = config.get("clock")
     if not spec or spec.get("kind", "system") == "system":
         return SystemClock()
@@ -189,6 +192,7 @@ def clock_from_config(config: dict) -> Clock:
 
 
 def retry_from_config(config: dict) -> RetryPolicy:
+    from .record import RetryPolicy
     spec = config.get("retry") or {}
     return RetryPolicy(int(spec.get("max_attempts", 5)), float(spec.get("initial_delay_s", 0.5)),
                        float(spec.get("max_delay_s", 30.0)))
@@ -295,6 +299,8 @@ def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
     stopped by an interrupt (Ctrl-C), which closes the session as an ended
     source does.
     """
+    from .record import (CaptureSession, SourceClosed, SourceEndpoint, SourceKind,
+                         SourceUnavailable, open_source)
     hooks = hooks or Hooks()
     settings = pipeline_settings(config)
     clock = clock or clock_from_config(config)
@@ -405,6 +411,7 @@ def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
 def _finalize_orphan(session_dir: Path, name: str, events: list[dict]) -> None:
     """Close the books on a segment with no close event: take the flushed
     bytes on disk as its content and record a synthetic close event."""
+    from .record import append_event
     path = session_dir / name
     open_time = None
     for event in events:
@@ -432,6 +439,7 @@ def recover(session_dir: Path, *, hooks: Hooks | None = None) -> int:
     resumed silently: the diagnostic lists the raw segments so they can
     be reprocessed by hand.
     """
+    from .record import read_events
     hooks = hooks or Hooks()
     session_dir = Path(session_dir)
     raw_names = sorted(p.name for p in session_dir.glob("raw_*.log"))

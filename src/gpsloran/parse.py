@@ -137,11 +137,6 @@ class LoranMeasurement(_Record):
         self.ecd_us = ecd_us
         self.source_line = source_line
 
-    @property
-    def station(self) -> str:
-        """Designator string, e.g. ``9930M``."""
-        return f"{self.gri}{self.station_role}"
-
 
 class ParseIssue(NamedTuple):
     """One skipped line, with provenance into its classified store."""

@@ -140,6 +140,14 @@ def flat_timeline(*stores, window=REORDER_WINDOW) -> list:
     return [record for block in merge_sort(*stores, window=window) for record in block]
 
 
+def reference_gaps(instants, gap_threshold_s: float) -> list[tuple[int, int]]:
+    """The gaps of a timeline from a list of all its instants: each pair of
+    consecutive sorted instants further apart than the threshold."""
+    stamps = sorted(instants)
+    return [(earlier, later) for earlier, later in zip(stamps, stamps[1:])
+            if (later - earlier) / 1000 > gap_threshold_s]
+
+
 def parse_records(classified_dir, **kwargs) -> SimpleNamespace:
     """``parse_classified`` with every store read: its ``gps`` fixes,
     ``loran`` observations and ``errors``."""

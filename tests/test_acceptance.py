@@ -442,7 +442,7 @@ def test_criterion_6_end_to_end_ground_truth(tmp_path, capsys):
 
         with open(stats_dir / "snr_9930M.csv", newline="") as handle:
             snr_rows = list(csv.reader(handle))[1:]
-        truth_m = [obs for obs in truth.loran if obs.station == "9930M"]
+        truth_m = [obs for obs in truth.loran if (obs.gri, obs.station_role) == (9930, "M")]
         assert len(snr_rows) == len(truth_m)
         for stamp, cell in snr_rows:
             offset = (parse_iso_ms(stamp) - start) / 1000

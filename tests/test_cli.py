@@ -29,8 +29,8 @@ from gpsloran.parse import GpsFix, LoranMeasurement
 from gpsloran.simulate import Scenario, generate_stream
 from gpsloran.timeutil import iso_ms
 
-from conftest import (crlf, gga_line, ms, plrm_line, read_records, sentence, utc,
-                      zda_line)
+from conftest import (crlf, gga_line, ms, plrm_line, read_records, reference_gaps, sentence,
+                      utc, zda_line)
 
 
 def scenario_file(tmp_path, **overrides):
@@ -722,14 +722,10 @@ def reference_stats_stdout(records, gap_threshold_s=300.0):
                 lats.append(record.lat)
                 lons.append(record.lon)
         else:
-            snr_by_station.setdefault(record.station, []).append(record.snr_db)
+            snr_by_station.setdefault(f"{record.gri}{record.station_role}", []).append(record.snr_db)
 
     stamps = sorted(record.timestamp for record in records)
-    gaps = [
-        (earlier, later)
-        for earlier, later in zip(stamps, stamps[1:])
-        if (later - earlier) / 1000 > gap_threshold_s
-    ]
+    gaps = reference_gaps(stamps, gap_threshold_s)
     loran = len(records) - len(lats) - no_fix
     lines = [f"records={len(records)} gps_fixes={len(lats)} no_fix={no_fix} loran={loran}"]
     if stamps:
@@ -802,14 +798,15 @@ def test_stats_fold_equals_the_list_based_summary(segments, station):
     assert stdout == reference_stats_stdout(read_order)
     gps = [fix for fixes, _, _ in segments for fix in fixes]
     loran = [obs for _, observations, _ in segments for obs in observations]
-    stations = [station] if station else sorted({obs.station for obs in loran})
+    stations = [station] if station else sorted({f"{obs.gri}{obs.station_role}" for obs in loran})
     assert sorted(series) == sorted(["gps_fixes.csv", *(f"snr_{s}.csv" for s in stations)])
     assert series["gps_fixes.csv"] == "timestamp,lat_deg,lon_deg,alt_m\n" + "".join(
         f"{iso_ms(f.timestamp)},{f.lat},{f.lon},{'' if f.alt_m is None else f.alt_m}\n"
         for f in gps if not f.no_fix)
     for name in stations:
         assert series[f"snr_{name}.csv"] == "timestamp,snr_db\n" + "".join(
-            f"{iso_ms(obs.timestamp)},{obs.snr_db}\n" for obs in loran if obs.station == name)
+            f"{iso_ms(obs.timestamp)},{obs.snr_db}\n" for obs in loran
+            if f"{obs.gri}{obs.station_role}" == name)
 
 
 def stats_gaps(tmp_path, segments, threshold: str) -> list[str]:
@@ -911,6 +908,21 @@ def test_the_worker_and_record_load_only_what_they_run(tmp_path):
     added = _modules_added(f"from gpsloran.cli import main\nassert main({argv!r}) == 0")
     assert "gpsloran.record" in added
     assert added.isdisjoint(unused)
+
+
+def test_convert_loads_no_capture_code(tmp_path):
+    """``gpsloran convert`` in a fresh interpreter loads the parser and the
+    exporter it runs, but neither the capture code nor its clock."""
+    classified = tmp_path / "classified"
+    assert main(["classify", "--segment", str(segment_file(tmp_path)), "--out",
+                 str(classified)]) == 0
+    argv = ["convert", "--classified", str(classified), "--out", str(tmp_path / "exports")]
+    added = _modules_added("import contextlib, io\nfrom gpsloran.cli import main\n"
+                           "with contextlib.redirect_stdout(io.StringIO()):\n"
+                           f"    assert main({argv!r}) == 0")
+    assert {"gpsloran.orchestrate", "gpsloran.parse", "gpsloran.convert"} <= added
+    assert added.isdisjoint({"gpsloran.record", "gpsloran.clock", "gpsloran.simulate"})
+    assert (tmp_path / "exports" / MANIFEST_NAME).exists()
 
 
 def test_stats_calls_convert_summarize_once(tmp_path, capsys):

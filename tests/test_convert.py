@@ -7,6 +7,8 @@ import math
 import os
 import random
 import tempfile
+import unittest.mock
+from collections import Counter
 from datetime import datetime, timedelta
 from fractions import Fraction
 from pathlib import Path
@@ -31,12 +33,12 @@ from gpsloran.convert import (
     SummaryFold,
     summarize,
 )
-from gpsloran import fsutil
+from gpsloran import convert, fsutil
 from gpsloran.fsutil import AtomicWriter, read_json, sha256_file
 from gpsloran.parse import GpsFix, LoranMeasurement
 from gpsloran.timeutil import epoch_ms, iso_ms, parse_iso_ms
 
-from conftest import flat_timeline, ms, read_records
+from conftest import flat_timeline, ms, read_records, reference_gaps
 
 
 T0 = ms(2020, 4, 17, 12, 0, 0)
@@ -421,19 +423,48 @@ def test_manifest_gap_list(tmp_path):
     ]
 
 
+# instants within 40 minutes on a coarse grid, so equal instants and gaps
+# longer than a few minutes both occur
+manifest_instants = st.integers(0, 2400).map(lambda second: T0 + second * 1000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.builds(fix_at, manifest_instants, no_fix=st.booleans()), max_size=30),
+       st.lists(st.builds(loran_at, manifest_instants, role=st.sampled_from("MXY"),
+                          gri=st.sampled_from([7430, 9930])), max_size=30),
+       st.integers(1, 4), st.sampled_from([0, 1, 60, 300]))
+def test_manifest_equals_the_list_based_summary(gps, loran, block, threshold):
+    """The counts, time span and gaps ``export`` folds a block at a time
+    equal those computed from lists of every record, with blocks small
+    enough that runs of equal instants and gaps straddle them."""
+    with unittest.mock.patch.object(convert, "_BLOCK_RECORDS", block), \
+            tempfile.TemporaryDirectory() as scratch:
+        manifest = export(merge_sort(gps, loran, window=None), "columns", Path(scratch),
+                          gap_threshold_s=threshold)
+    instants = [record.timestamp for record in (*gps, *loran)]
+    stations = Counter(f"{obs.gri}{obs.station_role}" for obs in loran)
+    assert manifest["record_counts"] == {
+        "gps_fix": len(gps), "loran": len(loran), "loran_by_station": dict(sorted(stations.items())),
+        "parse_errors": 0, "quarantined": 0}
+    assert manifest["time_span"] == (
+        {"first": iso_ms(min(instants)), "last": iso_ms(max(instants))} if instants else None)
+    assert manifest["gap_list"] == [{"start": iso_ms(start), "end": iso_ms(end)}
+                                    for start, end in reference_gaps(instants, threshold)]
+
+
 # --- summary statistics --------------------------------------------------------
 
 
 def fold_of(blocks, gap_threshold_s=DEFAULT_GAP_THRESHOLD_S):
-    """A time-ordered timeline folded as ``export`` folds it."""
+    """A timeline folded a block at a time as ``stats`` folds it: each
+    block's timestamp texts taken, and its SNR values folded."""
     fold = SummaryFold(gap_threshold_s)
     for block in blocks:
+        fold.take(iso_ms(record.timestamp) for record in block)
         for record in block:
             if isinstance(record, LoranMeasurement):
                 fold.snr[f"{record.gri}{record.station_role}"].append(record.snr_db)
-            else:
-                fold.add(record)
-            fold.stamp(record.timestamp)
+        fold.fold_snr()
     return fold
 
 
@@ -489,19 +520,6 @@ def test_summarize_splits_stations():
     assert stations["9930X"][2] == 20.0
 
 
-def test_summarize_excludes_no_fix_from_position_stats():
-    gps = [
-        fix_at(T0, lat=36.0),
-        fix_at(T0 + 1000, no_fix=True),
-        fix_at(T0 + 2000, lat=38.0),
-    ]
-    fold = fold_of(merge_sort(gps, []))
-    assert fold.fixes == 2
-    assert fold.no_fix == 1
-    assert fold.bbox == (36.0, 38.0, 127.0, 127.0)
-    assert summarize(fold) == {}
-
-
 def test_summarize_gap_detection():
     gps = [
         fix_at(T0),
@@ -534,14 +552,14 @@ def test_gap_exactly_at_threshold_is_not_a_gap():
                 max_size=6), st.sampled_from([0, 0.25, 1, 3]))
 def test_take_gives_the_span_and_gaps_of_the_sorted_instants(sets, threshold):
     """Sets of timestamp texts taken one after another, each in any order
-    and overlapping the others, give the span and the gaps that ``stamp``
-    finds in all their instants sorted."""
-    taken, stamped = SummaryFold(threshold), SummaryFold(threshold)
+    and overlapping the others, give the span of all their instants and
+    the gaps between consecutive ones sorted."""
+    taken = SummaryFold(threshold)
     for instants in sets:
         taken.take(map(iso_ms, instants))
-    for instant in sorted(instant for instants in sets for instant in instants):
-        stamped.stamp(instant)
-    assert (taken.first, taken.last, taken.gaps) == (stamped.first, stamped.last, stamped.gaps)
+    every = [instant for instants in sets for instant in instants]
+    span = (min(every), max(every)) if every else (None, None)
+    assert (taken.first, taken.last, taken.gaps) == (*span, reference_gaps(every, threshold))
 
 
 def _week_date(moment):

@@ -335,7 +335,6 @@ def test_parse_loran_full():
     assert rec.timestamp == ms(2020, 4, 17, 12, 0, 0, 500)
     assert rec.gri == 9930
     assert rec.station_role == "M"
-    assert rec.station == "9930M"
     assert rec.toa_us == 45678.9
     assert rec.snr_db == 12.0
     assert rec.ecd_us == 0.5
