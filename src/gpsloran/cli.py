@@ -297,7 +297,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("recover", help="resume processing after a crash")
-    p.add_argument("--state", required=True, help="session directory containing state.json")
+    p.add_argument("--state", required=True,
+                   help="session directory (its session.json and events.jsonl)")
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("simulate", help="deterministic receiver simulator")

@@ -1,12 +1,18 @@
-"""Small filesystem helpers: content digests and atomic writes."""
+"""Small filesystem helpers: content digests, atomic writes and the
+session's append-only event log."""
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import threading
 from contextlib import suppress
 from pathlib import Path
 from typing import Any
+
+# Held across the torn-line check and the write, so no two writers end the
+# same torn line; each fsyncs after releasing it, so none waits for another.
+_APPEND_LOCK = threading.Lock()
 
 
 def sha256_file(path: Path) -> str:
@@ -72,3 +78,37 @@ def atomic_write_json(path: Path, payload: Any) -> None:
 def read_json(path: Path) -> Any:
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def append_event(session_dir: Path, payload: dict) -> None:
+    """Append *payload* to the session's event log as one JSON line and
+    fsync it.  A torn last line, left by a crash mid-write, is ended
+    first, so the event starts on a line of its own.  This is the log's
+    one writer: capture's segment and gap events and every stage
+    transition go through it."""
+    line = json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
+    with open(Path(session_dir) / "events.jsonl", "a+b") as handle:
+        with _APPEND_LOCK:
+            if end := handle.seek(0, os.SEEK_END):
+                handle.seek(end - 1)
+                if handle.read(1) != b"\n":
+                    line = b"\n" + line
+            handle.write(line)
+            handle.flush()
+        os.fsync(handle.fileno())
+
+
+def read_events(session_dir: Path) -> list[dict]:
+    """Load the session's event log, skipping any line that is not JSON,
+    such as one torn by a crash mid-write."""
+    path = Path(session_dir) / "events.jsonl"
+    events = []
+    if not path.exists():
+        return events
+    with open(path, "rb") as handle:
+        for raw in handle:
+            try:
+                events.append(json.loads(raw.decode("utf-8")))
+            except (ValueError, UnicodeDecodeError):
+                continue
+    return events

@@ -8,14 +8,15 @@ purely through the filesystem:
 
     <out_dir>/<session_id>/
         session.json                      static capture + pipeline config
-        events.jsonl                      segment open/close + gap events
-        state.json                        per-segment stage, for recovery
+        events.jsonl                      segment open/close + gap events,
+                                          and each segment's stage lines
         raw_<stamp>.log                   closed segments (plus the active one)
         classified/<stem>/                route() outputs + report.json
         exports/<stem>/                   timeline exports + manifest.json
                                           + parse_errors.jsonl
 
-``state.json`` is rewritten after every stage transition, and stage
+A segment's ``segment_closed`` event records it; each later stage
+transition appends one fsynced ``stage`` line to the same log, and stage
 outputs are built in a temp directory and renamed into place, so after a
 crash each segment is either cleanly at its recorded stage boundary or
 has leftovers that recovery discards.  ``recover()`` reprocesses every
@@ -39,7 +40,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .classify import REPORT_NAME, route
 from .convert import REORDER_WINDOW, ReorderOverflow, export, export_formats, merge_sort
-from .fsutil import atomic_write_bytes, atomic_write_json, read_json, sha256_file
+from .fsutil import append_event, atomic_write_bytes, read_events, read_json, sha256_file
 from .parse import parse_classified
 from .timeutil import from_ms, parse_duration, parse_iso_ms
 
@@ -53,7 +54,7 @@ RECORDED = "recorded"
 CLASSIFIED = "classified"
 CONVERTED = "converted"
 
-STATE_NAME = "state.json"
+STATE_NAME = "events.jsonl"  # a segment's stage is its last line there
 
 READ_CHUNK = 1 << 16
 READ_TIMEOUT_S = 0.05
@@ -87,63 +88,49 @@ class Hooks:
 
 
 class SegmentEntry:
-    def __init__(self, name: str, stage: str, flagged: bool = False, error: str | None = None):
-        self.name, self.stage, self.flagged, self.error = name, stage, flagged, error
+    def __init__(self, name: str, stage: str, error: str | None = None):
+        self.name, self.stage, self.error, self.flagged = name, stage, error, error is not None
 
 
 class StateStore:
-    """Owns ``state.json``: the ordered list of segments and their stages.
+    """Each segment's stage, as lines of the session's event log.
 
-    Every mutation rewrites the file atomically, so the on-disk state
-    always reflects the last completed transition.
+    A segment's ``segment_closed`` event is its ``recorded`` transition;
+    each later one appends one ``{"event": "stage", ...}`` line, however
+    long the session.  Entries keep the order of each segment's first line.
     """
 
     def __init__(self, path: Path, session_id: str):
-        self.path = Path(path)
+        self.dir = Path(path).parent
         self.session_id = session_id
-        self.entries: list[SegmentEntry] = []
-        self._lock = threading.Lock()
+        # No lock: capture only inserts names, and one worker at a time moves a segment.
+        self._entries: dict[str, SegmentEntry] = {}
+
+    @property
+    def entries(self) -> list[SegmentEntry]:
+        return list(self._entries.values())
 
     @classmethod
-    def load(cls, path: Path) -> "StateStore":
-        payload = read_json(path)
-        store = cls(path, payload["session_id"])
-        store.entries = [SegmentEntry(**item) for item in payload["segments"]]
+    def load(cls, path: Path) -> StateStore:
+        """Fold the event log at *path*; the session id is ``session.json``'s."""
+        store = cls(path, read_json(Path(path).parent / "session.json")["session_id"])
+        for event in read_events(store.dir):
+            kind, name = event.get("event"), event.get("segment")
+            if kind == "stage":
+                store._entries[name] = SegmentEntry(name, event["stage"], event["error"])
+            elif kind == "segment_closed":
+                store.add_segment(name)
         return store
 
-    def save(self) -> None:
-        payload = {
-            "session_id": self.session_id,
-            "segments": [vars(entry) for entry in self.entries],  # name, stage, flagged, error
-        }
-        atomic_write_json(self.path, payload)
-
     def add_segment(self, name: str, stage: str = RECORDED) -> None:
-        with self._lock:
-            if all(entry.name != name for entry in self.entries):
-                self.entries.append(SegmentEntry(name=name, stage=stage))
-            self.save()
+        self._entries.setdefault(name, SegmentEntry(name, stage))
 
-    def set_stage(self, name: str, stage: str) -> None:
-        with self._lock:
-            entry = self._find(name)
-            entry.stage = stage
-            entry.flagged = False
-            entry.error = None
-            self.save()
+    def set_stage(self, name: str, stage: str, error: str | None = None) -> None:
+        append_event(self.dir, {"event": "stage", "segment": name, "stage": stage, "error": error})
+        self._entries[name] = SegmentEntry(name, stage, error)
 
     def flag(self, name: str, error: str) -> None:
-        with self._lock:
-            entry = self._find(name)
-            entry.flagged = True
-            entry.error = error
-            self.save()
-
-    def _find(self, name: str) -> SegmentEntry:
-        for entry in self.entries:
-            if entry.name == name:
-                return entry
-        raise KeyError(f"unknown segment {name!r}")
+        self.set_stage(name, self._entries[name].stage, error)
 
 
 # --- configuration ----------------------------------------------------------
@@ -323,7 +310,6 @@ def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
         extra_config={"pipeline": {k: settings[k] for k in (
             "formats", "gap_threshold_s", "quarantine_invalid", "flush_interval_s")}})
     state = StateStore(session.dir / STATE_NAME, session.session_id)
-    state.save()
     logger.info("session=%s dir=%s", session.session_id, session.dir)
 
     executor = None
@@ -411,7 +397,6 @@ def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
 def _finalize_orphan(session_dir: Path, name: str, events: list[dict]) -> None:
     """Close the books on a segment with no close event: take the flushed
     bytes on disk as its content and record a synthetic close event."""
-    from .record import append_event
     path = session_dir / name
     open_time = None
     for event in events:
@@ -435,42 +420,34 @@ def recover(session_dir: Path, *, hooks: Hooks | None = None) -> int:
     Re-runs each stuck segment from its last completed stage; since
     processing is deterministic, the reprocessed outputs are
     byte-identical to what an uninterrupted run would have produced from
-    the same raw bytes.  A corrupt or missing state file is never
-    resumed silently: the diagnostic lists the raw segments so they can
-    be reprocessed by hand.
+    the same raw bytes.  A session whose ``session.json`` cannot be read
+    is never resumed silently: the diagnostic lists the raw segments so
+    they can be reprocessed by hand.
     """
-    from .record import read_events
     hooks = hooks or Hooks()
     session_dir = Path(session_dir)
     raw_names = sorted(p.name for p in session_dir.glob("raw_*.log"))
     try:
         state = StateStore.load(session_dir / STATE_NAME)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        logger.error("event=cannot_resume reason=state_unreadable error=%s recoverable_segments=%s",
-                     json.dumps(str(exc)), ",".join(raw_names) or "none")
+        settings = pipeline_settings(read_json(session_dir / "session.json").get("pipeline", {}))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        logger.error("event=cannot_resume reason=session_unreadable error=%s "
+                     "recoverable_segments=%s", json.dumps(str(exc)), ",".join(raw_names) or "none")
         return 1
-
-    try:
-        session_meta = read_json(session_dir / "session.json")
-    except (OSError, ValueError):
-        session_meta = {}
-    settings = pipeline_settings(session_meta.get("pipeline", {}))
 
     events = read_events(session_dir)
     closed = {event.get("segment") for event in events if event.get("event") == "segment_closed"}
-    known = {entry.name for entry in state.entries}
     for name in raw_names:
         if name not in closed:
             logger.info("event=finalize_interrupted_capture segment=%s", name)
             _finalize_orphan(session_dir, name, events)
-        if name not in known:
-            state.add_segment(name, RECORDED)
+            state.add_segment(name)
 
     for stray in [*session_dir.glob("classified/.tmp-*"), *session_dir.glob("exports/.tmp-*")]:
         shutil.rmtree(stray)
 
     failures = 0
-    for entry in list(state.entries):
+    for entry in state.entries:
         if entry.stage == CONVERTED and not entry.flagged:
             continue
         start_stage = CLASSIFIED if entry.stage in (CLASSIFIED, CONVERTED) else RECORDED

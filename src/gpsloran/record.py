@@ -9,6 +9,7 @@ A capture session is a directory::
     <out_dir>/<session_id>/
         session.json          static session metadata (source, policy)
         events.jsonl          append-only segment open/close + gap events
+                              (and stage lines), by fsutil.append_event
         raw_<stamp>.log       verbatim byte segments, one per rotation
 
 Rotation closes the active segment at a policy boundary (UTC midnight by
@@ -34,7 +35,7 @@ from pathlib import Path
 from typing import NamedTuple, Protocol
 
 from .clock import Clock, SystemClock
-from .fsutil import atomic_write_json
+from .fsutil import append_event, atomic_write_json, read_events  # noqa: F401
 from .timeutil import MS_PER_DAY, basic_stamp, iso_ms
 
 # Pacing base for file replay: a classic 4800-baud NMEA feed moves about
@@ -379,33 +380,3 @@ class CaptureSession:
         append_event(self.dir, {"event": "gap", "start": iso_ms(start), "end": iso_ms(end),
                                 "reason": reason})
 
-
-def append_event(session_dir: Path, payload: dict) -> None:
-    """Append *payload* to the session's event log as one JSON line and
-    fsync it.  A torn last line, left by a crash mid-write, is ended
-    first, so the event starts on a line of its own."""
-    line = json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
-    with open(Path(session_dir) / "events.jsonl", "a+b") as handle:
-        if end := handle.seek(0, os.SEEK_END):
-            handle.seek(end - 1)
-            if handle.read(1) != b"\n":
-                line = b"\n" + line
-        handle.write(line)
-        handle.flush()
-        os.fsync(handle.fileno())
-
-
-def read_events(session_dir: Path) -> list[dict]:
-    """Load the session's event log, skipping any line that is not JSON,
-    such as one torn by a crash mid-write."""
-    path = Path(session_dir) / "events.jsonl"
-    events = []
-    if not path.exists():
-        return events
-    with open(path, "rb") as handle:
-        for raw in handle:
-            try:
-                events.append(json.loads(raw.decode("utf-8")))
-            except (ValueError, UnicodeDecodeError):
-                continue
-    return events

@@ -8,13 +8,14 @@ import shutil
 import socket
 import time as time_mod
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from gpsloran.clock import AcceleratedClock, SystemClock
 from gpsloran.classify import REPORT_NAME
 from gpsloran.convert import MANIFEST_NAME, export, merge_sort
-from gpsloran.fsutil import read_json, sha256_file
+from gpsloran.fsutil import append_event, read_events, read_json, sha256_file
 from gpsloran.orchestrate import (
     CLASSIFIED,
     CONVERTED,
@@ -33,7 +34,7 @@ from gpsloran.orchestrate import (
     write_parse_errors,
 )
 from gpsloran.parse import ParseIssue, parse_classified
-from gpsloran.record import CaptureSession, append_event, read_events
+from gpsloran.record import CaptureSession
 from gpsloran.simulate import Scenario, SimServer, StationSpec, generate_stream, serve
 
 from conftest import (ManualClock, ScriptedSource, SimulatedCrash, crlf, gga_line, ms, plrm_line,
@@ -183,7 +184,13 @@ def test_simulated_crash_evades_exception_handlers():
             pytest.fail("SimulatedCrash must not be caught as Exception")
 
 
+def write_session_json(session_dir, session_id="unit"):
+    """The one file a session's state needs besides its event log."""
+    (session_dir / "session.json").write_text(json.dumps({"session_id": session_id}))
+
+
 def test_state_store_round_trip(tmp_path):
+    write_session_json(tmp_path, "s1")
     path = tmp_path / STATE_NAME
     store = StateStore(path, "s1")
     store.add_segment("raw_a.log")
@@ -204,6 +211,42 @@ def test_state_store_round_trip(tmp_path):
     reloaded = StateStore.load(path)
     assert reloaded.entries[1].flagged is False
     assert reloaded.entries[1].error is None
+
+
+def test_a_stage_transition_costs_the_same_however_long_the_session(tmp_path):
+    """One ``set_stage`` writes as many bytes in a session of 10,000
+    segments as in one of 10: it appends a line and rewrites nothing.
+    Bytes are this process's ``wchar``, what it passed to write calls; the
+    least of five transitions leaves out another thread's writes."""
+    io_counters = Path("/proc/self/io")
+    if not io_counters.exists():
+        pytest.skip("needs Linux per-process I/O counters")
+
+    def wchar():
+        return int(re.search(r"^wchar: (\d+)$", io_counters.read_text(), re.M).group(1))
+
+    written = {}
+    for count in (10, 10_000):
+        session_dir = tmp_path / str(count)
+        session_dir.mkdir()
+        write_session_json(session_dir)
+        names = [f"raw_{index:05d}.log" for index in range(count)]
+        # the segments as the event log records them, and as the state file
+        # of a store that rewrites it would, so that either loads them all
+        (session_dir / "events.jsonl").write_text("".join(
+            json.dumps({"event": "segment_closed", "segment": name}) + "\n" for name in names))
+        (session_dir / "state.json").write_text(json.dumps({"session_id": "unit", "segments": [
+            {"name": name, "stage": RECORDED, "flagged": False, "error": None}
+            for name in names]}))
+        state = StateStore.load(session_dir / STATE_NAME)
+        assert len(state.entries) == count
+        costs = []
+        for _ in range(5):
+            before = wchar()
+            state.set_stage(names[5], CLASSIFIED)
+            costs.append(wchar() - before)
+        written[count] = min(costs)
+    assert written[10_000] == written[10]
 
 
 def test_write_parse_errors(tmp_path):
@@ -358,6 +401,29 @@ def test_run_pipeline_stops_cleanly_on_an_interrupt(tmp_path, caplog):
     assert "event=interrupted" in caplog.text
 
 
+def test_workers_and_capture_write_whole_lines_of_one_log(tmp_path):
+    """Segments processed on the worker pool while capture goes on: every
+    line of ``events.jsonl`` is JSON, and each segment's stage lines follow
+    its close event and end at ``converted``."""
+    steps = [(0, lines_block_one())]
+    for _ in range(5):
+        steps += [(3700, b""), (0, lines_block_one())]
+    code, session_dir = run_scripted(tmp_path, steps,
+                                     {"inline_processing": False, "max_workers": 2})
+    assert code == 0
+    events = [json.loads(line) for line in (session_dir / "events.jsonl").read_text().splitlines()]
+    names = sorted(p.name for p in session_dir.glob("raw_*.log"))
+    assert len(names) == 6
+    for name in names:
+        kinds = [(event["event"], event.get("stage")) for event in events
+                 if event.get("segment") == name]
+        assert kinds == [("segment_open", None), ("segment_closed", None), ("stage", CLASSIFIED),
+                         ("stage", CONVERTED)]
+    state = StateStore.load(session_dir / STATE_NAME)
+    assert [(entry.name, entry.stage) for entry in state.entries] == [
+        (name, CONVERTED) for name in names]
+
+
 def test_run_pipeline_capture_only_mode(tmp_path):
     code, session_dir = run_scripted(
         tmp_path,
@@ -450,6 +516,29 @@ def test_recover_rejects_corrupt_state(tmp_path, caplog):
     assert "raw_20200417T120000Z.log" in caplog.text
 
 
+def test_recover_without_session_json_does_not_guess_the_settings(tmp_path, caplog):
+    """A session's export formats are in ``session.json``; without it,
+    recovery does not convert with the default settings but reports the
+    session as one it cannot resume, listing the raw segments."""
+    hooks = Hooks()
+
+    def crash(count):
+        raise SimulatedCrash("kill after first rotation")
+
+    hooks.on("post-rotation", crash)
+    with pytest.raises(SimulatedCrash):
+        run_scripted(tmp_path, [(0, lines_block_one()), (3700, b""), (0, lines_block_two())],
+                     hooks=hooks)
+    session_dir = tmp_path / "unit"
+    assert read_json(session_dir / "session.json")["pipeline"]["formats"] == ["columns", "lines"]
+    (session_dir / "session.json").unlink()
+    assert recover(session_dir) == 1
+    assert not (session_dir / "exports").exists()
+    assert ("event=cannot_resume reason=session_unreadable" in caplog.text
+            and "recoverable_segments=raw_20200417T120000Z.log,raw_20200417T130140Z.log"
+            in caplog.text)
+
+
 def test_recover_missing_state_file(tmp_path):
     session_dir = tmp_path / "session"
     session_dir.mkdir()
@@ -474,7 +563,7 @@ def test_recover_ends_a_torn_event_line_before_its_own(tmp_path):
     session_dir.mkdir()
     name = "raw_20200417T120000Z.log"
     (session_dir / name).write_bytes(lines_block_one())
-    StateStore(session_dir / STATE_NAME, "unit").save()
+    write_session_json(session_dir)
     opened = json.dumps({"event": "segment_open", "open_time": "2020-04-17T12:00:00.000Z",
                          "segment": name}, sort_keys=True)
     torn = '{"end": "2020-04-17T12:00:03.000Z", "event": "ga'
@@ -482,12 +571,13 @@ def test_recover_ends_a_torn_event_line_before_its_own(tmp_path):
 
     assert recover(session_dir) == 0
     events = read_events(session_dir)
-    assert [event["event"] for event in events] == ["segment_open", "segment_closed"]
+    assert [event["event"] for event in events] == ["segment_open", "segment_closed", "stage",
+                                                     "stage"]
     assert events[1]["recovered"] is True
     assert events[1]["digest"] == sha256_file(session_dir / name)
     assert events[1]["open_time"] == "2020-04-17T12:00:00.000Z"
     lines = (session_dir / "events.jsonl").read_text().split("\n")
-    assert lines == [opened, torn, json.dumps(events[1], sort_keys=True), ""]
+    assert lines == [opened, torn, *(json.dumps(event, sort_keys=True) for event in events[1:]), ""]
 
 
 def test_recover_writes_the_close_events_a_full_disk_kept_out(tmp_path, monkeypatch, caplog):
@@ -506,16 +596,22 @@ def test_recover_writes_the_close_events_a_full_disk_kept_out(tmp_path, monkeypa
     assert code == 0
     names = ["raw_20200417T120000Z.log", "raw_20200417T130140Z.log"]
     assert caplog.text.count("event=digest_pending") == 2
-    assert [event["event"] for event in read_events(session_dir)] == ["segment_open"] * 2
-    state = (session_dir / STATE_NAME).read_text()
+    assert [event["event"] for event in read_events(session_dir)
+            if event["event"] != "stage"] == ["segment_open"] * 2
+    def entries():
+        return [(entry.name, entry.stage, entry.error)
+                for entry in StateStore.load(session_dir / STATE_NAME).entries]
+
+    assert entries() == [(name, CONVERTED, None) for name in names]
 
     assert recover(session_dir) == 0
     closed = [event for event in read_events(session_dir) if event["event"] == "segment_closed"]
     assert [(event["segment"], event["digest"], event["recovered"]) for event in closed] == [
         (name, sha256_file(session_dir / name), True) for name in names]
-    assert (session_dir / STATE_NAME).read_text() == state
+    assert entries() == [(name, CONVERTED, None) for name in names]  # no entry added
+    events = len(read_events(session_dir))
     assert recover(session_dir) == 0
-    assert len(read_events(session_dir)) == 4  # a second run finds nothing to close
+    assert len(read_events(session_dir)) == events  # a second run finds nothing to close
 
 
 def test_recover_after_crash_matches_clean_run(tmp_path):
@@ -569,6 +665,60 @@ def test_recover_after_crash_matches_clean_run(tmp_path):
         clean_exports = clean_dir / "exports" / exports.name
         for path in sorted(exports.iterdir()):
             assert path.read_bytes() == (clean_exports / path.name).read_bytes(), path.name
+
+
+def test_a_session_with_a_state_file_recovers_by_reprocessing(tmp_path):
+    """A session written when stages were kept in ``state.json`` has no
+    stage lines in its event log.  Recovery reads no ``state.json``: it
+    reprocesses every segment, converted ones too, to the exports a clean
+    run writes, and leaves that file as it was."""
+    hooks = Hooks()
+
+    def crash(count):
+        if count == 2:
+            raise SimulatedCrash("kill while capturing the second segment")
+
+    hooks.on("mid-capture", crash)
+    with pytest.raises(SimulatedCrash):
+        run_scripted(tmp_path / "crashed", [(0, lines_block_one()), (3700, b""),
+                                            (0, lines_block_two())], hooks=hooks)
+    session_dir = tmp_path / "crashed" / "unit"
+    events_path = session_dir / "events.jsonl"
+    capture_lines = [line for line in events_path.read_text().splitlines()
+                     if json.loads(line)["event"] != "stage"]
+    events_path.write_text("".join(f"{line}\n" for line in capture_lines))
+    state_path = session_dir / "state.json"
+    state_path.write_text(json.dumps({"segments": [
+        {"error": None, "flagged": False, "name": "raw_20200417T120000Z.log", "stage": CONVERTED},
+    ], "session_id": "unit"}, indent=2, sort_keys=True) + "\n")
+    state_file = (state_path.read_bytes(), state_path.stat().st_mtime_ns)
+    reprocessed = []
+    hooks = Hooks()
+    hooks.on("mid-classify", reprocessed.append)
+
+    assert recover(session_dir, hooks=hooks) == 0
+    assert reprocessed == [1, 2]
+    assert (state_path.read_bytes(), state_path.stat().st_mtime_ns) == state_file
+    names = ["raw_20200417T120000Z.log", "raw_20200417T130140Z.log"]
+    state = StateStore.load(session_dir / STATE_NAME)
+    assert [(entry.name, entry.stage, entry.flagged) for entry in state.entries] == [
+        (name, CONVERTED, False) for name in names]
+
+    clean_dir = tmp_path / "clean"
+    clean_dir.mkdir()
+    clean_state = StateStore(clean_dir / STATE_NAME, "unit")
+    settings = pipeline_settings(read_json(session_dir / "session.json")["pipeline"])
+    for name in names:
+        shutil.copy(session_dir / name, clean_dir / name)
+        clean_state.add_segment(name)
+        process_segment(clean_dir, name, settings, clean_state, Hooks())
+    for name in names:
+        exports = session_dir / "exports" / name[:-4]
+        clean_exports = clean_dir / "exports" / name[:-4]
+        assert sorted(p.name for p in exports.iterdir()) == sorted(
+            p.name for p in clean_exports.iterdir())
+        for path in exports.iterdir():
+            assert path.read_bytes() == (clean_exports / path.name).read_bytes(), path
 
 
 GOLDEN_FIXED_SESSION = """{
@@ -733,8 +883,9 @@ def test_capture_metadata_golden(tmp_path):
 def test_recover_reprocesses_failure_as_exit_2(tmp_path):
     session_dir = tmp_path / "session"
     session_dir.mkdir()
-    state = StateStore(session_dir / STATE_NAME, "unit")
-    state.add_segment("raw_20200417T120000Z.log", RECORDED)  # raw file missing
+    write_session_json(session_dir)
+    append_event(session_dir, {"event": "segment_closed",  # its raw file is missing
+                               "segment": "raw_20200417T120000Z.log"})
     assert recover(session_dir) == 2
     loaded = StateStore.load(session_dir / STATE_NAME)
     assert loaded.entries[0].flagged is True
@@ -798,8 +949,9 @@ def test_log_messages_split_into_key_value_pairs(tmp_path, caplog, monkeypatch):
     orphan = tmp_path / "e"
     orphan.mkdir()
     (orphan / "raw_20200417T120000Z.log").write_bytes(lines_block_one())
-    state = StateStore(orphan / STATE_NAME, "unit")
-    state.add_segment("raw_20200417T110000Z.log", RECORDED)  # its raw file is missing
+    write_session_json(orphan)
+    append_event(orphan, {"event": "segment_closed",  # its raw file is missing
+                          "segment": "raw_20200417T110000Z.log"})
     assert recover(orphan) == 2
     # source_dropped, reconnect_failed; client_connected, client_left
     scenario = Scenario(seed=1, start=START, duration_s=30.0,

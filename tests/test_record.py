@@ -4,7 +4,9 @@ import hashlib
 import json
 import random
 import socket
+import sys
 import threading
+import time
 from datetime import datetime, timedelta
 
 import pytest
@@ -21,11 +23,10 @@ from gpsloran.record import (
     SourceKind,
     SourceUnavailable,
     TcpSource,
-    append_event,
     open_source,
-    read_events,
 )
-from gpsloran.fsutil import read_json, sha256_file
+from gpsloran import fsutil
+from gpsloran.fsutil import append_event, read_events, read_json, sha256_file
 
 from conftest import ManualClock, ms, utc
 
@@ -309,6 +310,57 @@ def test_an_event_after_a_torn_line_starts_a_line_of_its_own(tmp_path):
                          b'{"event": "gap", "reason": "again"}', b""]
     assert [event["event"] for event in read_events(session.dir)] == [
         "segment_open", "segment_closed", "gap", "gap"]
+
+
+def test_concurrent_appends_end_a_torn_line_once(tmp_path, monkeypatch):
+    """Threads appending at once to a log that ends in a torn line: one
+    newline ends it, and every other line is a whole event of its own.
+    Each read of the log's last byte sleeps, so writers that did not
+    exclude each other would all find the torn line and each end it."""
+    class SlowReads:
+        def __init__(self, handle):
+            self._handle = handle
+
+        def __getattr__(self, name):
+            return getattr(self._handle, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self._handle.close()
+
+        def read(self, size):
+            time.sleep(0.005)
+            return self._handle.read(size)
+
+    monkeypatch.setattr(fsutil, "open", lambda *args: SlowReads(open(*args)), raising=False)
+    torn = '{"event": "segment_clo'
+    (tmp_path / "events.jsonl").write_text(torn)
+    writers, each = 4, 10
+    start = threading.Barrier(writers)
+
+    def write(writer):
+        start.wait()
+        for index in range(each):
+            fsutil.append_event(tmp_path, {"event": "gap", "writer": writer, "index": index})
+
+    threads = [threading.Thread(target=write, args=(writer,)) for writer in range(writers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    lines = (tmp_path / "events.jsonl").read_text().split("\n")
+    assert lines[0] == torn and lines[-1] == ""
+    events = [json.loads(line) for line in lines[1:-1]]
+    assert sorted((event["writer"], event["index"]) for event in events) == [
+        (writer, index) for writer in range(writers) for index in range(each)]
 
 
 def test_a_close_event_that_cannot_be_written_does_not_stop_rotation(
