@@ -747,39 +747,20 @@ GOLDEN_FIXED_EVENTS = [
     '"digest": "42e5b0ec2d90091f6f6d2c7c5b7c89ab98bc53392440544b24cce8ddb27c5d24", "event": "segment_closed", '
     '"open_time": "2020-04-17T23:59:00.250Z", "segment": "raw_20200417T235900Z.log"}',
     '{"event": "segment_open", "open_time": "2020-04-17T23:59:00.750Z", "segment": "raw_20200417T235900Z_2.log"}',
+    '{"error": null, "event": "stage", "segment": "raw_20200417T235900Z.log", "stage": "classified"}',
+    '{"error": null, "event": "stage", "segment": "raw_20200417T235900Z.log", "stage": "converted"}',
     '{"boundary": "2020-04-17T23:59:01.050Z", "byte_count": 69, "close_time": "2020-04-18T00:00:00.375Z", '
     '"digest": "675d8518579a419a8541bf253877efed78641e9ae98252f26c03dc86070fa5b3", "event": "segment_closed", '
     '"open_time": "2020-04-17T23:59:00.750Z", "segment": "raw_20200417T235900Z_2.log"}',
     '{"event": "segment_open", "open_time": "2020-04-18T00:00:00.375Z", "segment": "raw_20200418T000000Z.log"}',
+    '{"error": null, "event": "stage", "segment": "raw_20200417T235900Z_2.log", "stage": "classified"}',
+    '{"error": null, "event": "stage", "segment": "raw_20200417T235900Z_2.log", "stage": "converted"}',
     '{"byte_count": 69, "digest": "c43e13e18cb7a1d2fb66662c2bb1703b3a819690e4d40b94fe4ef00edad82d3e", '
     '"event": "segment_closed", "open_time": "2020-04-18T00:00:00.375Z", "recovered": true, '
     '"segment": "raw_20200418T000000Z.log"}',
+    '{"error": null, "event": "stage", "segment": "raw_20200418T000000Z.log", "stage": "classified"}',
+    '{"error": null, "event": "stage", "segment": "raw_20200418T000000Z.log", "stage": "converted"}',
 ]
-
-GOLDEN_FIXED_STATE = """{
-  "segments": [
-    {
-      "error": null,
-      "flagged": false,
-      "name": "raw_20200417T235900Z.log",
-      "stage": "converted"
-    },
-    {
-      "error": null,
-      "flagged": false,
-      "name": "raw_20200417T235900Z_2.log",
-      "stage": "converted"
-    },
-    {
-      "error": null,
-      "flagged": false,
-      "name": "raw_20200418T000000Z.log",
-      "stage": "converted"
-    }
-  ],
-  "session_id": "fixed"
-}
-"""
 
 GOLDEN_MIDNIGHT_SESSION = """{
   "flush_interval_s": 1.0,
@@ -819,7 +800,7 @@ def test_capture_metadata_golden(tmp_path):
     """The exact text a session writes under a manual clock: segment names
     (with a ``_2`` bump), ``session.json``, ``events.jsonl`` through
     fixed-interval and midnight rotations, a gap and a recovered orphan,
-    and ``state.json`` after recovery."""
+    with each segment's stage lines through recovery."""
     clock = ManualClock(utc(2020, 4, 17, 23, 59, 0, 250000))
     hooks = Hooks()
 
@@ -847,7 +828,7 @@ def test_capture_metadata_golden(tmp_path):
     ]
     assert (fixed / "session.json").read_text() == GOLDEN_FIXED_SESSION
     assert (fixed / "events.jsonl").read_text() == "".join(f"{e}\n" for e in GOLDEN_FIXED_EVENTS)
-    assert (fixed / STATE_NAME).read_text() == GOLDEN_FIXED_STATE
+    assert not (fixed / "state.json").exists()
 
     clock = ManualClock(utc(2020, 4, 17, 23, 59, 58, 500000))
     session = CaptureSession(tmp_path, session_id="midnight", clock=clock)
