@@ -598,6 +598,7 @@ def test_recover_writes_the_close_events_a_full_disk_kept_out(tmp_path, monkeypa
     assert caplog.text.count("event=digest_pending") == 2
     assert [event["event"] for event in read_events(session_dir)
             if event["event"] != "stage"] == ["segment_open"] * 2
+
     def entries():
         return [(entry.name, entry.stage, entry.error)
                 for entry in StateStore.load(session_dir / STATE_NAME).entries]
@@ -651,8 +652,11 @@ def test_recover_after_crash_matches_clean_run(tmp_path):
     ]
     assert len(recovered_events) == 1
 
-    # a clean run over the same raw bytes produces identical exports
-    clean_dir = tmp_path / "clean"
+    assert_exports_of_a_clean_run(session_dir, tmp_path / "clean")
+
+
+def assert_exports_of_a_clean_run(session_dir, clean_dir):
+    """A clean run over the same raw bytes writes the same export files."""
     clean_dir.mkdir()
     for raw in session_dir.glob("raw_*.log"):
         shutil.copy(raw, clean_dir / raw.name)
@@ -661,8 +665,12 @@ def test_recover_after_crash_matches_clean_run(tmp_path):
     for raw in sorted(clean_dir.glob("raw_*.log")):
         clean_state.add_segment(raw.name, RECORDED)
         process_segment(clean_dir, raw.name, settings, clean_state, Hooks())
+    assert sorted(p.name for p in (session_dir / "exports").iterdir()) == sorted(
+        p.name for p in (clean_dir / "exports").iterdir())
     for exports in sorted((session_dir / "exports").iterdir()):
         clean_exports = clean_dir / "exports" / exports.name
+        assert sorted(p.name for p in exports.iterdir()) == sorted(
+            p.name for p in clean_exports.iterdir())
         for path in sorted(exports.iterdir()):
             assert path.read_bytes() == (clean_exports / path.name).read_bytes(), path.name
 
@@ -699,26 +707,11 @@ def test_a_session_with_a_state_file_recovers_by_reprocessing(tmp_path):
     assert recover(session_dir, hooks=hooks) == 0
     assert reprocessed == [1, 2]
     assert (state_path.read_bytes(), state_path.stat().st_mtime_ns) == state_file
-    names = ["raw_20200417T120000Z.log", "raw_20200417T130140Z.log"]
     state = StateStore.load(session_dir / STATE_NAME)
     assert [(entry.name, entry.stage, entry.flagged) for entry in state.entries] == [
-        (name, CONVERTED, False) for name in names]
-
-    clean_dir = tmp_path / "clean"
-    clean_dir.mkdir()
-    clean_state = StateStore(clean_dir / STATE_NAME, "unit")
-    settings = pipeline_settings(read_json(session_dir / "session.json")["pipeline"])
-    for name in names:
-        shutil.copy(session_dir / name, clean_dir / name)
-        clean_state.add_segment(name)
-        process_segment(clean_dir, name, settings, clean_state, Hooks())
-    for name in names:
-        exports = session_dir / "exports" / name[:-4]
-        clean_exports = clean_dir / "exports" / name[:-4]
-        assert sorted(p.name for p in exports.iterdir()) == sorted(
-            p.name for p in clean_exports.iterdir())
-        for path in exports.iterdir():
-            assert path.read_bytes() == (clean_exports / path.name).read_bytes(), path
+        (name, CONVERTED, False) for name in ("raw_20200417T120000Z.log",
+                                              "raw_20200417T130140Z.log")]
+    assert_exports_of_a_clean_run(session_dir, tmp_path / "clean")
 
 
 GOLDEN_FIXED_SESSION = """{
