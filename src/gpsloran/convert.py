@@ -41,7 +41,7 @@ from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack
 from itertools import chain, islice
-from operator import add, attrgetter, itemgetter
+from operator import add, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -74,7 +74,7 @@ if TYPE_CHECKING:  # the records come from parse, which reading an export does n
 # convert_classified then sorts each whole store instead.
 REORDER_WINDOW = 256
 _BLOCK_RECORDS = 256  # records a yielded block holds at most
-_timestamp = attrgetter("timestamp")
+_timestamp = itemgetter(0)  # a record's first field
 
 
 class ReorderOverflow(ValueError):
@@ -143,9 +143,8 @@ def _windowed(stores: tuple[Iterable[Record], ...], window: int) -> Iterator[lis
 
 # --- export -----------------------------------------------------------------
 
-# A fix's values in column order, their JSON keys, and the empty Loran
-# cells after them in a timeline_all CSV row.
-_GPS_VALUES = attrgetter("lat", "lon", "alt_m", "fix_quality", "num_sats", "hdop")
+# The JSON keys of a fix's values, and the empty Loran cells after them in
+# a timeline_all CSV row.
 _GPS_KEYS = tuple(f',"{name}":' for name in GPS_COLUMNS[1:])
 _GPS_ALL_TAIL = "," * (len(LORAN_COLUMNS) - 1)
 _EXPORT_FILES = {fmt: [f"timeline_{kind}.{ext}" for kind in ("gps", "loran", "all")]
@@ -157,7 +156,8 @@ def _render(block: list[Record], formats: tuple[str, ...], fold: SummaryFold,
     """``{file name: text}`` of a block of records in all six export files.
     Each distinct timestamp is formatted once, and the block's texts go to
     *fold* for the span and gaps; each Loran record is counted in *counts*
-    by station.  Each value is converted to text once (``None`` is an
+    by station.  A record's fields are in its export's column order, so it
+    renders by position, each value converted to text once (``None`` is an
     empty CSV cell and a JSON ``null``).  Parsing admits finite numbers and
     the ``STATION_ROLES`` letters only, so the text of a number is its JSON
     text and a role needs no escaping."""
@@ -173,8 +173,8 @@ def _render(block: list[Record], formats: tuple[str, ...], fold: SummaryFold,
             stamp = iso_ms(instant)
             stamps.append(stamp)
         if type(record) is LoranMeasurement:
-            gri, role = str(record.gri), record.station_role
-            toa, snr_db, ecd = repr(record.toa_us), repr(record.snr_db), repr(record.ecd_us)
+            _, gri, role, toa, snr_db, ecd = record
+            gri, toa, snr_db, ecd = str(gri), repr(toa), repr(snr_db), repr(ecd)
             counts[gri + role] += 1
             if columns:  # a timeline_all row leaves the six GPS cells empty
                 loran_csv.append(f"{stamp},{gri},{role},{toa},{snr_db},{ecd}\n")
@@ -186,7 +186,7 @@ def _render(block: list[Record], formats: tuple[str, ...], fold: SummaryFold,
                                 f'"station_role":"{role}","toa_us":{toa},"snr_db":{snr_db},'
                                 f'"ecd_us":{ecd}}}\n')
             continue
-        texts = [None if value is None else str(value) for value in _GPS_VALUES(record)]
+        texts = [None if value is None else str(value) for value in record[1:]]
         complete = None not in texts
         if columns:
             row = ",".join(texts) if complete else ",".join([text or "" for text in texts])

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
 import shutil
@@ -42,7 +43,7 @@ from .classify import REPORT_NAME, route
 from .convert import REORDER_WINDOW, ReorderOverflow, export, export_formats, merge_sort
 from .fsutil import append_event, atomic_write_bytes, read_events, read_json, sha256_file
 from .parse import parse_classified
-from .timeutil import from_ms, parse_duration, parse_iso_ms
+from .timeutil import from_ms, iso_ms, parse_duration, parse_iso_ms
 
 if TYPE_CHECKING:  # the capture code, which only capture and recovery load
     from .clock import Clock
@@ -148,41 +149,69 @@ PIPELINE_DEFAULTS = {
 }
 
 
+def _number(value, name: str) -> float:
+    if type(value) not in (int, float):
+        raise ValueError(f"config key {name!r} must be a number: {value!r}")
+    return value
+
+
 def pipeline_settings(config: dict) -> dict:
+    """*config*'s pipeline settings, defaults filled in; ``ValueError`` naming
+    the first key whose value has the wrong type or lies out of range."""
     settings = dict(PIPELINE_DEFAULTS)
     settings.update({k: v for k, v in config.items() if k in PIPELINE_DEFAULTS})
+    for key, default in PIPELINE_DEFAULTS.items():
+        value = settings[key]
+        if type(default) is bool and type(value) is not bool:
+            raise ValueError(f"config key {key!r} must be true or false: {value!r}")
+        if type(default) in (int, float) and not 0 <= _number(value, key) < math.inf:
+            raise ValueError(f"config key {key!r} must be finite and >= 0: {value!r}")
+    if settings["on_eof"] not in ("stop", "reconnect"):
+        raise ValueError(f"config key 'on_eof' must be stop or reconnect: {settings['on_eof']!r}")
     settings["formats"] = list(export_formats(settings["formats"]))
+    if not settings["formats"]:
+        raise ValueError("config key 'formats' names no export format")
     return settings
+
+
+def _object(config: dict, key: str) -> dict:
+    value = config.get(key) or {}
+    if not isinstance(value, dict):
+        raise ValueError(f"config key {key!r} must be an object: {value!r}")
+    return value
 
 
 def rotation_from_config(config: dict) -> RotationPolicy:
     from .record import RotationPolicy
     rotation = config.get("rotation")
-    if rotation is None:
+    if rotation is None or rotation == "utc-midnight":
         return RotationPolicy()
     if isinstance(rotation, str):
-        if rotation == "utc-midnight":
-            return RotationPolicy()
         return RotationPolicy(mode="fixed-interval", interval_s=parse_duration(rotation))
-    return RotationPolicy(rotation.get("mode", "utc-midnight"),
-                          float(rotation.get("interval_s", 86400.0)))
+    if not isinstance(rotation, dict):
+        raise ValueError(f"config key 'rotation' must be a text or an object: {rotation!r}")
+    interval_s = _number(rotation.get("interval_s", 86400.0), "rotation.interval_s")
+    return RotationPolicy(rotation.get("mode", "utc-midnight"), float(interval_s))
 
 
 def clock_from_config(config: dict) -> Clock:
     from .clock import AcceleratedClock, SystemClock
-    spec = config.get("clock")
-    if not spec or spec.get("kind", "system") == "system":
+    spec = _object(config, "clock")
+    kind = spec.get("kind", "system")
+    if kind == "system":
         return SystemClock()
-    if spec["kind"] == "accelerated":
-        return AcceleratedClock(from_ms(parse_iso_ms(spec["start"])), float(spec.get("factor", 1)))
-    raise ValueError(f"unknown clock kind: {spec['kind']!r}")
+    if kind == "accelerated":
+        return AcceleratedClock(from_ms(parse_iso_ms(spec.get("start"))),
+                                _number(spec.get("factor", 1), "clock.factor"))
+    raise ValueError(f"unknown clock kind: {kind!r}")
 
 
 def retry_from_config(config: dict) -> RetryPolicy:
     from .record import RetryPolicy
-    spec = config.get("retry") or {}
-    return RetryPolicy(int(spec.get("max_attempts", 5)), float(spec.get("initial_delay_s", 0.5)),
-                       float(spec.get("max_delay_s", 30.0)))
+    spec = _object(config, "retry")
+    return RetryPolicy(int(_number(spec.get("max_attempts", 5), "retry.max_attempts")),
+                       float(_number(spec.get("initial_delay_s", 0.5), "retry.initial_delay_s")),
+                       float(_number(spec.get("max_delay_s", 30.0), "retry.max_delay_s")))
 
 
 # --- per-segment processing -------------------------------------------------
@@ -228,8 +257,8 @@ def convert_classified(classified_dir: Path, out_dir: Path, formats: tuple[str, 
                               quarantined=quarantined, gap_threshold_s=gap_threshold_s)
             break
         except ReorderOverflow as exc:
-            logger.warning("event=reorder_retry segment=%s store=%s line=%s", classified_dir.name,
-                           parsed.names[exc.store], exc.record.source_line)
+            logger.warning("event=reorder_retry segment=%s store=%s at=%s", classified_dir.name,
+                           parsed.names[exc.store], iso_ms(exc.record.timestamp))
     write_parse_errors(out_dir / "parse_errors.jsonl", parsed.errors)
     return manifest
 
@@ -296,7 +325,7 @@ def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
 
     endpoint: SourceEndpoint | None = None
     if source is None:
-        endpoint = SourceEndpoint.from_text(config["source"], float(settings["replay_speed"]))
+        endpoint = SourceEndpoint.from_text(config["source"], settings["replay_speed"])
         try:
             source = open_source(endpoint, clock, retry)
         except SourceUnavailable as exc:
@@ -325,6 +354,7 @@ def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
             state.flag(name, str(exc))
 
     def submit(name: str) -> None:
+        state.add_segment(name, RECORDED)
         if not settings["process_segments"]:
             return
         if executor is None:
@@ -340,7 +370,6 @@ def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
             now = clock.now()
             while session.due_rotation(now):
                 closed = session.rotate()
-                state.add_segment(closed.name, RECORDED)
                 hooks.fire("post-rotation")
                 submit(closed.name)
                 now = clock.now()
@@ -374,9 +403,7 @@ def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
         logger.info("event=interrupted")
         interrupted = True
 
-    final_segment = session.close()
-    state.add_segment(final_segment.name, RECORDED)
-    submit(final_segment.name)
+    submit(session.close().name)
     source.close()
     if executor is not None:
         executor.shutdown(wait=True)

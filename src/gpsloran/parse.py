@@ -12,9 +12,11 @@ more than 12 hours (midnight rollover), and a record that crosses a *hole*,
 day the date sentences report after the hole.  A timestamp is integer UTC
 epoch milliseconds.
 
-Each field's range check exists once, here: the parsers call it, and so
-do the export readers in :mod:`gpsloran.convert`, so a record never holds
-a value the parser would have rejected.
+A record (:class:`GpsFix`, :class:`LoranMeasurement`) is a named tuple
+whose fields are in its export file's column order, so the export renders
+it by position.  Each field's range check exists once, here: the parsers
+call it, and so do the export readers in :mod:`gpsloran.convert`, so a
+record never holds a value the parser would have rejected.
 
 Supported sentences:
 
@@ -77,65 +79,38 @@ class ParseError(ValueError):
         self.field_name = field_name
 
 
-class _Record:
-    """Equality and repr over a record's fields; the last, ``source_line``,
-    only says where the record came from, so equality leaves it out."""
+class GpsFix(NamedTuple):
+    """One GGA fix, timestamped in UTC epoch milliseconds, its fields in
+    the ``timeline_gps`` column order.  ``fix_quality == 0`` marks a no-fix
+    record whose position fields are None; such records are excluded from
+    position statistics but kept in the timeline.  :func:`check_fix` holds
+    its range checks."""
 
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        fields = self.__slots__[:-1]
-        return [getattr(self, name) for name in fields] == [getattr(other, name) for name in fields]
-
-    def __repr__(self) -> str:
-        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({values})"
-
-
-class GpsFix(_Record):
-    """One GGA fix, timestamped in UTC epoch milliseconds.  ``fix_quality
-    == 0`` marks a no-fix record whose position fields are None; such
-    records are excluded from position statistics but kept in the
-    timeline.  :func:`check_fix` holds its range checks."""
-
-    __slots__ = ("timestamp", "lat", "lon", "alt_m", "fix_quality", "num_sats", "hdop",
-                 "source_line")
-
-    def __init__(self, timestamp: int, lat: float | None, lon: float | None,
-                 alt_m: float | None, fix_quality: int, num_sats: int, hdop: float | None,
-                 source_line: int | None = None) -> None:
-        self.timestamp = timestamp
-        self.lat = lat
-        self.lon = lon
-        self.alt_m = alt_m
-        self.fix_quality = fix_quality
-        self.num_sats = num_sats
-        self.hdop = hdop
-        self.source_line = source_line
+    timestamp: int
+    lat: float | None
+    lon: float | None
+    alt_m: float | None
+    fix_quality: int
+    num_sats: int
+    hdop: float | None
 
     @property
     def no_fix(self) -> bool:
         return self.fix_quality == 0
 
 
-class LoranMeasurement(_Record):
+class LoranMeasurement(NamedTuple):
     """One Loran station observation from a ``$PLRM`` sentence,
-    timestamped in UTC epoch milliseconds.  :func:`loran_values` holds its
-    range checks."""
+    timestamped in UTC epoch milliseconds, its fields in the
+    ``timeline_loran`` column order.  :func:`loran_values` holds its range
+    checks."""
 
-    __slots__ = ("timestamp", "gri", "station_role", "toa_us", "snr_db", "ecd_us", "source_line")
-
-    def __init__(self, timestamp: int, gri: int, station_role: str, toa_us: float,
-                 snr_db: float, ecd_us: float, source_line: int | None = None) -> None:
-        self.timestamp = timestamp
-        self.gri = gri
-        self.station_role = station_role
-        self.toa_us = toa_us
-        self.snr_db = snr_db
-        self.ecd_us = ecd_us
-        self.source_line = source_line
+    timestamp: int
+    gri: int
+    station_role: str
+    toa_us: float
+    snr_db: float
+    ecd_us: float
 
 
 class ParseIssue(NamedTuple):
@@ -294,7 +269,7 @@ def check_fix(lat: float | None, lon: float | None, fix_quality: int, num_sats: 
         raise ParseError("positive fix_quality requires a position")
 
 
-def parse_gga(fields: list[str], ctx: DateContext, source_line: int | None = None) -> GpsFix:
+def parse_gga(fields: list[str], ctx: DateContext) -> GpsFix:
     """Parse a comma-split GGA sentence (header at index 0).
 
     Empty position fields are an error unless fix quality is 0, in which
@@ -315,7 +290,7 @@ def parse_gga(fields: list[str], ctx: DateContext, source_line: int | None = Non
     # carried for the midnight rollover.
     timestamp = ctx.resolve(tod)
     check_fix(lat, lon, quality, num_sats, hdop)
-    return GpsFix(timestamp, lat, lon, alt, quality, num_sats, hdop, source_line)
+    return GpsFix(timestamp, lat, lon, alt, quality, num_sats, hdop)
 
 
 def parse_date_sentence(fields: list[str], sentence: str) -> int:
@@ -381,15 +356,13 @@ def _optional(value, name: str) -> float | None:
     return None if value is None or value == "" else parse_float(value, name)
 
 
-def parse_loran(
-    fields: list[str], ctx: DateContext, source_line: int | None = None
-) -> LoranMeasurement:
+def parse_loran(fields: list[str], ctx: DateContext) -> LoranMeasurement:
     """Parse a comma-split ``$PLRM`` sentence (header at index 0)."""
     if len(fields) != 7:
         raise ParseError(f"PLRM needs 7 fields, got {len(fields)}", "field-count")
     tod = parse_tod(fields[1])
     values = loran_values(*fields[2:])
-    return LoranMeasurement(ctx.resolve(tod), *values, source_line)
+    return LoranMeasurement(ctx.resolve(tod), *values)
 
 
 # --- batch parsing of classified stores ------------------------------------
@@ -432,14 +405,13 @@ def _class_files(classified_dir: Path) -> dict[str, list[Path]]:
 
 
 def _parse_store(path: Path, parse, errors: list[ParseIssue]) -> Iterator:
-    """Yield ``parse(fields, line_number)`` of each line of the store at
-    *path*, in line order; a ``ParseError`` becomes a :class:`ParseIssue`
-    in *errors*."""
+    """Yield ``parse(fields)`` of each line of the store at *path*, in line
+    order; a ``ParseError`` becomes a :class:`ParseIssue` in *errors*."""
     with open(path, "rb") as handle:
         for line_number, raw_bytes in enumerate(handle, start=1):
             raw = raw_bytes.rstrip(b"\r\n").decode("latin-1")
             try:
-                record = parse(split_sentence(raw), line_number)
+                record = parse(split_sentence(raw))
             except ParseError as exc:
                 errors.append(ParseIssue(path.name, line_number, str(exc), exc.field_name, raw))
             else:
@@ -466,7 +438,7 @@ def parse_classified(
     for sentence in ("ZDA", "RMC"):
         for path in groups.get(sentence, []):
             reported.extend(_parse_store(
-                path, lambda f, n, s=sentence: parse_date_sentence(f, s) + parse_tod(f[1]),
+                path, lambda f, s=sentence: parse_date_sentence(f, s) + parse_tod(f[1]),
                 date_errors))
     reported = array("q", sorted(reported))
     if reported:
@@ -489,8 +461,8 @@ def parse_classified(
     issues: list[list[ParseIssue]] = [[] for _ in stores]
     return ParsedSegment(
         names=[path.name for path, _ in stores],
-        stores=[_parse_store(path, lambda f, n, parse=parse, ctx=DateContext(anchor, holes):
-                             parse(f, ctx, n), errors)
+        stores=[_parse_store(path, lambda f, parse=parse, ctx=DateContext(anchor, holes):
+                             parse(f, ctx), errors)
                 for (path, parse), errors in zip(stores, issues)],
         issues=[*issues[:len(gga)], date_errors, *issues[len(gga):]],
     )

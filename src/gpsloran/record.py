@@ -66,8 +66,6 @@ class SourceEndpoint:
             raise ValueError("source address must be non-empty")
         if kind is SourceKind.TCP and ":" not in address:
             raise ValueError(f"tcp address must be host:port, got {address!r}")
-        if replay_speed < 0:
-            raise ValueError("replay_speed must be >= 0")
         self.kind, self.address, self.replay_speed = kind, address, replay_speed
 
     @classmethod
@@ -200,20 +198,17 @@ class FileReplaySource:
         self._sent = 0
 
     def read(self, max_bytes: int, timeout: float) -> bytes:
-        if self._speed == 0:
-            data = self._handle.read(max_bytes)
-            if not data:
-                raise SourceClosed("end of replay file")
-            return data
-        now = self._clock.now()
-        if self._started is None:
-            self._started = now
-        rate = REPLAY_BYTES_PER_SECOND * self._speed
-        budget = int((now - self._started) / 1000 * rate) - self._sent
-        if budget < 1:
-            self._clock.sleep(min(timeout, max(1.0 / rate, 0.001)))
-            return b""
-        data = self._handle.read(min(max_bytes, budget))
+        if self._speed:
+            now = self._clock.now()
+            if self._started is None:
+                self._started = now
+            rate = REPLAY_BYTES_PER_SECOND * self._speed
+            budget = int((now - self._started) / 1000 * rate) - self._sent
+            if budget < 1:
+                self._clock.sleep(min(timeout, max(1.0 / rate, 0.001)))
+                return b""
+            max_bytes = min(max_bytes, budget)
+        data = self._handle.read(max_bytes)
         if not data:
             raise SourceClosed("end of replay file")
         self._sent += len(data)

@@ -40,17 +40,20 @@ value]`` breakpoints, linearly interpolated and clamped at the ends.
 from __future__ import annotations
 
 import logging
+import math
 import random
 import socket
 import threading
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field
 from datetime import datetime
+from itertools import count, takewhile
 from pathlib import Path
 
 from .convert import export, merge_sort
 from .fsutil import read_json
-from .parse import GpsFix, LoranMeasurement, parse_coordinate
+from .parse import GRI_MAX, GRI_MIN, STATION_ROLES, GpsFix, LoranMeasurement, parse_coordinate
 from .timeutil import UTC, epoch_ms, from_ms, iso_ms, parse_iso_ms
 
 logger = logging.getLogger(__name__)
@@ -102,6 +105,16 @@ class StationSpec:
     snr_profile: PiecewiseLinear = PiecewiseLinear(((0.0, 12.0),))
     ecd_us: float = 0.0
 
+    def __post_init__(self) -> None:
+        # parse's checks of a $PLRM line, so the ground truth holds only what the
+        # pipeline keeps; a rate that is not positive and finite never ends the stream.
+        if not GRI_MIN <= self.gri <= GRI_MAX:
+            raise ValueError(f"GRI designator out of range: {self.gri!r}")
+        if self.role not in STATION_ROLES:
+            raise ValueError(f"unknown station role: {self.role!r}")
+        if not 0 < self.rate_hz < math.inf:
+            raise ValueError(f"station rate_hz must be positive and finite: {self.rate_hz!r}")
+
     @property
     def station(self) -> str:
         return f"{self.gri}{self.role}"
@@ -139,41 +152,46 @@ class Scenario:
     corruption: Corruption = dataclass_field(default_factory=Corruption)
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.gps_rate_hz <= 0:
-            raise ValueError("gps_rate_hz must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError("duration_s must be positive and finite")
+        if not 0 < self.gps_rate_hz < math.inf:
+            raise ValueError("gps_rate_hz must be positive and finite")
 
     @classmethod
     def from_json(cls, payload: dict) -> "Scenario":
-        position = payload.get("position", {})
-        stations = [
-            StationSpec(
-                gri=int(item["gri"]),
-                role=item["role"],
-                rate_hz=float(item.get("rate_hz", 0.1)),
-                toa_profile=PiecewiseLinear.coerce(item.get("toa_profile", 45678.9)),
-                snr_profile=PiecewiseLinear.coerce(item.get("snr_profile", 12.0)),
-                ecd_us=float(item.get("ecd_us", 0.0)),
+        try:
+            position = payload.get("position", {})
+            stations = [
+                StationSpec(
+                    gri=int(item["gri"]),
+                    role=item["role"],
+                    rate_hz=float(item.get("rate_hz", 0.1)),
+                    toa_profile=PiecewiseLinear.coerce(item.get("toa_profile", 45678.9)),
+                    snr_profile=PiecewiseLinear.coerce(item.get("snr_profile", 12.0)),
+                    ecd_us=float(item.get("ecd_us", 0.0)),
+                )
+                for item in payload.get("stations", [])
+            ]
+            corruption = Corruption(**payload.get("corruption", {}))
+            return cls(
+                seed=int(payload.get("seed", 0)),
+                start=from_ms(parse_iso_ms(payload["start"])) if "start" in payload else DEFAULT_START,
+                duration_s=float(payload.get("duration_s", 60.0)),
+                gps_rate_hz=float(payload.get("gps_rate_hz", 1.0)),
+                zda_period_s=float(payload.get("zda_period_s", 10.0)),
+                lat=float(position.get("lat", 37.0)),
+                lon=float(position.get("lon", 127.0)),
+                alt_m=float(position.get("alt_m", 30.0)),
+                noise_sigma_deg=float(position.get("noise_sigma_deg", 0.0001)),
+                noise_sigma_alt_m=float(position.get("noise_sigma_alt_m", 0.5)),
+                fix_quality=int(payload.get("fix_quality", 1)),
+                stations=stations,
+                corruption=corruption,
             )
-            for item in payload.get("stations", [])
-        ]
-        corruption = Corruption(**payload.get("corruption", {}))
-        return cls(
-            seed=int(payload.get("seed", 0)),
-            start=from_ms(parse_iso_ms(payload["start"])) if "start" in payload else DEFAULT_START,
-            duration_s=float(payload.get("duration_s", 60.0)),
-            gps_rate_hz=float(payload.get("gps_rate_hz", 1.0)),
-            zda_period_s=float(payload.get("zda_period_s", 10.0)),
-            lat=float(position.get("lat", 37.0)),
-            lon=float(position.get("lon", 127.0)),
-            alt_m=float(position.get("alt_m", 30.0)),
-            noise_sigma_deg=float(position.get("noise_sigma_deg", 0.0001)),
-            noise_sigma_alt_m=float(position.get("noise_sigma_alt_m", 0.5)),
-            fix_quality=int(payload.get("fix_quality", 1)),
-            stations=stations,
-            corruption=corruption,
-        )
+        except KeyError as exc:
+            raise ValueError(f"scenario lacks key {exc}") from None
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed scenario: {exc}") from None
 
     @classmethod
     def from_file(cls, path: Path) -> "Scenario":
@@ -217,15 +235,6 @@ class GroundTruth:
 # parse(format(x)) so quantized values round-trip bit-exactly.
 
 
-def _coordinate_parts(magnitude: float) -> tuple[int, str]:
-    degrees = int(magnitude)
-    minutes = f"{(magnitude - degrees) * 60.0:07.4f}"
-    if minutes == "60.0000":
-        degrees += 1
-        minutes = "00.0000"
-    return degrees, minutes
-
-
 def format_coordinate(value: float, axis: str) -> tuple[str, str]:
     """Encode signed degrees as an NMEA field pair; zero maps to N/E."""
     if axis == "lat":
@@ -234,7 +243,11 @@ def format_coordinate(value: float, axis: str) -> tuple[str, str]:
     else:
         hemisphere = "E" if value >= 0 else "W"
         width = 3
-    degrees, minutes = _coordinate_parts(abs(value))
+    degrees = int(abs(value))
+    minutes = f"{(abs(value) - degrees) * 60.0:07.4f}"
+    if minutes == "60.0000":
+        degrees += 1
+        minutes = "00.0000"
     return f"{degrees:0{width}d}{minutes}", hemisphere
 
 
@@ -306,15 +319,9 @@ def serialize_zda(ms: int, talker: str = "GP") -> bytes:
 _ZDA, _GGA, _PLRM = 0, 1, 2
 
 
-def _event_times(rate_hz: float, duration_ms: int) -> list[int]:
-    times = []
-    k = 0
-    while True:
-        t_ms = round(k * 1000.0 / rate_hz)
-        if t_ms >= duration_ms:
-            return times
-        times.append(t_ms)
-        k += 1
+def _event_times(rate_hz: float, duration_ms: int) -> Iterator[int]:
+    return takewhile(lambda t_ms: t_ms < duration_ms,
+                     (round(k * 1000.0 / rate_hz) for k in count()))
 
 
 def _flip_checksum(line: bytes) -> bytes:

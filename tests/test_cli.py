@@ -317,6 +317,27 @@ def test_run_rejects_a_rotation_interval_of_no_whole_ms(tmp_path, capsys, interv
     assert not (tmp_path / "sessions").exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("clock", "system"), ("rotation", 3600), ("retry", [1]), ("gap_threshold_s", "300"),
+    ("gap_threshold_s", True), ("formats", []), ("quarantine_invalid", "no"),
+    ("on_eof", "halt"),
+])
+def test_run_rejects_a_wrong_typed_config_value_before_capture(tmp_path, capsys, key, value):
+    """A config value of the wrong type or out of range is an error naming
+    its key, found before the session directory is made."""
+    stream_path = tmp_path / "stream.bin"
+    stream_path.write_bytes(gga_line() + b"\r\n")
+    config = {"source": f"replay:{stream_path}", "out_dir": str(tmp_path / "sessions"),
+              "replay_speed": 0, "inline_processing": True, key: value}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: config key {key!r} " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "sessions").exists()
+
+
 def test_recover_corrupt_state_exits_1(tmp_path):
     session_dir = tmp_path / "session"
     session_dir.mkdir()
@@ -935,14 +956,17 @@ def test_stats_calls_convert_summarize_once(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_the_names_the_benchmark_wraps_exist():
+def test_the_names_the_benchmark_wraps_exist(tmp_path):
     """``bench/`` times each layer by wrapping these attributes by name,
-    and a span around a name that is gone would read nothing."""
-    from gpsloran import orchestrate, record
+    and a span around a name that is gone would read nothing.  It also
+    calls the pipeline's setup by name, as below; one that is gone or takes
+    other arguments would fail every benchmark run."""
+    from datetime import datetime, timezone
+    from gpsloran import clock, orchestrate, record
     wrapped = [
         *((orchestrate, name) for name in
           ("process_segment", "route", "parse_classified", "merge_sort", "export",
-           "write_parse_errors")),
+           "write_parse_errors", "pipeline_settings", "run_pipeline")),
         (orchestrate.StateStore, "add_segment"),
         (record.CaptureSession, "rotate"),
         *((convert, name) for name in ("read_gps_export", "read_loran_export", "merge_sort",
@@ -952,6 +976,15 @@ def test_the_names_the_benchmark_wraps_exist():
     missing = [f"{owner.__name__}.{name}" for owner, name in wrapped
                if not callable(getattr(owner, name, None))]
     assert missing == []
+    assert orchestrate.pipeline_settings({"formats": ["columns", "lines"]})["formats"] == [
+        "columns", "lines"]
+    orchestrate.Hooks().fire("mid-parse")
+    state = orchestrate.StateStore(tmp_path / orchestrate.STATE_NAME, "bench")
+    state.add_segment("raw_20200417T000000Z.log")
+    assert [entry.name for entry in state.entries] == ["raw_20200417T000000Z.log"]
+    assert issubclass(record.SourceClosed, Exception)
+    start = datetime(2020, 4, 17, tzinfo=timezone.utc)
+    assert clock.AcceleratedClock(start=start, factor=600.0).now() >= ms(2020, 4, 17)
 
 
 def test_stats_memory_grows_by_under_2_bytes_a_record(tmp_path):

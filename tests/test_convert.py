@@ -163,6 +163,14 @@ def sample_timeline():
     return list(merge_sort(gps, loran))  # its blocks, to export more than once
 
 
+def test_record_fields_follow_the_export_columns():
+    """The export renders a record by position, so its fields are in its
+    file's column order."""
+    assert LoranMeasurement._fields == LORAN_COLUMNS
+    assert GpsFix._fields == tuple({"lat_deg": "lat", "lon_deg": "lon"}.get(name, name)
+                                   for name in GPS_COLUMNS)
+
+
 def test_export_writes_all_files_and_manifest(tmp_path):
     timeline = sample_timeline()
     manifest = export(

@@ -1020,7 +1020,7 @@ def test_a_segment_beyond_the_reorder_window_is_parsed_again(tmp_path, caplog, c
                if "event=reorder_retry" in r.getMessage()]
     if case == "late-loran-line":
         assert retries == [{"event": "reorder_retry", "segment": stem, "store": "P_LRM.txt",
-                            "line": "600"}]
+                            "at": "2020-04-17T12:00:10.500Z"}]
     else:
         assert sorted(p.name for p in (session_dir / "classified" / stem).glob("G?GGA.txt")) == [
             "GNGGA.txt", "GPGGA.txt"]

@@ -249,7 +249,7 @@ def test_parse_gga_full_fix():
     fields = gga_fields(gga_line(tod="063015.250", lat="4916.4500", ns="N",
                                  lon="12311.1200", ew="W", quality=2, sats=9,
                                  hdop="0.90", alt="1048.5"))
-    fix = parse_gga(fields, ctx(), source_line=3)
+    fix = parse_gga(fields, ctx())
     assert fix.timestamp == ms(2020, 4, 17, 6, 30, 15, 250)
     assert fix.lat == 49.274166666666666
     assert fix.lon == -123.18533333333333
@@ -258,7 +258,6 @@ def test_parse_gga_full_fix():
     assert fix.num_sats == 9
     assert fix.hdop == 0.9
     assert fix.no_fix is False
-    assert fix.source_line == 3
 
 
 def test_parse_gga_no_fix_record():
@@ -331,14 +330,13 @@ def test_parse_date_sentence_rejects_bad_dates():
 
 def test_parse_loran_full():
     fields = split_sentence("PLRM,120000.500,9930,M,45678.9,12.0,0.5")
-    rec = parse_loran(fields, ctx(), source_line=12)
+    rec = parse_loran(fields, ctx())
     assert rec.timestamp == ms(2020, 4, 17, 12, 0, 0, 500)
     assert rec.gri == 9930
     assert rec.station_role == "M"
     assert rec.toa_us == 45678.9
     assert rec.snr_db == 12.0
     assert rec.ecd_us == 0.5
-    assert rec.source_line == 12
 
 
 @pytest.mark.parametrize(
@@ -503,12 +501,6 @@ def test_serialized_sentences_carry_valid_checksums():
         )
     )
     assert verify_checksum(line) is ChecksumStatus.VALID
-
-
-def test_source_line_does_not_affect_equality():
-    a = GpsFix(ms(2020, 4, 17), 37.0, 127.0, 30.0, 1, 8, 1.0, source_line=5)
-    b = GpsFix(ms(2020, 4, 17), 37.0, 127.0, 30.0, 1, 8, 1.0, source_line=99)
-    assert a == b
 
 
 @st.composite

@@ -62,6 +62,25 @@ def test_corruption_validation():
         Corruption(bad_checksum_rate=0.7, truncation_rate=0.5)
 
 
+@pytest.mark.parametrize("payload", [
+    {"stations": [{"role": "M"}]},
+    {"stations": [{"gri": 9930, "role": "M", "rate_hz": 0}]},
+    {"stations": [{"gri": 9930, "role": "M", "rate_hz": -0.1}]},
+    {"stations": [{"gri": 9930, "role": "M", "rate_hz": math.inf}]},
+    {"stations": [{"gri": 9930, "role": "Q"}]},
+    {"stations": [{"gri": 123, "role": "M"}]},
+    {"corruption": {"bad_checksum": 0.1}},
+    [],
+], ids=["no-gri", "rate-0", "rate-negative", "rate-inf", "role-Q", "gri-123",
+        "unknown-corruption-key", "array"])
+def test_a_bad_scenario_is_a_value_error(payload):
+    """A station whose lines parse would reject, or that would never end,
+    and a scenario of the wrong shape fail as the scenario is built, before
+    any stream is generated."""
+    with pytest.raises(ValueError):
+        Scenario.from_json(payload)
+
+
 # --- stream generation -----------------------------------------------------------
 
 
@@ -111,7 +130,7 @@ def test_every_clean_line_verifies_and_reparses():
         if label == "GPGGA":
             gps.append(parse_gga(fields, ctx))
         elif label == "P_LRM":
-            loran.append(parse_loran(fields, ctx, None))
+            loran.append(parse_loran(fields, ctx))
     assert gps == truth.gps
     assert loran == truth.loran
 
@@ -169,7 +188,7 @@ def test_truncated_lines_do_not_parse():
             if label == "GPGGA":
                 parse_gga(fields, ctx)
             elif label == "P_LRM":
-                parse_loran(fields, ctx, None)
+                parse_loran(fields, ctx)
             elif label == "GPZDA":
                 from gpsloran.parse import parse_date_sentence
 
