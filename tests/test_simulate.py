@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import socket
 from datetime import timedelta
@@ -331,3 +333,74 @@ def test_server_rejects_bad_pacing():
         SimServer(stream, pace="warp")
     with pytest.raises(ValueError):
         SimServer(stream, pace="accelerated", factor=0)
+
+
+# --- golden digests ----------------------------------------------------------------
+
+# Every scenario field set: two stations, breakpoint profiles with a repeated
+# breakpoint time (30 s) that a 0.1 Hz station samples exactly, every
+# corruption rate above 0, and a position and fix quality off their defaults.
+GOLDEN_SCENARIO = {
+    "seed": 11,
+    "start": "2021-12-31T23:59:00.000Z",
+    "duration_s": 120,
+    "gps_rate_hz": 2.0,
+    "zda_period_s": 7.5,
+    "position": {"lat": -33.9, "lon": 151.2, "alt_m": 5.0,
+                 "noise_sigma_deg": 0.0002, "noise_sigma_alt_m": 1.5},
+    "fix_quality": 2,
+    "stations": [
+        {"gri": 9930, "role": "M", "rate_hz": 0.1, "ecd_us": 1.2,
+         "toa_profile": [[0, 45678.9], [60, 45690.0], [120, 45600.0]],
+         "snr_profile": [[0, 10.0], [30, 20.0], [30, 14.0], [90, 16.5]]},
+        {"gri": 7980, "role": "X", "rate_hz": 0.4, "ecd_us": -0.7,
+         "toa_profile": 31234.5, "snr_profile": [[10, 3.0], [100, 9.0]]},
+    ],
+    "corruption": {"bad_checksum_rate": 0.05, "garbage_line_rate": 0.04,
+                   "truncation_rate": 0.03},
+}
+
+GOLDEN_DIGESTS = {
+    "every-field": {
+        "stream": "19940fee152f7a4a290ee439384014bbfdc8b30653edac358dc66873a0a2751e",
+        "truth": "b13668fb1367eb16dd91a3af3eb7c93d161484e142255b1ebb11e018f2deecaa",
+        "manifest.json": "891ed677c267c2df2d1e0161bacfd4e43ff9a326063900b04601b627234435f4",
+        "timeline_all.csv": "491a80279593b58449e7f74c453b9d4c6ad7b84b3f4a93e170b6493604ccd55f",
+        "timeline_all.jsonl": "b37867bc5c1bc0cbe0ada4e3085967b12f002cb03877132dc06310660d9ab4b5",
+        "timeline_gps.csv": "b6982ee4bd75b69945bb7a80c68520820d05ce36c16aa4294ce566ef89ffc009",
+        "timeline_gps.jsonl": "73378f2de380df6878c59af174f12413bcd358385f45748954c278bd26870368",
+        "timeline_loran.csv": "bc858f9dd3b5845f9677c6efc3d41e0f0af7530a459b1f7e15bffa4dc9ae3f6c",
+        "timeline_loran.jsonl": "e9a62926bc100939615538221f86d29141ae513a3ccca826b4b3c8abaa3bc4e4",
+    },
+    "no-zda": {
+        "stream": "95b4ffb1aade8116199e89224541a03e0f162f6c2c3a769457225c5f708aa411",
+        "truth": "86c6b79021feea005239ff9a5f6ebad9e5abd08d345109bb4e392379e61f7ddc",
+        "manifest.json": "2ad4fae75a2180ae8e67a389aad646f19c3516fd8279dbbe2233e9a545fe9941",
+        "timeline_all.csv": "6ca6185cb749675cb746e61a0f95e3df13e610cb2ded31f30b1a94afa2999825",
+        "timeline_all.jsonl": "0101b478d026d1d937b6bc6710c63e4adb9676d16b1e67586ad8cba0a7813b71",
+        "timeline_gps.csv": "c1e936d1e89d40fa4ca746fa3ab653e69e3251e2753448f2b1ab7b2038995123",
+        "timeline_gps.jsonl": "df4d545c072c270a94a8565492759035edcba03b8ca5f07e6c720bb59cbd21e1",
+        "timeline_loran.csv": "bf0a1ffd2e5080b421d58433801366e9f16a89b387bb3ff2855e09a4399c84a1",
+        "timeline_loran.jsonl": "67966754b10becfa46cfb1c504b5f42a1779470507e8c91d0379b36cb8eed0f4",
+    },
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("case,payload", [
+    ("every-field", GOLDEN_SCENARIO),
+    ("no-zda", {**GOLDEN_SCENARIO, "zda_period_s": 0}),
+])
+def test_simulator_golden_digests(tmp_path, case, payload):
+    """The stream bytes, the ground-truth records and their exports in both
+    formats of two fixed scenarios, pinned by digest."""
+    stream, truth = generate_stream(Scenario.from_json(payload))
+    records = json.dumps([truth.gps, truth.loran, truth.emitted_sentences,
+                          truth.bad_checksum_lines, truth.truncated_lines, truth.garbage_lines])
+    write_ground_truth(truth, tmp_path, ("columns", "lines"))
+    digests = {"stream": _sha256(stream.to_bytes()), "truth": _sha256(records.encode()),
+               **{path.name: _sha256(path.read_bytes()) for path in sorted(tmp_path.iterdir())}}
+    assert digests == GOLDEN_DIGESTS[case]
