@@ -210,15 +210,6 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _parse_pace(text: str) -> tuple[str, float]:
-    if text in ("unpaced", "real-time"):
-        return text, 1.0
-    mode, _, factor = text.partition(":")
-    if mode == "accelerated" and factor:
-        return "accelerated", float(factor)
-    raise CliError(f"bad pace {text!r}; use real-time, unpaced, or accelerated:<factor>")
-
-
 def cmd_simulate(args) -> int:
     from . import simulate
     scenario = simulate.Scenario.from_file(Path(args.scenario))
@@ -238,8 +229,7 @@ def cmd_simulate(args) -> int:
         return 0
 
     host, _, port = args.listen.rpartition(":")
-    pace, factor = _parse_pace(args.pace)
-    server = simulate.serve(stream, host or "127.0.0.1", int(port), pace, factor)
+    server = simulate.SimServer(stream, host or "127.0.0.1", int(port), args.pace).start()
     print(f"listening={server.address}", flush=True)
     print(json.dumps(summary), flush=True)
     try:

@@ -158,6 +158,9 @@ def _number(value, name: str) -> float:
 def pipeline_settings(config: dict) -> dict:
     """*config*'s pipeline settings, defaults filled in; ``ValueError`` naming
     the first key whose value has the wrong type or lies out of range."""
+    for key in ("source", "out_dir", "session_id"):
+        if key in config and type(config[key]) is not str:
+            raise ValueError(f"config key {key!r} must be text: {config[key]!r}")
     settings = dict(PIPELINE_DEFAULTS)
     settings.update({k: v for k, v in config.items() if k in PIPELINE_DEFAULTS})
     for key, default in PIPELINE_DEFAULTS.items():

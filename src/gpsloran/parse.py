@@ -94,10 +94,6 @@ class GpsFix(NamedTuple):
     num_sats: int
     hdop: float | None
 
-    @property
-    def no_fix(self) -> bool:
-        return self.fix_quality == 0
-
 
 class LoranMeasurement(NamedTuple):
     """One Loran station observation from a ``$PLRM`` sentence,

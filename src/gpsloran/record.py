@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import NamedTuple, Protocol
 
 from .clock import Clock, SystemClock
-from .fsutil import append_event, atomic_write_json, read_events  # noqa: F401
+from .fsutil import append_event, atomic_write_json
 from .timeutil import MS_PER_DAY, basic_stamp, iso_ms
 
 # Pacing base for file replay: a classic 4800-baud NMEA feed moves about

@@ -45,33 +45,50 @@ import random
 import socket
 import threading
 import time
+from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass, field as dataclass_field
-from datetime import datetime
+from dataclasses import dataclass, field as dataclass_field, fields
 from itertools import count, takewhile
 from pathlib import Path
 
 from .convert import export, merge_sort
 from .fsutil import read_json
-from .parse import GRI_MAX, GRI_MIN, STATION_ROLES, GpsFix, LoranMeasurement, parse_coordinate
-from .timeutil import UTC, epoch_ms, from_ms, iso_ms, parse_iso_ms
+from .parse import GpsFix, LoranMeasurement, check_fix, loran_values, parse_coordinate
+from .timeutil import iso_ms, parse_iso_ms
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_START = datetime(2020, 4, 17, tzinfo=UTC)
+_POSITION = frozenset({"lat", "lon", "alt_m", "noise_sigma_deg", "noise_sigma_alt_m"})
 
 
-@dataclass(frozen=True)
+def _number(value, name: str, kind: str = "float") -> int | float:
+    """*value* if it is a finite JSON number, not text and not a bool, and
+    an int where *kind* is ``"int"``; a float field takes it as a float."""
+    if type(value) is int or (kind == "float" and type(value) is float and math.isfinite(value)):
+        return value if kind == "int" else float(value)
+    raise ValueError(f"{name} must be {'an integer' if kind == 'int' else 'a finite number'}: "
+                     f"{value!r}")
+
+
+def _check_numbers(spec) -> None:
+    """Hold each ``"int"`` and ``"float"`` field (annotations are text here) to :func:`_number`."""
+    for item in fields(spec):
+        if item.type in ("int", "float"):
+            setattr(spec, item.name, _number(getattr(spec, item.name), item.name, item.type))
+
+
 class PiecewiseLinear:
-    """Piecewise-linear function of scenario time (seconds from start)."""
+    """Piecewise-linear function of scenario time (seconds from start),
+    from a constant or from ``[t_offset_s, value]`` breakpoints in time
+    order: linear between breakpoints and clamped at the ends."""
 
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, profile) -> None:
+        pairs = profile if isinstance(profile, (list, tuple)) else [(0.0, profile)]
+        self.points = [(_number(t, "profile time"), _number(v, "profile value")) for t, v in pairs]
+        self.times = [t for t, _ in self.points]
         if not self.points:
             raise ValueError("profile needs at least one point")
-        times = [t for t, _ in self.points]
-        if times != sorted(times):
+        if self.times != sorted(self.times):
             raise ValueError("profile breakpoints must be time-ordered")
 
     def sample(self, t: float) -> float:
@@ -80,44 +97,31 @@ class PiecewiseLinear:
             return points[0][1]
         if t >= points[-1][0]:
             return points[-1][1]
-        for (t0, v0), (t1, v1) in zip(points, points[1:]):
-            if t0 <= t <= t1:
-                if t1 == t0:
-                    return v1
-                return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-        return points[-1][1]
-
-    @classmethod
-    def coerce(cls, value) -> "PiecewiseLinear":
-        if isinstance(value, PiecewiseLinear):
-            return value
-        if isinstance(value, (int, float)):
-            return cls(((0.0, float(value)),))
-        return cls(tuple((float(t), float(v)) for t, v in value))
+        index = bisect_left(self.times, t)  # the first pair with t0 < t <= t1
+        (t0, v0), (t1, v1) = points[index - 1], points[index]
+        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
 @dataclass
 class StationSpec:
+    """One Loran station; each profile is given as :class:`PiecewiseLinear` takes it."""
+
     gri: int
     role: str
     rate_hz: float = 0.1
-    toa_profile: PiecewiseLinear = PiecewiseLinear(((0.0, 45678.9),))
-    snr_profile: PiecewiseLinear = PiecewiseLinear(((0.0, 12.0),))
+    toa_profile: PiecewiseLinear = 45678.9
+    snr_profile: PiecewiseLinear = 12.0
     ecd_us: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_numbers(self)
         # parse's checks of a $PLRM line, so the ground truth holds only what the
-        # pipeline keeps; a rate that is not positive and finite never ends the stream.
-        if not GRI_MIN <= self.gri <= GRI_MAX:
-            raise ValueError(f"GRI designator out of range: {self.gri!r}")
-        if self.role not in STATION_ROLES:
-            raise ValueError(f"unknown station role: {self.role!r}")
-        if not 0 < self.rate_hz < math.inf:
-            raise ValueError(f"station rate_hz must be positive and finite: {self.rate_hz!r}")
-
-    @property
-    def station(self) -> str:
-        return f"{self.gri}{self.role}"
+        # pipeline keeps; a rate that is not positive never ends the stream.
+        loran_values(self.gri, self.role, 0.0, 0.0, self.ecd_us)
+        if not self.rate_hz > 0:
+            raise ValueError(f"station rate_hz must be positive: {self.rate_hz!r}")
+        self.toa_profile = PiecewiseLinear(self.toa_profile)
+        self.snr_profile = PiecewiseLinear(self.snr_profile)
 
 
 @dataclass
@@ -127,8 +131,8 @@ class Corruption:
     truncation_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("bad_checksum_rate", "garbage_line_rate", "truncation_rate"):
-            rate = getattr(self, name)
+        _check_numbers(self)
+        for name, rate in vars(self).items():
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]: {rate}")
         if self.bad_checksum_rate + self.truncation_rate > 1.0:
@@ -138,7 +142,7 @@ class Corruption:
 @dataclass
 class Scenario:
     seed: int = 0
-    start: datetime = DEFAULT_START
+    start: int = parse_iso_ms("2020-04-17T00:00:00.000Z")  # epoch milliseconds
     duration_s: float = 60.0
     gps_rate_hz: float = 1.0
     zda_period_s: float = 10.0
@@ -152,49 +156,33 @@ class Scenario:
     corruption: Corruption = dataclass_field(default_factory=Corruption)
 
     def __post_init__(self) -> None:
-        if not 0 < self.duration_s < math.inf:
-            raise ValueError("duration_s must be positive and finite")
-        if not 0 < self.gps_rate_hz < math.inf:
-            raise ValueError("gps_rate_hz must be positive and finite")
+        _check_numbers(self)
+        for name in ("duration_s", "gps_rate_hz"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive: {getattr(self, name)!r}")
+        check_fix(self.lat, self.lon, self.fix_quality, 0, None)
 
     @classmethod
-    def from_json(cls, payload: dict) -> "Scenario":
+    def from_json(cls, payload: dict) -> Scenario:
+        """The scenario a JSON object describes.  Each object's keys go to
+        its class, ``position``'s to the scenario's own position fields, so
+        a key that no class takes is a ``ValueError`` at every level."""
         try:
-            position = payload.get("position", {})
-            stations = [
-                StationSpec(
-                    gri=int(item["gri"]),
-                    role=item["role"],
-                    rate_hz=float(item.get("rate_hz", 0.1)),
-                    toa_profile=PiecewiseLinear.coerce(item.get("toa_profile", 45678.9)),
-                    snr_profile=PiecewiseLinear.coerce(item.get("snr_profile", 12.0)),
-                    ecd_us=float(item.get("ecd_us", 0.0)),
-                )
-                for item in payload.get("stations", [])
-            ]
-            corruption = Corruption(**payload.get("corruption", {}))
-            return cls(
-                seed=int(payload.get("seed", 0)),
-                start=from_ms(parse_iso_ms(payload["start"])) if "start" in payload else DEFAULT_START,
-                duration_s=float(payload.get("duration_s", 60.0)),
-                gps_rate_hz=float(payload.get("gps_rate_hz", 1.0)),
-                zda_period_s=float(payload.get("zda_period_s", 10.0)),
-                lat=float(position.get("lat", 37.0)),
-                lon=float(position.get("lon", 127.0)),
-                alt_m=float(position.get("alt_m", 30.0)),
-                noise_sigma_deg=float(position.get("noise_sigma_deg", 0.0001)),
-                noise_sigma_alt_m=float(position.get("noise_sigma_alt_m", 0.5)),
-                fix_quality=int(payload.get("fix_quality", 1)),
-                stations=stations,
-                corruption=corruption,
-            )
-        except KeyError as exc:
-            raise ValueError(f"scenario lacks key {exc}") from None
-        except (TypeError, AttributeError) as exc:
+            scenario = {**payload}
+            position = {**scenario.pop("position", {})}
+            misplaced = sorted(scenario.keys() & _POSITION | position.keys() - _POSITION)
+            if misplaced:
+                raise ValueError(f"unknown scenario key: {misplaced[0]!r}")
+            if "start" in scenario:
+                scenario["start"] = parse_iso_ms(scenario["start"])
+            scenario["stations"] = [StationSpec(**item) for item in scenario.get("stations", [])]
+            scenario["corruption"] = Corruption(**scenario.get("corruption", {}))
+            return cls(**scenario, **position)
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed scenario: {exc}") from None
 
     @classmethod
-    def from_file(cls, path: Path) -> "Scenario":
+    def from_file(cls, path: Path) -> Scenario:
         return cls.from_json(read_json(Path(path)))
 
 
@@ -282,7 +270,7 @@ def serialize(record: GpsFix | LoranMeasurement) -> bytes:
     the serialization grid (see the quantize helpers).
     """
     if isinstance(record, GpsFix):
-        if record.no_fix and record.lat is None:
+        if record.lat is None:
             lat_text = ns = lon_text = ew = ""
         else:
             lat_text, ns = format_coordinate(record.lat, "lat")
@@ -305,12 +293,8 @@ def serialize(record: GpsFix | LoranMeasurement) -> bytes:
 
 def serialize_zda(ms: int, talker: str = "GP") -> bytes:
     """Render a ZDA date/time sentence for epoch milliseconds *ms*."""
-    moment = from_ms(ms)
-    body = (
-        f"{talker}ZDA,{format_tod(ms)},{moment.day:02d},{moment.month:02d},"
-        f"{moment.year:04d},00,00"
-    )
-    return _with_checksum(body)
+    text = iso_ms(ms)
+    return _with_checksum(f"{talker}ZDA,{format_tod(ms)},{text[8:10]},{text[5:7]},{text[:4]},00,00")
 
 
 # Event kinds in emission-priority order at equal timestamps: the date
@@ -344,7 +328,6 @@ def generate_stream(scenario: Scenario) -> tuple[SimStream, GroundTruth]:
     must surface downstream only as quarantined lines or parse errors.
     """
     rng = random.Random(scenario.seed)
-    start_ms = epoch_ms(scenario.start)
     duration_ms = round(scenario.duration_s * 1000)
 
     events: list[tuple[int, int, int]] = []
@@ -364,7 +347,7 @@ def generate_stream(scenario: Scenario) -> tuple[SimStream, GroundTruth]:
 
     for t_ms, kind, station_index in events:
         offset_s = t_ms / 1000.0
-        moment = start_ms + t_ms
+        moment = scenario.start + t_ms
 
         if rng.random() < rates.garbage_line_rate:
             garbage = f"#{rng.randrange(1 << 32):08x}".encode("ascii")
@@ -422,10 +405,8 @@ def generate_stream(scenario: Scenario) -> tuple[SimStream, GroundTruth]:
             truth.truncated_lines += 1
             record = None
 
-        if isinstance(record, GpsFix):
-            truth.gps.append(record)
-        elif isinstance(record, LoranMeasurement):
-            truth.loran.append(record)
+        if record is not None:
+            (truth.gps if kind == _GGA else truth.loran).append(record)
         chunks.append(TimedChunk(offset_s, line + b"\r\n"))
 
     return SimStream(chunks), truth
@@ -455,11 +436,11 @@ def write_ground_truth(
 class SimServer:
     """Serves a generated stream to one TCP client at a time.
 
-    Pacing modes: ``unpaced`` pushes as fast as the socket accepts;
-    ``real-time`` spaces chunks by their scenario offsets; ``accelerated``
-    divides those gaps by ``factor``.  The stream position survives a
-    client disconnect, so a reconnecting client resumes where it left
-    off; once the final chunk is sent the server closes and stops.
+    *pace* is ``unpaced`` (as fast as the socket accepts), ``real-time``
+    (chunks spaced by their scenario offsets) or ``accelerated:<factor>``
+    (those gaps divided by a positive, finite factor).  The stream position
+    survives a client disconnect, so a reconnecting client resumes where it
+    left off; once the final chunk is sent the server closes and stops.
     """
 
     def __init__(
@@ -468,15 +449,17 @@ class SimServer:
         host: str = "127.0.0.1",
         port: int = 0,
         pace: str = "unpaced",
-        factor: float = 1.0,
     ):
-        if pace not in ("unpaced", "real-time", "accelerated"):
-            raise ValueError(f"unknown pacing mode: {pace!r}")
-        if factor <= 0:
-            raise ValueError("pacing factor must be positive")
+        mode, _, factor = pace.partition(":")
+        speed_ups = {"unpaced": math.inf, "real-time": 1.0}  # unpaced: no chunk waits
+        try:
+            self._factor = float(factor) if mode == "accelerated" else speed_ups[pace]
+        except (KeyError, ValueError):
+            self._factor = math.nan
+        if not (0 < self._factor < math.inf or pace == "unpaced"):
+            raise ValueError(f"bad pace {pace!r}; use real-time, unpaced, or "
+                             "accelerated:<factor> with a positive, finite factor")
         self._chunks = stream.chunks
-        self._pace = pace
-        self._factor = factor if pace == "accelerated" else 1.0
         self._position = 0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -520,11 +503,9 @@ class SimServer:
             if self._stop.is_set():
                 return
             chunk = self._chunks[index]
-            if self._pace != "unpaced":
-                target = anchor_wall + (chunk.offset_s - anchor_offset) / self._factor
-                delay = target - time.monotonic()
-                if delay > 0.002:
-                    time.sleep(delay)
+            delay = anchor_wall + (chunk.offset_s - anchor_offset) / self._factor - time.monotonic()
+            if delay > 0.002:
+                time.sleep(delay)
             try:
                 conn.sendall(chunk.data)
             except OSError:
@@ -539,18 +520,3 @@ class SimServer:
         self._stop.set()
         self.join(timeout=2.0)
         self._listener.close()
-
-    @property
-    def complete(self) -> bool:
-        return self._position >= len(self._chunks)
-
-
-def serve(
-    stream: SimStream,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    pace: str = "unpaced",
-    factor: float = 1.0,
-) -> SimServer:
-    """Bind and start serving *stream*; returns the running server."""
-    return SimServer(stream, host=host, port=port, pace=pace, factor=factor).start()

@@ -66,19 +66,20 @@ from gpsloran.parse import (
     parse_loran,
     split_sentence,
 )
-from gpsloran.record import CaptureSession, RotationPolicy, read_events
+from gpsloran.fsutil import read_events
+from gpsloran.record import CaptureSession, RotationPolicy
 from gpsloran.simulate import (
     Corruption,
     PiecewiseLinear,
     Scenario,
+    SimServer,
     StationSpec,
     generate_stream,
     quantize_coordinate,
     quantize_decimal,
     serialize,
-    serve,
 )
-from gpsloran.timeutil import from_ms, parse_iso_ms
+from gpsloran.timeutil import parse_iso_ms
 
 
 def _criterion(capsys, number: int, label: str, body) -> None:
@@ -297,7 +298,7 @@ def test_criterion_4_parser_round_trip(capsys):
             fix = _random_fix(rng)
             back = parse_gga(split_sentence(serialize(fix).decode("ascii")), _fresh_ctx())
             assert back.timestamp == fix.timestamp  # exact at ms
-            if fix.no_fix:
+            if fix.fix_quality == 0:
                 assert back == fix
             else:
                 assert abs(back.lat - quantize_coordinate(fix.lat, "lat")) <= 1e-6
@@ -377,12 +378,12 @@ def test_criterion_6_end_to_end_ground_truth(tmp_path, capsys):
         snr_m = PiecewiseLinear(((0.0, 10.0), (43200.0, 18.0), (86400.0, 10.0)))
         scenario = Scenario(
             seed=20260417,
-            start=from_ms(start),
+            start=start,
             duration_s=86400.0,
             gps_rate_hz=1.0,
             zda_period_s=10.0,
             stations=[
-                StationSpec(gri=9930, role="M", rate_hz=0.1, snr_profile=snr_m),
+                StationSpec(gri=9930, role="M", rate_hz=0.1, snr_profile=snr_m.points),
                 StationSpec(gri=9930, role="W", rate_hz=0.1),
             ],
             corruption=Corruption(
@@ -392,7 +393,7 @@ def test_criterion_6_end_to_end_ground_truth(tmp_path, capsys):
         stream, truth = generate_stream(scenario)
         assert len(truth.gps) > 80_000 and len(truth.loran) > 15_000
 
-        server = serve(stream, pace="accelerated", factor=86400.0)
+        server = SimServer(stream, pace="accelerated:86400").start()
         config = {
             "source": f"tcp:{server.host}:{server.port}",
             "out_dir": str(tmp_path / "cap"),

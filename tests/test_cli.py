@@ -277,6 +277,24 @@ def test_run_command_with_config(tmp_path, capsys):
     assert len(loran) == 6
 
 
+def test_the_documented_examples_parse():
+    """README's ``run`` config and the scenario in ``simulate``'s module
+    docstring parse as the code reads them, so an example that drifts from
+    the code fails here."""
+    import textwrap
+    from gpsloran import orchestrate, simulate
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    config = json.loads(readme.split("### `run` config", 1)[1].split("```json\n", 1)[1]
+                        .split("```", 1)[0])
+    assert orchestrate.pipeline_settings(config)["formats"] == config["formats"]
+    orchestrate.rotation_from_config(config)
+    orchestrate.clock_from_config(config)
+    orchestrate.retry_from_config(config)
+    example = simulate.__doc__.split("Scenario files are JSON::", 1)[1].split("\n\n", 2)[1]
+    scenario = simulate.Scenario.from_json(json.loads(textwrap.dedent(example)))
+    assert [station.gri for station in scenario.stations] == [9930]
+
+
 def test_run_command_requires_source_and_out_dir(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"out_dir": "/tmp/x"}))
@@ -320,7 +338,8 @@ def test_run_rejects_a_rotation_interval_of_no_whole_ms(tmp_path, capsys, interv
 @pytest.mark.parametrize("key,value", [
     ("clock", "system"), ("rotation", 3600), ("retry", [1]), ("gap_threshold_s", "300"),
     ("gap_threshold_s", True), ("formats", []), ("quarantine_invalid", "no"),
-    ("on_eof", "halt"),
+    ("on_eof", "halt"), ("source", 5), ("source", ["replay:x"]), ("out_dir", 5),
+    ("session_id", 5),
 ])
 def test_run_rejects_a_wrong_typed_config_value_before_capture(tmp_path, capsys, key, value):
     """A config value of the wrong type or out of range is an error naming
@@ -667,15 +686,15 @@ def test_simulate_serve_accepts_clients(tmp_path, capsys):
 
     started = threading.Event()
     address = {}
-    original_serve = sim_mod.serve
+    original_start = sim_mod.SimServer.start
 
-    def capture_serve(*args, **kwargs):
-        server = original_serve(*args, **kwargs)
+    def capture_start(server):
+        original_start(server)
         address["value"] = server.address
         started.set()
         return server
 
-    sim_mod.serve = capture_serve
+    sim_mod.SimServer.start = capture_start
     try:
         thread.start()
         assert started.wait(timeout=5.0)
@@ -689,16 +708,18 @@ def test_simulate_serve_accepts_clients(tmp_path, capsys):
                 got += data
         thread.join(timeout=5.0)
     finally:
-        sim_mod.serve = original_serve
+        sim_mod.SimServer.start = original_start
     assert got == blob
     assert result.get("code") == 0
 
 
 def test_pace_argument_validation(tmp_path, capsys):
     scenario = scenario_file(tmp_path)
-    code = main(["simulate", "serve", "--scenario", str(scenario), "--pace", "warp9"])
-    assert code == 1
-    assert "pace" in capsys.readouterr().err
+    for pace in ("warp9", "accelerated:0", "accelerated:nan", "accelerated:inf"):
+        code = main(["simulate", "serve", "--scenario", str(scenario), "--pace", pace])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: bad pace {pace!r}" in err and "Traceback" not in err
 
 
 def test_failed_stats_leaves_no_series_files(tmp_path, capsys):
@@ -737,7 +758,7 @@ def reference_stats_stdout(records, gap_threshold_s=300.0):
     snr_by_station = {}
     for record in records:
         if isinstance(record, GpsFix):
-            if record.no_fix:
+            if record.fix_quality == 0:
                 no_fix += 1
             else:
                 lats.append(record.lat)
@@ -823,7 +844,7 @@ def test_stats_fold_equals_the_list_based_summary(segments, station):
     assert sorted(series) == sorted(["gps_fixes.csv", *(f"snr_{s}.csv" for s in stations)])
     assert series["gps_fixes.csv"] == "timestamp,lat_deg,lon_deg,alt_m\n" + "".join(
         f"{iso_ms(f.timestamp)},{f.lat},{f.lon},{'' if f.alt_m is None else f.alt_m}\n"
-        for f in gps if not f.no_fix)
+        for f in gps if f.fix_quality != 0)
     for name in stations:
         assert series[f"snr_{name}.csv"] == "timestamp,snr_db\n" + "".join(
             f"{iso_ms(obs.timestamp)},{obs.snr_db}\n" for obs in loran

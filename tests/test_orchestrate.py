@@ -35,7 +35,7 @@ from gpsloran.orchestrate import (
 )
 from gpsloran.parse import ParseIssue, parse_classified
 from gpsloran.record import CaptureSession
-from gpsloran.simulate import Scenario, SimServer, StationSpec, generate_stream, serve
+from gpsloran.simulate import Scenario, SimServer, StationSpec, generate_stream
 
 from conftest import (ManualClock, ScriptedSource, SimulatedCrash, crlf, gga_line, ms, plrm_line,
                       sentence, utc, zda_line)
@@ -476,10 +476,10 @@ def test_run_pipeline_unavailable_source_exits_1(tmp_path):
 
 def test_run_pipeline_reconnect_exhaustion_records_gap(tmp_path):
     scenario = Scenario(
-        seed=1, start=START, duration_s=30.0, stations=[StationSpec(gri=9930, role="M")]
+        seed=1, start=START_MS, duration_s=30.0, stations=[StationSpec(gri=9930, role="M")]
     )
     stream, truth = generate_stream(scenario)
-    server = serve(stream)
+    server = SimServer(stream).start()
     config = base_config(
         tmp_path,
         source=f"tcp:{server.address}",
@@ -928,16 +928,16 @@ def test_log_messages_split_into_key_value_pairs(tmp_path, caplog, monkeypatch):
                           "segment": "raw_20200417T110000Z.log"})
     assert recover(orphan) == 2
     # source_dropped, reconnect_failed; client_connected, client_left
-    scenario = Scenario(seed=1, start=START, duration_s=30.0,
+    scenario = Scenario(seed=1, start=START_MS, duration_s=30.0,
                         stations=[StationSpec(gri=9930, role="M")])
-    server = serve(generate_stream(scenario)[0])
+    server = SimServer(generate_stream(scenario)[0]).start()
     assert run_pipeline(base_config(tmp_path / "f", source=f"tcp:{server.address}",
                                     on_eof="reconnect", rotation="24h",
                                     retry={"max_attempts": 1, "initial_delay_s": 0.01})) == 1
     server.stop()
-    stream = generate_stream(Scenario(seed=1, start=START, duration_s=600.0,
+    stream = generate_stream(Scenario(seed=1, start=START_MS, duration_s=600.0,
                                       stations=[StationSpec(gri=9930, role="M")]))[0]
-    server = SimServer(stream, pace="accelerated", factor=600.0).start()
+    server = SimServer(stream, pace="accelerated:600").start()
     with socket.create_connection((server.host, server.port), timeout=5.0) as conn:
         conn.recv(4096)
     deadline = time_mod.monotonic() + 5.0

@@ -257,13 +257,13 @@ def test_parse_gga_full_fix():
     assert fix.fix_quality == 2
     assert fix.num_sats == 9
     assert fix.hdop == 0.9
-    assert fix.no_fix is False
+    assert fix.fix_quality != 0
 
 
 def test_parse_gga_no_fix_record():
     fields = split_sentence("GPGGA,120000.000,,,,,0,00,,,M,,M,,")
     fix = parse_gga(fields, ctx())
-    assert fix.no_fix is True
+    assert fix.fix_quality == 0
     assert fix.lat is None and fix.lon is None and fix.alt_m is None
     assert fix.num_sats == 0
     assert fix.hdop is None

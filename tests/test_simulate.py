@@ -6,6 +6,7 @@ from datetime import timedelta
 
 import pytest
 
+from gpsloran.cli import main
 from gpsloran.classify import ChecksumStatus, classify_line, extract_lines, verify_checksum
 from gpsloran.convert import read_gps_export, read_loran_export
 from gpsloran.parse import DateContext, GpsFix, parse_gga, parse_loran, split_sentence
@@ -17,14 +18,13 @@ from gpsloran.simulate import (
     SimServer,
     StationSpec,
     generate_stream,
-    serve,
     write_ground_truth,
 )
 
-from conftest import flat_timeline, ms, read_records, utc
+from conftest import flat_timeline, ms, read_records
 
 
-START = utc(2020, 4, 17)
+START = ms(2020, 4, 17)
 
 
 def one_station_scenario(**kwargs):
@@ -47,9 +47,9 @@ def test_piecewise_linear_interpolates_and_clamps():
     assert profile.sample(500.0) == 20.0
 
 
-def test_piecewise_linear_coerce():
-    assert PiecewiseLinear.coerce(12.5).sample(99.0) == 12.5
-    profile = PiecewiseLinear.coerce([[0, 1], [10, 2]])
+def test_piecewise_linear_from_a_constant_or_breakpoints():
+    assert PiecewiseLinear(12.5).sample(99.0) == 12.5
+    profile = PiecewiseLinear([[0, 1], [10, 2]])
     assert profile.sample(5.0) == 1.5
     with pytest.raises(ValueError):
         PiecewiseLinear(())
@@ -73,14 +73,31 @@ def test_corruption_validation():
     {"stations": [{"gri": 123, "role": "M"}]},
     {"corruption": {"bad_checksum": 0.1}},
     [],
+    *({"stations": [{"gri": 9930, "role": "M", key: value}]}
+      for key in ("snr_profile", "toa_profile", "ecd_us") for value in (math.nan, math.inf)),
+    {"stations": [{"gri": 9930, "role": "M", "snr_profile": [[0, 10.0], [60, math.nan]]}]},
+    {"seed": "3"},
+    {"stations": [{"gri": 9930.7, "role": "M"}]},
+    {"fix_quality": True},
+    {"lat": -10},
+    {"stations": [{"gri": 9930, "role": "M", "rate": 5}]},
 ], ids=["no-gri", "rate-0", "rate-negative", "rate-inf", "role-Q", "gri-123",
-        "unknown-corruption-key", "array"])
-def test_a_bad_scenario_is_a_value_error(payload):
+        "unknown-corruption-key", "array", "snr-nan", "snr-inf", "toa-nan", "toa-inf",
+        "ecd-nan", "ecd-inf", "snr-breakpoint-nan", "seed-text", "gri-float",
+        "fix-quality-bool", "top-level-lat", "station-rate"])
+def test_a_bad_scenario_is_a_value_error(tmp_path, capsys, payload):
     """A station whose lines parse would reject, or that would never end,
     and a scenario of the wrong shape fail as the scenario is built, before
-    any stream is generated."""
+    any stream is generated; ``simulate generate`` reports it as an error."""
     with pytest.raises(ValueError):
         Scenario.from_json(payload)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(payload))
+    out = tmp_path / "stream.bin"
+    assert main(["simulate", "generate", "--scenario", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # --- stream generation -----------------------------------------------------------
@@ -205,11 +222,12 @@ def test_truncated_lines_do_not_parse():
 
 
 def test_loran_values_follow_profiles_exactly():
-    profile = PiecewiseLinear(((0.0, 10.0), (60.0, 16.0)))
     scenario = one_station_scenario(
         seed=21,
-        stations=[StationSpec(gri=9930, role="M", rate_hz=0.1, snr_profile=profile)],
+        stations=[StationSpec(gri=9930, role="M", rate_hz=0.1,
+                              snr_profile=((0.0, 10.0), (60.0, 16.0)))],
     )
+    profile = scenario.stations[0].snr_profile
     _, truth = generate_stream(scenario)
     for obs in truth.loran:
         t = (obs.timestamp - ms(2020, 4, 17)) / 1000
@@ -246,7 +264,7 @@ def test_scenario_from_json_round_trip():
     assert scenario.gps_rate_hz == 2.0
     assert scenario.lat == -33.9
     assert scenario.fix_quality == 2
-    assert scenario.stations[0].station == "7980X"
+    assert (scenario.stations[0].gri, scenario.stations[0].role) == (7980, "X")
     assert scenario.stations[0].snr_profile.sample(60.0) == 7.0
     assert scenario.corruption.bad_checksum_rate == 0.01
     _, truth = generate_stream(scenario)
@@ -280,11 +298,10 @@ def read_all(host, port, limit):
 def test_server_sends_full_stream_unpaced():
     stream, _ = generate_stream(one_station_scenario())
     blob = stream.to_bytes()
-    server = serve(stream)
+    server = SimServer(stream).start()
     got = read_all(server.host, server.port, len(blob))
     server.join(timeout=5.0)
     assert got == blob
-    assert server.complete
 
 
 def test_server_resumes_after_disconnect():
@@ -293,7 +310,7 @@ def test_server_resumes_after_disconnect():
     # paced so the server still holds most chunks when the client drops
     stream, _ = generate_stream(one_station_scenario(duration_s=600.0))
     blob = stream.to_bytes()
-    server = SimServer(stream, pace="accelerated", factor=600.0).start()
+    server = SimServer(stream, pace="accelerated:600").start()
     first = b""
     with socket.create_connection((server.host, server.port), timeout=5.0) as conn:
         while len(first) < len(blob) // 8:
@@ -312,7 +329,6 @@ def test_server_resumes_after_disconnect():
         except OSError:
             time_mod.sleep(0.05)
     server.join(timeout=5.0)
-    assert server.complete
     assert rest, "server never accepted the reconnect"
     # the second connection picks up exactly at a chunk boundary at or
     # after where the first one stopped reading, and runs to the end
@@ -329,10 +345,10 @@ def test_server_resumes_after_disconnect():
 
 def test_server_rejects_bad_pacing():
     stream, _ = generate_stream(one_station_scenario())
-    with pytest.raises(ValueError):
-        SimServer(stream, pace="warp")
-    with pytest.raises(ValueError):
-        SimServer(stream, pace="accelerated", factor=0)
+    for pace in ("warp", "accelerated", "accelerated:0", "accelerated:-2", "accelerated:nan",
+                 "accelerated:inf", "unpaced:2"):
+        with pytest.raises(ValueError):
+            SimServer(stream, pace=pace)
 
 
 # --- golden digests ----------------------------------------------------------------
