@@ -58,9 +58,9 @@ def extract_lines(data: bytes, carry: bytes = b"") -> tuple[list[bytes], bytes]:
     in chunks of any size yields the same lines as one big call.  Empty
     lines are kept as zero-length entries.
     """
-    lines = (carry + data).split(b"\n")
+    lines = (carry + data).replace(b"\r\n", b"\n").split(b"\n")
     residual = lines.pop()
-    return [line[:-1] if line.endswith(b"\r") else line for line in lines], residual
+    return lines, residual
 
 
 def classify_line(line: bytes) -> str:

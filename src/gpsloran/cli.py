@@ -115,20 +115,15 @@ def cmd_recover(args) -> int:
     return orchestrate.recover(Path(args.state))
 
 
-def _segment_export_dirs(session_dir: Path) -> list[Path]:
-    root = session_dir / "exports"
-    if not root.is_dir():
-        return []
-    return sorted(d for d in root.iterdir() if d.is_dir() and not d.name.startswith("."))
-
-
 def cmd_stats(args) -> int:
     from collections import defaultdict
     from contextlib import ExitStack, suppress
     from . import convert
     from .fsutil import AtomicWriter
     session_dir = Path(args.session)
-    export_dirs = _segment_export_dirs(session_dir)
+    exports = session_dir / "exports"
+    export_dirs = sorted(d for d in exports.iterdir()
+                         if d.is_dir() and not d.name.startswith(".")) if exports.is_dir() else []
     if not export_dirs:
         raise CliError(f"no exports found under {session_dir}")
     gap_threshold_s = parse_duration(args.gap_threshold)

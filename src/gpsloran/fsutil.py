@@ -1,5 +1,5 @@
-"""Small filesystem helpers: content digests, atomic writes and the
-session's append-only event log."""
+"""Small filesystem helpers: content digests, atomic writes, and the
+session's event log and its fold, which load no pipeline or capture code."""
 from __future__ import annotations
 
 import hashlib
@@ -8,7 +8,13 @@ import os
 import threading
 from contextlib import suppress
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
+
+RECORDED = "recorded"
+CLASSIFIED = "classified"
+CONVERTED = "converted"
+
+STATE_NAME = "events.jsonl"  # a segment's stage is its last line there
 
 # Held across the torn-line check and the write, so no two writers end the
 # same torn line; each fsyncs after releasing it, so none waits for another.
@@ -87,7 +93,7 @@ def append_event(session_dir: Path, payload: dict) -> None:
     one writer: capture's segment and gap events and every stage
     transition go through it."""
     line = json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
-    with open(Path(session_dir) / "events.jsonl", "a+b") as handle:
+    with open(Path(session_dir) / STATE_NAME, "a+b") as handle:
         with _APPEND_LOCK:
             if end := handle.seek(0, os.SEEK_END):
                 handle.seek(end - 1)
@@ -101,14 +107,66 @@ def append_event(session_dir: Path, payload: dict) -> None:
 def read_events(session_dir: Path) -> list[dict]:
     """Load the session's event log, skipping any line that is not JSON,
     such as one torn by a crash mid-write."""
-    path = Path(session_dir) / "events.jsonl"
     events = []
-    if not path.exists():
-        return events
-    with open(path, "rb") as handle:
+    with suppress(FileNotFoundError), open(Path(session_dir) / STATE_NAME, "rb") as handle:
         for raw in handle:
-            try:
+            with suppress(ValueError):  # UnicodeDecodeError is a ValueError too
                 events.append(json.loads(raw.decode("utf-8")))
-            except (ValueError, UnicodeDecodeError):
-                continue
     return events
+
+
+class SegmentEntry(NamedTuple):
+    name: str
+    stage: str
+    error: str | None = None
+
+
+class StateStore:
+    """Each segment's stage, as lines of the session's event log.
+
+    A segment's ``segment_closed`` event is its ``recorded`` transition;
+    each later one appends one ``{"event": "stage", ...}`` line, however
+    long the session.  Entries keep the order of each segment's first line.
+    """
+
+    def __init__(self, path: Path, session_id: str):
+        self.dir = Path(path).parent
+        self.session_id = session_id
+        self.meta: dict = {}  # session.json, as :meth:`load` read it
+        self.open_times: dict[str, str | None] = {}  # each segment's last segment_open time
+        self.closed: set[str] = set()  # the segments with a recorded transition
+        # No lock: capture only inserts names, and one worker at a time moves a segment.
+        self._entries: dict[str, SegmentEntry] = {}
+
+    @property
+    def entries(self) -> list[SegmentEntry]:
+        return list(self._entries.values())
+
+    @classmethod
+    def load(cls, path: Path) -> StateStore:
+        """Fold the session of the event log at *path*: its ``session.json``
+        read once into :attr:`meta`, and the log once into the entries,
+        :attr:`open_times` and :attr:`closed`."""
+        meta = read_json(Path(path).parent / "session.json")
+        store = cls(path, meta["session_id"])
+        store.meta = meta
+        for event in read_events(store.dir):
+            kind, name = event.get("event"), event.get("segment")
+            if kind == "stage":
+                store._entries[name] = SegmentEntry(name, event["stage"], event["error"])
+            elif kind == "segment_closed":
+                store.add_segment(name)
+            elif kind == "segment_open":
+                store.open_times[name] = event.get("open_time")
+        return store
+
+    def add_segment(self, name: str) -> None:
+        self.closed.add(name)
+        self._entries.setdefault(name, SegmentEntry(name, RECORDED))
+
+    def set_stage(self, name: str, stage: str, error: str | None = None) -> None:
+        append_event(self.dir, {"event": "stage", "segment": name, "stage": stage, "error": error})
+        self._entries[name] = SegmentEntry(name, stage, error)
+
+    def flag(self, name: str, error: str) -> None:
+        self.set_stage(name, self._entries[name].stage, error)

@@ -41,7 +41,8 @@ from typing import TYPE_CHECKING, Callable
 
 from .classify import REPORT_NAME, route
 from .convert import REORDER_WINDOW, ReorderOverflow, export, export_formats, merge_sort
-from .fsutil import append_event, atomic_write_bytes, read_events, read_json, sha256_file
+from .fsutil import (CLASSIFIED, CONVERTED, RECORDED, STATE_NAME, StateStore, append_event,
+                     atomic_write_bytes, read_json, sha256_file)
 from .parse import parse_classified
 from .timeutil import from_ms, iso_ms, parse_duration, parse_iso_ms
 
@@ -50,12 +51,6 @@ if TYPE_CHECKING:  # the capture code, which only capture and recovery load
     from .record import RetryPolicy, RotationPolicy
 
 logger = logging.getLogger(__name__)
-
-RECORDED = "recorded"
-CLASSIFIED = "classified"
-CONVERTED = "converted"
-
-STATE_NAME = "events.jsonl"  # a segment's stage is its last line there
 
 READ_CHUNK = 1 << 16
 READ_TIMEOUT_S = 0.05
@@ -86,52 +81,6 @@ class Hooks:
             self._counts[point] = count
         for handler in self._handlers.get(point, ()):
             handler(count)
-
-
-class SegmentEntry:
-    def __init__(self, name: str, stage: str, error: str | None = None):
-        self.name, self.stage, self.error, self.flagged = name, stage, error, error is not None
-
-
-class StateStore:
-    """Each segment's stage, as lines of the session's event log.
-
-    A segment's ``segment_closed`` event is its ``recorded`` transition;
-    each later one appends one ``{"event": "stage", ...}`` line, however
-    long the session.  Entries keep the order of each segment's first line.
-    """
-
-    def __init__(self, path: Path, session_id: str):
-        self.dir = Path(path).parent
-        self.session_id = session_id
-        # No lock: capture only inserts names, and one worker at a time moves a segment.
-        self._entries: dict[str, SegmentEntry] = {}
-
-    @property
-    def entries(self) -> list[SegmentEntry]:
-        return list(self._entries.values())
-
-    @classmethod
-    def load(cls, path: Path) -> StateStore:
-        """Fold the event log at *path*; the session id is ``session.json``'s."""
-        store = cls(path, read_json(Path(path).parent / "session.json")["session_id"])
-        for event in read_events(store.dir):
-            kind, name = event.get("event"), event.get("segment")
-            if kind == "stage":
-                store._entries[name] = SegmentEntry(name, event["stage"], event["error"])
-            elif kind == "segment_closed":
-                store.add_segment(name)
-        return store
-
-    def add_segment(self, name: str, stage: str = RECORDED) -> None:
-        self._entries.setdefault(name, SegmentEntry(name, stage))
-
-    def set_stage(self, name: str, stage: str, error: str | None = None) -> None:
-        append_event(self.dir, {"event": "stage", "segment": name, "stage": stage, "error": error})
-        self._entries[name] = SegmentEntry(name, stage, error)
-
-    def flag(self, name: str, error: str) -> None:
-        self.set_stage(name, self._entries[name].stage, error)
 
 
 # --- configuration ----------------------------------------------------------
@@ -357,7 +306,7 @@ def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
             state.flag(name, str(exc))
 
     def submit(name: str) -> None:
-        state.add_segment(name, RECORDED)
+        state.add_segment(name)
         if not settings["process_segments"]:
             return
         if executor is None:
@@ -415,7 +364,7 @@ def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
         return 130
     if fatal:
         return 1
-    if settings["process_segments"] and any(e.stage != CONVERTED or e.flagged
+    if settings["process_segments"] and any(e.stage != CONVERTED or e.error is not None
                                             for e in state.entries):
         return 2
     return 0
@@ -424,14 +373,10 @@ def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
 # --- crash recovery ---------------------------------------------------------
 
 
-def _finalize_orphan(session_dir: Path, name: str, events: list[dict]) -> None:
+def _finalize_orphan(session_dir: Path, name: str, open_time: str | None) -> None:
     """Close the books on a segment with no close event: take the flushed
     bytes on disk as its content and record a synthetic close event."""
     path = session_dir / name
-    open_time = None
-    for event in events:
-        if event.get("event") == "segment_open" and event.get("segment") == name:
-            open_time = event.get("open_time")
     payload = {
         "event": "segment_closed",
         "segment": name,
@@ -459,18 +404,16 @@ def recover(session_dir: Path, *, hooks: Hooks | None = None) -> int:
     raw_names = sorted(p.name for p in session_dir.glob("raw_*.log"))
     try:
         state = StateStore.load(session_dir / STATE_NAME)
-        settings = pipeline_settings(read_json(session_dir / "session.json").get("pipeline", {}))
+        settings = pipeline_settings(state.meta.get("pipeline", {}))
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         logger.error("event=cannot_resume reason=session_unreadable error=%s "
                      "recoverable_segments=%s", json.dumps(str(exc)), ",".join(raw_names) or "none")
         return 1
 
-    events = read_events(session_dir)
-    closed = {event.get("segment") for event in events if event.get("event") == "segment_closed"}
     for name in raw_names:
-        if name not in closed:
+        if name not in state.closed:
             logger.info("event=finalize_interrupted_capture segment=%s", name)
-            _finalize_orphan(session_dir, name, events)
+            _finalize_orphan(session_dir, name, state.open_times.get(name))
             state.add_segment(name)
 
     for stray in [*session_dir.glob("classified/.tmp-*"), *session_dir.glob("exports/.tmp-*")]:
@@ -478,7 +421,7 @@ def recover(session_dir: Path, *, hooks: Hooks | None = None) -> int:
 
     failures = 0
     for entry in state.entries:
-        if entry.stage == CONVERTED and not entry.flagged:
+        if entry.stage == CONVERTED and entry.error is None:
             continue
         start_stage = CLASSIFIED if entry.stage in (CLASSIFIED, CONVERTED) else RECORDED
         logger.info("event=reprocess segment=%s stage=%s", entry.name, entry.stage)

@@ -30,6 +30,7 @@ import json
 import logging
 import math
 import os
+from contextlib import suppress
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Protocol
@@ -111,7 +112,6 @@ class RawSegment:
 
     def __init__(self, path: Path, open_time: int) -> None:
         self.path, self.open_time = path, open_time
-        self.close_time: int | None = None
         self.byte_count = 0
         self.digest: str | None = None
 
@@ -150,10 +150,8 @@ class TcpSource:
         return data
 
     def close(self) -> None:
-        try:
+        with suppress(OSError):
             self._sock.close()
-        except OSError:
-            pass
 
 
 class SerialSource:
@@ -177,10 +175,8 @@ class SerialSource:
         return data
 
     def close(self) -> None:
-        try:
+        with suppress(OSError):
             os.close(self._fd)
-        except OSError:
-            pass
 
 
 class FileReplaySource:
@@ -282,9 +278,8 @@ class CaptureSession:
             "rotation": self.rotation.to_json(),
             "flush_interval_s": flush_interval,
             "start_time": iso_ms(now),
+            **(extra_config or {}),
         }
-        if extra_config:
-            metadata.update(extra_config)
         atomic_write_json(self.dir / "session.json", metadata)
         self._handle = None
         self.active = self._open_segment(now)
@@ -332,8 +327,7 @@ class CaptureSession:
     def rotate(self) -> RawSegment:
         """Close the active segment at the current boundary and open the
         next one.  Returns the closed, immutable segment."""
-        boundary = self.next_boundary
-        closed = self._close_active(boundary=boundary)
+        closed = self._close_active(boundary=self.next_boundary)
         now = self.clock.now()
         self.active = self._open_segment(now)
         self.next_boundary = self.rotation.next_boundary(now, self.session_start)
@@ -350,13 +344,12 @@ class CaptureSession:
         os.fsync(self._handle.fileno())
         self._handle.close()
         segment = self.active
-        segment.close_time = self.clock.now()
         segment.digest = self._hasher.hexdigest()
         event = {
             "event": "segment_closed",
             "segment": segment.name,
             "open_time": iso_ms(segment.open_time),
-            "close_time": iso_ms(segment.close_time),
+            "close_time": iso_ms(self.clock.now()),
             "byte_count": segment.byte_count,
             "digest": segment.digest,
         }

@@ -119,9 +119,12 @@ class StationSpec:
         # pipeline keeps; a rate that is not positive never ends the stream.
         loran_values(self.gri, self.role, 0.0, 0.0, self.ecd_us)
         if not self.rate_hz > 0:
-            raise ValueError(f"station rate_hz must be positive: {self.rate_hz!r}")
-        self.toa_profile = PiecewiseLinear(self.toa_profile)
-        self.snr_profile = PiecewiseLinear(self.snr_profile)
+            raise ValueError(f"rate_hz must be positive: {self.rate_hz!r}")
+        for name in ("toa_profile", "snr_profile"):
+            try:
+                setattr(self, name, PiecewiseLinear(getattr(self, name)))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name}: {exc}") from None
 
 
 @dataclass
@@ -175,7 +178,12 @@ class Scenario:
                 raise ValueError(f"unknown scenario key: {misplaced[0]!r}")
             if "start" in scenario:
                 scenario["start"] = parse_iso_ms(scenario["start"])
-            scenario["stations"] = [StationSpec(**item) for item in scenario.get("stations", [])]
+            stations = scenario["stations"] = []
+            for index, item in enumerate(payload.get("stations", [])):
+                try:
+                    stations.append(StationSpec(**item))
+                except ValueError as exc:
+                    raise ValueError(f"stations[{index}]: {exc}") from None
             scenario["corruption"] = Corruption(**scenario.get("corruption", {}))
             return cls(**scenario, **position)
         except (TypeError, OverflowError) as exc:
@@ -380,16 +388,15 @@ def generate_stream(scenario: Scenario) -> tuple[SimStream, GroundTruth]:
             line = serialize(record)
         else:
             station = scenario.stations[station_index]
-            t_s = t_ms / 1000.0
             toa_cap = station.gri * 10 - 0.1
             record = LoranMeasurement(
                 timestamp=moment,
                 gri=station.gri,
                 station_role=station.role,
                 toa_us=quantize_decimal(
-                    min(max(station.toa_profile.sample(t_s), 0.0), toa_cap), 1
+                    min(max(station.toa_profile.sample(offset_s), 0.0), toa_cap), 1
                 ),
-                snr_db=quantize_decimal(station.snr_profile.sample(t_s), 1),
+                snr_db=quantize_decimal(station.snr_profile.sample(offset_s), 1),
                 ecd_us=quantize_decimal(station.ecd_us, 1),
             )
             line = serialize(record)

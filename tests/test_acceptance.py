@@ -49,7 +49,6 @@ from gpsloran.fsutil import read_json
 from gpsloran.orchestrate import (
     CLASSIFIED,
     CONVERTED,
-    RECORDED,
     STATE_NAME,
     Hooks,
     StateStore,
@@ -567,7 +566,7 @@ def test_criterion_8_crash_recovery(tmp_path, capsys):
             assert recover(session_dir) == 0
             state = StateStore.load(session_dir / STATE_NAME)
             assert [e.name for e in state.entries] == raws
-            assert all(e.stage == CONVERTED and not e.flagged for e in state.entries)
+            assert all(e.stage == CONVERTED and e.error is None for e in state.entries)
             assert any(e.get("recovered") for e in read_events(session_dir))
 
             # reference: uninterrupted processing of the same durable bytes
@@ -577,7 +576,7 @@ def test_criterion_8_crash_recovery(tmp_path, capsys):
             ref_state = StateStore(ref / STATE_NAME, crash_driver.SESSION_ID)
             for name in raws:
                 shutil.copy2(session_dir / name, ref / name)
-                ref_state.add_segment(name, RECORDED)
+                ref_state.add_segment(name)
                 process_segment(ref, name, settings, ref_state, Hooks())
 
             for name in raws:
@@ -676,10 +675,10 @@ def test_criterion_9_liveness_isolation(tmp_path, capsys):
 
         state = StateStore.load(session_dir / STATE_NAME)
         by_name = {e.name: e for e in state.entries}
-        assert by_name[raws[0]].stage == CONVERTED and not by_name[raws[0]].flagged
-        assert by_name[raws[1]].stage == CLASSIFIED and by_name[raws[1]].flagged
+        assert by_name[raws[0]].stage == CONVERTED and by_name[raws[0]].error is None
+        assert by_name[raws[1]].stage == CLASSIFIED and by_name[raws[1]].error is not None
         assert "converter exploded" in by_name[raws[1]].error
-        assert by_name[raws[2]].stage == CONVERTED and not by_name[raws[2]].flagged
+        assert by_name[raws[2]].stage == CONVERTED and by_name[raws[2]].error is None
 
         assert (session_dir / "exports" / raws[0][:-4] / MANIFEST_NAME).exists()
         assert not (session_dir / "exports" / raws[1][:-4]).exists()
@@ -688,7 +687,7 @@ def test_criterion_9_liveness_isolation(tmp_path, capsys):
         # the flagged segment is not lost: recovery converts it afterwards
         assert recover(session_dir) == 0
         state = StateStore.load(session_dir / STATE_NAME)
-        assert all(e.stage == CONVERTED and not e.flagged for e in state.entries)
+        assert all(e.stage == CONVERTED and e.error is None for e in state.entries)
         manifest = read_json(session_dir / "exports" / raws[1][:-4] / MANIFEST_NAME)
         assert manifest["record_counts"]["gps_fix"] == 3
 

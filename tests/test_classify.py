@@ -46,6 +46,8 @@ def test_extract_lines_cr_only_inside_line_is_kept():
     lines, carry = extract_lines(b"a\rb\nrest")
     assert lines == [b"a\rb"]
     assert carry == b"rest"
+    # only the one CR right before the LF goes
+    assert extract_lines(b"a\r\r\n") == ([b"a\r"], b"")
 
 
 def test_extract_lines_every_split_point():

@@ -952,6 +952,25 @@ def test_the_worker_and_record_load_only_what_they_run(tmp_path):
     assert added.isdisjoint(unused)
 
 
+def test_the_session_fold_loads_no_pipeline_code(tmp_path):
+    """Folding a session's ``session.json`` and ``events.jsonl`` into its
+    segments' stages, as a reader of a session directory would, loads
+    neither the pipeline stages nor the capture code."""
+    (tmp_path / "session.json").write_text(json.dumps({"session_id": "s1"}))
+    (tmp_path / STATE_NAME).write_text("".join(json.dumps(event) + "\n" for event in (
+        {"event": "segment_open", "segment": "raw_a.log", "open_time": "2020-04-17T12:00:00.000Z"},
+        {"event": "segment_closed", "segment": "raw_a.log"},
+        {"event": "stage", "segment": "raw_a.log", "stage": "classified", "error": "exploded"})))
+    added = _modules_added(
+        "from gpsloran.fsutil import STATE_NAME, StateStore\n"
+        f"state = StateStore.load({str(tmp_path / STATE_NAME)!r})\n"
+        "assert [tuple(entry) for entry in state.entries] == "
+        "[('raw_a.log', 'classified', 'exploded')]")
+    assert "gpsloran.fsutil" in added
+    assert added.isdisjoint({f"gpsloran.{name}" for name in
+                             ("classify", "parse", "convert", "record", "orchestrate", "clock")})
+
+
 def test_convert_loads_no_capture_code(tmp_path):
     """``gpsloran convert`` in a fresh interpreter loads the parser and the
     exporter it runs, but neither the capture code nor its clock."""

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from gpsloran.classify import route
 from gpsloran.cli import main
 from gpsloran.convert import read_gps_export, read_loran_export
-from gpsloran.orchestrate import (RECORDED, STATE_NAME, Hooks, StateStore, pipeline_settings,
-                                  process_segment)
+from gpsloran.orchestrate import STATE_NAME, Hooks, StateStore, pipeline_settings, process_segment
 from gpsloran.parse import GpsFix, LoranMeasurement
 from gpsloran.simulate import serialize, serialize_zda
 from gpsloran.timeutil import MS_PER_DAY, from_ms, iso_ms
@@ -138,7 +137,7 @@ def test_process_segment_dates_every_record(tmp_path, case):
     name = segment_name(opened)
     (tmp_path / name).write_bytes(rx.to_bytes())
     state = StateStore(tmp_path / STATE_NAME, "dates")
-    state.add_segment(name, RECORDED)
+    state.add_segment(name)
     process_segment(tmp_path, name, pipeline_settings({"formats": ["columns"]}), state, Hooks())
     assert exported(tmp_path / "exports" / name[:-4]) == (rx.gps, rx.loran)
 

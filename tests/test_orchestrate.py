@@ -6,6 +6,8 @@ import random
 import re
 import shutil
 import socket
+import subprocess
+import sys
 import time as time_mod
 import tracemalloc
 from pathlib import Path
@@ -203,13 +205,11 @@ def test_state_store_round_trip(tmp_path):
     assert loaded.session_id == "s1"
     assert [entry.name for entry in loaded.entries] == ["raw_a.log", "raw_b.log"]
     assert loaded.entries[0].stage == CLASSIFIED
-    assert loaded.entries[1].flagged is True
     assert loaded.entries[1].error == "exploded"
 
     # a successful stage transition clears the flag
     store.set_stage("raw_b.log", CONVERTED)
     reloaded = StateStore.load(path)
-    assert reloaded.entries[1].flagged is False
     assert reloaded.entries[1].error is None
 
 
@@ -275,7 +275,7 @@ def make_session_dir(tmp_path, name="raw_20200417T120000Z.log", payload=None):
     session_dir.mkdir()
     (session_dir / name).write_bytes(payload if payload is not None else lines_block_one())
     state = StateStore(session_dir / STATE_NAME, "unit")
-    state.add_segment(name, RECORDED)
+    state.add_segment(name)
     return session_dir, name, state
 
 
@@ -397,7 +397,7 @@ def test_run_pipeline_stops_cleanly_on_an_interrupt(tmp_path, caplog):
     closed = [e for e in read_events(session_dir) if e["event"] == "segment_closed"]
     assert [(e["segment"], e["digest"]) for e in closed] == [(segment.name, sha256_file(segment))]
     state = StateStore.load(session_dir / STATE_NAME)
-    assert [(e.name, e.stage, e.flagged) for e in state.entries] == [(segment.name, CONVERTED, False)]
+    assert [(e.name, e.stage, e.error) for e in state.entries] == [(segment.name, CONVERTED, None)]
     assert "event=interrupted" in caplog.text
 
 
@@ -455,10 +455,10 @@ def test_run_pipeline_flags_failed_segment_and_exits_2(tmp_path):
     )
     assert code == 2
     state = StateStore.load(session_dir / STATE_NAME)
-    flagged = [entry for entry in state.entries if entry.flagged]
+    flagged = [entry for entry in state.entries if entry.error is not None]
     assert len(flagged) == 1
     assert "converter exploded" in flagged[0].error
-    healthy = [entry for entry in state.entries if not entry.flagged]
+    healthy = [entry for entry in state.entries if entry.error is None]
     assert all(entry.stage == CONVERTED for entry in healthy)
     # capture never stopped: both raw segments hold their bytes
     assert (session_dir / "raw_20200417T120000Z.log").read_bytes() == lines_block_one()
@@ -655,6 +655,39 @@ def test_recover_after_crash_matches_clean_run(tmp_path):
     assert_exports_of_a_clean_run(session_dir, tmp_path / "clean")
 
 
+def test_recover_reads_each_session_file_once(tmp_path):
+    """One ``recover`` call, on a session that crashed with one closed
+    segment unprocessed and the active one unclosed, opens ``session.json``
+    and ``events.jsonl`` for reading once each.  Opens are counted by the
+    interpreter's ``open`` audit event in a fresh interpreter, so the hook
+    ends with it; the log's appends open it for writing and do not count."""
+    hooks = Hooks()
+
+    def crash(count):
+        raise SimulatedCrash("kill after first rotation")
+
+    hooks.on("post-rotation", crash)
+    with pytest.raises(SimulatedCrash):
+        run_scripted(tmp_path, [(0, lines_block_one()), (3700, b""), (0, lines_block_two())],
+                     hooks=hooks)
+    session_dir = tmp_path / "unit"
+    script = ("import os, sys\n"
+              "from collections import Counter\n"
+              "from gpsloran.orchestrate import recover\n"
+              "reads = Counter()\n"
+              "def count(event, args):\n"
+              "    if event == 'open' and args[2] & os.O_ACCMODE == os.O_RDONLY:\n"
+              "        reads[os.path.basename(str(args[0]))] += 1\n"
+              "sys.addaudithook(count)\n"
+              f"assert recover({str(session_dir)!r}) == 0\n"
+              "print(reads['session.json'], reads['events.jsonl'])\n")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["1", "1"]
+    state = StateStore.load(session_dir / STATE_NAME)
+    assert [(entry.stage, entry.error) for entry in state.entries] == [(CONVERTED, None)] * 2
+
+
 def assert_exports_of_a_clean_run(session_dir, clean_dir):
     """A clean run over the same raw bytes writes the same export files."""
     clean_dir.mkdir()
@@ -663,7 +696,7 @@ def assert_exports_of_a_clean_run(session_dir, clean_dir):
     clean_state = StateStore(clean_dir / STATE_NAME, "unit")
     settings = pipeline_settings(read_json(session_dir / "session.json")["pipeline"])
     for raw in sorted(clean_dir.glob("raw_*.log")):
-        clean_state.add_segment(raw.name, RECORDED)
+        clean_state.add_segment(raw.name)
         process_segment(clean_dir, raw.name, settings, clean_state, Hooks())
     assert sorted(p.name for p in (session_dir / "exports").iterdir()) == sorted(
         p.name for p in (clean_dir / "exports").iterdir())
@@ -708,8 +741,8 @@ def test_a_session_with_a_state_file_recovers_by_reprocessing(tmp_path):
     assert reprocessed == [1, 2]
     assert (state_path.read_bytes(), state_path.stat().st_mtime_ns) == state_file
     state = StateStore.load(session_dir / STATE_NAME)
-    assert [(entry.name, entry.stage, entry.flagged) for entry in state.entries] == [
-        (name, CONVERTED, False) for name in ("raw_20200417T120000Z.log",
+    assert [(entry.name, entry.stage, entry.error) for entry in state.entries] == [
+        (name, CONVERTED, None) for name in ("raw_20200417T120000Z.log",
                                               "raw_20200417T130140Z.log")]
     assert_exports_of_a_clean_run(session_dir, tmp_path / "clean")
 
@@ -862,7 +895,7 @@ def test_recover_reprocesses_failure_as_exit_2(tmp_path):
                                "segment": "raw_20200417T120000Z.log"})
     assert recover(session_dir) == 2
     loaded = StateStore.load(session_dir / STATE_NAME)
-    assert loaded.entries[0].flagged is True
+    assert loaded.entries[0].error is not None
 
 
 # --- logs ----------------------------------------------------------------------

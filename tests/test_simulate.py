@@ -76,6 +76,8 @@ def test_corruption_validation():
     *({"stations": [{"gri": 9930, "role": "M", key: value}]}
       for key in ("snr_profile", "toa_profile", "ecd_us") for value in (math.nan, math.inf)),
     {"stations": [{"gri": 9930, "role": "M", "snr_profile": [[0, 10.0], [60, math.nan]]}]},
+    {"stations": [{"gri": 9930, "role": "M", "snr_profile": [[0, 1], [5]]}]},
+    {"stations": [{"gri": 9930, "role": "M", "snr_profile": [1, 2]}]},
     {"seed": "3"},
     {"stations": [{"gri": 9930.7, "role": "M"}]},
     {"fix_quality": True},
@@ -83,7 +85,8 @@ def test_corruption_validation():
     {"stations": [{"gri": 9930, "role": "M", "rate": 5}]},
 ], ids=["no-gri", "rate-0", "rate-negative", "rate-inf", "role-Q", "gri-123",
         "unknown-corruption-key", "array", "snr-nan", "snr-inf", "toa-nan", "toa-inf",
-        "ecd-nan", "ecd-inf", "snr-breakpoint-nan", "seed-text", "gri-float",
+        "ecd-nan", "ecd-inf", "snr-breakpoint-nan", "snr-breakpoint-short",
+        "snr-not-pairs", "seed-text", "gri-float",
         "fix-quality-bool", "top-level-lat", "station-rate"])
 def test_a_bad_scenario_is_a_value_error(tmp_path, capsys, payload):
     """A station whose lines parse would reject, or that would never end,
@@ -98,6 +101,17 @@ def test_a_bad_scenario_is_a_value_error(tmp_path, capsys, payload):
     err = capsys.readouterr().err
     assert "error: " in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("profile", [[[0, 1], [5]], [1, 2], math.nan],
+                         ids=["short-breakpoint", "not-pairs", "nan"])
+def test_a_bad_profile_names_its_station_and_field(profile):
+    """A profile error names the station by its place in ``stations`` and
+    the profile by its key."""
+    payload = {"stations": [{"gri": 9930, "role": "M"},
+                            {"gri": 9930, "role": "X", "snr_profile": profile}]}
+    with pytest.raises(ValueError, match=r"^stations\[1\]: snr_profile: "):
+        Scenario.from_json(payload)
 
 
 # --- stream generation -----------------------------------------------------------
