@@ -64,14 +64,13 @@ def cmd_record(args) -> int:
     config = {
         "source": args.source,
         "out_dir": args.out,
+        "session_id": args.session_id,
         "rotation": args.rotate,
         "flush_interval_s": parse_duration(args.flush_interval),
         "replay_speed": args.replay_speed,
         "on_eof": args.on_eof,
         "process_segments": False,
     }
-    if args.session_id:
-        config["session_id"] = args.session_id
     return orchestrate.run_pipeline(config)
 
 
@@ -104,9 +103,8 @@ def cmd_convert(args) -> int:
 def cmd_run(args) -> int:
     from . import orchestrate
     config = read_json(Path(args.config))
-    for key in ("source", "out_dir"):
-        if key not in config:
-            raise CliError(f"config is missing required key {key!r}")
+    if type(config) is not dict or not {"source", "out_dir"} <= config.keys():
+        raise CliError("config must be a JSON object holding 'source' and 'out_dir'")
     return orchestrate.run_pipeline(config)
 
 
@@ -249,7 +247,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory for the session")
     p.add_argument("--rotate", default="utc-midnight", help="utc-midnight (default) or a fixed interval such as 24h")
     p.add_argument("--flush-interval", default="1s", help="durability flush interval (default 1s)")
-    p.add_argument("--session-id", default=None)
+    p.add_argument("--session-id", default="")
     p.add_argument("--replay-speed", type=float, default=1.0, help="replay pacing multiplier; 0 = unpaced")
     p.add_argument("--on-eof", choices=("stop", "reconnect"), default="reconnect")
     p.set_defaults(func=cmd_record)

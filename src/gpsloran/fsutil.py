@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 from contextlib import suppress
@@ -84,6 +85,16 @@ def atomic_write_json(path: Path, payload: Any) -> None:
 def read_json(path: Path) -> Any:
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def json_number(value, name: str, kind: str = "float") -> int | float:
+    """*value* if it is a finite JSON number, not text and not a bool, and
+    an int where *kind* is ``"int"``; a float field takes it as a float.
+    The one rule for a number read from a JSON document."""
+    if type(value) is int or (kind == "float" and type(value) is float and math.isfinite(value)):
+        return value if kind == "int" else float(value)
+    raise ValueError(f"{name} must be {'an integer' if kind == 'int' else 'a finite number'}: "
+                     f"{value!r}")
 
 
 def append_event(session_dir: Path, payload: dict) -> None:

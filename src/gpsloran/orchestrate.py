@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import re
 import shutil
@@ -42,13 +41,12 @@ from typing import TYPE_CHECKING, Callable
 from .classify import REPORT_NAME, route
 from .convert import REORDER_WINDOW, ReorderOverflow, export, export_formats, merge_sort
 from .fsutil import (CLASSIFIED, CONVERTED, RECORDED, STATE_NAME, StateStore, append_event,
-                     atomic_write_bytes, read_json, sha256_file)
+                     atomic_write_bytes, json_number, read_json, sha256_file)
 from .parse import parse_classified
 from .timeutil import from_ms, iso_ms, parse_duration, parse_iso_ms
 
 if TYPE_CHECKING:  # the capture code, which only capture and recovery load
     from .clock import Clock
-    from .record import RetryPolicy, RotationPolicy
 
 logger = logging.getLogger(__name__)
 
@@ -98,72 +96,81 @@ PIPELINE_DEFAULTS = {
 }
 
 
-def _number(value, name: str) -> float:
-    if type(value) not in (int, float):
-        raise ValueError(f"config key {name!r} must be a number: {value!r}")
-    return value
+# Each nested object's keys and the json_number kind of each number (None: the
+# value goes to the class as given); the defaults are the classes' own.
+_NESTED = {
+    "rotation": {"mode": None, "interval_s": "float"},
+    "clock": {"kind": None, "start": None, "factor": "float"},
+    "retry": {"max_attempts": "int", "initial_delay_s": "float", "max_delay_s": "float"},
+}
+# The bound of each number, beyond json_number's rule; RotationPolicy bounds its interval.
+_BOUNDS = {"gap_threshold_s": ">= 0", "flush_interval_s": ">= 0", "replay_speed": ">= 0",
+           "max_workers": "> 0", "retry.max_attempts": "> 0", "retry.initial_delay_s": ">= 0",
+           "retry.max_delay_s": ">= 0", "clock.factor": "> 0"}
+
+
+def _config_number(path: str, value, kind: str) -> int | float:
+    number = json_number(value, f"config key {path!r}", kind)
+    bound = _BOUNDS.get(path)
+    if bound is None or (number > 0 if bound == "> 0" else number >= 0):
+        return number
+    raise ValueError(f"config key {path!r} must be {bound}: {value!r}")
+
+
+def _clock(kind: str = "system", start: str | None = None, **factor) -> Clock:
+    from .clock import AcceleratedClock, SystemClock
+    if kind == "accelerated":
+        return AcceleratedClock(from_ms(parse_iso_ms(start)), **factor)
+    if kind != "system":
+        raise ValueError(f"unknown clock kind: {kind!r}")
+    return SystemClock()
 
 
 def pipeline_settings(config: dict) -> dict:
-    """*config*'s pipeline settings, defaults filled in; ``ValueError`` naming
-    the first key whose value has the wrong type or lies out of range."""
+    """*config*'s pipeline settings, defaults filled in, with its rotation
+    policy, clock and retry policy built as ``rotation``, ``clock`` and
+    ``retry``; ``ValueError`` naming the first key whose value has the wrong
+    type or lies out of range.  The one reader of a ``run`` config: it reads
+    every key a setting takes, and ignores the other top-level keys."""
+    from .record import RetryPolicy, RotationPolicy
     for key in ("source", "out_dir", "session_id"):
         if key in config and type(config[key]) is not str:
             raise ValueError(f"config key {key!r} must be text: {config[key]!r}")
+    session_id = config.get("session_id", "")  # one directory inside out_dir
+    if session_id in (".", "..") or "/" in session_id or "\0" in session_id:
+        raise ValueError(f"config key 'session_id' must be a plain name: {session_id!r}")
     settings = dict(PIPELINE_DEFAULTS)
     settings.update({k: v for k, v in config.items() if k in PIPELINE_DEFAULTS})
     for key, default in PIPELINE_DEFAULTS.items():
         value = settings[key]
         if type(default) is bool and type(value) is not bool:
             raise ValueError(f"config key {key!r} must be true or false: {value!r}")
-        if type(default) in (int, float) and not 0 <= _number(value, key) < math.inf:
-            raise ValueError(f"config key {key!r} must be finite and >= 0: {value!r}")
+        if type(default) in (int, float):
+            _config_number(key, value, type(default).__name__)  # files write the value as given
     if settings["on_eof"] not in ("stop", "reconnect"):
         raise ValueError(f"config key 'on_eof' must be stop or reconnect: {settings['on_eof']!r}")
     settings["formats"] = list(export_formats(settings["formats"]))
     if not settings["formats"]:
         raise ValueError("config key 'formats' names no export format")
+    for key, build in (("rotation", RotationPolicy), ("clock", _clock), ("retry", RetryPolicy)):
+        spec = config.get(key, {})
+        if key == "rotation" and type(spec) is str:  # "utc-midnight" or an interval such as "6h"
+            spec = {} if spec == "utc-midnight" else {"mode": "fixed-interval",
+                                                      "interval_s": parse_duration(spec)}
+        if type(spec) is not dict:
+            raise ValueError(f"config key {key!r} must be "
+                             f"{'a text or ' if key == 'rotation' else ''}an object: {spec!r}")
+        kinds = _NESTED[key]
+        for name in sorted(spec.keys() - kinds.keys()):
+            raise ValueError(f"config key '{key}.{name}' is unknown")
+        arguments = {name: value if kinds[name] is None else
+                     _config_number(f"{key}.{name}", value, kinds[name])
+                     for name, value in spec.items()}
+        try:
+            settings[key] = build(**arguments)
+        except ValueError as exc:  # the class's own check of a value
+            raise ValueError(f"config key {key!r}: {exc}") from None
     return settings
-
-
-def _object(config: dict, key: str) -> dict:
-    value = config.get(key) or {}
-    if not isinstance(value, dict):
-        raise ValueError(f"config key {key!r} must be an object: {value!r}")
-    return value
-
-
-def rotation_from_config(config: dict) -> RotationPolicy:
-    from .record import RotationPolicy
-    rotation = config.get("rotation")
-    if rotation is None or rotation == "utc-midnight":
-        return RotationPolicy()
-    if isinstance(rotation, str):
-        return RotationPolicy(mode="fixed-interval", interval_s=parse_duration(rotation))
-    if not isinstance(rotation, dict):
-        raise ValueError(f"config key 'rotation' must be a text or an object: {rotation!r}")
-    interval_s = _number(rotation.get("interval_s", 86400.0), "rotation.interval_s")
-    return RotationPolicy(rotation.get("mode", "utc-midnight"), float(interval_s))
-
-
-def clock_from_config(config: dict) -> Clock:
-    from .clock import AcceleratedClock, SystemClock
-    spec = _object(config, "clock")
-    kind = spec.get("kind", "system")
-    if kind == "system":
-        return SystemClock()
-    if kind == "accelerated":
-        return AcceleratedClock(from_ms(parse_iso_ms(spec.get("start"))),
-                                _number(spec.get("factor", 1), "clock.factor"))
-    raise ValueError(f"unknown clock kind: {kind!r}")
-
-
-def retry_from_config(config: dict) -> RetryPolicy:
-    from .record import RetryPolicy
-    spec = _object(config, "retry")
-    return RetryPolicy(int(_number(spec.get("max_attempts", 5), "retry.max_attempts")),
-                       float(_number(spec.get("initial_delay_s", 0.5), "retry.initial_delay_s")),
-                       float(_number(spec.get("max_delay_s", 30.0), "retry.max_delay_s")))
 
 
 # --- per-segment processing -------------------------------------------------
@@ -271,22 +278,20 @@ def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
                          SourceUnavailable, open_source)
     hooks = hooks or Hooks()
     settings = pipeline_settings(config)
-    clock = clock or clock_from_config(config)
-    rotation = rotation_from_config(config)
-    retry = retry_from_config(config)
+    clock = clock or settings["clock"]
 
     endpoint: SourceEndpoint | None = None
     if source is None:
         endpoint = SourceEndpoint.from_text(config["source"], settings["replay_speed"])
         try:
-            source = open_source(endpoint, clock, retry)
+            source = open_source(endpoint, clock, settings["retry"])
         except SourceUnavailable as exc:
             logger.error("event=startup_failed error=%s", json.dumps(str(exc)))
             return 1
 
     session = CaptureSession(
         Path(config["out_dir"]), session_id=config.get("session_id"),
-        source_text=config.get("source", "injected"), rotation=rotation,
+        source_text=config.get("source", "injected"), rotation=settings["rotation"],
         flush_interval=float(settings["flush_interval_s"]), clock=clock,
         extra_config={"pipeline": {k: settings[k] for k in (
             "formats", "gap_threshold_s", "quarantine_invalid", "flush_interval_s")}})
@@ -296,7 +301,7 @@ def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
     executor = None
     if settings["process_segments"] and not settings["inline_processing"]:
         from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
-        executor = ThreadPoolExecutor(max_workers=int(settings["max_workers"]))
+        executor = ThreadPoolExecutor(max_workers=settings["max_workers"])
 
     def safe_process(name: str) -> None:
         try:
@@ -335,7 +340,7 @@ def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
                 logger.warning("event=source_dropped next=reconnect reason=%s", json.dumps(str(exc)))
                 source.close()
                 try:
-                    source = open_source(endpoint, clock, retry)
+                    source = open_source(endpoint, clock, settings["retry"])
                 except SourceUnavailable as retry_exc:
                     logger.error("event=reconnect_failed error=%s", json.dumps(str(retry_exc)))
                     session.record_gap(drop_time, clock.now(), f"lost source: {retry_exc}")

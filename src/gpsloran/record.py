@@ -223,7 +223,7 @@ class RetryPolicy(NamedTuple):
 
     def delays(self):
         delay = self.initial_delay_s
-        for _ in range(max(self.max_attempts - 1, 0)):
+        for _ in range(self.max_attempts - 1):
             yield delay
             delay = min(delay * 2, self.max_delay_s)
 
@@ -234,8 +234,7 @@ def open_source(endpoint: SourceEndpoint, clock: Clock | None = None,
     declaring it unavailable."""
     clock = clock or SystemClock()
     last_error: Exception | None = None
-    delays = retry.delays()
-    for attempt in range(max(retry.max_attempts, 1)):
+    for delay in (*retry.delays(), None):  # one attempt more than waits
         try:
             if endpoint.kind is SourceKind.TCP:
                 return TcpSource(endpoint.address)
@@ -244,7 +243,6 @@ def open_source(endpoint: SourceEndpoint, clock: Clock | None = None,
             return FileReplaySource(endpoint.address, endpoint.replay_speed, clock)
         except OSError as exc:
             last_error = exc
-            delay = next(delays, None)
             if delay is not None:
                 clock.sleep(delay)
     raise SourceUnavailable(f"cannot open {endpoint.kind.value} source {endpoint.address!r}: "

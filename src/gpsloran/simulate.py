@@ -52,7 +52,7 @@ from itertools import count, takewhile
 from pathlib import Path
 
 from .convert import export, merge_sort
-from .fsutil import read_json
+from .fsutil import json_number, read_json
 from .parse import GpsFix, LoranMeasurement, check_fix, loran_values, parse_coordinate
 from .timeutil import iso_ms, parse_iso_ms
 
@@ -61,20 +61,12 @@ logger = logging.getLogger(__name__)
 _POSITION = frozenset({"lat", "lon", "alt_m", "noise_sigma_deg", "noise_sigma_alt_m"})
 
 
-def _number(value, name: str, kind: str = "float") -> int | float:
-    """*value* if it is a finite JSON number, not text and not a bool, and
-    an int where *kind* is ``"int"``; a float field takes it as a float."""
-    if type(value) is int or (kind == "float" and type(value) is float and math.isfinite(value)):
-        return value if kind == "int" else float(value)
-    raise ValueError(f"{name} must be {'an integer' if kind == 'int' else 'a finite number'}: "
-                     f"{value!r}")
-
-
 def _check_numbers(spec) -> None:
-    """Hold each ``"int"`` and ``"float"`` field (annotations are text here) to :func:`_number`."""
+    """Hold each ``"int"`` and ``"float"`` field (annotations are text here)
+    to :func:`json_number`."""
     for item in fields(spec):
         if item.type in ("int", "float"):
-            setattr(spec, item.name, _number(getattr(spec, item.name), item.name, item.type))
+            setattr(spec, item.name, json_number(getattr(spec, item.name), item.name, item.type))
 
 
 class PiecewiseLinear:
@@ -84,7 +76,8 @@ class PiecewiseLinear:
 
     def __init__(self, profile) -> None:
         pairs = profile if isinstance(profile, (list, tuple)) else [(0.0, profile)]
-        self.points = [(_number(t, "profile time"), _number(v, "profile value")) for t, v in pairs]
+        self.points = [(json_number(t, "profile time"), json_number(v, "profile value"))
+                       for t, v in pairs]
         self.times = [t for t, _ in self.points]
         if not self.points:
             raise ValueError("profile needs at least one point")

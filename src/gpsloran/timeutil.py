@@ -77,19 +77,13 @@ def basic_stamp(ms: int) -> str:
     return iso_ms(ms)[:19].replace("-", "").replace(":", "") + "Z"
 
 
-def parse_duration(text: str | float | int) -> float:
+def parse_duration(text: str) -> float:
     """Parse a duration like ``"500ms"``, ``"1.5h"``, or ``"90"`` to seconds.
 
     A bare number is taken as seconds.  Raises ``ValueError`` on anything
     else, including negative values (which no caller here has a use for).
     """
-    if isinstance(text, (int, float)):
-        value = float(text)
-    else:
-        match = _DURATION_RE.match(text)
-        if not match:
-            raise ValueError(f"invalid duration: {text!r}")
-        value = float(match.group(1)) * _UNIT_SECONDS.get(match.group(2) or "s", 1.0)
-    if value < 0:
-        raise ValueError(f"duration must be non-negative: {text!r}")
-    return value
+    match = _DURATION_RE.match(text)
+    if not match:
+        raise ValueError(f"invalid duration: {text!r}")
+    return float(match.group(1)) * _UNIT_SECONDS[match.group(2) or "s"]

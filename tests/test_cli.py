@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import statistics
 import subprocess
 import sys
@@ -280,16 +281,23 @@ def test_run_command_with_config(tmp_path, capsys):
 def test_the_documented_examples_parse():
     """README's ``run`` config and the scenario in ``simulate``'s module
     docstring parse as the code reads them, so an example that drifts from
-    the code fails here."""
+    the code fails here.  The ``run`` example shows the defaults: apart from
+    its source, directory and session id, it reads as a config of only those."""
     import textwrap
     from gpsloran import orchestrate, simulate
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     config = json.loads(readme.split("### `run` config", 1)[1].split("```json\n", 1)[1]
                         .split("```", 1)[0])
-    assert orchestrate.pipeline_settings(config)["formats"] == config["formats"]
-    orchestrate.rotation_from_config(config)
-    orchestrate.clock_from_config(config)
-    orchestrate.retry_from_config(config)
+    settings = orchestrate.pipeline_settings(config)
+    assert settings["formats"] == config["formats"]
+    bare = orchestrate.pipeline_settings({key: config[key] for key in
+                                          ("source", "out_dir", "session_id")})
+
+    def comparable(settings):  # each policy and clock by its class and fields
+        return {key: (type(value), vars(value)) if hasattr(value, "__dict__") else value
+                for key, value in settings.items()}
+
+    assert comparable(settings) == comparable(bare)
     example = simulate.__doc__.split("Scenario files are JSON::", 1)[1].split("\n\n", 2)[1]
     scenario = simulate.Scenario.from_json(json.loads(textwrap.dedent(example)))
     assert [station.gri for station in scenario.stations] == [9930]
@@ -300,6 +308,16 @@ def test_run_command_requires_source_and_out_dir(tmp_path, capsys):
     config_path.write_text(json.dumps({"out_dir": "/tmp/x"}))
     assert main(["run", "--config", str(config_path)]) == 1
     assert "source" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [["source", "out_dir"], "source out_dir", 5, None])
+def test_run_rejects_a_config_that_is_not_an_object(tmp_path, capsys, config):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: config must be a JSON object" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("formats", [["csv"], ["columns", "csv"], "csv", 5, [["columns"]]])
@@ -323,6 +341,8 @@ def test_run_rejects_unknown_export_format_before_capture(tmp_path, capsys, form
 
 @pytest.mark.parametrize("interval", ["1e400", "NaN", "0.0001"])
 def test_run_rejects_a_rotation_interval_of_no_whole_ms(tmp_path, capsys, interval):
+    """JSON's rule rejects an interval that is no finite number, and the
+    rotation policy one of less than 1 ms; either error names the key."""
     stream_path = tmp_path / "stream.bin"
     stream_path.write_bytes(gga_line() + b"\r\n")
     config_path = tmp_path / "config.json"
@@ -331,28 +351,38 @@ def test_run_rejects_a_rotation_interval_of_no_whole_ms(tmp_path, capsys, interv
         f'"rotation": {{"mode": "fixed-interval", "interval_s": {interval}}}}}'
     )
     assert main(["run", "--config", str(config_path)]) == 1
-    assert "error: rotation interval must be finite and >= 1 ms: " in capsys.readouterr().err
+    assert ("error: config key 'rotation': rotation interval must be finite and >= 1 ms: "
+            if interval == "0.0001" else
+            "error: config key 'rotation.interval_s' must be a finite number: "
+            ) in capsys.readouterr().err
     assert not (tmp_path / "sessions").exists()
 
 
-@pytest.mark.parametrize("key,value", [
+@pytest.mark.parametrize("path,value", [
     ("clock", "system"), ("rotation", 3600), ("retry", [1]), ("gap_threshold_s", "300"),
     ("gap_threshold_s", True), ("formats", []), ("quarantine_invalid", "no"),
     ("on_eof", "halt"), ("source", 5), ("source", ["replay:x"]), ("out_dir", 5),
-    ("session_id", 5),
+    ("session_id", 5), ("max_workers", 0), ("max_workers", 1.5),
+    ("retry.max_attempts", 0), ("retry.max_attempts", 2.5), ("retry.initial_delay_s", -1),
+    ("retry.initial_delay_s", math.inf), ("retry.initial_delay_s", math.nan),
+    ("clock.factor", math.inf), ("clock.factor", math.nan), ("clock.factor", 0),
+    ("rotation.bogus", 1), ("retry.bogus", 1), ("session_id", ".."), ("session_id", "a/b"),
 ])
-def test_run_rejects_a_wrong_typed_config_value_before_capture(tmp_path, capsys, key, value):
+def test_run_rejects_a_wrong_typed_config_value_before_capture(tmp_path, capsys, path, value):
     """A config value of the wrong type or out of range is an error naming
-    its key, found before the session directory is made."""
+    its key path (``retry.max_attempts`` is that key of the ``retry``
+    object), found before the session directory is made."""
     stream_path = tmp_path / "stream.bin"
     stream_path.write_bytes(gga_line() + b"\r\n")
     config = {"source": f"replay:{stream_path}", "out_dir": str(tmp_path / "sessions"),
-              "replay_speed": 0, "inline_processing": True, key: value}
+              "replay_speed": 0, "inline_processing": True}
+    key, _, name = path.partition(".")
+    config[key] = {name: value} if name else value
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config))
+    config_path.write_text(json.dumps(config))  # Infinity and NaN as JSON's readers take them
     assert main(["run", "--config", str(config_path)]) == 1
     err = capsys.readouterr().err
-    assert f"error: config key {key!r} " in err
+    assert f"error: config key {path!r} " in err
     assert "Traceback" not in err
     assert not (tmp_path / "sessions").exists()
 

@@ -25,18 +25,16 @@ from gpsloran.orchestrate import (
     STATE_NAME,
     Hooks,
     StateStore,
-    clock_from_config,
     convert_classified,
     pipeline_settings,
     process_segment,
     recover,
-    rotation_from_config,
     run_pipeline,
     segment_open_time,
     write_parse_errors,
 )
 from gpsloran.parse import ParseIssue, parse_classified
-from gpsloran.record import CaptureSession
+from gpsloran.record import CaptureSession, RetryPolicy
 from gpsloran.simulate import Scenario, SimServer, StationSpec, generate_stream
 
 from conftest import (ManualClock, ScriptedSource, SimulatedCrash, crlf, gga_line, ms, plrm_line,
@@ -86,24 +84,27 @@ def test_pipeline_settings_defaults_and_filtering():
     assert "bogus" not in settings
 
 
-def test_rotation_from_config_variants():
-    assert rotation_from_config({}).mode == "utc-midnight"
-    assert rotation_from_config({"rotation": "utc-midnight"}).mode == "utc-midnight"
-    policy = rotation_from_config({"rotation": "6h"})
+def test_pipeline_settings_builds_the_rotation_policy_clock_and_retry_policy():
+    assert pipeline_settings({})["rotation"].mode == "utc-midnight"
+    assert pipeline_settings({"rotation": "utc-midnight"})["rotation"].mode == "utc-midnight"
+    policy = pipeline_settings({"rotation": "6h"})["rotation"]
     assert (policy.mode, policy.interval_s) == ("fixed-interval", 21600.0)
-    policy = rotation_from_config({"rotation": {"mode": "fixed-interval", "interval_s": 60}})
+    policy = pipeline_settings({"rotation": {"mode": "fixed-interval", "interval_s": 60}})[
+        "rotation"]
     assert policy.interval_s == 60.0
 
-
-def test_clock_from_config():
-    assert isinstance(clock_from_config({}), SystemClock)
-    clock = clock_from_config(
+    assert isinstance(pipeline_settings({})["clock"], SystemClock)
+    clock = pipeline_settings(
         {"clock": {"kind": "accelerated", "start": "2020-04-17T00:00:00.000Z", "factor": 100}}
-    )
+    )["clock"]
     assert isinstance(clock, AcceleratedClock)
     assert clock.now() >= ms(2020, 4, 17)
     with pytest.raises(ValueError):
-        clock_from_config({"clock": {"kind": "lunar"}})
+        pipeline_settings({"clock": {"kind": "lunar"}})
+
+    assert pipeline_settings({})["retry"] == RetryPolicy()
+    assert pipeline_settings({"retry": {"max_attempts": 2}})["retry"] == RetryPolicy()._replace(
+        max_attempts=2)
 
 
 def test_accelerated_clock_scales_time():
