@@ -84,7 +84,7 @@ def test_pipeline_settings_defaults_and_filtering():
     assert "bogus" not in settings
 
 
-def test_pipeline_settings_builds_the_rotation_policy_clock_and_retry_policy():
+def test_rotation_from_config_variants():
     assert pipeline_settings({})["rotation"].mode == "utc-midnight"
     assert pipeline_settings({"rotation": "utc-midnight"})["rotation"].mode == "utc-midnight"
     policy = pipeline_settings({"rotation": "6h"})["rotation"]
@@ -93,6 +93,8 @@ def test_pipeline_settings_builds_the_rotation_policy_clock_and_retry_policy():
         "rotation"]
     assert policy.interval_s == 60.0
 
+
+def test_clock_from_config():
     assert isinstance(pipeline_settings({})["clock"], SystemClock)
     clock = pipeline_settings(
         {"clock": {"kind": "accelerated", "start": "2020-04-17T00:00:00.000Z", "factor": 100}}
@@ -102,6 +104,8 @@ def test_pipeline_settings_builds_the_rotation_policy_clock_and_retry_policy():
     with pytest.raises(ValueError):
         pipeline_settings({"clock": {"kind": "lunar"}})
 
+
+def test_retry_from_config():
     assert pipeline_settings({})["retry"] == RetryPolicy()
     assert pipeline_settings({"retry": {"max_attempts": 2}})["retry"] == RetryPolicy()._replace(
         max_attempts=2)
