@@ -179,5 +179,13 @@ class StateStore:
         append_event(self.dir, {"event": "stage", "segment": name, "stage": stage, "error": error})
         self._entries[name] = SegmentEntry(name, stage, error)
 
+    def stage(self, name: str) -> str:
+        """*name*'s stage: ``recorded`` for a segment the log has no line of."""
+        return self._entries.get(name, SegmentEntry(name, RECORDED)).stage
+
     def flag(self, name: str, error: str) -> None:
-        self.set_stage(name, self._entries[name].stage, error)
+        self.set_stage(name, self.stage(name), error)
+
+    def unfinished(self) -> list[SegmentEntry]:
+        """The entries not yet ``converted``, or flagged with an error."""
+        return [e for e in self._entries.values() if e.stage != CONVERTED or e.error is not None]

@@ -36,7 +36,7 @@ import shutil
 import threading
 from datetime import date
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .classify import REPORT_NAME, route
 from .convert import REORDER_WINDOW, ReorderOverflow, export, export_formats, merge_sort
@@ -103,18 +103,21 @@ _NESTED = {
     "clock": {"kind": None, "start": None, "factor": "float"},
     "retry": {"max_attempts": "int", "initial_delay_s": "float", "max_delay_s": "float"},
 }
-# The bound of each number, beyond json_number's rule; RotationPolicy bounds its interval.
-_BOUNDS = {"gap_threshold_s": ">= 0", "flush_interval_s": ">= 0", "replay_speed": ">= 0",
-           "max_workers": "> 0", "retry.max_attempts": "> 0", "retry.initial_delay_s": ">= 0",
-           "retry.max_delay_s": ">= 0", "clock.factor": "> 0"}
+# The range of each number, ends included (None: no upper end), beyond json_number's rule;
+# RotationPolicy bounds its interval.  Sleeps and clock and replay paces stay within time_t.
+_BOUNDS = {"gap_threshold_s": (0, None), "flush_interval_s": (0, None),
+           "replay_speed": (0, 1_000_000), "max_workers": (1, None), "retry.max_attempts": (1, None),
+           "retry.initial_delay_s": (0, 86_400), "retry.max_delay_s": (0, 86_400),
+           "clock.factor": (0.001, 1_000_000)}
 
 
 def _config_number(path: str, value, kind: str) -> int | float:
     number = json_number(value, f"config key {path!r}", kind)
-    bound = _BOUNDS.get(path)
-    if bound is None or (number > 0 if bound == "> 0" else number >= 0):
+    low, high = _BOUNDS.get(path, (number, None))
+    if low <= number and (high is None or number <= high):
         return number
-    raise ValueError(f"config key {path!r} must be {bound}: {value!r}")
+    raise ValueError(f"config key {path!r} must be >= {low}"
+                     f"{'' if high is None else f' and <= {high}'}: {value!r}")
 
 
 def _clock(kind: str = "system", start: str | None = None, **factor) -> Clock:
@@ -155,8 +158,11 @@ def pipeline_settings(config: dict) -> dict:
     for key, build in (("rotation", RotationPolicy), ("clock", _clock), ("retry", RetryPolicy)):
         spec = config.get(key, {})
         if key == "rotation" and type(spec) is str:  # "utc-midnight" or an interval such as "6h"
-            spec = {} if spec == "utc-midnight" else {"mode": "fixed-interval",
-                                                      "interval_s": parse_duration(spec)}
+            try:
+                spec = {} if spec == "utc-midnight" else {"mode": "fixed-interval",
+                                                          "interval_s": parse_duration(spec)}
+            except ValueError as exc:
+                raise ValueError(f"config key 'rotation': {exc}") from None
         if type(spec) is not dict:
             raise ValueError(f"config key {key!r} must be "
                              f"{'a text or ' if key == 'rotation' else ''}an object: {spec!r}")
@@ -166,6 +172,9 @@ def pipeline_settings(config: dict) -> dict:
         arguments = {name: value if kinds[name] is None else
                      _config_number(f"{key}.{name}", value, kinds[name])
                      for name, value in spec.items()}
+        if key == "clock" and spec.get("kind", "system") == "system":
+            for name in sorted(spec.keys() - {"kind"}):
+                raise ValueError(f"config key 'clock.{name}' is read by an accelerated clock only")
         try:
             settings[key] = build(**arguments)
         except ValueError as exc:  # the class's own check of a value
@@ -223,44 +232,45 @@ def convert_classified(classified_dir: Path, out_dir: Path, formats: tuple[str, 
 
 
 def process_segment(session_dir: Path, segment_name: str, settings: dict, state: StateStore,
-                    hooks: Hooks, *, start_stage: str = RECORDED) -> None:
-    """Run classify -> parse -> convert for one closed segment.
+                    hooks: Hooks) -> None:
+    """Run classify -> parse -> convert for one closed segment, skipping
+    classify once *state* has it classified and its directory is in place.
 
-    Stage outputs land in a temp directory that is renamed into place
-    just before the state transition is persisted, so a crash at any
-    point leaves either the old stage boundary or the new one — never a
-    half-visible directory.
-    """
+    Each stage is built in a temp directory that is renamed into place just
+    before its stage line is appended, so a crash at any point leaves the old
+    stage boundary or the new one, never a half-visible directory.  A failure
+    logs ``event=processing_failed`` and flags the segment; a ``BaseException``
+    (a crash) propagates."""
     session_dir = Path(session_dir)
     stem = Path(segment_name).stem
     classified_dir = session_dir / "classified" / stem
-    exports_dir = session_dir / "exports" / stem
 
-    if start_stage == RECORDED or not classified_dir.exists():
-        tmp = session_dir / "classified" / f".tmp-{stem}"
+    def publish(kind: str, stage: str, hook: str, build: Callable[[Path], Any]) -> Any:
+        final, tmp = session_dir / kind / stem, session_dir / kind / f".tmp-{stem}"
         if tmp.exists():
             shutil.rmtree(tmp)
-        route(session_dir / segment_name, tmp, quarantine_invalid=settings["quarantine_invalid"])
-        hooks.fire("mid-classify")
-        if classified_dir.exists():
-            shutil.rmtree(classified_dir)
-        os.replace(tmp, classified_dir)
-        state.set_stage(segment_name, CLASSIFIED)
+        result = build(tmp)
+        hooks.fire(hook)
+        if final.exists():
+            shutil.rmtree(final)
+        os.replace(tmp, final)
+        state.set_stage(segment_name, stage)
+        return result
 
-    tmp = session_dir / "exports" / f".tmp-{stem}"
-    if tmp.exists():
-        shutil.rmtree(tmp)
-    counts = convert_classified(
-        classified_dir, tmp, tuple(settings["formats"]), hooks, session_id=state.session_id,
-        gap_threshold_s=settings["gap_threshold_s"], open_time=segment_open_time(segment_name),
-    )["record_counts"]
-    hooks.fire("mid-convert")
-    if exports_dir.exists():
-        shutil.rmtree(exports_dir)
-    os.replace(tmp, exports_dir)
-    state.set_stage(segment_name, CONVERTED)
-    logger.info("segment=%s stage=converted records=%d errors=%d quarantined=%d", segment_name,
-                counts["gps_fix"] + counts["loran"], counts["parse_errors"], counts["quarantined"])
+    try:
+        if state.stage(segment_name) == RECORDED or not classified_dir.exists():
+            publish("classified", CLASSIFIED, "mid-classify", lambda tmp: route(
+                session_dir / segment_name, tmp, quarantine_invalid=settings["quarantine_invalid"]))
+        counts = publish("exports", CONVERTED, "mid-convert", lambda tmp: convert_classified(
+            classified_dir, tmp, tuple(settings["formats"]), hooks, session_id=state.session_id,
+            gap_threshold_s=settings["gap_threshold_s"], open_time=segment_open_time(segment_name),
+        ))["record_counts"]
+    except Exception as exc:
+        logger.error("event=processing_failed segment=%s error=%s", segment_name, json.dumps(str(exc)))
+        state.flag(segment_name, str(exc))
+    else:
+        logger.info("segment=%s stage=converted records=%d errors=%d quarantined=%d", segment_name,
+                    counts["gps_fix"] + counts["loran"], counts["parse_errors"], counts["quarantined"])
 
 
 # --- the long-running pipeline ----------------------------------------------
@@ -303,21 +313,12 @@ def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
         from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
         executor = ThreadPoolExecutor(max_workers=settings["max_workers"])
 
-    def safe_process(name: str) -> None:
-        try:
-            process_segment(session.dir, name, settings, state, hooks)
-        except Exception as exc:
-            logger.error("event=processing_failed segment=%s error=%s", name, json.dumps(str(exc)))
-            state.flag(name, str(exc))
-
     def submit(name: str) -> None:
         state.add_segment(name)
-        if not settings["process_segments"]:
-            return
-        if executor is None:
-            safe_process(name)
-        else:
-            executor.submit(safe_process, name)
+        if executor is not None:
+            executor.submit(process_segment, session.dir, name, settings, state, hooks)
+        elif settings["process_segments"]:
+            process_segment(session.dir, name, settings, state, hooks)
 
     fatal = interrupted = False
     stop_on_eof = (settings["on_eof"] == "stop" or endpoint is None  # an injected source
@@ -369,8 +370,7 @@ def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
         return 130
     if fatal:
         return 1
-    if settings["process_segments"] and any(e.stage != CONVERTED or e.error is not None
-                                            for e in state.entries):
+    if settings["process_segments"] and state.unfinished():
         return 2
     return 0
 
@@ -424,16 +424,7 @@ def recover(session_dir: Path, *, hooks: Hooks | None = None) -> int:
     for stray in [*session_dir.glob("classified/.tmp-*"), *session_dir.glob("exports/.tmp-*")]:
         shutil.rmtree(stray)
 
-    failures = 0
-    for entry in state.entries:
-        if entry.stage == CONVERTED and entry.error is None:
-            continue
-        start_stage = CLASSIFIED if entry.stage in (CLASSIFIED, CONVERTED) else RECORDED
+    for entry in state.unfinished():
         logger.info("event=reprocess segment=%s stage=%s", entry.name, entry.stage)
-        try:
-            process_segment(session_dir, entry.name, settings, state, hooks, start_stage=start_stage)
-        except Exception as exc:
-            logger.error("event=recovery_failed segment=%s error=%s", entry.name, json.dumps(str(exc)))
-            state.flag(entry.name, str(exc))
-            failures += 1
-    return 2 if failures else 0
+        process_segment(session_dir, entry.name, settings, state, hooks)
+    return 2 if state.unfinished() else 0

@@ -367,22 +367,28 @@ def test_run_rejects_a_rotation_interval_of_no_whole_ms(tmp_path, capsys, interv
     ("retry.initial_delay_s", math.inf), ("retry.initial_delay_s", math.nan),
     ("clock.factor", math.inf), ("clock.factor", math.nan), ("clock.factor", 0),
     ("rotation.bogus", 1), ("retry.bogus", 1), ("session_id", ".."), ("session_id", "a/b"),
+    ("retry.initial_delay_s", 1e300), ("retry.max_delay_s", 1e300), ("replay_speed", 1e308),
+    ("clock.factor", {"kind": "accelerated", "start": "2020-04-17T00:00:00.000Z", "factor": 1e300}),
+    ("clock.factor", {"kind": "accelerated", "start": "2020-04-17T00:00:00.000Z", "factor": 1e-300}),
+    ("rotation", "abc"), ("clock.start", "x"), ("clock.start", {"kind": "system", "start": "x"}),
+    ("clock.factor", {"kind": "system", "factor": 2.0}),
 ])
 def test_run_rejects_a_wrong_typed_config_value_before_capture(tmp_path, capsys, path, value):
     """A config value of the wrong type or out of range is an error naming
     its key path (``retry.max_attempts`` is that key of the ``retry``
-    object), found before the session directory is made."""
+    object, whose other keys an object value gives), found before the
+    session directory is made."""
     stream_path = tmp_path / "stream.bin"
     stream_path.write_bytes(gga_line() + b"\r\n")
     config = {"source": f"replay:{stream_path}", "out_dir": str(tmp_path / "sessions"),
               "replay_speed": 0, "inline_processing": True}
     key, _, name = path.partition(".")
-    config[key] = {name: value} if name else value
+    config[key] = {name: value} if name and type(value) is not dict else value
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))  # Infinity and NaN as JSON's readers take them
     assert main(["run", "--config", str(config_path)]) == 1
     err = capsys.readouterr().err
-    assert f"error: config key {path!r} " in err
+    assert f"error: config key {path!r}" in err  # the quotes end the path
     assert "Traceback" not in err
     assert not (tmp_path / "sessions").exists()
 
@@ -498,6 +504,17 @@ GPS_JSON = (
         # the range checks the parser makes hold for records read back too
         ("timeline_gps.csv", GPS_HEADER + GPS_ROW + GPS_ROW.replace("37.0", "-90.5"), 3,
          "latitude out of range: -90.5"),
+        ("timeline_gps.csv", GPS_HEADER + GPS_ROW.replace("127.0", "180.5"), 2,
+         "longitude out of range: 180.5"),
+        ("timeline_gps.csv", GPS_HEADER + GPS_ROW.replace(",1,8,", ",-1,8,"), 2,
+         "fix_quality must be non-negative: -1"),
+        ("timeline_gps.jsonl", GPS_JSON.replace('"num_sats":8', '"num_sats":-8'), 1,
+         "num_sats must be non-negative: -8"),
+        ("timeline_gps.csv", GPS_HEADER + GPS_ROW.replace(",0.9", ",-0.9"), 2,
+         "hdop must be non-negative: -0.9"),
+        ("timeline_gps.jsonl", GPS_JSON.replace('"lat_deg":37.0,"lon_deg":127.0',
+                                                '"lat_deg":null,"lon_deg":null'), 1,
+         "positive fix_quality requires a position"),
         ("timeline_loran.csv", LORAN_HEADER + LORAN_ROW.replace("9930", "3999"), 2,
          "GRI designator out of range: 3999"),
         ("timeline_loran.csv", LORAN_HEADER + LORAN_ROW.replace(",M,", ",Q,"), 2,
@@ -526,7 +543,9 @@ GPS_JSON = (
          "malformed hdop: ' 0.9'"),
     ],
     ids=["short-row", "long-row", "missing-column", "json-not-object", "json-number-timestamp",
-         "csv-nan", "json-infinity", "csv-latitude", "csv-gri", "csv-role", "json-toa",
+         "csv-nan", "json-infinity", "csv-latitude", "csv-longitude", "csv-negative-quality",
+         "json-negative-sats", "csv-negative-hdop", "json-quality-without-position",
+         "csv-gri", "csv-role", "json-toa",
          "csv-float-gri", "json-float-gri", "csv-bool-quality", "json-bool-quality",
          "json-float-sats", "json-bool-snr", "json-bool-latitude", "csv-separator-gri",
          "csv-spaced-hdop"],

@@ -8,6 +8,7 @@ import shutil
 import socket
 import subprocess
 import sys
+import threading
 import time as time_mod
 import tracemalloc
 from pathlib import Path
@@ -320,14 +321,14 @@ def test_process_segment_resumes_from_classified(tmp_path):
     settings = pipeline_settings({})
     process_segment(session_dir, name, settings, state, Hooks())
 
-    # wipe exports, keep classified, restart from the classified stage
+    # wipe exports, keep classified: the state's stage restarts it from classified
     stem = "raw_20200417T120000Z"
     shutil.rmtree(session_dir / "exports" / stem)
     state.set_stage(name, CLASSIFIED)
     hooks = Hooks()
     fired = []
     hooks.on("mid-classify", lambda count: fired.append(count))
-    process_segment(session_dir, name, settings, state, hooks, start_stage=CLASSIFIED)
+    process_segment(session_dir, name, settings, state, hooks)
     assert fired == []  # classification was not redone
     assert (session_dir / "exports" / stem / MANIFEST_NAME).exists()
     assert state.entries[0].stage == CONVERTED
@@ -506,6 +507,76 @@ def test_run_pipeline_reconnect_exhaustion_records_gap(tmp_path):
     assert all(entry.stage == CONVERTED for entry in state.entries)
     manifest = read_json(session_dir / "exports" / state.entries[0].name[:-4] / MANIFEST_NAME)
     assert manifest["record_counts"]["gps_fix"] == len(truth.gps)
+
+
+def test_run_pipeline_reconnects_after_a_drop(tmp_path, caplog):
+    """A TCP source that drops and comes back is reopened: one drop line,
+    one gap event for the outage, and the raw bytes are what the two
+    connections sent, in order.  The run ends as Ctrl-C ends it, once
+    every byte is on disk."""
+    caplog.set_level(logging.INFO, logger="gpsloran")
+    part_a, part_b = lines_block_one(), lines_block_two()
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10.0)
+
+    def serve():
+        with listener:
+            for part in (part_a, part_b):
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(10.0)
+                    conn.sendall(part)
+                    if part is part_b:
+                        conn.recv(1)  # held open until the capture closes it
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    session_dir = tmp_path / "unit"
+
+    def stop_once_captured(count):
+        if sum(p.stat().st_size for p in session_dir.glob("raw_*.log")) == len(part_a + part_b):
+            raise KeyboardInterrupt
+
+    hooks = Hooks()
+    hooks.on("mid-capture", stop_once_captured)
+    config = base_config(tmp_path, source=f"tcp:127.0.0.1:{listener.getsockname()[1]}",
+                         on_eof="reconnect", rotation="24h", flush_interval_s=0.0,
+                         retry={"max_attempts": 2, "initial_delay_s": 0.01})
+    assert run_pipeline(config, hooks=hooks) == 130
+    server.join(timeout=10.0)
+    assert not server.is_alive()
+    assert [m for m in caplog.messages if "event=source_dropped" in m] == [
+        'event=source_dropped next=reconnect reason="connection closed by peer"']
+    gaps = [e for e in read_events(session_dir) if e["event"] == "gap"]
+    assert [gap["reason"] for gap in gaps] == ["reconnected after drop"]
+    raw = b"".join(p.read_bytes() for p in sorted(session_dir.glob("raw_*.log")))
+    assert raw == part_a + part_b
+
+
+def test_run_pipeline_captures_a_serial_device(tmp_path):
+    """``serial:<path>`` captures a device's bytes as given.  The device is
+    a FIFO whose writer is open before capture opens it, so capture sees
+    no end of input before the bytes; closing the writer ends the run."""
+    fifo = tmp_path / "ttyS0"
+    os.mkfifo(fifo)
+    writer = os.open(fifo, os.O_RDWR)  # Linux opens a FIFO so without waiting for a reader
+    os.write(writer, lines_block_one())
+
+    def end_of_input(count):  # the written bytes stay readable after the close
+        if count == 1:
+            os.close(writer)
+
+    hooks = Hooks()
+    hooks.on("mid-capture", end_of_input)
+    codes = []
+    config = base_config(tmp_path, source=f"serial:{fifo}", rotation="24h")
+    capture = threading.Thread(target=lambda: codes.append(run_pipeline(config, hooks=hooks)),
+                               daemon=True)
+    capture.start()
+    capture.join(timeout=10.0)
+    assert codes == [0]
+    raw = b"".join(p.read_bytes() for p in sorted((tmp_path / "unit").glob("raw_*.log")))
+    assert raw == lines_block_one()
 
 
 # --- crash recovery -------------------------------------------------------------
@@ -957,7 +1028,7 @@ def test_log_messages_split_into_key_value_pairs(tmp_path, caplog, monkeypatch):
     (corrupt / "raw_20200417T120000Z.log").write_bytes(lines_block_one())
     (corrupt / STATE_NAME).write_text("{not json")
     assert recover(corrupt) == 1
-    # finalize_interrupted_capture, reprocess, recovery_failed
+    # finalize_interrupted_capture, reprocess, processing_failed
     orphan = tmp_path / "e"
     orphan.mkdir()
     (orphan / "raw_20200417T120000Z.log").write_bytes(lines_block_one())
@@ -991,12 +1062,16 @@ def test_log_messages_split_into_key_value_pairs(tmp_path, caplog, monkeypatch):
             events.add(pairs.get("event"))
     assert events >= {
         "startup_failed", "processing_failed", "source_ended", "source_dropped",
-        "reconnect_failed", "fatal_capture_error", "cannot_resume", "recovery_failed",
+        "reconnect_failed", "fatal_capture_error", "cannot_resume",
         "finalize_interrupted_capture", "reprocess", "digest_pending",
         "client_connected", "client_left",
     }
     failed = [r for r in caplog.records if "event=processing_failed" in r.getMessage()]
     assert key_value_pairs(failed[0].getMessage())["error"] == 'bad "input"\nhere'
+    # case e's recovery logs its failure after the segment's reprocess line
+    missing = [pairs["event"] for pairs in map(key_value_pairs, caplog.messages)
+               if pairs and pairs.get("segment") == "raw_20200417T110000Z.log"]
+    assert missing == ["reprocess", "processing_failed"]
 
 
 # --- the reorder window ----------------------------------------------------------
