@@ -18,10 +18,11 @@ purely through the filesystem:
 A segment's ``segment_closed`` event records it; each later stage
 transition appends one fsynced ``stage`` line to the same log, and stage
 outputs are built in a temp directory and renamed into place, so after a
-crash each segment is either cleanly at its recorded stage boundary or
-has leftovers that recovery discards.  ``recover()`` reprocesses every
-segment stuck before ``converted`` from its last completed stage;
-processing is deterministic, so reprocessing is byte-identical.
+crash each segment is cleanly at its recorded stage boundary, with at
+most a stale temp directory that the stage's next build replaces.
+``recover()`` reprocesses every segment stuck before ``converted`` from
+its last completed stage; processing is deterministic, so reprocessing
+is byte-identical.
 
 Scheduling consults an injectable clock, which makes day-scale rotation
 testable in milliseconds.
@@ -284,20 +285,26 @@ def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
     stopped by an interrupt (Ctrl-C), which closes the session as an ended
     source does.
     """
-    from .record import (CaptureSession, SourceClosed, SourceEndpoint, SourceKind,
-                         SourceUnavailable, open_source)
+    from .record import (CaptureSession, FileReplaySource, SourceClosed, SourceUnavailable,
+                         open_source)
     hooks = hooks or Hooks()
     settings = pipeline_settings(config)
     clock = clock or settings["clock"]
 
-    endpoint: SourceEndpoint | None = None
-    if source is None:
-        endpoint = SourceEndpoint.from_text(config["source"], settings["replay_speed"])
+    def connect():
         try:
-            source = open_source(endpoint, clock, settings["retry"])
+            return open_source(config["source"], clock, settings["retry"], settings["replay_speed"])
+        except ValueError as exc:
+            raise ValueError(f"config key 'source': {exc}") from None
+
+    stop_on_eof = settings["on_eof"] == "stop" or source is not None  # an injected source
+    if source is None:
+        try:
+            source = connect()
         except SourceUnavailable as exc:
             logger.error("event=startup_failed error=%s", json.dumps(str(exc)))
             return 1
+        stop_on_eof |= isinstance(source, FileReplaySource)  # a replay cannot be reopened
 
     session = CaptureSession(
         Path(config["out_dir"]), session_id=config.get("session_id"),
@@ -321,8 +328,6 @@ def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
             process_segment(session.dir, name, settings, state, hooks)
 
     fatal = interrupted = False
-    stop_on_eof = (settings["on_eof"] == "stop" or endpoint is None  # an injected source
-                   or endpoint.kind is SourceKind.REPLAY)  # cannot be reopened
     try:
         while True:
             now = clock.now()
@@ -341,7 +346,7 @@ def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
                 logger.warning("event=source_dropped next=reconnect reason=%s", json.dumps(str(exc)))
                 source.close()
                 try:
-                    source = open_source(endpoint, clock, settings["retry"])
+                    source = connect()
                 except SourceUnavailable as retry_exc:
                     logger.error("event=reconnect_failed error=%s", json.dumps(str(retry_exc)))
                     session.record_gap(drop_time, clock.now(), f"lost source: {retry_exc}")
@@ -420,9 +425,6 @@ def recover(session_dir: Path, *, hooks: Hooks | None = None) -> int:
             logger.info("event=finalize_interrupted_capture segment=%s", name)
             _finalize_orphan(session_dir, name, state.open_times.get(name))
             state.add_segment(name)
-
-    for stray in [*session_dir.glob("classified/.tmp-*"), *session_dir.glob("exports/.tmp-*")]:
-        shutil.rmtree(stray)
 
     for entry in state.unfinished():
         logger.info("event=reprocess segment=%s stage=%s", entry.name, entry.stage)

@@ -31,7 +31,6 @@ import logging
 import math
 import os
 from contextlib import suppress
-from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Protocol
 
@@ -51,34 +50,6 @@ class SourceClosed(Exception):
 
 class SourceUnavailable(Exception):
     """The source could not be opened within the retry budget."""
-
-
-class SourceKind(str, Enum):
-    SERIAL = "serial"
-    TCP = "tcp"
-    REPLAY = "replay"
-
-
-class SourceEndpoint:
-    """Where bytes come from: a device path, host:port, or file to replay."""
-
-    def __init__(self, kind: SourceKind, address: str, replay_speed: float = 1.0) -> None:
-        if not address:
-            raise ValueError("source address must be non-empty")
-        if kind is SourceKind.TCP and ":" not in address:
-            raise ValueError(f"tcp address must be host:port, got {address!r}")
-        self.kind, self.address, self.replay_speed = kind, address, replay_speed
-
-    @classmethod
-    def from_text(cls, text: str, replay_speed: float = 1.0) -> "SourceEndpoint":
-        """Parse ``kind:address``, e.g. ``tcp:localhost:4001`` or
-        ``replay:/data/raw.log``."""
-        kind_text, _, address = text.partition(":")
-        try:
-            kind = SourceKind(kind_text)
-        except ValueError:
-            raise ValueError(f"unknown source kind in {text!r}") from None
-        return cls(kind=kind, address=address, replay_speed=replay_speed)
 
 
 class RotationPolicy:
@@ -222,31 +193,34 @@ class RetryPolicy(NamedTuple):
     max_delay_s: float = 30.0
 
     def delays(self):
-        delay = self.initial_delay_s
+        delay = min(self.initial_delay_s, self.max_delay_s)
         for _ in range(self.max_attempts - 1):
             yield delay
             delay = min(delay * 2, self.max_delay_s)
 
 
-def open_source(endpoint: SourceEndpoint, clock: Clock | None = None,
-                retry: RetryPolicy = RetryPolicy()) -> ByteSource:
-    """Open the endpoint's byte source, retrying with backoff before
-    declaring it unavailable."""
+def open_source(text: str, clock: Clock | None = None, retry: RetryPolicy = RetryPolicy(),
+                replay_speed: float = 1.0) -> ByteSource:
+    """Open the byte source *text* names, retrying with backoff before
+    declaring it unavailable.  *text* is ``tcp:<host>:<port>`` (a port from
+    1 to 65535), ``serial:<device>`` or ``replay:<file>``; any other text is
+    a ``ValueError`` before the first attempt."""
     clock = clock or SystemClock()
-    last_error: Exception | None = None
+    kind, _, address = text.partition(":")
+    host, _, port = address.rpartition(":")
+    opener = {"tcp": lambda: TcpSource(address), "serial": lambda: SerialSource(address),
+              "replay": lambda: FileReplaySource(address, replay_speed, clock)}.get(kind)
+    if opener is None or not address or kind == "tcp" and not (
+            host and port.isascii() and port.isdigit() and 0 < int(port) < 65536):
+        raise ValueError("source must be tcp:<host>:<port> (port 1 to 65535), serial:<device> "
+                         f"or replay:<file>: {text!r}")
     for delay in (*retry.delays(), None):  # one attempt more than waits
         try:
-            if endpoint.kind is SourceKind.TCP:
-                return TcpSource(endpoint.address)
-            if endpoint.kind is SourceKind.SERIAL:
-                return SerialSource(endpoint.address)
-            return FileReplaySource(endpoint.address, endpoint.replay_speed, clock)
+            return opener()
         except OSError as exc:
-            last_error = exc
-            if delay is not None:
-                clock.sleep(delay)
-    raise SourceUnavailable(f"cannot open {endpoint.kind.value} source {endpoint.address!r}: "
-                            f"{last_error}")
+            if delay is None:
+                raise SourceUnavailable(f"cannot open {kind} source {address!r}: {exc}") from None
+            clock.sleep(delay)
 
 
 # --- capture session --------------------------------------------------------

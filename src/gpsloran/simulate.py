@@ -61,6 +61,13 @@ logger = logging.getLogger(__name__)
 _POSITION = frozenset({"lat", "lon", "alt_m", "noise_sigma_deg", "noise_sigma_alt_m"})
 
 
+def _check_rate(name: str, rate: float) -> None:
+    # Event times are whole milliseconds: a rate that is not positive never ends the
+    # stream, and one above 1000 Hz repeats instants (at 1e300 Hz, t=0 forever).
+    if not 0 < rate <= 1000:
+        raise ValueError(f"{name} must be positive and at most 1000: {rate!r}")
+
+
 def _check_numbers(spec) -> None:
     """Hold each ``"int"`` and ``"float"`` field (annotations are text here)
     to :func:`json_number`."""
@@ -108,11 +115,9 @@ class StationSpec:
 
     def __post_init__(self) -> None:
         _check_numbers(self)
-        # parse's checks of a $PLRM line, so the ground truth holds only what the
-        # pipeline keeps; a rate that is not positive never ends the stream.
+        # parse's checks of a $PLRM line, so the ground truth holds only what the pipeline keeps
         loran_values(self.gri, self.role, 0.0, 0.0, self.ecd_us)
-        if not self.rate_hz > 0:
-            raise ValueError(f"rate_hz must be positive: {self.rate_hz!r}")
+        _check_rate("rate_hz", self.rate_hz)
         for name in ("toa_profile", "snr_profile"):
             try:
                 setattr(self, name, PiecewiseLinear(getattr(self, name)))
@@ -153,9 +158,11 @@ class Scenario:
 
     def __post_init__(self) -> None:
         _check_numbers(self)
-        for name in ("duration_s", "gps_rate_hz"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive: {getattr(self, name)!r}")
+        if not self.duration_s > 0:
+            raise ValueError(f"duration_s must be positive: {self.duration_s!r}")
+        _check_rate("gps_rate_hz", self.gps_rate_hz)
+        if 0 < self.zda_period_s < 0.001:  # a step under 1 ms may round to none
+            raise ValueError(f"zda_period_s must be >= 0.001 or <= 0: {self.zda_period_s!r}")
         check_fix(self.lat, self.lon, self.fix_quality, 0, None)
 
     @classmethod

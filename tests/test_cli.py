@@ -372,12 +372,15 @@ def test_run_rejects_a_rotation_interval_of_no_whole_ms(tmp_path, capsys, interv
     ("clock.factor", {"kind": "accelerated", "start": "2020-04-17T00:00:00.000Z", "factor": 1e-300}),
     ("rotation", "abc"), ("clock.start", "x"), ("clock.start", {"kind": "system", "start": "x"}),
     ("clock.factor", {"kind": "system", "factor": 2.0}),
+    ("source", "tcp:host:abc"), ("source", "tcp::"), ("source", "tcp:127.0.0.1:-1"),
+    ("source", "tcp:127.0.0.1:70000"), ("source", "ftp:host:1"), ("source", "replay:"),
 ])
 def test_run_rejects_a_wrong_typed_config_value_before_capture(tmp_path, capsys, path, value):
-    """A config value of the wrong type or out of range is an error naming
-    its key path (``retry.max_attempts`` is that key of the ``retry``
-    object, whose other keys an object value gives), found before the
-    session directory is made."""
+    """A config value of the wrong type or out of range, or a source text
+    that names no source, is an error naming its key path
+    (``retry.max_attempts`` is that key of the ``retry`` object, whose other
+    keys an object value gives), found before the session directory is
+    made."""
     stream_path = tmp_path / "stream.bin"
     stream_path.write_bytes(gga_line() + b"\r\n")
     config = {"source": f"replay:{stream_path}", "out_dir": str(tmp_path / "sessions"),

@@ -334,6 +334,23 @@ def test_process_segment_resumes_from_classified(tmp_path):
     assert state.entries[0].stage == CONVERTED
 
 
+def test_process_segment_builds_each_stage_from_an_empty_temp_directory(tmp_path):
+    """A crash can leave a stage's temp directory half built; the stage's next
+    build replaces it, so nothing stale reaches the published directory."""
+    session_dir, name, state = make_session_dir(tmp_path)
+    stem = "raw_20200417T120000Z"
+    for kind in ("classified", "exports"):
+        stale = session_dir / kind / f".tmp-{stem}"
+        stale.mkdir(parents=True)
+        (stale / "stale.txt").write_text("left by a crash")
+    process_segment(session_dir, name, pipeline_settings({}), state, Hooks())
+    assert state.entries[0].stage == CONVERTED
+    for kind in ("classified", "exports"):
+        assert (session_dir / kind / stem).is_dir()
+        assert not (session_dir / kind / stem / "stale.txt").exists()
+        assert not list((session_dir / kind).glob(".tmp-*"))
+
+
 # --- the full pipeline loop --------------------------------------------------------
 
 

@@ -2,8 +2,10 @@ import calendar
 import errno
 import hashlib
 import json
+import os
 import random
 import socket
+import struct
 import sys
 import threading
 import time
@@ -18,9 +20,8 @@ from gpsloran.record import (
     FileReplaySource,
     RetryPolicy,
     RotationPolicy,
+    SerialSource,
     SourceClosed,
-    SourceEndpoint,
-    SourceKind,
     SourceUnavailable,
     TcpSource,
     open_source,
@@ -389,18 +390,19 @@ def test_a_close_event_that_cannot_be_written_does_not_stop_rotation(
 # --- sources --------------------------------------------------------------------
 
 
-def test_endpoint_parsing():
-    ep = SourceEndpoint.from_text("tcp:localhost:4001")
-    assert ep.kind is SourceKind.TCP
-    assert ep.address == "localhost:4001"
-    ep = SourceEndpoint.from_text("replay:/data/raw.log")
-    assert ep.kind is SourceKind.REPLAY
-    ep = SourceEndpoint.from_text("serial:/dev/ttyUSB0")
-    assert ep.kind is SourceKind.SERIAL
-    with pytest.raises(ValueError):
-        SourceEndpoint.from_text("ftp:host:1")
-    with pytest.raises(ValueError):
-        SourceEndpoint.from_text("tcp:just-a-host")
+@pytest.mark.parametrize("text", [
+    "ftp:host:1", "tcp:just-a-host", "tcp:host:abc", "tcp::", "tcp::4001", "tcp:127.0.0.1:-1",
+    "tcp:127.0.0.1:0", "tcp:127.0.0.1:65536", "tcp:127.0.0.1:+80", "tcp:127.0.0.1:٨٠",
+    "serial:", "replay:", "replay", "", "injected",
+])
+def test_open_source_rejects_a_malformed_text_before_any_attempt(text):
+    """Only ``tcp:<host>:<port>`` with a port from 1 to 65535,
+    ``serial:<device>`` and ``replay:<file>``, each with an address, name a
+    source; any other text fails at once, with no backoff wait."""
+    clock = ManualClock(START)
+    with pytest.raises(ValueError, match="source must be tcp:<host>:<port>"):
+        open_source(text, clock=clock, retry=RetryPolicy(max_attempts=3, initial_delay_s=0.5))
+    assert clock.now() == START_MS
 
 
 def test_replay_source_unpaced_returns_everything(tmp_path):
@@ -470,19 +472,64 @@ def test_tcp_source_reads_then_closes():
     assert got == b"$GPGGA,from-tcp\r\n"
 
 
+def tcp_pair():
+    """A connected (TcpSource, server-side socket) pair on loopback."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        host, port = server.getsockname()
+        source = TcpSource(f"{host}:{port}")
+        server.settimeout(5.0)
+        conn, _ = server.accept()
+    return source, conn
+
+
+def test_tcp_source_read_times_out_empty():
+    source, conn = tcp_pair()
+    try:
+        assert source.read(4096, timeout=0.05) == b""  # connected, nothing sent
+        conn.sendall(b"$GPGGA,late\r\n")
+        assert source.read(4096, timeout=5.0) == b"$GPGGA,late\r\n"
+    finally:
+        conn.close()
+        source.close()
+
+
+def test_tcp_source_reset_by_peer_is_a_lost_connection():
+    source, conn = tcp_pair()
+    # SO_LINGER (on, 0 s) makes close() send a reset instead of an orderly FIN
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    conn.close()
+    try:
+        with pytest.raises(SourceClosed, match="^connection lost: "):
+            source.read(4096, timeout=5.0)
+    finally:
+        source.close()
+
+
+def test_serial_source_read_times_out_empty_while_the_writer_is_idle(tmp_path):
+    fifo = tmp_path / "tty"
+    os.mkfifo(fifo)
+    writer = os.open(fifo, os.O_RDWR)  # holds the FIFO open without blocking
+    source = SerialSource(str(fifo))
+    try:
+        assert source.read(4096, timeout=0.05) == b""
+        os.write(writer, b"$GPGGA,serial\r\n")
+        assert source.read(4096, timeout=5.0) == b"$GPGGA,serial\r\n"
+    finally:
+        source.close()
+        os.close(writer)
+
+
 def test_open_source_retries_then_gives_up(tmp_path):
     clock = ManualClock(START)
-    endpoint = SourceEndpoint(SourceKind.REPLAY, str(tmp_path / "missing.log"))
     retry = RetryPolicy(max_attempts=3, initial_delay_s=0.5)
     with pytest.raises(SourceUnavailable):
-        open_source(endpoint, clock=clock, retry=retry)
+        open_source(f"replay:{tmp_path / 'missing.log'}", clock=clock, retry=retry)
     # two backoff sleeps between three attempts: 0.5 + 1.0
     assert clock.now() == START_MS + 1500
 
 
 def test_open_source_recovers_when_source_appears(tmp_path):
     path = tmp_path / "late.log"
-    endpoint = SourceEndpoint(SourceKind.REPLAY, str(path))
 
     class CreatingClock(ManualClock):
         def sleep(self, seconds):
@@ -490,11 +537,14 @@ def test_open_source_recovers_when_source_appears(tmp_path):
             super().sleep(seconds)
 
     clock = CreatingClock(START)
-    source = open_source(endpoint, clock=clock, retry=RetryPolicy(max_attempts=2))
-    assert source.read(64, timeout=0.01) == b"" or True  # opened successfully
+    source = open_source(f"replay:{path}", clock=clock, retry=RetryPolicy(max_attempts=2))
+    assert isinstance(source, FileReplaySource)  # opened on the second attempt
+    assert clock.now() == START_MS + 500  # after one backoff wait
     source.close()
 
 
 def test_retry_policy_delays_double_and_cap():
     policy = RetryPolicy(max_attempts=6, initial_delay_s=1.0, max_delay_s=4.0)
     assert list(policy.delays()) == [1.0, 2.0, 4.0, 4.0, 4.0]
+    # the first wait is capped too
+    assert list(RetryPolicy(4, 10.0, 1.0).delays()) == [1.0, 1.0, 1.0]

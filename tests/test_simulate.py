@@ -83,15 +83,25 @@ def test_corruption_validation():
     {"fix_quality": True},
     {"lat": -10},
     {"stations": [{"gri": 9930, "role": "M", "rate": 5}]},
+    {"gps_rate_hz": 1e300},
+    {"gps_rate_hz": 1000.5},
+    {"stations": [{"gri": 9930, "role": "M", "rate_hz": 1e300}]},
+    {"zda_period_s": 1e-300},
+    {"zda_period_s": 0.0009},
+    {"duration_s": 0},
+    {"gps_rate_hz": 0},
 ], ids=["no-gri", "rate-0", "rate-negative", "rate-inf", "role-Q", "gri-123",
         "unknown-corruption-key", "array", "snr-nan", "snr-inf", "toa-nan", "toa-inf",
         "ecd-nan", "ecd-inf", "snr-breakpoint-nan", "snr-breakpoint-short",
         "snr-not-pairs", "seed-text", "gri-float",
-        "fix-quality-bool", "top-level-lat", "station-rate"])
+        "fix-quality-bool", "top-level-lat", "station-rate", "gps-rate-huge",
+        "gps-rate-over-1000", "rate-huge", "zda-period-tiny", "zda-period-under-1ms",
+        "duration-0", "gps-rate-0"])
 def test_a_bad_scenario_is_a_value_error(tmp_path, capsys, payload):
-    """A station whose lines parse would reject, or that would never end,
-    and a scenario of the wrong shape fail as the scenario is built, before
-    any stream is generated; ``simulate generate`` reports it as an error."""
+    """A station whose lines parse would reject, a rate or ZDA period that
+    would never end the stream (event times are whole milliseconds), and a
+    scenario of the wrong shape fail as the scenario is built, before any
+    stream is generated; ``simulate generate`` reports it as an error."""
     with pytest.raises(ValueError):
         Scenario.from_json(payload)
     scenario = tmp_path / "scenario.json"
@@ -130,6 +140,16 @@ def test_example_scenario_counts():
     assert labels.count("GPGGA") == 60
     assert labels.count("P_LRM") == 6
     assert labels.count("GPZDA") == 6
+
+
+def test_the_whole_millisecond_edges_make_one_sentence_a_millisecond():
+    """1000 Hz and a 1 ms ZDA period, the finest steps whole-millisecond
+    event times hold, are accepted and end the stream."""
+    stream, truth = generate_stream(one_station_scenario(
+        duration_s=0.01, gps_rate_hz=1000, zda_period_s=0.001,
+        stations=[StationSpec(gri=9930, role="M", rate_hz=1000)]))
+    assert len(truth.gps) == len(truth.loran) == 10
+    assert truth.emitted_sentences == 30
 
 
 def test_stream_is_deterministic_per_seed():
