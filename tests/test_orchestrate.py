@@ -1091,6 +1091,98 @@ def test_log_messages_split_into_key_value_pairs(tmp_path, caplog, monkeypatch):
     assert missing == ["reprocess", "processing_failed"]
 
 
+# --- the parse-and-export golden -------------------------------------------------
+
+
+def golden_classified(directory):
+    """A hand-built classified directory around a midnight rollover: clean
+    receiver lines, and near misses of each rule a line is parsed by."""
+    directory.mkdir(parents=True)
+    (directory / "GPZDA.txt").write_bytes(crlf(
+        zda_line(utc(2020, 4, 17, 23, 59, 50)), zda_line(utc(2020, 4, 18, 0, 0, 10))))
+    gga = [
+        gga_line(tod="235958.000", lat="3723.4567", ns="S", lon="12201.2345", ew="W"),
+        gga_line(tod="235958.000", hdop="0.90", alt="-12.5"),  # a repeated time of day
+        gga_line(tod="235959.000", lat="3760.0000"),  # minutes >= 60
+        sentence("GPGGA,235959.500,,,,,0,00,,,M,,M,,"),  # no fix
+        gga_line(tod="235959.750", lat="9100.0000"),  # dated, then out of range
+        gga_line(tod="000000.000", hdop="1_0"),
+        gga_line(tod="000000.250", alt=" 30.0"),
+        gga_line(tod="000000.500", sats=12, hdop="1.00", alt="0.0"),
+        sentence("GPGGA,000001.000,3700.0000,N,12700.0000,E,1,08,1.00,30.0,M,*,M,,"),
+        b"$GPGGA,000001.000,3700.5000,N,12700.5000,E,2,09,0.90,-0.0,M,,M,,*,x",
+        gga_line(tod="000002.000", lat=""),  # a fix needs a position
+        sentence("GPGGA,000002.000,3700.0000,N,12700.0000,E,1,08,,,M,,M,,"),
+        b"$GPGGA,000002.750,3700.0000,N,12700.0000,E,1,08,1.00,3\xb50.0,M,,M,,",
+        sentence("GPGGA,000003.000"),
+        gga_line(tod="000003"),  # not the receivers' hhmmss.sss form
+        gga_line(tod="000003.000", quality=0, lat="3700.0000", ns="N"),
+        gga_line(tod="000003.000", ns="X"),
+        b"$GPGGA,000004.000,3700.0000,N,12700.0000,E,1,08,1.00,30.0,M,,M,,\r",
+    ]
+    (directory / "GPGGA.txt").write_bytes(b"\n".join(gga) + b"\n")
+    (directory / "GNGGA.txt").write_bytes(crlf(
+        gga_line(tod="235958.000", lat="3723.4567", ns="S", lon="12201.2345", ew="W"),
+        gga_line(tod="000001.000", quality=1, sats=8, hdop="0.90", alt="-12.5")))
+    plrm = [
+        plrm_line(tod="235958.000", toa="13000.5", snr="12.0", ecd="0.0"),
+        plrm_line(tod="235958.000", role="W", toa="26000.25", ecd="-0.0"),  # repeated
+        plrm_line(tod="235958.000", role="X", toa="41000.125", snr="12.0", ecd="-0.0"),
+        plrm_line(tod="235959.000", snr="1_2.0"),
+        plrm_line(tod="235959.000", ecd=" 0.5"),
+        sentence("PLRM,235959.000,9930,M,45678.9*1,12.0,0.5"),
+        b"$PLRM,235959.500,7430,Y,30000.25,9.5,0.5*,x",
+        plrm_line(tod="000000.000", gri=7430, toa="80000.0"),  # outside the frame
+        plrm_line(tod="000000.000", gri=3000),
+        plrm_line(tod="000000.000", role="Q"),
+        plrm_line(tod="000000.000", role="Y", toa="13000.5", snr="12.0", ecd="0.0"),
+        plrm_line(tod="000000.500", snr="inf"),
+        sentence("PLRM,000000.500,99_30,M,13000.5,12.0,0.5"),
+        plrm_line(tod="000001.000", snr="12.0", ecd="0.0"),
+        plrm_line(tod="000001.000", role="W", snr="12.0", ecd="-0.0"),
+        plrm_line(tod="246000.000"),
+        sentence("PLRM,000002.000,9930,M,100.0,12.0"),
+        plrm_line(tod="000002.000", toa="1e3", snr="+5", ecd="-0"),
+        sentence("PLRM,000003.000,09930,M,100.0,12.0,0.5"),
+        sentence("PLRM,000003.000,9930,M,100.0,12.0,0.5,"),
+        b"$PLRM,000003.500,9930,M,100.0,12.0,0.5",
+        b"",
+        plrm_line(tod="000004.000", role="V", toa="99299.999", snr="-3.25", ecd="1.5"),
+    ]
+    (directory / "P_LRM.txt").write_bytes(b"\n".join(plrm) + b"\n")
+    (directory / REPORT_NAME).write_text(json.dumps({"quarantined_lines": 3}))
+
+
+# sha256 of every file convert_classified writes for golden_classified(),
+# in both formats.
+CONVERT_GOLDEN_DIGESTS = {
+    MANIFEST_NAME:
+        "b51f4477366e6aaf56fa38b9df6f1ef277603323657cf0c6f1518ebb583df2f8",
+    "parse_errors.jsonl":
+        "48acc1e572bc651988911420af5412d8869a48ea265372ca700488be61973a9c",
+    "timeline_all.csv":
+        "07b5db48884a5fe3dda1d9ececa600e568a11fd3aa24ea5c1b6b1cdaefd2293c",
+    "timeline_all.jsonl":
+        "9487be8b901388369e526c63d2d31807d5ade3269750ed1af96a1e9b3879a6b1",
+    "timeline_gps.csv":
+        "9c73ee35cc5d849c4de4099e2447aa2181ddcba818d4aca0354df4260d4bf248",
+    "timeline_gps.jsonl":
+        "f90e32bcb06d11e1ed161478dd2a002439b31439f7aee56375fa7bea6150a393",
+    "timeline_loran.csv":
+        "b73764faca52ecb237fce00c8b27e8b70893b19d5e2cedc9c5e1c72c435f0e1a",
+    "timeline_loran.jsonl":
+        "774f39b7586bc8ff2f5f00762a36742f92293e0b334ccc802176405f59f0d648",
+}
+
+
+def test_convert_classified_golden_digests(tmp_path):
+    golden_classified(tmp_path / "classified")
+    convert_classified(tmp_path / "classified", tmp_path / "exports", ("columns", "lines"),
+                       Hooks(), session_id="golden", gap_threshold_s=0.5)
+    on_disk = {path.name: sha256_file(path) for path in (tmp_path / "exports").iterdir()}
+    assert on_disk == CONVERT_GOLDEN_DIGESTS
+
+
 # --- the reorder window ----------------------------------------------------------
 
 
