@@ -19,7 +19,7 @@ is never decoded as text; framing and matching are byte-level.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, NamedTuple
@@ -87,34 +87,45 @@ def _suffix_xors(data: bytes) -> bytes:
     return fold.to_bytes(len(data) + 1, "little")
 
 
-def verify_checksum(line: bytes, xors: bytes | None = None, at: int = 0) -> ChecksumStatus:
-    """Check the trailing ``*hh`` checksum field of an NMEA-style line.
+def _checksum_states(lines: list[bytes]) -> list[str]:
+    """The :class:`ChecksumStatus` value of each of *lines*, from its trailing
+    ``*hh`` checksum field.
 
     The checksum is the XOR of all bytes strictly between ``$`` and the
     ``*`` (from the start of the line if it has no ``$``), compared
-    case-insensitively against the two hex digits after the ``*``.
+    case-insensitively against the two hex digits after the ``*``.  A line
+    without a two-character ``*``-introduced suffix is ``absent``; one whose
+    suffix is not hex or does not match is ``invalid``.  The lines within
+    ``MAX_LINE_BYTES`` are folded by one :func:`_suffix_xors` of them joined
+    by LF; a longer line ``READ_CHUNK`` bytes at a time, so a line of any
+    length costs a few chunks of memory.  Total: never raises."""
+    limit, pairs = MAX_LINE_BYTES, _HEX_PAIRS
+    xors = _suffix_xors(b"\n".join([line for line in lines if len(line) <= limit]))
+    states, at = [], 0  # where the next line within the limit starts in xors
+    for line in lines:
+        size, star = len(line), line.rfind(b"*")
+        if star == -1 or size - star != 3:
+            states.append("absent")
+        elif (expected := pairs.get(line[star + 1 :])) is None:
+            states.append("invalid")
+        else:
+            begin = line.find(b"$", 0, star) + 1
+            if size <= limit:
+                checksum = xors[at + begin] ^ xors[at + star]
+            else:
+                view, checksum = memoryview(line), 0
+                for piece in range(begin, star, READ_CHUNK):
+                    checksum ^= _suffix_xors(view[piece : min(piece + READ_CHUNK, star)])[0]
+            states.append("valid" if checksum == expected else "invalid")
+        if size <= limit:
+            at += size + 1
+    return states
 
-    Returns ABSENT when the line has no two-character ``*``-introduced
-    suffix at all, INVALID when the suffix is present but not hex or does
-    not match.  *xors* are the :func:`_suffix_xors` of a buffer holding
-    *line* at offset *at*, as :func:`route` passes its chunk's; without
-    them the line is folded ``READ_CHUNK`` bytes at a time, so a line of
-    any length costs a few chunks of memory.  Total: never raises.
-    """
-    star = line.rfind(b"*")
-    if star == -1 or len(line) - star != 3:
-        return ChecksumStatus.ABSENT
-    expected = _HEX_PAIRS.get(line[star + 1 :])
-    if expected is None:
-        return ChecksumStatus.INVALID
-    start = line.find(b"$", 0, star) + 1
-    if xors is None:
-        view, checksum = memoryview(line), 0
-        for begin in range(start, star, READ_CHUNK):
-            checksum ^= _suffix_xors(view[begin : min(begin + READ_CHUNK, star)])[0]
-    else:
-        checksum = xors[at + start] ^ xors[at + star]
-    return ChecksumStatus.VALID if checksum == expected else ChecksumStatus.INVALID
+
+def verify_checksum(line: bytes) -> ChecksumStatus:
+    """The status of the trailing ``*hh`` checksum field of an NMEA-style
+    line: :func:`_checksum_states` of the line alone.  Total: never raises."""
+    return ChecksumStatus(_checksum_states([line])[0])
 
 
 class ClassificationReport(NamedTuple):
@@ -144,7 +155,7 @@ def route(
     lines keep their segment order and exact byte content.  Re-running on
     the same segment reproduces byte-identical outputs.  The segment is
     read in ``READ_CHUNK``-byte chunks; each chunk's checksums come from
-    one :func:`_suffix_xors` of its lines and each class file gets one
+    one :func:`_checksum_states` of its lines and each class file gets one
     write per chunk, so memory stays within a few times one chunk plus the
     longest line.
 
@@ -157,10 +168,9 @@ def route(
 
     labels: dict[bytes, str] = {}  # matched header bytes -> class label
     counts: dict[str, int] = {}
-    checksum_counts = dict.fromkeys(ChecksumStatus, 0)
+    checksum_counts: Counter[str] = Counter()
     writers: dict[str, BinaryIO] = {}
     match_header = _HEADER_RE.match
-    invalid = ChecksumStatus.INVALID
     limit = MAX_LINE_BYTES
     carry: list[bytes] = []  # pieces of the unfinished line, joined once when it ends
     try:
@@ -175,22 +185,14 @@ def route(
                 if not data and tail:  # end of segment: an unterminated tail is kept verbatim
                     lines.append(tail)
                 pending: defaultdict[str, list[bytes]] = defaultdict(list)
-                # The lines as the class files hold them, less the overlong ones: a
-                # segment without LF is one such line, folded only if it ends in *hh.
-                xors = _suffix_xors(b"\n".join([line for line in lines if len(line) <= limit]))
-                at = 0  # where the next line within the limit starts in those bytes
-                for line in lines:
-                    if len(line) > limit:
-                        status = verify_checksum(line)
-                    else:
-                        status = verify_checksum(line, xors, at)
-                        at += len(line) + 1
-                    checksum_counts[status] += 1
+                states = _checksum_states(lines)
+                checksum_counts.update(states)
+                for line, state in zip(lines, states):
                     match = match_header(line)
                     if (
                         match is None
                         or len(line) > limit
-                        or (quarantine_invalid and status is invalid)
+                        or (quarantine_invalid and state == "invalid")
                     ):
                         label = QUARANTINE_LABEL
                     else:
@@ -217,7 +219,7 @@ def route(
         quarantined_lines=counts.get(QUARANTINE_LABEL, 0),
         counts=dict(sorted(counts.items())),
         output_paths={label: f"{label}.txt" for label in sorted(writers)},
-        checksum_counts={status.value: n for status, n in checksum_counts.items()},
+        checksum_counts={status.value: checksum_counts[status.value] for status in ChecksumStatus},
         trailing_unterminated=bool(tail),
     )
     atomic_write_json(out_dir / REPORT_NAME, report._asdict())

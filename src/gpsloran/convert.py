@@ -149,16 +149,31 @@ _GPS_KEYS = tuple(f',"{name}":' for name in GPS_COLUMNS[1:])
 _GPS_ALL_TAIL = "," * (len(LORAN_COLUMNS) - 1)
 _EXPORT_FILES = {fmt: [f"timeline_{kind}.{ext}" for kind in ("gps", "loran", "all")]
                  for fmt, ext in FORMAT_EXTENSIONS.items()}
+_TEXTS_HELD = 1024  # distinct values a _FloatTexts holds the text of at most
+
+
+class _FloatTexts(dict):
+    """``repr`` of each float looked up in it, held for the repeated non-zero
+    ones.  A zero is never held: ``0.0 == -0.0`` and they hash alike, but
+    their texts differ."""
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value and len(self) < _TEXTS_HELD:
+            self[value] = text
+        return text
 
 
 def _render(block: list[Record], formats: tuple[str, ...], fold: SummaryFold,
-            counts: dict[str, int]) -> dict[str, str]:
+            counts: dict[str, int], float_texts: _FloatTexts) -> dict[str, str]:
     """``{file name: text}`` of a block of records in all six export files.
-    Each distinct timestamp is formatted once, and the block's texts go to
-    *fold* for the span and gaps; each Loran record is counted in *counts*
-    by station.  A record's fields are in its export's column order, so it
-    renders by position, each value converted to text once (``None`` is an
-    empty CSV cell and a JSON ``null``).  Parsing admits finite numbers and
+    Each distinct timestamp is formatted once, with the heads of its rows,
+    and the block's texts go to *fold* for the span and gaps; each Loran
+    record is counted in *counts* by station.  A record's fields are in its
+    export's column order, so it renders by position, each value converted
+    to text once (``None`` is an empty CSV cell and a JSON ``null``); a
+    Loran record's float SNR and ECD texts come from *float_texts*, and its
+    value texts are joined once per format.  Parsing admits finite numbers and
     the ``STATION_ROLES`` letters only, so the text of a number is its JSON
     text and a role needs no escaping."""
     from .parse import LoranMeasurement  # loaded already by what parsed the block
@@ -168,29 +183,34 @@ def _render(block: list[Record], formats: tuple[str, ...], fold: SummaryFold,
     stamps = []
     gps_csv, loran_csv, all_csv, gps_json, loran_json, all_json = [], [], [], [], [], []
     for record in block:
-        if record.timestamp != instant:
-            instant = record.timestamp
+        if record[0] != instant:
+            instant = record[0]
             stamp = iso_ms(instant)
             stamps.append(stamp)
+            csv_head, csv_all_head = stamp + ",", stamp + f",{LORAN_TYPE},,,,,,,"
+            json_head = '{"timestamp":"' + stamp + '"'
+            json_all_head = json_head + f',"record_type":"{LORAN_TYPE}"'
         if type(record) is LoranMeasurement:
             _, gri, role, toa, snr_db, ecd = record
-            gri, toa, snr_db, ecd = str(gri), repr(toa), repr(snr_db), repr(ecd)
+            gri, toa = str(gri), repr(toa)
+            snr_db = float_texts[snr_db] if type(snr_db) is float else repr(snr_db)
+            ecd = float_texts[ecd] if type(ecd) is float else repr(ecd)
             counts[gri + role] += 1
             if columns:  # a timeline_all row leaves the six GPS cells empty
-                loran_csv.append(f"{stamp},{gri},{role},{toa},{snr_db},{ecd}\n")
-                all_csv.append(f"{stamp},{LORAN_TYPE},,,,,,,{gri},{role},{toa},{snr_db},{ecd}\n")
+                row = f"{gri},{role},{toa},{snr_db},{ecd}\n"
+                loran_csv.append(csv_head + row)
+                all_csv.append(csv_all_head + row)
             if lines:
-                loran_json.append(f'{{"timestamp":"{stamp}","gri":{gri},"station_role":"{role}",'
-                                  f'"toa_us":{toa},"snr_db":{snr_db},"ecd_us":{ecd}}}\n')
-                all_json.append(f'{{"timestamp":"{stamp}","record_type":"{LORAN_TYPE}","gri":{gri},'
-                                f'"station_role":"{role}","toa_us":{toa},"snr_db":{snr_db},'
-                                f'"ecd_us":{ecd}}}\n')
+                row = (f',"gri":{gri},"station_role":"{role}","toa_us":{toa},'
+                       f'"snr_db":{snr_db},"ecd_us":{ecd}}}\n')
+                loran_json.append(json_head + row)
+                all_json.append(json_all_head + row)
             continue
         texts = [None if value is None else str(value) for value in record[1:]]
         complete = None not in texts
         if columns:
             row = ",".join(texts) if complete else ",".join([text or "" for text in texts])
-            gps_csv.append(f"{stamp},{row}\n")
+            gps_csv.append(f"{csv_head}{row}\n")
             all_csv.append(f"{stamp},{GPS_TYPE},{row}{_GPS_ALL_TAIL}\n")
         if lines:
             if complete:
@@ -198,8 +218,8 @@ def _render(block: list[Record], formats: tuple[str, ...], fold: SummaryFold,
             else:
                 members = "".join([key + (text or "null") for key, text in zip(_GPS_KEYS, texts)])
                 sparse = "".join([key + text for key, text in zip(_GPS_KEYS, texts) if text])
-            gps_json.append(f'{{"timestamp":"{stamp}"{members}}}\n')
-            all_json.append(f'{{"timestamp":"{stamp}","record_type":"{GPS_TYPE}"{sparse}}}\n')
+            gps_json.append(f"{json_head}{members}}}\n")
+            all_json.append(f'{json_head},"record_type":"{GPS_TYPE}"{sparse}}}\n')
     fold.take(stamps)
     rendered = map("".join, (gps_csv, loran_csv, all_csv, gps_json, loran_json, all_json))
     return dict(zip(_EXPORT_FILES["columns"] + _EXPORT_FILES["lines"], rendered))
@@ -245,8 +265,9 @@ def export(blocks: Iterable[list[Record]], formats: tuple[str, ...] | str, out_d
                 if fmt == "columns":
                     writer.write((",".join(header) + "\n").encode("utf-8"))
         fold, counts, records = SummaryFold(gap_threshold_s), defaultdict(int), 0
+        float_texts = _FloatTexts()
         for block in blocks:
-            rendered = _render(block, formats, fold, counts)
+            rendered = _render(block, formats, fold, counts, float_texts)
             records += len(block)
             for name, writer in writers.items():
                 writer.write(rendered[name].encode("utf-8"))

@@ -179,20 +179,19 @@ def parse_tod(value: str) -> int:
     """Milliseconds into the UTC day of ``hhmmss`` with up to three
     fractional digits."""
     if (len(value) == 10 and value[6] == "." and value.isascii()
-            and (digits := value[:6] + value[7:]).isdigit()):  # hhmmss.sss, the receivers' form
+            and (digits := value.replace(".", "", 1)).isdigit()):  # hhmmss.sss, the receivers' form
         whole = int(digits)
-        hour, minute, second = whole // 10_000_000, whole // 100_000 % 100, whole // 1000 % 100
-        ms = whole % 1000
+        hour, minute, second_ms = whole // 10_000_000, whole // 100_000 % 100, whole % 100_000
     else:
         match = _TOD_RE.match(value)
         if not match:
             raise ParseError(f"malformed time of day: {value!r}", "time")
         hour, minute, second, fraction = match.groups()
-        hour, minute, second = int(hour), int(minute), int(second)
-        ms = int((fraction or "").ljust(3, "0"))
-    if hour > 23 or minute > 59 or second > 59:
+        hour, minute = int(hour), int(minute)
+        second_ms = int(second) * 1000 + int((fraction or "").ljust(3, "0"))
+    if hour > 23 or minute > 59 or second_ms > 59_999:
         raise ParseError(f"time of day out of range: {value!r}", "time")
-    return ((hour * 60 + minute) * 60 + second) * 1000 + ms
+    return (hour * 60 + minute) * 60_000 + second_ms
 
 
 def parse_coordinate(value: str, hemisphere: str, field_name: str = "coordinate") -> float:
@@ -414,6 +413,110 @@ def _parse_store(path: Path, parse, errors: list[ParseIssue]) -> Iterator:
                 yield record
 
 
+# Distinct texts a column memo of one store holds at most.
+_MEMO_TEXTS = 1024
+# A record from its fields, without the named tuple's Python-level __new__.
+_new_record = tuple.__new__
+
+
+def _remember(memo: dict, text: str, value) -> None:
+    if len(memo) < _MEMO_TEXTS:
+        memo[text] = value
+
+
+def _loran_parser(ctx: DateContext):
+    """``parse_loran(fields, ctx)``, with a fast path for a line whose
+    ``gri``, ``snr_db`` and ``ecd_us`` texts each came before in a line
+    ``parse_loran`` accepted: their values come from this store's memos,
+    and only the time of day, role and ``toa_us`` take their checks here.
+    Any other line, and any line failing a check here, goes to
+    ``parse_loran`` untouched, so records and errors are the same either
+    way.  A time of day equal to the one this path dated last keeps its
+    instant: ``ctx`` gives the same, as a step of 0 crosses no hole."""
+    gris: dict[str, int] = {}
+    snrs: dict[str, float] = {}
+    ecds: dict[str, float] = {}
+    dated = instant = None  # the time of day text this path dated last, and its instant
+    roles = STATION_ROLES
+
+    def parse(fields: list[str]) -> LoranMeasurement:
+        nonlocal dated, instant
+        if len(fields) == 7:
+            _, tod, gri, role, toa, snr, ecd = fields
+            gri_value, snr_value, ecd_value = gris.get(gri), snrs.get(snr), ecds.get(ecd)
+            if (gri_value is not None and snr_value is not None and ecd_value is not None
+                    and role in roles and not _NUMBER_NOISE(toa)):
+                try:
+                    toa_value = float(toa)
+                    tod_ms = None if tod == dated else parse_tod(tod)
+                except ValueError:  # a ParseError too: parse_loran raises it again
+                    pass
+                else:
+                    if 0.0 <= toa_value < gri_value * 10:  # false for nan and inf
+                        if tod_ms is not None:
+                            dated, instant = tod, ctx.resolve(tod_ms)
+                        return _new_record(LoranMeasurement, (instant, gri_value, role,
+                                                              toa_value, snr_value, ecd_value))
+        dated = None  # parse_loran may date the line
+        record = parse_loran(fields, ctx)
+        _remember(gris, fields[2], record.gri)
+        _remember(snrs, fields[5], record.snr_db)
+        _remember(ecds, fields[6], record.ecd_us)
+        return record
+
+    return parse
+
+
+def _gga_parser(ctx: DateContext):
+    """``parse_gga(fields, ctx)``, with a fast path for a fix with a
+    positive ``fix_quality`` whose ``fix_quality``, ``num_sats``, ``hdop``
+    and ``alt_m`` texts each came before in a fix ``parse_gga`` accepted:
+    their values come from this store's memos, and only the time of day
+    and the position take their checks here, before the fix is dated.
+    Any other line, and any line failing a check here, goes to
+    ``parse_gga`` untouched, so records and errors are the same either way
+    (a fix failing its range checks is still dated there).  A time of day
+    equal to the one this path dated last keeps its instant, as in
+    :func:`_loran_parser`."""
+    qualities: dict[str, int] = {}  # only positive ones
+    sats: dict[str, int] = {}
+    hdops: dict[str, float] = {}
+    alts: dict[str, float] = {}
+    dated = instant = None
+
+    def parse(fields: list[str]) -> GpsFix:
+        nonlocal dated, instant
+        if len(fields) >= 10:
+            quality = qualities.get(fields[6])
+            num_sats, hdop, alt = sats.get(fields[7]), hdops.get(fields[8]), alts.get(fields[9])
+            if (quality is not None and num_sats is not None and hdop is not None
+                    and alt is not None):
+                tod = fields[1]
+                try:
+                    lat = parse_coordinate(fields[2], fields[3], "latitude")
+                    lon = parse_coordinate(fields[4], fields[5], "longitude")
+                    tod_ms = None if tod == dated else parse_tod(tod)
+                except ParseError:  # parse_gga raises it again
+                    pass
+                else:
+                    if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
+                        if tod_ms is not None:
+                            dated, instant = tod, ctx.resolve(tod_ms)
+                        return _new_record(GpsFix, (instant, lat, lon, alt, quality, num_sats, hdop))
+        dated = None  # parse_gga may date the line
+        fix = parse_gga(fields, ctx)
+        if fix.fix_quality > 0:
+            _remember(qualities, fields[6], fix.fix_quality)
+        _remember(sats, fields[7], fix.num_sats)
+        if fix.hdop is not None:
+            _remember(hdops, fields[8], fix.hdop)
+        if fix.alt_m is not None:
+            _remember(alts, fields[9], fix.alt_m)
+        return fix
+
+    return parse
+
+
 def parse_classified(
     classified_dir: Path,
     fallback_date: date | None = None,
@@ -450,15 +553,14 @@ def parse_classified(
     holes = [(a, b) for a, b in zip(reported, reported[1:]) if b - a >= _HALF_DAY_MS]
 
     gga = groups.get("GGA", [])
-    stores = [(path, parse_gga) for path in gga]
+    stores = [(path, _gga_parser) for path in gga]
     loran_store = classified_dir / "P_LRM.txt"
     if loran_store.exists():
-        stores.append((loran_store, parse_loran))
+        stores.append((loran_store, _loran_parser))
     issues: list[list[ParseIssue]] = [[] for _ in stores]
     return ParsedSegment(
         names=[path.name for path, _ in stores],
-        stores=[_parse_store(path, lambda f, parse=parse, ctx=DateContext(anchor, holes):
-                             parse(f, ctx), errors)
-                for (path, parse), errors in zip(stores, issues)],
+        stores=[_parse_store(path, parser(DateContext(anchor, holes)), errors)
+                for (path, parser), errors in zip(stores, issues)],
         issues=[*issues[:len(gga)], date_errors, *issues[len(gga):]],
     )

@@ -42,19 +42,23 @@ def day_ms(day: date) -> int:
 
 
 @functools.lru_cache(maxsize=1024)
-def _day_prefix(day: int) -> str:
+def _minute_prefix(minute: int) -> str:
+    """``YYYY-MM-DDTHH:MM:`` of the *minute*-th minute since the epoch."""
+    day, minute = divmod(minute, 1440)
     moment = date.fromordinal(_EPOCH_ORDINAL + day)
-    return f"{moment.year:04d}-{moment.month:02d}-{moment.day:02d}T"
+    return (f"{moment.year:04d}-{moment.month:02d}-{moment.day:02d}"
+            f"T{minute // 60:02d}:{minute % 60:02d}:")
+
+
+_SECOND_TEXTS = tuple(f"{second:02d}." for second in range(60))
+_MILLI_TEXTS = tuple(f"{milli:03d}Z" for milli in range(1000))
 
 
 def iso_ms(ms: int) -> str:
     """Format epoch milliseconds as ``YYYY-MM-DDTHH:MM:SS.mmmZ``, the
     year zero-padded to four digits."""
-    day, rest = divmod(ms, MS_PER_DAY)
-    seconds, milli = divmod(rest, 1000)
-    minutes, second = divmod(seconds, 60)
-    hour, minute = divmod(minutes, 60)
-    return f"{_day_prefix(day)}{hour:02d}:{minute:02d}:{second:02d}.{milli:03d}Z"
+    minute, rest = divmod(ms, 60_000)
+    return _minute_prefix(minute) + _SECOND_TEXTS[rest // 1000] + _MILLI_TEXTS[rest % 1000]
 
 
 def parse_iso_ms(text: str) -> int:

@@ -43,7 +43,6 @@ from conftest import (
 )
 from gpsloran.classify import ChecksumStatus, route, verify_checksum
 from gpsloran.cli import main as cli_main
-from gpsloran.clock import AcceleratedClock
 from gpsloran.convert import MANIFEST_NAME, read_gps_export, read_loran_export
 from gpsloran.fsutil import read_json
 from gpsloran.orchestrate import (
@@ -457,8 +456,7 @@ def test_criterion_6_end_to_end_ground_truth(tmp_path, capsys):
 
 
 class _SleepingSource(ScriptedSource):
-    """Steps advance simulated time through clock.sleep, so an
-    accelerated clock turns them into short real waits."""
+    """Steps advance simulated time through clock.sleep."""
 
     def read(self, max_bytes: int, timeout: float) -> bytes:
         if not self.steps:
@@ -478,10 +476,9 @@ def _day_block(day: int, gga_count: int) -> bytes:
 
 def test_criterion_7_rotation_cadence(tmp_path, capsys):
     def body():
-        clock = AcceleratedClock(start=utc(2020, 4, 17, 12, 0, 0), factor=86400.0)
-        # mid-day blocks with day-long gaps: every boundary crossing sits
-        # ~12 simulated hours away from any read, so wall jitter cannot
-        # move data across segments
+        clock = ManualClock(utc(2020, 4, 17, 12, 0, 0))
+        # mid-day blocks with day-long gaps: simulated time moves only by
+        # the steps' sleeps, so every block is read 12 hours from a midnight
         steps = [
             (0.0, _day_block(17, 3)),
             (86400.0, b""),

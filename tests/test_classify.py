@@ -182,15 +182,15 @@ def test_checksum_agrees_with_oracle_on_sentences(body, fudge):
        st.sampled_from([b"$", b"#", b""]), st.integers(0, 255),
        st.sampled_from([b"%02X", b"%02x", b"ZZ"]), st.integers(1, 9))
 def test_a_line_alone_gets_the_chunk_kernels_status(payload, lead, fudge, suffix, chunk):
-    """A line checked alone is folded ``READ_CHUNK`` bytes at a time; a
-    chunk of a few bytes splits it many times over, and its status is the
-    one the kernel over a whole buffer gives it."""
+    """A line checked alone as an overlong one is folded ``READ_CHUNK`` bytes
+    at a time; a chunk of a few bytes splits it many times over, and its
+    status is the one the kernel over a whole buffer of lines gives it."""
     line = lead + payload + b"*" + (suffix % ((xor_fold(payload) + fudge) % 256)
                                     if b"%" in suffix else suffix)
-    with mock.patch.object(classify, "READ_CHUNK", chunk):
+    with mock.patch.object(classify, "READ_CHUNK", chunk), \
+            mock.patch.object(classify, "MAX_LINE_BYTES", 0):
         alone = verify_checksum(line)
-    padded = b"noise\n" + line
-    assert alone is verify_checksum(line, classify._suffix_xors(padded), len(b"noise\n"))
+    assert alone.value == classify._checksum_states([b"noise", line])[1]
     assert alone is _oracle_status(line)
 
 

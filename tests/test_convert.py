@@ -307,6 +307,23 @@ GOLDEN_DIGESTS = {
 }
 
 
+@given(st.lists(st.tuples(*[st.sampled_from([0.0, -0.0, 12.5, -12.5, 12, 12.0, 0]) | st.floats(
+    allow_nan=False, allow_infinity=False)] * 2), min_size=1, max_size=40))
+def test_each_loran_value_renders_as_written(values):
+    """``0.0`` and ``-0.0`` (and ``12`` and ``12.0``) compare and hash alike,
+    but each renders as its own text, in any order within a block."""
+    records = [LoranMeasurement(T0 + index, 9930, "M", 100.0, snr, ecd)
+               for index, (snr, ecd) in enumerate(values)]
+    with tempfile.TemporaryDirectory() as scratch:
+        export([records], ("columns", "lines"), Path(scratch))
+        rows = (Path(scratch) / "timeline_loran.csv").read_text().splitlines()[1:]
+        members = [json.loads(line) for line in
+                   (Path(scratch) / "timeline_loran.jsonl").read_text().splitlines()]
+    expected = [(repr(snr), repr(ecd)) for snr, ecd in values]
+    assert [tuple(row.split(",")[4:]) for row in rows] == expected
+    assert [(repr(member["snr_db"]), repr(member["ecd_us"])) for member in members] == expected
+
+
 def test_export_golden_digests(tmp_path):
     manifest = export(
         golden_timeline(), ("columns", "lines"), tmp_path,

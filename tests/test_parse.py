@@ -1,8 +1,11 @@
+import io
 import re
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpsloran.classify import ChecksumStatus, route, verify_checksum
@@ -11,6 +14,7 @@ from gpsloran.parse import (
     GpsFix,
     LoranMeasurement,
     ParseError,
+    ParseIssue,
     parse_classified,
     parse_coordinate,
     parse_date_sentence,
@@ -28,6 +32,7 @@ from gpsloran.simulate import (
     serialize,
     serialize_zda,
 )
+from gpsloran.timeutil import from_ms
 
 from conftest import gga_line, ms, parse_records, plrm_line, rmc_line, sentence, utc, zda_line
 
@@ -740,3 +745,89 @@ def test_parse_classified_per_class_contexts(tmp_path):
     parsed = parse_records(out)
     assert parsed.loran[0].timestamp == ms(2020, 4, 17, 23, 59, 59, 500)
     assert parsed.loran[1].timestamp == ms(2020, 4, 18, 0, 0, 1, 500)
+
+
+# --- the receiver-form fast path -------------------------------------------------
+
+
+def per_line(name: str, data: bytes, parse, context: DateContext) -> list:
+    """What each line of a store gives through ``parse(fields, context)``, in
+    line order: the record's ``repr`` (which tells ``-0.0`` from ``0.0``), or
+    the :class:`ParseIssue` of its error."""
+    outcomes = []
+    for number, raw_bytes in enumerate(io.BytesIO(data), start=1):
+        raw = raw_bytes.rstrip(b"\r\n").decode("latin-1")
+        try:
+            outcomes.append(repr(parse(split_sentence(raw), context)))
+        except ParseError as exc:
+            outcomes.append(ParseIssue(name, number, str(exc), exc.field_name, raw))
+    return outcomes
+
+
+_STORE_TODS = mostly(st.sampled_from(["235958.000", "235959.500", "235959.750", "000000.000",
+                                      "000000.250", "120000.000", "000001", "246000.000"]))
+_PLRM_FIELDS = [
+    _STORE_TODS, mostly(st.sampled_from(["9930", "7430", "09930"])), st.sampled_from("MWXYZVQ"),
+    mostly(st.floats(0, 100_000).map(lambda value: f"{value:.1f}")),
+    mostly(st.sampled_from(["12.5", "-3.25", "0.0"])),
+    mostly(st.sampled_from(["0.0", "-0.0", "0.5"]))]
+_GGA_FIELDS = [
+    _STORE_TODS, st.sampled_from(["3723.4567", "3700.0000", "3700.0000", "3760.0000", "9100.0000",
+                                  "", "37.5"]),
+    st.sampled_from("NNSX"), st.sampled_from(["12201.2345", "12700.0000", "18100.0000", ""]),
+    st.sampled_from("EW"), mostly(st.sampled_from(["1", "2", "0"])),
+    mostly(st.sampled_from(["08", "12", ""])), mostly(st.sampled_from(["0.90", "1.00"])),
+    mostly(st.sampled_from(["30.0", "-0.0", "0.0"])), st.just("M"),
+    st.sampled_from(["18.0", "*"]), st.just("M"), st.just(""), st.just("")]
+
+
+@st.composite
+def store_text(draw, header, fields):
+    """Receiver lines whose fields each take one of a few texts, each line
+    at times with a checksum or a near miss of one, a field too few or too
+    many, mixed with garbage; ended by LF or CRLF."""
+    pools = [st.sampled_from(draw(st.lists(field, min_size=1, max_size=3))) for field in fields]
+    clean = st.tuples(*pools).map(lambda values: ",".join((header, *values)))
+    line = st.one_of(clean, clean,
+                     st.tuples(clean, st.sampled_from(["*5B", "*00", "*,x", "*1", "**1"])).map(
+                         "".join),
+                     clean.map(lambda text: text.replace(",", "", 1)),
+                     clean.map(lambda text: text + ",extra"),
+                     st.text(alphabet="$PLRMGA,.*0129\xb5 ", max_size=20))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(text + ending for text in draw(st.lists(line, max_size=40))).encode("utf-8")
+
+
+@settings(max_examples=300)
+@example(  # a line only parse_loran or parse_gga takes dates a day on between two the memos take
+    b"$PLRM,235959.500,9930,M,100.0,12.5,0.5\n$PLRM,235959.500,9930,W,200.0,12.5,0.5\n"
+    b"$PLRM,000000.000,9930,M,100.0,-3.25,0.5\n$PLRM,235959.500,9930,X,300.0,12.5,0.5\n",
+    b"$GPGGA,235959.500,3700.0000,N,12700.0000,E,1,08,0.90,30.0,M,,M,,\n"
+    b"$GPGGA,235959.500,3700.5000,N,12700.5000,E,1,08,0.90,30.0,M,,M,,\n"
+    b"$GPGGA,000000.000,3700.0000,N,12700.0000,E,2,08,0.90,30.0,M,,M,,\n"
+    b"$GPGGA,235959.500,3701.0000,N,12701.0000,E,1,08,0.90,30.0,M,,M,,\n",
+    [ms(2020, 4, 17, 23, 59, 50)])
+@given(store_text("$PLRM", _PLRM_FIELDS), store_text("$GPGGA", _GGA_FIELDS),
+       st.lists(st.sampled_from([ms(2020, 4, 17, 23, 59, 50), ms(2020, 4, 18, 0, 0, 10),
+                                 ms(2020, 4, 19, 0, 0, 5), ms(2020, 4, 20, 12)]),
+                min_size=1, max_size=4, unique=True))
+def test_the_fast_path_gives_what_each_line_gives(loran_store, gga_store, reported):
+    """Stores parsed by parse_classified, which converts clean receiver lines
+    from its memos, give the records and issues, in line order, of each
+    line through parse_loran or parse_gga with the same date context."""
+    reported = sorted(reported)
+    holes = [(a, b) for a, b in zip(reported, reported[1:]) if b - a >= 12 * 3_600_000]
+    with tempfile.TemporaryDirectory() as scratch:
+        directory = Path(scratch)
+        (directory / "GPZDA.txt").write_bytes(b"".join(
+            zda_line(from_ms(instant)) + b"\n" for instant in reported))
+        (directory / "GPGGA.txt").write_bytes(gga_store)
+        (directory / "P_LRM.txt").write_bytes(loran_store)
+        parsed = parse_classified(directory)
+        for store, issues, name, data, parse in zip(
+                parsed.stores, parsed.issues[::2], ("GPGGA.txt", "P_LRM.txt"),
+                (gga_store, loran_store), (parse_gga, parse_loran)):
+            fast = [repr(record) for record in store]
+            expected = per_line(name, data, parse, DateContext(reported[0], holes))
+            assert fast == [o for o in expected if not isinstance(o, ParseIssue)]
+            assert issues == [o for o in expected if isinstance(o, ParseIssue)]

@@ -1,4 +1,4 @@
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 
 import pytest
 from hypothesis import given
@@ -38,10 +38,22 @@ def test_iso_ms_round_trip():
     assert parse_iso_ms(iso_ms(moment)) == moment
 
 
+def iso_ms_by_divmod(stamp: int) -> str:
+    """The text of *stamp*, each field by ``divmod`` from the day down."""
+    day, rest = divmod(stamp, 86_400_000)
+    seconds, milli = divmod(rest, 1000)
+    minutes, second = divmod(seconds, 60)
+    hour, minute = divmod(minutes, 60)
+    moment = date.fromordinal(date(1970, 1, 1).toordinal() + day)
+    return (f"{moment.year:04d}-{moment.month:02d}-{moment.day:02d}"
+            f"T{hour:02d}:{minute:02d}:{second:02d}.{milli:03d}Z")
+
+
 @given(st.integers(min_value=FIRST_MS, max_value=LAST_MS))
 def test_iso_round_trip_property(stamp):
     text = iso_ms(stamp)
     assert parse_iso_ms(text) == stamp
+    assert text == iso_ms_by_divmod(stamp)
     moment = datetime(1970, 1, 1, tzinfo=UTC) + timedelta(milliseconds=stamp)
     if moment.year >= 1000:  # strftime does not pad a shorter year
         assert text == f"{moment:%Y-%m-%dT%H:%M:%S}.{moment.microsecond // 1000:03d}Z"
