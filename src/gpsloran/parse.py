@@ -437,7 +437,6 @@ def _loran_parser(ctx: DateContext):
     snrs: dict[str, float] = {}
     ecds: dict[str, float] = {}
     dated = instant = None  # the time of day text this path dated last, and its instant
-    roles = STATION_ROLES
 
     def parse(fields: list[str]) -> LoranMeasurement:
         nonlocal dated, instant
@@ -445,7 +444,7 @@ def _loran_parser(ctx: DateContext):
             _, tod, gri, role, toa, snr, ecd = fields
             gri_value, snr_value, ecd_value = gris.get(gri), snrs.get(snr), ecds.get(ecd)
             if (gri_value is not None and snr_value is not None and ecd_value is not None
-                    and role in roles and not _NUMBER_NOISE(toa)):
+                    and role in STATION_ROLES and not _NUMBER_NOISE(toa)):
                 try:
                     toa_value = float(toa)
                     tod_ms = None if tod == dated else parse_tod(tod)

@@ -799,7 +799,7 @@ def store_text(draw, header, fields):
 
 
 @settings(max_examples=300)
-@example(  # a line only parse_loran or parse_gga takes dates a day on between two the memos take
+@example(  # between two fast-path lines at one time of day, a per-line one dates the next day
     b"$PLRM,235959.500,9930,M,100.0,12.5,0.5\n$PLRM,235959.500,9930,W,200.0,12.5,0.5\n"
     b"$PLRM,000000.000,9930,M,100.0,-3.25,0.5\n$PLRM,235959.500,9930,X,300.0,12.5,0.5\n",
     b"$GPGGA,235959.500,3700.0000,N,12700.0000,E,1,08,0.90,30.0,M,,M,,\n"
