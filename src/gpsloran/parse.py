@@ -53,6 +53,7 @@ import re
 from array import array
 from collections.abc import Iterator, Sequence
 from datetime import date
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -308,6 +309,12 @@ def parse_date_sentence(fields: list[str], sentence: str) -> int:
         raise ParseError(f"malformed {sentence} date: {exc}", "date") from None
 
 
+def _in_frame(toa: float, gri: int) -> bool:
+    """Whether *toa* lies in the frame of GRI designator *gri*: false for
+    nan and inf."""
+    return 0.0 <= toa < gri * 10
+
+
 def loran_values(gri, role, toa, snr, ecd) -> tuple[int, str, float, float, float]:
     """A Loran observation's values, from text (or numbers), checked in
     field order; ``ParseError`` naming the first field that fails.  Four
@@ -330,7 +337,7 @@ def loran_values(gri, role, toa, snr, ecd) -> tuple[int, str, float, float, floa
         raise ParseError(f"unknown station role: {role!r}", "station_role")
     if each:
         toa = parse_float(toa, "toa_us")
-    if not 0.0 <= toa < gri * 10:
+    if not _in_frame(toa, gri):
         raise ParseError(f"toa_us outside GRI frame: {toa}", "toa_us")
     if each:
         snr, ecd = parse_float(snr, "snr_db"), parse_float(ecd, "ecd_us")
@@ -415,13 +422,6 @@ def _parse_store(path: Path, parse, errors: list[ParseIssue]) -> Iterator:
 
 # Distinct texts a column memo of one store holds at most.
 _MEMO_TEXTS = 1024
-# A record from its fields, without the named tuple's Python-level __new__.
-_new_record = tuple.__new__
-
-
-def _remember(memo: dict, text: str, value) -> None:
-    if len(memo) < _MEMO_TEXTS:
-        memo[text] = value
 
 
 def _loran_parser(ctx: DateContext):
@@ -432,7 +432,12 @@ def _loran_parser(ctx: DateContext):
     Any other line, and any line failing a check here, goes to
     ``parse_loran`` untouched, so records and errors are the same either
     way.  A time of day equal to the one this path dated last keeps its
-    instant: ``ctx`` gives the same, as a step of 0 crosses no hole."""
+    instant: ``ctx`` gives the same, as a step of 0 crosses no hole.
+
+    The gain rests on receivers writing these three columns with few
+    decimals, so that their texts repeat; a store whose texts never repeat
+    pays three missed lookups a line, and fills the memos until one holds
+    ``_MEMO_TEXTS`` texts."""
     gris: dict[str, int] = {}
     snrs: dict[str, float] = {}
     ecds: dict[str, float] = {}
@@ -451,67 +456,17 @@ def _loran_parser(ctx: DateContext):
                 except ValueError:  # a ParseError too: parse_loran raises it again
                     pass
                 else:
-                    if 0.0 <= toa_value < gri_value * 10:  # false for nan and inf
+                    if _in_frame(toa_value, gri_value):
                         if tod_ms is not None:
                             dated, instant = tod, ctx.resolve(tod_ms)
-                        return _new_record(LoranMeasurement, (instant, gri_value, role,
-                                                              toa_value, snr_value, ecd_value))
+                        # tuple.__new__ skips the named tuple's Python-level __new__
+                        return tuple.__new__(LoranMeasurement, (
+                            instant, gri_value, role, toa_value, snr_value, ecd_value))
         dated = None  # parse_loran may date the line
         record = parse_loran(fields, ctx)
-        _remember(gris, fields[2], record.gri)
-        _remember(snrs, fields[5], record.snr_db)
-        _remember(ecds, fields[6], record.ecd_us)
+        if len(gris) < _MEMO_TEXTS and len(snrs) < _MEMO_TEXTS and len(ecds) < _MEMO_TEXTS:
+            _, gris[fields[2]], _, _, snrs[fields[5]], ecds[fields[6]] = record
         return record
-
-    return parse
-
-
-def _gga_parser(ctx: DateContext):
-    """``parse_gga(fields, ctx)``, with a fast path for a fix with a
-    positive ``fix_quality`` whose ``fix_quality``, ``num_sats``, ``hdop``
-    and ``alt_m`` texts each came before in a fix ``parse_gga`` accepted:
-    their values come from this store's memos, and only the time of day
-    and the position take their checks here, before the fix is dated.
-    Any other line, and any line failing a check here, goes to
-    ``parse_gga`` untouched, so records and errors are the same either way
-    (a fix failing its range checks is still dated there).  A time of day
-    equal to the one this path dated last keeps its instant, as in
-    :func:`_loran_parser`."""
-    qualities: dict[str, int] = {}  # only positive ones
-    sats: dict[str, int] = {}
-    hdops: dict[str, float] = {}
-    alts: dict[str, float] = {}
-    dated = instant = None
-
-    def parse(fields: list[str]) -> GpsFix:
-        nonlocal dated, instant
-        if len(fields) >= 10:
-            quality = qualities.get(fields[6])
-            num_sats, hdop, alt = sats.get(fields[7]), hdops.get(fields[8]), alts.get(fields[9])
-            if (quality is not None and num_sats is not None and hdop is not None
-                    and alt is not None):
-                tod = fields[1]
-                try:
-                    lat = parse_coordinate(fields[2], fields[3], "latitude")
-                    lon = parse_coordinate(fields[4], fields[5], "longitude")
-                    tod_ms = None if tod == dated else parse_tod(tod)
-                except ParseError:  # parse_gga raises it again
-                    pass
-                else:
-                    if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
-                        if tod_ms is not None:
-                            dated, instant = tod, ctx.resolve(tod_ms)
-                        return _new_record(GpsFix, (instant, lat, lon, alt, quality, num_sats, hdop))
-        dated = None  # parse_gga may date the line
-        fix = parse_gga(fields, ctx)
-        if fix.fix_quality > 0:
-            _remember(qualities, fields[6], fix.fix_quality)
-        _remember(sats, fields[7], fix.num_sats)
-        if fix.hdop is not None:
-            _remember(hdops, fields[8], fix.hdop)
-        if fix.alt_m is not None:
-            _remember(alts, fields[9], fix.alt_m)
-        return fix
 
     return parse
 
@@ -552,7 +507,7 @@ def parse_classified(
     holes = [(a, b) for a, b in zip(reported, reported[1:]) if b - a >= _HALF_DAY_MS]
 
     gga = groups.get("GGA", [])
-    stores = [(path, _gga_parser) for path in gga]
+    stores = [(path, lambda ctx: partial(parse_gga, ctx=ctx)) for path in gga]
     loran_store = classified_dir / "P_LRM.txt"
     if loran_store.exists():
         stores.append((loran_store, _loran_parser))

@@ -771,14 +771,6 @@ _PLRM_FIELDS = [
     mostly(st.floats(0, 100_000).map(lambda value: f"{value:.1f}")),
     mostly(st.sampled_from(["12.5", "-3.25", "0.0"])),
     mostly(st.sampled_from(["0.0", "-0.0", "0.5"]))]
-_GGA_FIELDS = [
-    _STORE_TODS, st.sampled_from(["3723.4567", "3700.0000", "3700.0000", "3760.0000", "9100.0000",
-                                  "", "37.5"]),
-    st.sampled_from("NNSX"), st.sampled_from(["12201.2345", "12700.0000", "18100.0000", ""]),
-    st.sampled_from("EW"), mostly(st.sampled_from(["1", "2", "0"])),
-    mostly(st.sampled_from(["08", "12", ""])), mostly(st.sampled_from(["0.90", "1.00"])),
-    mostly(st.sampled_from(["30.0", "-0.0", "0.0"])), st.just("M"),
-    st.sampled_from(["18.0", "*"]), st.just("M"), st.just(""), st.just("")]
 
 
 @st.composite
@@ -802,32 +794,25 @@ def store_text(draw, header, fields):
 @example(  # between two fast-path lines at one time of day, a per-line one dates the next day
     b"$PLRM,235959.500,9930,M,100.0,12.5,0.5\n$PLRM,235959.500,9930,W,200.0,12.5,0.5\n"
     b"$PLRM,000000.000,9930,M,100.0,-3.25,0.5\n$PLRM,235959.500,9930,X,300.0,12.5,0.5\n",
-    b"$GPGGA,235959.500,3700.0000,N,12700.0000,E,1,08,0.90,30.0,M,,M,,\n"
-    b"$GPGGA,235959.500,3700.5000,N,12700.5000,E,1,08,0.90,30.0,M,,M,,\n"
-    b"$GPGGA,000000.000,3700.0000,N,12700.0000,E,2,08,0.90,30.0,M,,M,,\n"
-    b"$GPGGA,235959.500,3701.0000,N,12701.0000,E,1,08,0.90,30.0,M,,M,,\n",
     [ms(2020, 4, 17, 23, 59, 50)])
-@given(store_text("$PLRM", _PLRM_FIELDS), store_text("$GPGGA", _GGA_FIELDS),
+@given(store_text("$PLRM", _PLRM_FIELDS),
        st.lists(st.sampled_from([ms(2020, 4, 17, 23, 59, 50), ms(2020, 4, 18, 0, 0, 10),
                                  ms(2020, 4, 19, 0, 0, 5), ms(2020, 4, 20, 12)]),
                 min_size=1, max_size=4, unique=True))
-def test_the_fast_path_gives_what_each_line_gives(loran_store, gga_store, reported):
-    """Stores parsed by parse_classified, which converts clean receiver lines
-    from its memos, give the records and issues, in line order, of each
-    line through parse_loran or parse_gga with the same date context."""
+def test_the_fast_path_gives_what_each_line_gives(loran_store, reported):
+    """A P_LRM store parsed by parse_classified, which converts clean
+    receiver lines from its memos, gives the records and issues, in line
+    order, of each line through parse_loran with the same date context."""
     reported = sorted(reported)
     holes = [(a, b) for a, b in zip(reported, reported[1:]) if b - a >= 12 * 3_600_000]
     with tempfile.TemporaryDirectory() as scratch:
         directory = Path(scratch)
         (directory / "GPZDA.txt").write_bytes(b"".join(
             zda_line(from_ms(instant)) + b"\n" for instant in reported))
-        (directory / "GPGGA.txt").write_bytes(gga_store)
         (directory / "P_LRM.txt").write_bytes(loran_store)
         parsed = parse_classified(directory)
-        for store, issues, name, data, parse in zip(
-                parsed.stores, parsed.issues[::2], ("GPGGA.txt", "P_LRM.txt"),
-                (gga_store, loran_store), (parse_gga, parse_loran)):
-            fast = [repr(record) for record in store]
-            expected = per_line(name, data, parse, DateContext(reported[0], holes))
-            assert fast == [o for o in expected if not isinstance(o, ParseIssue)]
-            assert issues == [o for o in expected if isinstance(o, ParseIssue)]
+        [store], [issues] = parsed.stores, parsed.issues[1:]
+        fast = [repr(record) for record in store]
+        expected = per_line("P_LRM.txt", loran_store, parse_loran, DateContext(reported[0], holes))
+        assert fast == [o for o in expected if not isinstance(o, ParseIssue)]
+        assert issues == [o for o in expected if isinstance(o, ParseIssue)]
