@@ -70,6 +70,7 @@ _RMC_DATE_RE = re.compile(r"^(\d{2})(\d{2})(\d{2})$")
 # What int() and float() forgive in a number and NMEA never writes in one:
 # digit separators and surrounding white space.
 _NUMBER_NOISE = re.compile(r"[_\s]").search
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")  # of a checksum, as classify reads one
 
 
 class ParseError(ValueError):
@@ -390,9 +391,10 @@ class ParsedSegment(NamedTuple):
 
 
 def split_sentence(raw: str) -> list[str]:
-    """Comma-split a sentence with any trailing ``*hh`` checksum removed."""
+    """Comma-split a sentence with any trailing ``*hh`` checksum, two hex
+    digits, removed."""
     star = raw.rfind("*")
-    if star != -1 and len(raw) - star == 3:
+    if star != -1 and len(raw) - star == 3 and raw[-2] in _HEX_DIGITS and raw[-1] in _HEX_DIGITS:
         raw = raw[:star]
     return raw.split(",")
 

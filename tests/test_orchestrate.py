@@ -1131,7 +1131,7 @@ def golden_classified(directory):
         plrm_line(tod="235959.000", snr="1_2.0"),
         plrm_line(tod="235959.000", ecd=" 0.5"),
         sentence("PLRM,235959.000,9930,M,45678.9*1,12.0,0.5"),
-        b"$PLRM,235959.500,7430,Y,30000.25,9.5,0.5*,x",
+        b"$PLRM,235959.500,7430,Y,30000.25,9.5,0.5*,x",  # no checksum: one field too many
         plrm_line(tod="000000.000", gri=7430, toa="80000.0"),  # outside the frame
         plrm_line(tod="000000.000", gri=3000),
         plrm_line(tod="000000.000", role="Q"),
@@ -1157,21 +1157,21 @@ def golden_classified(directory):
 # in both formats.
 CONVERT_GOLDEN_DIGESTS = {
     MANIFEST_NAME:
-        "b51f4477366e6aaf56fa38b9df6f1ef277603323657cf0c6f1518ebb583df2f8",
+        "a643eee7f9cc3fc0596da989b81ec53aa9aee32eff4fa5dea264bd82f14576e5",
     "parse_errors.jsonl":
-        "48acc1e572bc651988911420af5412d8869a48ea265372ca700488be61973a9c",
+        "4a567cdf04969c92576dc9138c3d10363f769a9acb8384267797dd03cdae78af",
     "timeline_all.csv":
-        "07b5db48884a5fe3dda1d9ececa600e568a11fd3aa24ea5c1b6b1cdaefd2293c",
+        "fafd4e3d4842c26fedb7e08b15e269d13682a7e4c53426256cfee86efaa94d80",
     "timeline_all.jsonl":
-        "9487be8b901388369e526c63d2d31807d5ade3269750ed1af96a1e9b3879a6b1",
+        "36918914f9eb55b6519479263850782945f4e4494f5ecdb533f1b21da5118c9d",
     "timeline_gps.csv":
         "9c73ee35cc5d849c4de4099e2447aa2181ddcba818d4aca0354df4260d4bf248",
     "timeline_gps.jsonl":
         "f90e32bcb06d11e1ed161478dd2a002439b31439f7aee56375fa7bea6150a393",
     "timeline_loran.csv":
-        "b73764faca52ecb237fce00c8b27e8b70893b19d5e2cedc9c5e1c72c435f0e1a",
+        "4c797fd36af4bbde43b515354af579c6b4d31cd93279cfaaac309b0f457069ac",
     "timeline_loran.jsonl":
-        "774f39b7586bc8ff2f5f00762a36742f92293e0b334ccc802176405f59f0d648",
+        "15dd271a481ed95c3b4741dd0e2ad6545ebf1ab1cb59374ee4676f50cf4ef48c",
 }
 
 

@@ -669,6 +669,23 @@ def test_parse_classified_collects_errors_with_provenance(tmp_path):
     assert "9999" in by_file["GPGGA.txt"].raw
 
 
+def test_a_line_ending_in_a_star_and_two_non_hex_characters_keeps_its_last_field(tmp_path):
+    """Only two hex digits after the last ``*`` are a checksum.  A line with
+    any other two, routed though its checksum is invalid, keeps them, so a
+    ``$PLRM`` line ending in ``*,x`` has one field too many and one ending
+    in ``*+1`` a malformed ``ecd_us``: each a parse error, not a record."""
+    segment = tmp_path / "raw.log"
+    write_segment(segment, [zda_line(utc(2020, 4, 17, 12, 0, 0)), plrm_line(tod="120001.000"),
+                            b"$PLRM,120002.000,9930,M,45678.9,12.0,0.5*,x",
+                            b"$PLRM,120003.000,9930,M,45678.9,12.0,0.5*+1"])
+    out = tmp_path / "classified"
+    route(segment, out, quarantine_invalid=False)
+    parsed = parse_records(out)
+    assert [m.timestamp for m in parsed.loran] == [ms(2020, 4, 17, 12, 0, 1)]
+    assert [(issue.line_number, issue.field_name) for issue in parsed.errors] == [
+        (2, "field-count"), (3, "ecd_us")]
+
+
 def test_parse_classified_anchors_rollover_to_segment_open(tmp_path):
     # a rotation can buffer a few pre-midnight lines into the next segment
     segment = tmp_path / "raw_20200418T000000Z.log"
