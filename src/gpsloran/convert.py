@@ -9,9 +9,10 @@ which the export renders as they come, so a segment of any length is
 converted in the same memory.
 
 Records carry integer UTC epoch milliseconds, so the merge sorts ints.
-Each distinct instant is formatted to text once on export, and the span
-and gaps are folded from those texts (:meth:`SummaryFold.take`), as
-``stats`` folds them from the texts it reads back.
+Each distinct instant is formatted to text once on export, and those
+texts are folded into runs of instants no further apart than the gap
+threshold (:meth:`SummaryFold.take`), as ``stats`` folds the texts it
+reads back: the runs' ends are the span, the spaces between them the gaps.
 
 Export schemas (fixed column order, timestamps as ISO 8601 UTC with
 milliseconds, floats in shortest round-trip form):
@@ -30,7 +31,6 @@ exports.
 """
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import math
@@ -415,13 +415,6 @@ def _json_rows(lines, columns: tuple[str, ...]):
             yield list(map(row.get, columns))
 
 
-_minute_ms = functools.lru_cache(maxsize=64)(lambda minute: parse_iso_ms(minute + ":00.000Z"))
-
-
-def _instant(stamp: str) -> int:  # of an iso_ms text; each minute is parsed once
-    return _minute_ms(stamp[:16]) + int(stamp[17:19] + stamp[20:23])
-
-
 # --- summary statistics -----------------------------------------------------
 
 
@@ -430,9 +423,11 @@ _SNR_BLOCK = 4096  # SNR values the stations hold between them before they are f
 
 class SummaryFold:
     """A summary folded a block of records at a time.  :meth:`take` takes a
-    set of their timestamp texts in any order, for the time span and the
-    gaps longer than *gap_threshold_s*: all that :func:`export` folds.
-    ``stats`` also fills in the fix counts and bounding box, and :attr:`snr`
+    set of their timestamp texts in any order into :attr:`runs`, the
+    maximal stretches ``(first, last)`` of the instants taken, in time
+    order, in which no two consecutive instants are further apart than
+    *gap_threshold_s*.  The time span and the gaps between the runs are
+    read from them: all that :func:`export` folds.  ``stats`` also fills in the fix counts and bounding box, and :attr:`snr`
     with each station's SNR values, which :meth:`fold_snr` folds a block
     at a time into :attr:`stations`."""
 
@@ -442,9 +437,7 @@ class SummaryFold:
         self.snr: dict[str, array] = defaultdict(lambda: array("d"))
         self.stations: dict[str, tuple[int, float, float, list]] = {}  # count, min, max, sum
         self.gap_threshold_s = gap_threshold_s
-        self.first: int | None = None
-        self.last: int | None = None
-        self.gaps: list[tuple[int, int]] = []
+        self.runs: list[tuple[int, int]] = []
 
     def fold_snr(self, least: int = _SNR_BLOCK) -> None:
         """Once the stations hold *least* SNR values or more between them,
@@ -459,36 +452,41 @@ class SummaryFold:
                                           max(high, max(values)), _sum_terms(terms, values))
                 del values[:]
 
+    @property
+    def first(self) -> int | None:
+        return self.runs[0][0] if self.runs else None
+
+    @property
+    def last(self) -> int | None:
+        return self.runs[-1][1] if self.runs else None
+
+    @property
+    def gaps(self) -> list[tuple[int, int]]:
+        """The spaces between consecutive runs, each longer than the threshold."""
+        return [(end, start) for (_, end), (start, _) in zip(self.runs, self.runs[1:])]
+
     def take(self, stamps: Iterable[str]) -> None:
-        """Fold a set of ``iso_ms`` timestamp texts, in any order, into the
-        span and the gaps: the stretches free of it (before, between when
-        longer than the threshold, and after its instants) intersected with
-        those free of the sets before are those free of all, and a gap is
-        one between two instants.  Stretches only shrink: only those
-        reaching into the set's span are swept, and no instant is kept."""
+        """Fold a set of ``iso_ms`` timestamp texts, in any order, into
+        :attr:`runs`.  Its instants, each a run of its own, and the runs
+        held within the threshold of its span (found by bisection) are
+        merged in time order, each run into the one before it unless the
+        space between them is a gap, and replace those runs."""
         stamps, limit = set(stamps), self.gap_threshold_s
         if not stamps:
             return
-        lo, hi = _instant(min(stamps)), _instant(max(stamps))  # the texts sort as their instants
+        lo, hi = parse_iso_ms(min(stamps)), parse_iso_ms(max(stamps))  # the texts sort as their instants
         # no gap lies within a span no longer than the threshold
-        ordered = [lo, hi] if (hi - lo) / 1000 <= limit else sorted(map(_instant, stamps))
-        free = [(-math.inf, lo), *((a, b) for a, b in zip(ordered, ordered[1:])
-                                   if (b - a) / 1000 > limit), (hi, math.inf)]
-        if self.first is None:
-            self.first, self.last, self.gaps = lo, hi, free[1:-1]
-            return
-        i = bisect_right(self.gaps, lo, key=itemgetter(1))
-        j = bisect_left(self.gaps, hi, key=itemgetter(0))
-        held = ([(-math.inf, self.first)] * (self.first > lo) + self.gaps[i:j]
-                + [(self.last, math.inf)] * (self.last < hi))
-        both, k, m = [], 0, 0
-        while k < len(held) and m < len(free):  # a linear sweep of two sorted lists
-            (a, b), (c, d) = held[k], free[m]
-            if (min(b, d) - max(a, c)) / 1000 > limit:
-                both.append((max(a, c), min(b, d)))
-            k, m = (k + 1, m) if b < d else (k, m + 1)
-        self.gaps[i:j] = [(a, b) for a, b in both if -math.inf < a and b < math.inf]
-        self.first, self.last = min(self.first, lo), max(self.last, hi)
+        instants = [lo, hi] if (hi - lo) / 1000 <= limit else sorted(map(parse_iso_ms, stamps))
+        runs = self.runs
+        i = bisect_left(runs, True, key=lambda run: not (lo - run[1]) / 1000 > limit)
+        j = bisect_left(runs, True, key=lambda run: (run[0] - hi) / 1000 > limit)
+        merged: list[tuple[int, int]] = []
+        for start, end in sorted([*runs[i:j], *zip(instants, instants)]):
+            if merged and not (start - merged[-1][1]) / 1000 > limit:
+                start, held = merged.pop()
+                end = max(held, end)
+            merged.append((start, end))
+        runs[i:j] = merged
 
 
 def _sum_terms(held: list, values: array) -> list:

@@ -574,11 +574,14 @@ def test_gap_exactly_at_threshold_is_not_a_gap():
 
 
 @given(st.lists(st.lists(st.integers(0, 40).map(lambda k: T0 + k * 250), max_size=15),
-                max_size=6), st.sampled_from([0, 0.25, 1, 3]))
+                max_size=6), st.sampled_from([0, 0.25, 0.2505, 0.75, 1, 3]))
+@example([[T0, T0 + 250], [T0 + 1000, T0 + 1250], [T0 + 500, T0 + 750]], 0.25)  # a bridge
+@example([[T0, T0 + 2500], [T0 + 1250]], 0.25)  # within a gap, which it splits
 def test_take_gives_the_span_and_gaps_of_the_sorted_instants(sets, threshold):
     """Sets of timestamp texts taken one after another, each in any order
     and overlapping the others, give the span of all their instants and
-    the gaps between consecutive ones sorted."""
+    the gaps between consecutive ones sorted: a later set may join runs
+    an earlier gap parted, or fall within a gap and leave it open."""
     taken = SummaryFold(threshold)
     for instants in sets:
         taken.take(map(iso_ms, instants))
