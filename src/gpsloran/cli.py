@@ -33,7 +33,7 @@ from datetime import date
 from pathlib import Path
 
 from .fsutil import read_json
-from .timeutil import iso_ms, parse_duration
+from .timeutil import MS_PER_DAY, day_ms, iso_ms, parse_duration
 
 
 class CliError(Exception):
@@ -94,7 +94,8 @@ def cmd_convert(args) -> int:
         orchestrate.Hooks(),
         session_id=args.session_id,
         gap_threshold_s=parse_duration(args.gap_threshold),
-        fallback_date=date.fromisoformat(args.start_date) if args.start_date else None,
+        open_time=day_ms(date.fromisoformat(args.start_date)) + MS_PER_DAY // 2 if args.start_date
+        else None,  # the start date's noon
     )
     print(json.dumps(manifest["record_counts"]))
     return 0

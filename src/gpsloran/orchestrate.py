@@ -35,7 +35,6 @@ import os
 import re
 import shutil
 import threading
-from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -205,7 +204,7 @@ def write_parse_errors(path: Path, issues) -> None:
 
 def convert_classified(classified_dir: Path, out_dir: Path, formats: tuple[str, ...] | str,
                        hooks: Hooks, *, session_id: str, gap_threshold_s: float,
-                       open_time: int | None = None, fallback_date: date | None = None) -> dict:
+                       open_time: int | None = None) -> dict:
     """Parse *classified_dir* (see :func:`parse_classified` for the date
     anchor) and write its timeline exports, manifest and parse errors into
     *out_dir*; return the manifest.  The quarantined count is read from
@@ -218,7 +217,7 @@ def convert_classified(classified_dir: Path, out_dir: Path, formats: tuple[str, 
     report = classified_dir / REPORT_NAME
     quarantined = read_json(report).get("quarantined_lines", 0) if report.exists() else 0
     for window in (REORDER_WINDOW, None):
-        parsed = parse_classified(classified_dir, fallback_date, open_time)
+        parsed = parse_classified(classified_dir, open_time)
         hooks.fire("mid-parse")
         try:
             manifest = export(merge_sort(*parsed.stores, window=window), formats, out_dir,

@@ -475,16 +475,16 @@ def _loran_parser(ctx: DateContext):
 
 def parse_classified(
     classified_dir: Path,
-    fallback_date: date | None = None,
     open_time: int | None = None,
 ) -> ParsedSegment:
     """Read the date stores under *classified_dir* and return its GGA and
     ``P_LRM`` stores, to be parsed as they are read.
 
     The anchor is the earliest instant the ZDA/RMC stores report, else
-    *open_time* (the epoch milliseconds the segment opened at), else noon
-    of *fallback_date*; with none, ValueError (a configuration problem,
-    unlike per-line errors, which are collected in the result).
+    *open_time*, the epoch milliseconds of the segment's open time or of a
+    configured start date's noon; with neither, ValueError (a
+    configuration problem, unlike per-line errors, which are collected in
+    the result).
     """
     classified_dir = Path(classified_dir)
     groups = _class_files(classified_dir)
@@ -500,11 +500,9 @@ def parse_classified(
         anchor = reported[0]
     elif open_time is not None:
         anchor = open_time
-    elif fallback_date is not None:
-        anchor = day_ms(fallback_date) + _HALF_DAY_MS
     else:
         raise ValueError(
-            f"no date sentence in {classified_dir} and no fallback date configured"
+            f"no date sentence in {classified_dir} and no fallback anchor configured"
         )
     holes = [(a, b) for a, b in zip(reported, reported[1:]) if b - a >= _HALF_DAY_MS]
 

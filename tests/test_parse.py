@@ -1,7 +1,6 @@
 import io
 import re
 import tempfile
-from datetime import date
 from pathlib import Path
 
 import pytest
@@ -639,7 +638,7 @@ def test_parse_classified_requires_some_date(tmp_path):
     route(segment, out)
     with pytest.raises(ValueError):
         parse_classified(out)
-    parsed = parse_records(out, fallback_date=date(2021, 1, 2))
+    parsed = parse_records(out, open_time=ms(2021, 1, 2, 12))
     assert parsed.gps[0].timestamp == ms(2021, 1, 2, 12, 0, 0)
 
 
