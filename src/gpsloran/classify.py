@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, NamedTuple
 
@@ -42,12 +41,6 @@ _HEADER_RE = re.compile(rb"\$(?:P([A-Z0-9]+)|([A-Z]{2})([A-Z]{3}))(?:[,*]|\Z)")
 # Each two-byte checksum field, either case, to its value; anything else is not hex.
 _HEX_PAIRS = {bytes((high, low)): int(bytes((high, low)), 16)
               for high in b"0123456789abcdefABCDEF" for low in b"0123456789abcdefABCDEF"}
-
-
-class ChecksumStatus(str, Enum):
-    VALID = "valid"
-    INVALID = "invalid"
-    ABSENT = "absent"
 
 
 def extract_lines(data: bytes, carry: bytes = b"") -> tuple[list[bytes], bytes]:
@@ -88,8 +81,8 @@ def _suffix_xors(data: bytes) -> bytes:
 
 
 def _checksum_states(lines: list[bytes]) -> list[str]:
-    """The :class:`ChecksumStatus` value of each of *lines*, from its trailing
-    ``*hh`` checksum field.
+    """The checksum state of each of *lines*, ``valid``, ``invalid`` or
+    ``absent``, from its trailing ``*hh`` checksum field.
 
     The checksum is the XOR of all bytes strictly between ``$`` and the
     ``*`` (from the start of the line if it has no ``$``), compared
@@ -120,12 +113,6 @@ def _checksum_states(lines: list[bytes]) -> list[str]:
         if size <= limit:
             at += size + 1
     return states
-
-
-def verify_checksum(line: bytes) -> ChecksumStatus:
-    """The status of the trailing ``*hh`` checksum field of an NMEA-style
-    line: :func:`_checksum_states` of the line alone.  Total: never raises."""
-    return ChecksumStatus(_checksum_states([line])[0])
 
 
 class ClassificationReport(NamedTuple):
@@ -219,7 +206,7 @@ def route(
         quarantined_lines=counts.get(QUARANTINE_LABEL, 0),
         counts=dict(sorted(counts.items())),
         output_paths={label: f"{label}.txt" for label in sorted(writers)},
-        checksum_counts={status.value: checksum_counts[status.value] for status in ChecksumStatus},
+        checksum_counts={state: checksum_counts[state] for state in ("valid", "invalid", "absent")},
         trailing_unterminated=bool(tail),
     )
     atomic_write_json(out_dir / REPORT_NAME, report._asdict())

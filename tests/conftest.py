@@ -11,13 +11,27 @@ import calendar
 import functools
 import operator
 from datetime import datetime
+from enum import Enum
 from pathlib import Path
 from types import SimpleNamespace
 
+from gpsloran.classify import _checksum_states
 from gpsloran.convert import (REORDER_WINDOW, export_digests, merge_sort,
                               read_gps_export)
 from gpsloran.parse import GpsFix, LoranMeasurement, parse_classified
 from gpsloran.timeutil import UTC, epoch_ms, parse_iso_ms
+
+
+class ChecksumStatus(str, Enum):
+    VALID = "valid"
+    INVALID = "invalid"
+    ABSENT = "absent"
+
+
+def verify_checksum(line: bytes) -> ChecksumStatus:
+    """The status of the trailing ``*hh`` checksum field of an NMEA-style
+    line: ``classify._checksum_states`` of the line alone."""
+    return ChecksumStatus(_checksum_states([line])[0])
 
 
 def xor_fold(body: bytes) -> int:

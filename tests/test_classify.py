@@ -15,15 +15,13 @@ from gpsloran.classify import (
     MAX_LINE_BYTES,
     QUARANTINE_LABEL,
     REPORT_NAME,
-    ChecksumStatus,
     classify_line,
     extract_lines,
     route,
-    verify_checksum,
 )
 from gpsloran.fsutil import read_json
 
-from conftest import gga_line, plrm_line, sentence, xor_fold
+from conftest import ChecksumStatus, gga_line, plrm_line, sentence, verify_checksum, xor_fold
 
 
 # --- framing -----------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpsloran.classify import ChecksumStatus, route, verify_checksum
+from gpsloran.classify import route
 from gpsloran.parse import (
     DateContext,
     GpsFix,
@@ -33,7 +33,8 @@ from gpsloran.simulate import (
 )
 from gpsloran.timeutil import from_ms
 
-from conftest import gga_line, ms, parse_records, plrm_line, rmc_line, sentence, utc, zda_line
+from conftest import (ChecksumStatus, gga_line, ms, parse_records, plrm_line, rmc_line, sentence,
+                      utc, verify_checksum, zda_line)
 
 
 def ctx(anchor=ms(2020, 4, 17, 12)):

@@ -7,7 +7,7 @@ from datetime import timedelta
 import pytest
 
 from gpsloran.cli import main
-from gpsloran.classify import ChecksumStatus, classify_line, extract_lines, verify_checksum
+from gpsloran.classify import classify_line, extract_lines
 from gpsloran.convert import read_gps_export, read_loran_export
 from gpsloran.parse import DateContext, GpsFix, parse_gga, parse_loran, split_sentence
 from gpsloran.simulate import (
@@ -21,7 +21,7 @@ from gpsloran.simulate import (
     write_ground_truth,
 )
 
-from conftest import flat_timeline, ms, read_records
+from conftest import ChecksumStatus, flat_timeline, ms, read_records, verify_checksum
 
 
 START = ms(2020, 4, 17)
