@@ -9,10 +9,9 @@ which the export renders as they come, so a segment of any length is
 converted in the same memory.
 
 Records carry integer UTC epoch milliseconds, so the merge sorts ints.
-Each distinct instant is formatted to text once on export, and those
-texts are folded into runs of instants no further apart than the gap
-threshold (:meth:`SummaryFold.take`), as ``stats`` folds the texts it
-reads back: the runs' ends are the span, the spaces between them the gaps.
+Each distinct instant is formatted to text once on export; those texts
+fold into runs of instants, whose ends give the span and the gaps
+(:meth:`SummaryFold.take`), as the texts ``stats`` reads back do.
 
 Export schemas (fixed column order, timestamps as ISO 8601 UTC with
 milliseconds, floats in shortest round-trip form):
@@ -423,13 +422,11 @@ _SNR_BLOCK = 4096  # SNR values the stations hold between them before they are f
 
 class SummaryFold:
     """A summary folded a block of records at a time.  :meth:`take` takes a
-    set of their timestamp texts in any order into :attr:`runs`, the
-    maximal stretches ``(first, last)`` of the instants taken, in time
-    order, in which no two consecutive instants are further apart than
-    *gap_threshold_s*.  The time span and the gaps between the runs are
-    read from them: all that :func:`export` folds.  ``stats`` also fills in the fix counts and bounding box, and :attr:`snr`
-    with each station's SNR values, which :meth:`fold_snr` folds a block
-    at a time into :attr:`stations`."""
+    set of their timestamp texts in any order into :attr:`runs`, which give
+    the time span and the gaps longer than *gap_threshold_s*: all that
+    :func:`export` folds.  ``stats`` also fills in the fix counts and
+    bounding box, and :attr:`snr` with each station's SNR values, which
+    :meth:`fold_snr` folds a block at a time into :attr:`stations`."""
 
     def __init__(self, gap_threshold_s: float) -> None:
         self.fixes = self.no_fix = 0
@@ -467,17 +464,18 @@ class SummaryFold:
 
     def take(self, stamps: Iterable[str]) -> None:
         """Fold a set of ``iso_ms`` timestamp texts, in any order, into
-        :attr:`runs`.  Its instants, each a run of its own, and the runs
-        held within the threshold of its span (found by bisection) are
-        merged in time order, each run into the one before it unless the
-        space between them is a gap, and replace those runs."""
+        :attr:`runs`: the maximal stretches ``(first, last)`` of the instants
+        taken in which no two consecutive ones are further apart than the
+        threshold, in time order.  The set's instants and the runs within
+        the threshold of its span (found by bisection) are merged, each run
+        into the one before it unless the space between them is a gap."""
         stamps, limit = set(stamps), self.gap_threshold_s
         if not stamps:
             return
         lo, hi = parse_iso_ms(min(stamps)), parse_iso_ms(max(stamps))  # the texts sort as their instants
         # no gap lies within a span no longer than the threshold
         instants = [lo, hi] if (hi - lo) / 1000 <= limit else sorted(map(parse_iso_ms, stamps))
-        runs = self.runs
+        runs = self.runs  # runs[i:j] are those no gap away from the set's span
         i = bisect_left(runs, True, key=lambda run: not (lo - run[1]) / 1000 > limit)
         j = bisect_left(runs, True, key=lambda run: (run[0] - hi) / 1000 > limit)
         merged: list[tuple[int, int]] = []
