@@ -27,6 +27,7 @@ import numpy as np
 
 import crash_driver
 from conftest import (
+    ChecksumStatus,
     ManualClock,
     ScriptedSource,
     crlf,
@@ -38,10 +39,11 @@ from conftest import (
     rmc_line,
     sentence,
     utc,
+    verify_checksum,
     xor_fold,
     zda_line,
 )
-from gpsloran.classify import ChecksumStatus, route, verify_checksum
+from gpsloran.classify import route
 from gpsloran.cli import main as cli_main
 from gpsloran.convert import MANIFEST_NAME, read_gps_export, read_loran_export
 from gpsloran.fsutil import read_json
