@@ -94,8 +94,8 @@ def cmd_convert(args) -> int:
         orchestrate.Hooks(),
         session_id=args.session_id,
         gap_threshold_s=parse_duration(args.gap_threshold),
-        open_time=day_ms(date.fromisoformat(args.start_date)) + MS_PER_DAY // 2 if args.start_date
-        else None,  # the start date's noon
+        open_time=(day_ms(date.fromisoformat(args.start_date)) + MS_PER_DAY // 2
+                   if args.start_date else None),  # the start date's noon
     )
     print(json.dumps(manifest["record_counts"]))
     return 0

@@ -391,8 +391,7 @@ class ParsedSegment(NamedTuple):
 
 
 def split_sentence(raw: str) -> list[str]:
-    """Comma-split a sentence with any trailing ``*hh`` checksum, two hex
-    digits, removed."""
+    """Comma-split a sentence with any trailing ``*hh`` checksum (two hex digits) removed."""
     star = raw.rfind("*")
     if star != -1 and len(raw) - star == 3 and raw[-2] in _HEX_DIGITS and raw[-1] in _HEX_DIGITS:
         raw = raw[:star]
