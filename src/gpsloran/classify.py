@@ -21,9 +21,9 @@ from __future__ import annotations
 import re
 from collections import Counter, defaultdict
 from pathlib import Path
-from typing import BinaryIO, NamedTuple
+from typing import NamedTuple
 
-from .fsutil import atomic_write_json
+from .fsutil import OutputSet, json_document
 
 # NMEA 0183 caps sentences at 82 characters; this generous bound tolerates
 # long proprietary extensions while keeping per-line memory bounded.
@@ -146,21 +146,18 @@ def route(
     write per chunk, so memory stays within a few times one chunk plus the
     longest line.
 
-    A ``report.json`` with the counts is written last, so its presence
-    marks a completed classification.
+    The files are one ``OutputSet``, whose last file is a ``report.json``
+    with the counts, so its presence marks a completed classification.
     """
     segment_path = Path(segment_path)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     labels: dict[bytes, str] = {}  # matched header bytes -> class label
     counts: dict[str, int] = {}
     checksum_counts: Counter[str] = Counter()
-    writers: dict[str, BinaryIO] = {}
     match_header = _HEADER_RE.match
     limit = MAX_LINE_BYTES
     carry: list[bytes] = []  # pieces of the unfinished line, joined once when it ends
-    try:
+    with OutputSet(out_dir) as out:
         with open(segment_path, "rb") as stream:
             while True:
                 data = stream.read(READ_CHUNK)
@@ -189,25 +186,19 @@ def route(
                             label = labels[key] = classify_line(key)
                     pending[label].append(line)
                 for label, group in pending.items():
-                    writer = writers.get(label)
-                    if writer is None:
-                        writer = writers[label] = open(out_dir / f"{label}.txt", "wb")
-                    writer.write(b"\n".join(group) + b"\n")
+                    out.write(f"{label}.txt", b"\n".join(group) + b"\n")
                     counts[label] = counts.get(label, 0) + len(group)
                 if not data:
                     break
-    finally:
-        for writer in writers.values():
-            writer.close()
-
-    report = ClassificationReport(
-        segment=segment_path.name,
-        total_lines=sum(counts.values()),
-        quarantined_lines=counts.get(QUARANTINE_LABEL, 0),
-        counts=dict(sorted(counts.items())),
-        output_paths={label: f"{label}.txt" for label in sorted(writers)},
-        checksum_counts={state: checksum_counts[state] for state in ("valid", "invalid", "absent")},
-        trailing_unterminated=bool(tail),
-    )
-    atomic_write_json(out_dir / REPORT_NAME, report._asdict())
+        report = ClassificationReport(
+            segment=segment_path.name,
+            total_lines=sum(counts.values()),
+            quarantined_lines=counts.get(QUARANTINE_LABEL, 0),
+            counts=dict(sorted(counts.items())),
+            output_paths={label: f"{label}.txt" for label in sorted(counts)},
+            checksum_counts={state: checksum_counts[state] for state in ("valid", "invalid", "absent")},
+            trailing_unterminated=bool(tail),
+        )
+        out.write(REPORT_NAME, json_document(report._asdict()))
+        out.commit()
     return report

@@ -32,7 +32,7 @@ import time
 from datetime import date
 from pathlib import Path
 
-from .fsutil import read_json
+from .fsutil import OutputSet, atomic_write_bytes, read_json
 from .timeutil import MS_PER_DAY, day_ms, iso_ms, parse_duration
 
 
@@ -116,9 +116,7 @@ def cmd_recover(args) -> int:
 
 def cmd_stats(args) -> int:
     from collections import defaultdict
-    from contextlib import ExitStack, suppress
     from . import convert
-    from .fsutil import AtomicWriter
     session_dir = Path(args.session)
     exports = session_dir / "exports"
     export_dirs = sorted(d for d in exports.iterdir()
@@ -126,20 +124,18 @@ def cmd_stats(args) -> int:
     if not export_dirs:
         raise CliError(f"no exports found under {session_dir}")
     gap_threshold_s = parse_duration(args.gap_threshold)
-    out_dir = Path(args.out) if args.out else session_dir / "stats"
-    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out = OutputSet(Path(args.out) if args.out else session_dir / "stats")
 
     # Each block of rows the readers hand on is folded, and its series rows
     # written, as it is read; a row is the texts of its cells.
-    fold, series, stack = convert.SummaryFold(gap_threshold_s), {}, ExitStack()
+    fold, series = convert.SummaryFold(gap_threshold_s), set()
     wanted = args.station
 
     def write(name: str, rows, header: str = "timestamp,snr_db\n") -> None:
         if name not in series:
-            series[name] = stack.enter_context(AtomicWriter(out_dir / name))
-            series[name].write(header.encode())
-        series[name].write("".join(rows).encode())
+            series.add(name)
+            out.write(name, header.encode())
+        out.write(name, "".join(rows).encode())
 
     def on_fixes(rows) -> None:  # timestamp, lat, lon, alt, fix_quality, num_sats, hdop
         fold.take({row[0] for row in rows})
@@ -166,13 +162,7 @@ def cmd_stats(args) -> int:
             write(f"snr_{station}.csv", lines)
         fold.fold_snr()
 
-    def remove_made(failed, *_) -> None:  # returns None, so the stack re-raises the failure
-        for directory in made if failed else ():
-            with suppress(OSError):
-                directory.rmdir()
-
-    with stack:  # a failure discards every series, then the directories made for them
-        stack.push(remove_made)
+    with out:  # a failure discards every series, then the directories made for them
         write("gps_fixes.csv", (), "timestamp,lat_deg,lon_deg,alt_m\n")
         if wanted:
             write(f"snr_{wanted}.csv", ())
@@ -184,8 +174,7 @@ def cmd_stats(args) -> int:
                 if path.exists() or (path := path.with_suffix(".jsonl")).exists():
                     reader(path, emit, digests)
         stations = convert.summarize(fold)
-        for writer in series.values():
-            writer.commit()
+        out.commit()
 
     loran = sum(count for count, *_ in stations.values())
     print(f"records={fold.fixes + fold.no_fix + loran} gps_fixes={fold.fixes} "
@@ -218,7 +207,7 @@ def cmd_simulate(args) -> int:
         "garbage": truth.garbage_lines,
     }
     if args.sim_command == "generate":
-        Path(args.out).write_bytes(stream.to_bytes())
+        atomic_write_bytes(Path(args.out), stream.to_bytes())
         print(json.dumps(summary))
         return 0
 

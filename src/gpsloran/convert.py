@@ -33,18 +33,16 @@ from __future__ import annotations
 import json
 import logging
 import math
-import re
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import ExitStack
 from itertools import chain, islice
 from operator import add, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .fsutil import AtomicWriter, atomic_write_json, read_json, sha256_file
+from .fsutil import OutputSet, json_document, read_json, sha256_file
 from .timeutil import iso_ms, parse_iso_ms
 
 GPS_TYPE = "gps_fix"
@@ -59,8 +57,6 @@ FORMAT_EXTENSIONS = {"columns": "csv", "lines": "jsonl"}
 DEFAULT_GAP_THRESHOLD_S = 300.0
 
 MANIFEST_NAME = "manifest.json"
-
-_ISO_MS_TEXT = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}Z", re.ASCII)  # as iso_ms writes
 
 if TYPE_CHECKING:  # the records come from parse, which reading an export does not load
     from .parse import GpsFix, LoranMeasurement
@@ -248,54 +244,49 @@ def export(blocks: Iterable[list[Record]], formats: tuple[str, ...] | str, out_d
     always produces byte-identical files.  Each block is rendered, hashed
     and written, and its counts, time span and gaps folded, as it arrives.
     The parse error count may be a callable, read once the timeline is
-    written, for stores parsed as they are merged.  On any failure every
-    file this call made, final or temporary, is removed, so a directory
-    never holds a partial export set.  Returns the manifest payload.
+    written, for stores parsed as they are merged.  The exports and then
+    the manifest are one ``OutputSet``, so on any failure every file this
+    call made is removed: a directory never holds a partial export set,
+    nor exports without their manifest.  Returns the manifest payload.
     """
     formats = export_formats(formats)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    writers: dict[str, AtomicWriter] = {}
-    with ExitStack() as stack:  # a failure discards every writer
+    names = [name for fmt in formats for name in _EXPORT_FILES[fmt]]
+    with OutputSet(out_dir) as out:
         for fmt in formats:
             for name, header in zip(_EXPORT_FILES[fmt], (GPS_COLUMNS, LORAN_COLUMNS, ALL_COLUMNS)):
-                writers[name] = writer = stack.enter_context(AtomicWriter(out_dir / name))
-                if fmt == "columns":
-                    writer.write((",".join(header) + "\n").encode("utf-8"))
+                out.write(name, f"{','.join(header)}\n".encode() if fmt == "columns" else b"")
         fold, counts, records = SummaryFold(gap_threshold_s), defaultdict(int), 0
         float_texts = _FloatTexts()
         for block in blocks:
             rendered = _render(block, formats, fold, counts, float_texts)
             records += len(block)
-            for name, writer in writers.items():
-                writer.write(rendered[name].encode("utf-8"))
-        digests = {name: writer.commit() for name, writer in writers.items()}
-
-    loran = sum(counts.values())
-    manifest = {
-        "session_id": session_id,
-        "time_span": None
-        if fold.first is None
-        else {"first": iso_ms(fold.first), "last": iso_ms(fold.last)},
-        "record_counts": {
-            "gps_fix": records - loran,
-            "loran": loran,
-            "loran_by_station": dict(sorted(counts.items())),
-            "parse_errors": parse_errors() if callable(parse_errors) else parse_errors,
-            "quarantined": quarantined,
-        },
-        "export_files": [
-            {"path": name, "format": fmt, "digest": digests[name]}
-            for fmt in formats
-            for name in _EXPORT_FILES[fmt]
-        ],
-        "gap_threshold_s": gap_threshold_s,
-        "gap_list": [
-            {"start": iso_ms(start), "end": iso_ms(end)} for start, end in fold.gaps
-        ],
-    }
-    atomic_write_json(out_dir / MANIFEST_NAME, manifest)
+            for name in names:
+                out.write(name, rendered[name].encode("utf-8"))
+        loran = sum(counts.values())
+        manifest = {
+            "session_id": session_id,
+            "time_span": None
+            if fold.first is None
+            else {"first": iso_ms(fold.first), "last": iso_ms(fold.last)},
+            "record_counts": {
+                "gps_fix": records - loran,
+                "loran": loran,
+                "loran_by_station": dict(sorted(counts.items())),
+                "parse_errors": parse_errors() if callable(parse_errors) else parse_errors,
+                "quarantined": quarantined,
+            },
+            "export_files": [
+                {"path": name, "format": fmt, "digest": out.digest(name)}
+                for fmt in formats
+                for name in _EXPORT_FILES[fmt]
+            ],
+            "gap_threshold_s": gap_threshold_s,
+            "gap_list": [
+                {"start": iso_ms(start), "end": iso_ms(end)} for start, end in fold.gaps
+            ],
+        }
+        out.write(MANIFEST_NAME, json_document(manifest))
+        out.commit()
     return manifest
 
 
@@ -386,8 +377,8 @@ def _checked(rows, check):
     text = stamp = object()  # no row's timestamp
     for row in rows:
         if row[0] != text:
-            text, instant = row[0], parse_iso_ms(row[0])
-            stamp = text if _ISO_MS_TEXT.fullmatch(text) else iso_ms(instant)
+            text = row[0]
+            stamp = iso_ms(parse_iso_ms(text))
         yield (stamp, *["" if value is None else str(value) for value in check(*row[1:])])
 
 

@@ -1,5 +1,6 @@
-"""Small filesystem helpers: content digests, atomic writes, and the
-session's event log and its fold, which load no pipeline or capture code."""
+"""Small filesystem helpers: content digests, the one writer of output
+files (:class:`OutputSet`), and the session's event log and its fold,
+which load no pipeline or capture code."""
 from __future__ import annotations
 
 import hashlib
@@ -7,9 +8,9 @@ import json
 import math
 import os
 import threading
-from contextlib import suppress
+from contextlib import AbstractContextManager, suppress
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, BinaryIO, NamedTuple
 
 RECORDED = "recorded"
 CLASSIFIED = "classified"
@@ -30,56 +31,82 @@ def sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-class AtomicWriter:
-    """Stream bytes to *path*, hashing them, via a sibling ``<name>.tmp``
-    that :meth:`commit` fsyncs and renames over *path*; rename is atomic on
-    POSIX filesystems, so readers never observe a partial file.  Leaving a
-    ``with`` block by an exception discards the writer."""
+class OutputSet(AbstractContextManager):
+    """The output files of one job in *directory*, which it makes.  Each is
+    written to a sibling ``<name>.tmp`` and hashed as it goes out, then
+    :meth:`commit` makes them durable; an exception leaving a ``with``
+    block removes every file and directory the set made."""
 
-    def __init__(self, path: Path):
-        self.path = Path(path)
-        self.tmp = self.path.with_name(self.path.name + ".tmp")
-        self.digest = hashlib.sha256()
-        self.committed = False
-        self._handle = open(self.tmp, "wb")
-
-    def __enter__(self) -> AtomicWriter:
-        return self
+    def __init__(self, directory: Path):
+        self.dir = Path(directory)
+        self._made = [d for d in (self.dir, *self.dir.parents) if not d.exists()]  # deepest first
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self._files: dict[str, tuple[BinaryIO, Any]] = {}  # name -> (.tmp handle, sha256)
+        self._committed: list[str] = []
 
     def __exit__(self, exc_type, exc, traceback) -> None:
         if exc_type is not None:
             self.discard()
 
-    def write(self, data: bytes) -> None:
-        self.digest.update(data)
-        self._handle.write(data)
+    def write(self, name: str, data: bytes) -> None:
+        entry = self._files.get(name)
+        if entry is None:
+            entry = self._files[name] = (open(self.dir / f"{name}.tmp", "wb"), hashlib.sha256())
+        entry[1].update(data)
+        entry[0].write(data)
 
-    def commit(self) -> str:
-        """Make the file durable under its final name; return its sha256."""
-        with self._handle:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-        os.replace(self.tmp, self.path)
-        self.committed = True
-        return self.digest.hexdigest()
+    def digest(self, name: str) -> str:
+        """The sha256 of the bytes written to *name* so far."""
+        return self._files[name][1].hexdigest()
+
+    def commit(self) -> None:
+        """Fsync each file and rename it over its final name (atomic on
+        POSIX, so no reader sees a partial file), in the order the files
+        were first written; then fsync the directory."""
+        for name, (handle, _) in self._files.items():
+            with handle:
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(self.dir / f"{name}.tmp", self.dir / name)
+            self._committed.append(name)
+        sync_dir(self.dir)
 
     def discard(self) -> None:
-        """Remove what this writer put on disk, the committed file included."""
-        with suppress(OSError):  # on a full disk, closing fails to flush again
-            self._handle.close()
-        self.tmp.unlink(missing_ok=True)
-        if self.committed:
-            self.path.unlink(missing_ok=True)
+        """Remove what this set put on disk, committed files and the
+        directories it made included."""
+        for name, (handle, _) in self._files.items():
+            with suppress(OSError):  # on a full disk, closing fails to flush again
+                handle.close()
+            (self.dir / f"{name}.tmp").unlink(missing_ok=True)
+        for name in self._committed:
+            (self.dir / name).unlink(missing_ok=True)
+        for directory in self._made:
+            with suppress(OSError):  # one that holds files this set did not make stays
+                directory.rmdir()
+
+
+def sync_dir(directory: Path) -> None:
+    """Fsync *directory*, so the renames and new names in it are durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def json_document(payload: Any) -> bytes:
+    """*payload* as a JSON document: indent 2, sorted keys, a trailing newline."""
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
-    with AtomicWriter(path) as writer:
-        writer.write(data)
-        writer.commit()
+    with OutputSet(path.parent) as out:
+        out.write(path.name, data)
+        out.commit()
 
 
 def atomic_write_json(path: Path, payload: Any) -> None:
-    atomic_write_bytes(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    atomic_write_bytes(path, json_document(payload))
 
 
 def read_json(path: Path) -> Any:

@@ -16,10 +16,10 @@ purely through the filesystem:
                                           + parse_errors.jsonl
 
 A segment's ``segment_closed`` event records it; each later stage
-transition appends one fsynced ``stage`` line to the same log, and stage
-outputs are built in a temp directory and renamed into place, so after a
-crash each segment is cleanly at its recorded stage boundary, with at
-most a stale temp directory that the stage's next build replaces.
+transition appends one fsynced ``stage`` line to the same log, after its
+outputs are fsynced in a temp directory, renamed into place and the parent
+fsynced, so after a crash each segment is cleanly at its recorded stage
+boundary, with at most a stale temp directory that the next build replaces.
 ``recover()`` reprocesses every segment stuck before ``converted`` from
 its last completed stage; processing is deterministic, so reprocessing
 is byte-identical.
@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from .classify import REPORT_NAME, route
 from .convert import REORDER_WINDOW, ReorderOverflow, export, export_formats, merge_sort
 from .fsutil import (CLASSIFIED, CONVERTED, RECORDED, STATE_NAME, StateStore, append_event,
-                     atomic_write_bytes, json_number, read_json, sha256_file)
+                     atomic_write_bytes, json_number, read_json, sha256_file, sync_dir)
 from .parse import parse_classified
 from .timeutil import from_ms, iso_ms, parse_duration, parse_iso_ms
 
@@ -236,9 +236,9 @@ def process_segment(session_dir: Path, segment_name: str, settings: dict, state:
     """Run classify -> parse -> convert for one closed segment, skipping
     classify once *state* has it classified and its directory is in place.
 
-    Each stage is built in a temp directory that is renamed into place just
-    before its stage line is appended, so a crash at any point leaves the old
-    stage boundary or the new one, never a half-visible directory.  A failure
+    Each stage is built and fsynced in a temp directory, renamed into place
+    and its parent fsynced just before its stage line is appended, so a
+    crash or power loss leaves the old stage boundary or the new one.  A failure
     logs ``event=processing_failed`` and flags the segment; a ``BaseException``
     (a crash) propagates."""
     session_dir = Path(session_dir)
@@ -254,6 +254,7 @@ def process_segment(session_dir: Path, segment_name: str, settings: dict, state:
         if final.exists():
             shutil.rmtree(final)
         os.replace(tmp, final)
+        sync_dir(final.parent)
         state.set_stage(segment_name, stage)
         return result
 

@@ -242,7 +242,6 @@ class CaptureSession:
         now = self.clock.now()
         self.session_id = session_id or f"session_{basic_stamp(now)}"
         self.dir = Path(out_dir) / self.session_id
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.session_start = now
         metadata = {
             "session_id": self.session_id,

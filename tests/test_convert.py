@@ -34,7 +34,7 @@ from gpsloran.convert import (
     summarize,
 )
 from gpsloran import convert, fsutil
-from gpsloran.fsutil import AtomicWriter, read_json, sha256_file
+from gpsloran.fsutil import OutputSet, read_json, sha256_file
 from gpsloran.parse import GpsFix, LoranMeasurement
 from gpsloran.timeutil import epoch_ms, iso_ms, parse_iso_ms
 
@@ -373,22 +373,34 @@ def test_export_writes_and_lists_a_repeated_format_once(tmp_path):
 def test_export_failure_leaves_no_partial_files(tmp_path, monkeypatch):
     """A write failing partway through timeline_all.csv, after the other
     files and part of this one have gone out, leaves no file at all."""
-    real_write = AtomicWriter.write
+    real_write = OutputSet.write
     written = []
 
-    def failing_write(self, data):
-        if self.path.name == "timeline_all.csv" and written.count(self.path.name):
-            real_write(self, data[: len(data) // 2])
+    def failing_write(self, name, data):
+        if name == "timeline_all.csv" and written.count(name):
+            real_write(self, name, data[: len(data) // 2])
             raise OSError(errno.ENOSPC, "disk full")
-        written.append(self.path.name)
-        real_write(self, data)
+        written.append(name)
+        real_write(self, name, data)
 
-    monkeypatch.setattr(AtomicWriter, "write", failing_write)
+    monkeypatch.setattr(OutputSet, "write", failing_write)
     with pytest.raises(OSError):
         export(sample_timeline(), ("columns", "lines"), tmp_path, session_id="s1")
     assert written.count("timeline_all.csv") == 1  # the header went out first
     assert written.count("timeline_gps.csv") == written.count("timeline_loran.csv") == 2
     assert list(tmp_path.iterdir()) == []  # finals and .tmp files alike
+
+
+def test_export_failure_before_the_manifest_leaves_no_files(tmp_path):
+    """A failure once the timeline is written, counting parse errors here,
+    leaves no export without its manifest, nor the directory made for them."""
+    def failing_count():
+        raise OSError(errno.EIO, "parse error store unreadable")
+
+    with pytest.raises(OSError):
+        export(sample_timeline(), ("columns",), tmp_path / "out", session_id="s1",
+               parse_errors=failing_count)
+    assert list(tmp_path.rglob("*")) == []
 
 
 def test_export_failure_while_renaming_removes_committed_files(tmp_path, monkeypatch):

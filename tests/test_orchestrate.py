@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from gpsloran import fsutil
 from gpsloran.clock import AcceleratedClock, SystemClock
 from gpsloran.classify import REPORT_NAME
 from gpsloran.convert import MANIFEST_NAME, export, merge_sort
@@ -300,6 +301,48 @@ def test_process_segment_stages_and_outputs(tmp_path):
     assert state.entries[0].stage == CONVERTED
     assert not list((session_dir / "classified").glob(".tmp-*"))
     assert not list((session_dir / "exports").glob(".tmp-*"))
+
+
+def test_process_segment_makes_each_stage_durable_before_its_stage_line(tmp_path, monkeypatch):
+    """Each file of a stage, and the stage directory, is fsynced after its
+    last write and before the directory is renamed into place; the parent
+    is fsynced after the rename and before the stage line.  A file is told
+    by its inode, and its last write by its size and mtime at the fsync."""
+    session_dir, name, state = make_session_dir(tmp_path)
+    real_fsync, real_replace, real_append = os.fsync, os.replace, fsutil.append_event
+    events = []
+
+    def recording_fsync(fd):
+        st = os.fstat(fd)
+        events.append(("fsync", st.st_ino, st.st_size, st.st_mtime_ns))
+        real_fsync(fd)
+
+    def recording_replace(src, dst):
+        real_replace(src, dst)
+        events.append(("replace", Path(dst)))
+
+    def recording_append(directory, payload):
+        events.append(("stage", payload.get("stage")))
+        real_append(directory, payload)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    monkeypatch.setattr(fsutil, "append_event", recording_append)
+    process_segment(session_dir, name, pipeline_settings({"formats": ["columns", "lines"]}), state,
+                    Hooks())
+    assert state.stage(name) == CONVERTED
+
+    stem = Path(name).stem
+    for kind, stage in (("classified", CLASSIFIED), ("exports", CONVERTED)):
+        final = session_dir / kind / stem
+        renamed = events.index(("replace", final))
+        staged = events.index(("stage", stage))
+        synced = [event[1:] for event in events[:renamed] if event[0] == "fsync"]
+        for path in (final, *final.iterdir()):
+            st = path.stat()
+            assert (st.st_ino, st.st_size, st.st_mtime_ns) in synced, path
+        parent = (session_dir / kind).stat().st_ino
+        assert any(event[:2] == ("fsync", parent) for event in events[renamed:staged]), kind
 
 
 def test_process_segment_is_deterministic(tmp_path):
