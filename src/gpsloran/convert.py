@@ -235,7 +235,7 @@ def export_formats(formats: str | tuple[str, ...] | list[str]) -> tuple[str, ...
 
 
 def export(blocks: Iterable[list[Record]], formats: tuple[str, ...] | str, out_dir: Path, *,
-           session_id: str = "", parse_errors: int | Callable[[], int] = 0,
+           session_id: str = "", parse_errors: Callable[[], int] = lambda: 0,
            quarantined: int = 0, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S) -> dict:
     """Write timeline exports plus ``manifest.json`` into *out_dir*.
 
@@ -243,7 +243,7 @@ def export(blocks: Iterable[list[Record]], formats: tuple[str, ...] | str, out_d
     (as :func:`merge_sort` yields it).  Deterministic: the same timeline
     always produces byte-identical files.  Each block is rendered, hashed
     and written, and its counts, time span and gaps folded, as it arrives.
-    The parse error count may be a callable, read once the timeline is
+    *parse_errors* gives the parse error count, read once the timeline is
     written, for stores parsed as they are merged.  The exports and then
     the manifest are one ``OutputSet``, so on any failure every file this
     call made is removed: a directory never holds a partial export set,
@@ -272,7 +272,7 @@ def export(blocks: Iterable[list[Record]], formats: tuple[str, ...] | str, out_d
                 "gps_fix": records - loran,
                 "loran": loran,
                 "loran_by_station": dict(sorted(counts.items())),
-                "parse_errors": parse_errors() if callable(parse_errors) else parse_errors,
+                "parse_errors": parse_errors(),
                 "quarantined": quarantined,
             },
             "export_files": [

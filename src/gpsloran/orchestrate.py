@@ -207,15 +207,23 @@ def convert_classified(classified_dir: Path, out_dir: Path, formats: tuple[str, 
                        open_time: int | None = None) -> dict:
     """Parse *classified_dir* (see :func:`parse_classified` for the date
     anchor) and write its timeline exports, manifest and parse errors into
-    *out_dir*; return the manifest.  The quarantined count is read from
-    ``report.json``, and is 0 without one.
+    *out_dir*; return the manifest.  The quarantined count is
+    ``report.json``'s ``quarantined_lines``, an integer >= 0 (``ValueError``
+    if not, or if the report is not a JSON object), and 0 without a report.
 
     The stores are parsed as they are merged and exported, holding a
     reorder window of each.  A segment whose records arrive further out of
     time order than that is parsed again, each whole store sorted, and
     logs ``event=reorder_retry``; the exports are the same either way."""
-    report = classified_dir / REPORT_NAME
-    quarantined = read_json(report).get("quarantined_lines", 0) if report.exists() else 0
+    report, quarantined = classified_dir / REPORT_NAME, 0
+    if report.exists():
+        document = read_json(report)
+        if type(document) is not dict:
+            raise ValueError(f"{report} must hold a JSON object")
+        quarantined = json_number(document.get("quarantined_lines", 0),
+                                  f"{report} key 'quarantined_lines'", "int")
+        if quarantined < 0:
+            raise ValueError(f"{report} key 'quarantined_lines' must be >= 0: {quarantined!r}")
     for window in (REORDER_WINDOW, None):
         parsed = parse_classified(classified_dir, open_time)
         hooks.fire("mid-parse")

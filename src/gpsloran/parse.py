@@ -64,7 +64,6 @@ GRI_MIN = 4000
 GRI_MAX = 9999
 _HALF_DAY_MS = MS_PER_DAY // 2
 
-_TOD_RE = re.compile(r"^(\d{2})(\d{2})(\d{2})(?:\.(\d{1,3}))?$")
 _COORD_RE = re.compile(r"^(\d{4,5})\.(\d+)$")
 _RMC_DATE_RE = re.compile(r"^(\d{2})(\d{2})(\d{2})$")
 # What int() and float() forgive in a number and NMEA never writes in one:
@@ -178,19 +177,15 @@ class DateContext:
 
 
 def parse_tod(value: str) -> int:
-    """Milliseconds into the UTC day of ``hhmmss`` with up to three
-    fractional digits."""
-    if (len(value) == 10 and value[6] == "." and value.isascii()
-            and (digits := value.replace(".", "", 1)).isdigit()):  # hhmmss.sss, the receivers' form
-        whole = int(digits)
-        hour, minute, second_ms = whole // 10_000_000, whole // 100_000 % 100, whole % 100_000
-    else:
-        match = _TOD_RE.match(value)
-        if not match:
-            raise ParseError(f"malformed time of day: {value!r}", "time")
-        hour, minute, second, fraction = match.groups()
-        hour, minute = int(hour), int(minute)
-        second_ms = int(second) * 1000 + int((fraction or "").ljust(3, "0"))
+    """Milliseconds into the UTC day of ``hhmmss``, ``hhmmss.s``,
+    ``hhmmss.ss`` or ``hhmmss.sss``: decimal digits of any script, with at
+    most one final line feed."""
+    head, dot, fraction = value.removesuffix("\n").partition(".")
+    digits = head + fraction.ljust(3, "0")  # hhmmssSSS
+    if not (len(head) == 6 and len(digits) == 9 and digits.isdecimal() and (fraction or not dot)):
+        raise ParseError(f"malformed time of day: {value!r}", "time")
+    whole = int(digits)
+    hour, minute, second_ms = whole // 10_000_000, whole // 100_000 % 100, whole % 100_000
     if hour > 23 or minute > 59 or second_ms > 59_999:
         raise ParseError(f"time of day out of range: {value!r}", "time")
     return (hour * 60 + minute) * 60_000 + second_ms
@@ -317,32 +312,18 @@ def _in_frame(toa: float, gri: int) -> bool:
 
 
 def loran_values(gri, role, toa, snr, ecd) -> tuple[int, str, float, float, float]:
-    """A Loran observation's values, from text (or numbers), checked in
-    field order; ``ParseError`` naming the first field that fails.  Four
-    clean texts of finite numbers, as a receiver writes, convert at once;
-    anything else converts field by field, each after the checks before it."""
-    try:  # '+' raises TypeError unless all four are texts
-        if _NUMBER_NOISE(gri + toa + snr + ecd):
-            raise ValueError
-        numbers = int(gri), float(toa), float(snr), float(ecd)
-        each = not math.isfinite(numbers[1] + numbers[2] + numbers[3])
-    except (TypeError, ValueError):
-        each = True
-    if each:
-        gri = parse_int(gri, "gri")
-    else:
-        gri, toa, snr, ecd = numbers
+    """A Loran observation's values, from text (or numbers), each converted
+    and checked in field order; ``ParseError`` naming the first field that
+    fails."""
+    gri = parse_int(gri, "gri")
     if not GRI_MIN <= gri <= GRI_MAX:
         raise ParseError(f"GRI designator out of range: {gri}", "gri")
     if role not in STATION_ROLES:
         raise ParseError(f"unknown station role: {role!r}", "station_role")
-    if each:
-        toa = parse_float(toa, "toa_us")
+    toa = parse_float(toa, "toa_us")
     if not _in_frame(toa, gri):
         raise ParseError(f"toa_us outside GRI frame: {toa}", "toa_us")
-    if each:
-        snr, ecd = parse_float(snr, "snr_db"), parse_float(ecd, "ecd_us")
-    return gri, role, toa, snr, ecd
+    return gri, role, toa, parse_float(snr, "snr_db"), parse_float(ecd, "ecd_us")
 
 
 def gps_values(lat, lon, alt, quality, sats, hdop) -> tuple:

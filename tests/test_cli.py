@@ -25,7 +25,7 @@ from gpsloran.cli import main
 from gpsloran.convert import (MANIFEST_NAME, export, merge_sort, read_gps_export,
                               read_loran_export)
 from gpsloran.fsutil import read_json
-from gpsloran.orchestrate import STATE_NAME, StateStore
+from gpsloran.orchestrate import STATE_NAME, Hooks, StateStore, pipeline_settings, process_segment
 from gpsloran.parse import GpsFix, LoranMeasurement
 from gpsloran.simulate import Scenario, generate_stream
 from gpsloran.timeutil import iso_ms
@@ -203,6 +203,38 @@ def test_convert_start_date_fallback(tmp_path, capsys):
     capsys.readouterr()
     gps = read_records(read_gps_export, exports / "timeline_gps.csv")
     assert gps[0].timestamp == ms(2021, 6, 1, 12, 0, 0)
+
+
+@pytest.mark.parametrize("report, error", [
+    ([], "report.json must hold a JSON object"),
+    ({"quarantined_lines": "many"}, "key 'quarantined_lines' must be an integer: 'many'"),
+    ({"quarantined_lines": -1}, "key 'quarantined_lines' must be >= 0: -1"),
+], ids=["array", "text-count", "negative-count"])
+def test_a_malformed_report_is_an_error_not_a_count(tmp_path, capsys, report, error):
+    """A ``report.json`` that is not a JSON object, or whose quarantined
+    count is not an integer >= 0, ends ``convert`` with an error line and
+    exit 1, and flags the segment in the pipeline."""
+    segment = segment_file(tmp_path)
+    classified = tmp_path / "classified"
+    assert main(["classify", "--segment", str(segment), "--out", str(classified)]) == 0
+    (classified / "report.json").write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["convert", "--classified", str(classified), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and error in err
+
+    session = tmp_path / "session"
+    session.mkdir()
+    (session / segment.name).write_bytes(segment.read_bytes())
+    state = StateStore(session / STATE_NAME, "unit")
+    state.add_segment(segment.name)
+    hooks = Hooks()
+    hooks.on("mid-classify", lambda count: (session / "classified" / f".tmp-{segment.stem}"
+                                            / "report.json").write_text(json.dumps(report)))
+    process_segment(session, segment.name, pipeline_settings({}), state, hooks)
+    [entry] = state.entries
+    assert entry.stage == "classified" and error in entry.error
+    assert not (session / "exports" / segment.stem / MANIFEST_NAME).exists()
 
 
 def test_record_replay_and_recover_roundtrip(tmp_path, capsys):

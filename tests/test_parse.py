@@ -442,8 +442,8 @@ def mostly(usual):
 @given(mostly(st.integers(4000, 9999).map(str)), st.sampled_from(["M", "Z", "Q"]),
        *[mostly(st.floats(-100, 100_010).map(repr))] * 3)
 def test_parse_loran_equals_field_by_field_checks(gri, role, toa, snr, ecd):
-    """The one-go conversion gives the record, or the error text and field,
-    that converting and checking each field in turn gives."""
+    """parse_loran gives the record, or the error text and field, that an
+    independent field-by-field conversion and check gives."""
     fields = ["PLRM", "120000.500", gri, role, toa, snr, ecd]
     assert outcome(parse_loran, fields, ctx()) == outcome(loran_by_field, fields)
 

@@ -6,22 +6,29 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def test_every_module_level_function_and_class_is_named_by_the_program():
-    """Each function and class defined at the top of a module under
-    ``src/gpsloran`` is named again in the package or the benchmark: as a
-    name, an attribute, an import, or a string (the benchmark wraps
-    functions by name).  One that only tests call is not part of the
-    program."""
+    """Each function, class and assigned name defined at the top of a
+    module under ``src/gpsloran`` is read again in the package or the
+    benchmark: as a name, an attribute, an import, or a string (the
+    benchmark wraps functions by name).  A name counts only where it is
+    read, not where it is bound; dunder names are exempt.  One that only
+    tests read is not part of the program."""
     sources = [*sorted(REPO.glob("src/gpsloran/*.py")), *sorted(REPO.glob("bench/*.py"))]
     defined, named = [], set()
     for path in sources:
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         if path.parent.name == "gpsloran":
-            defined += [(path.name, node.name) for node in tree.body if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.append((path.name, node.name))
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined += [(path.name, name.id) for target in targets
+                                for name in ast.walk(target) if isinstance(name, ast.Name)
+                                and not (name.id.startswith("__") and name.id.endswith("__"))]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 named.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
