@@ -228,7 +228,7 @@ def cmd_simulate(args) -> int:
 
 
 def build_parser() -> _Parser:
-    from .convert import FORMAT_EXTENSIONS
+    from .convert import DEFAULT_GAP_THRESHOLD_S, FORMAT_EXTENSIONS
     parser = _Parser(prog="gpsloran", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -255,7 +255,7 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=tuple(FORMAT_EXTENSIONS), default="columns")
     p.add_argument("--session-id", default="")
     p.add_argument("--start-date", default=None, help="YYYY-MM-DD whose noon anchors a segment with no ZDA/RMC instant")
-    p.add_argument("--gap-threshold", default="5m")
+    p.add_argument("--gap-threshold", default=str(DEFAULT_GAP_THRESHOLD_S))
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("run", help="full unattended pipeline from a JSON config")
@@ -265,7 +265,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("stats", help="emit SNR-vs-time and GPS fix series for a session")
     p.add_argument("--session", required=True, help="session directory (contains exports/)")
     p.add_argument("--station", default=None, help="limit SNR series to one station, e.g. 9930M")
-    p.add_argument("--gap-threshold", default="5m")
+    p.add_argument("--gap-threshold", default=str(DEFAULT_GAP_THRESHOLD_S))
     p.add_argument("--out", default=None, help="series output directory (default <session>/stats)")
     p.set_defaults(func=cmd_stats)
 

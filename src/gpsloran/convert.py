@@ -235,7 +235,7 @@ def export_formats(formats: str | tuple[str, ...] | list[str]) -> tuple[str, ...
 
 
 def export(blocks: Iterable[list[Record]], formats: tuple[str, ...] | str, out_dir: Path, *,
-           session_id: str = "", parse_errors: Callable[[], int] = lambda: 0,
+           session_id: str = "", parse_errors: Callable[[OutputSet], int] = lambda out: 0,
            quarantined: int = 0, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S) -> dict:
     """Write timeline exports plus ``manifest.json`` into *out_dir*.
 
@@ -243,11 +243,11 @@ def export(blocks: Iterable[list[Record]], formats: tuple[str, ...] | str, out_d
     (as :func:`merge_sort` yields it).  Deterministic: the same timeline
     always produces byte-identical files.  Each block is rendered, hashed
     and written, and its counts, time span and gaps folded, as it arrives.
-    *parse_errors* gives the parse error count, read once the timeline is
-    written, for stores parsed as they are merged.  The exports and then
-    the manifest are one ``OutputSet``, so on any failure every file this
-    call made is removed: a directory never holds a partial export set,
-    nor exports without their manifest.  Returns the manifest payload.
+    *parse_errors*, called once the timeline is written, writes its files
+    into the export's ``OutputSet`` and returns the parse error count.  The
+    exports, those files and the manifest last are one set, so on any
+    failure every file this call made is removed: a directory never holds
+    a partial export set.  Returns the manifest payload.
     """
     formats = export_formats(formats)
     names = [name for fmt in formats for name in _EXPORT_FILES[fmt]]
@@ -272,7 +272,7 @@ def export(blocks: Iterable[list[Record]], formats: tuple[str, ...] | str, out_d
                 "gps_fix": records - loran,
                 "loran": loran,
                 "loran_by_station": dict(sorted(counts.items())),
-                "parse_errors": parse_errors(),
+                "parse_errors": parse_errors(out),
                 "quarantined": quarantined,
             },
             "export_files": [
@@ -322,7 +322,8 @@ def _verified(path: Path, digests: dict[str, str] | None) -> bool:
     if digests is not None and (name not in digests or sha256_file(path) == digests[name]):
         return name in digests  # a file made by hand, or as exported
     reason = "digest_mismatch" if digests else "manifest_unreadable"
-    logging.getLogger(__name__).warning("event=export_unverified file=%s reason=%s", path, reason)
+    logging.getLogger(__name__).warning("event=export_unverified file=%s reason=%s",
+                                        json.dumps(str(path)), reason)
     return False
 
 

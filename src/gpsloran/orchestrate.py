@@ -39,9 +39,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from .classify import REPORT_NAME, route
-from .convert import REORDER_WINDOW, ReorderOverflow, export, export_formats, merge_sort
-from .fsutil import (CLASSIFIED, CONVERTED, RECORDED, STATE_NAME, StateStore, append_event,
-                     atomic_write_bytes, json_number, read_json, sha256_file, sync_dir)
+from .convert import (DEFAULT_GAP_THRESHOLD_S, REORDER_WINDOW, ReorderOverflow, export,
+                      export_formats, merge_sort)
+from .fsutil import (CLASSIFIED, CONVERTED, RECORDED, STATE_NAME, OutputSet, StateStore,
+                     append_event, json_number, read_json, sha256_file, sync_dir)
 from .parse import parse_classified
 from .timeutil import from_ms, iso_ms, parse_duration, parse_iso_ms
 
@@ -85,7 +86,7 @@ class Hooks:
 
 PIPELINE_DEFAULTS = {
     "formats": ["columns"],
-    "gap_threshold_s": 300.0,
+    "gap_threshold_s": DEFAULT_GAP_THRESHOLD_S,
     "quarantine_invalid": True,
     "flush_interval_s": 1.0,
     "on_eof": "reconnect",
@@ -194,27 +195,28 @@ def segment_open_time(segment_name: str) -> int | None:
     return parse_iso_ms("{}-{}-{}T{}:{}:{}.000Z".format(*match.groups()))
 
 
-def write_parse_errors(path: Path, issues) -> None:
-    """Write one JSON object per skipped line, in input order."""
+def write_parse_errors(out: OutputSet, issues: list) -> int:
+    """Write *out*'s ``parse_errors.jsonl``, one JSON object per issue; return how many."""
     lines = "".join(json.dumps({"source_file": issue.source_file, "line_number": issue.line_number,
                                 "field": issue.field_name, "message": issue.message,
                                 "raw": issue.raw}, sort_keys=True) + "\n" for issue in issues)
-    atomic_write_bytes(path, lines.encode("utf-8"))
+    out.write("parse_errors.jsonl", lines.encode("utf-8"))
+    return len(issues)
 
 
 def convert_classified(classified_dir: Path, out_dir: Path, formats: tuple[str, ...] | str,
                        hooks: Hooks, *, session_id: str, gap_threshold_s: float,
                        open_time: int | None = None) -> dict:
     """Parse *classified_dir* (see :func:`parse_classified` for the date
-    anchor) and write its timeline exports, manifest and parse errors into
-    *out_dir*; return the manifest.  The quarantined count is
+    anchor) and write its exports, parse errors and manifest into *out_dir*
+    as one :func:`export` set; return the manifest.  The quarantined count is
     ``report.json``'s ``quarantined_lines``, an integer >= 0 (``ValueError``
     if not, or if the report is not a JSON object), and 0 without a report.
 
     The stores are parsed as they are merged and exported, holding a
     reorder window of each.  A segment whose records arrive further out of
     time order than that is parsed again, each whole store sorted, and
-    logs ``event=reorder_retry``; the exports are the same either way."""
+    logs ``event=reorder_retry``; the windowed attempt's files are discarded."""
     report, quarantined = classified_dir / REPORT_NAME, 0
     if report.exists():
         document = read_json(report)
@@ -224,19 +226,18 @@ def convert_classified(classified_dir: Path, out_dir: Path, formats: tuple[str, 
                                   f"{report} key 'quarantined_lines'", "int")
         if quarantined < 0:
             raise ValueError(f"{report} key 'quarantined_lines' must be >= 0: {quarantined!r}")
-    for window in (REORDER_WINDOW, None):
+    for window in (REORDER_WINDOW, None):  # a whole-store sort never overflows
         parsed = parse_classified(classified_dir, open_time)
         hooks.fire("mid-parse")
         try:
-            manifest = export(merge_sort(*parsed.stores, window=window), formats, out_dir,
-                              session_id=session_id, parse_errors=lambda: len(parsed.errors),
-                              quarantined=quarantined, gap_threshold_s=gap_threshold_s)
-            break
+            return export(merge_sort(*parsed.stores, window=window), formats, out_dir,
+                          session_id=session_id,
+                          parse_errors=lambda out: write_parse_errors(out, parsed.errors),
+                          quarantined=quarantined, gap_threshold_s=gap_threshold_s)
         except ReorderOverflow as exc:
-            logger.warning("event=reorder_retry segment=%s store=%s at=%s", classified_dir.name,
-                           parsed.names[exc.store], iso_ms(exc.record.timestamp))
-    write_parse_errors(out_dir / "parse_errors.jsonl", parsed.errors)
-    return manifest
+            logger.warning("event=reorder_retry segment=%s store=%s at=%s",
+                           json.dumps(classified_dir.name), parsed.names[exc.store],
+                           iso_ms(exc.record.timestamp))
 
 
 def process_segment(session_dir: Path, segment_name: str, settings: dict, state: StateStore,
@@ -278,8 +279,9 @@ def process_segment(session_dir: Path, segment_name: str, settings: dict, state:
         logger.error("event=processing_failed segment=%s error=%s", segment_name, json.dumps(str(exc)))
         state.flag(segment_name, str(exc))
     else:
-        logger.info("segment=%s stage=converted records=%d errors=%d quarantined=%d", segment_name,
-                    counts["gps_fix"] + counts["loran"], counts["parse_errors"], counts["quarantined"])
+        logger.info("event=segment_converted segment=%s records=%d errors=%d quarantined=%d",
+                    segment_name, counts["gps_fix"] + counts["loran"], counts["parse_errors"],
+                    counts["quarantined"])
 
 
 # --- the long-running pipeline ----------------------------------------------
@@ -321,7 +323,8 @@ def run_pipeline(config: dict, *, clock: Clock | None = None, source=None,
         extra_config={"pipeline": {k: settings[k] for k in (
             "formats", "gap_threshold_s", "quarantine_invalid", "flush_interval_s")}})
     state = StateStore(session.dir / STATE_NAME, session.session_id)
-    logger.info("session=%s dir=%s", session.session_id, session.dir)
+    logger.info("event=session_started session=%s dir=%s", json.dumps(session.session_id),
+                json.dumps(str(session.dir)))
 
     executor = None
     if settings["process_segments"] and not settings["inline_processing"]:

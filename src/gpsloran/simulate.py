@@ -423,17 +423,15 @@ def write_ground_truth(
     truth: GroundTruth,
     out_dir: Path,
     formats: tuple[str, ...] | str = "columns",
-    *,
-    gap_threshold_s: float = 300.0,
 ) -> dict:
     """Export the ground truth with the same schema files a pipeline run
-    produces, so the two can be compared record for record."""
+    produces, at the default gap threshold, so the two can be compared
+    record for record."""
     return export(
         merge_sort(truth.gps, truth.loran, window=None),
         formats,
         Path(out_dir),
         session_id="ground-truth",
-        gap_threshold_s=gap_threshold_s,
     )
 
 

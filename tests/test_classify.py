@@ -487,6 +487,7 @@ _LINES = st.one_of(
 )
 
 
+@settings(deadline=None)  # a loaded host can stall one example past the default 200 ms
 @given(
     st.lists(_LINES, max_size=40),
     st.integers(1, 64),

@@ -1,6 +1,7 @@
 import calendar
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -24,7 +25,7 @@ from gpsloran import cli, convert, parse
 from gpsloran.cli import main
 from gpsloran.convert import (MANIFEST_NAME, export, merge_sort, read_gps_export,
                               read_loran_export)
-from gpsloran.fsutil import read_json
+from gpsloran.fsutil import OutputSet, read_json
 from gpsloran.orchestrate import STATE_NAME, Hooks, StateStore, pipeline_settings, process_segment
 from gpsloran.parse import GpsFix, LoranMeasurement
 from gpsloran.simulate import Scenario, generate_stream
@@ -203,6 +204,34 @@ def test_convert_start_date_fallback(tmp_path, capsys):
     capsys.readouterr()
     gps = read_records(read_gps_export, exports / "timeline_gps.csv")
     assert gps[0].timestamp == ms(2021, 6, 1, 12, 0, 0)
+
+
+@pytest.mark.parametrize("made", [True, False], ids=["made-by-convert", "existing"])
+def test_convert_that_cannot_write_its_parse_errors_leaves_no_file(tmp_path, capsys,
+                                                                    monkeypatch, made):
+    """The exports, ``parse_errors.jsonl`` and ``manifest.json`` are one
+    set: a full disk while the parse errors are written fails ``convert``
+    and leaves none of them, nor the directory ``convert`` made."""
+    classified, out = tmp_path / "classified", tmp_path / "exports"
+    assert main(["classify", "--segment", str(segment_file(tmp_path)),
+                 "--out", str(classified)]) == 0
+    if not made:
+        out.mkdir()
+    real_write = OutputSet.write
+
+    def full_disk(self, name, data):
+        if name == "parse_errors.jsonl":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real_write(self, name, data)
+
+    monkeypatch.setattr(OutputSet, "write", full_disk)
+    capsys.readouterr()
+    assert main(["convert", "--classified", str(classified), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    if made:
+        assert not out.exists()
+    else:
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("report, error", [
@@ -633,7 +662,8 @@ def test_stats_reads_an_export_its_manifest_does_not_vouch_for_strictly(
     assert stats_series(tmp_path / "after") == stats_series(tmp_path / "before")
     warned = {"stale": [gps], "unreadable": [gps, loran]}.get(manifest, [])
     assert [(record.levelname, record.getMessage()) for record in caplog.records] == [
-        ("WARNING", f"event=export_unverified file={path} reason={reason}") for path in warned]
+        ("WARNING", f"event=export_unverified file={json.dumps(str(path))} reason={reason}")
+        for path in warned]
 
 
 def test_stats_checks_an_altered_export_whose_manifest_is_stale(tmp_path, capsys, caplog):
@@ -644,7 +674,8 @@ def test_stats_checks_an_altered_export_whose_manifest_is_stale(tmp_path, capsys
     gps.write_text(gps.read_text().replace(",37.123456789,", ",-90.5,"))
     assert main(["stats", "--session", str(session)]) == 1
     assert capsys.readouterr().err == f"error: {gps}:2: latitude out of range: -90.5\n"
-    assert f"event=export_unverified file={gps} reason=digest_mismatch" in caplog.text
+    assert (f"event=export_unverified file={json.dumps(str(gps))} reason=digest_mismatch"
+            in caplog.text)
 
 
 def test_stats_checks_no_field_of_an_export_its_manifest_vouches_for(tmp_path, capsys):

@@ -178,7 +178,7 @@ def test_export_writes_all_files_and_manifest(tmp_path):
         ("columns", "lines"),
         tmp_path,
         session_id="s1",
-        parse_errors=lambda: 2,
+        parse_errors=lambda out: 2,
         quarantined=3,
     )
     names = {p.name for p in tmp_path.iterdir()}
@@ -327,7 +327,7 @@ def test_each_loran_value_renders_as_written(values):
 def test_export_golden_digests(tmp_path):
     manifest = export(
         golden_timeline(), ("columns", "lines"), tmp_path,
-        session_id="golden", parse_errors=lambda: 1, quarantined=2, gap_threshold_s=1.0,
+        session_id="golden", parse_errors=lambda out: 1, quarantined=2, gap_threshold_s=1.0,
     )
     on_disk = {path.name: sha256_file(path) for path in tmp_path.iterdir()}
     assert on_disk == GOLDEN_DIGESTS
@@ -394,7 +394,7 @@ def test_export_failure_leaves_no_partial_files(tmp_path, monkeypatch):
 def test_export_failure_before_the_manifest_leaves_no_files(tmp_path):
     """A failure once the timeline is written, counting parse errors here,
     leaves no export without its manifest, nor the directory made for them."""
-    def failing_count():
+    def failing_count(out):
         raise OSError(errno.EIO, "parse error store unreadable")
 
     with pytest.raises(OSError):

@@ -17,9 +17,9 @@ import pytest
 
 from gpsloran import fsutil
 from gpsloran.clock import AcceleratedClock, SystemClock
-from gpsloran.classify import REPORT_NAME
+from gpsloran.classify import REPORT_NAME, route
 from gpsloran.convert import MANIFEST_NAME, export, merge_sort
-from gpsloran.fsutil import append_event, read_events, read_json, sha256_file
+from gpsloran.fsutil import OutputSet, append_event, read_events, read_json, sha256_file
 from gpsloran.orchestrate import (
     CLASSIFIED,
     CONVERTED,
@@ -261,8 +261,10 @@ def test_write_parse_errors(tmp_path):
         ParseIssue("GPGGA.txt", 4, "minutes out of range", "latitude", "$GPGGA,x"),
         ParseIssue("P_LRM.txt", 2, "unknown station role: 'Q'", "station_role", "$PLRM,y"),
     ]
+    with OutputSet(tmp_path) as out:
+        assert write_parse_errors(out, issues) == 2
+        out.commit()
     path = tmp_path / "parse_errors.jsonl"
-    write_parse_errors(path, issues)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert lines[0] == {
         "source_file": "GPGGA.txt",
@@ -1134,6 +1136,38 @@ def test_log_messages_split_into_key_value_pairs(tmp_path, caplog, monkeypatch):
     assert missing == ["reprocess", "processing_failed"]
 
 
+# One stderr line of the CLI: its logging prefix, then the message.
+STDERR_LINE = re.compile(r"ts=\S+Z level=[A-Z]+ logger=gpsloran\.\w+ msg=(event=[a-z_]+.*)")
+
+
+def test_run_and_recover_log_one_grammar(tmp_path):
+    """Every stderr line of a ``gpsloran run`` and the ``recover`` after it
+    is ``event=<name>`` then key=value pairs, each value a bare token or a
+    JSON string, with the session under a directory whose name holds a
+    space."""
+    root = tmp_path / "two words"
+    root.mkdir()
+    (root / "stream.log").write_bytes(lines_block_one() + lines_block_two())
+    (root / "run.json").write_text(json.dumps(base_config(
+        root / "out", source=f"replay:{root / 'stream.log'}", replay_speed=0,
+        process_segments=False)))
+    session = root / "out" / "unit"
+    messages = []
+    for argv in (["run", "--config", str(root / "run.json")], ["recover", "--state", str(session)]):
+        done = subprocess.run([sys.executable, "-m", "gpsloran.cli", *argv], capture_output=True,
+                              text=True)
+        assert done.returncode == 0, done.stderr
+        for line in done.stderr.splitlines():
+            match = STDERR_LINE.fullmatch(line)
+            assert match and key_value_pairs(match[1]) is not None, line
+            messages.append(key_value_pairs(match[1]))
+    assert [pairs["event"] for pairs in messages] == [
+        "session_started", "source_ended", "reprocess", "segment_converted"]
+    assert messages[0] == {"event": "session_started", "session": "unit", "dir": str(session)}
+    assert messages[3] == {"event": "segment_converted", "segment": messages[2]["segment"],
+                           "records": "3", "errors": "0", "quarantined": "0"}
+
+
 # --- the parse-and-export golden -------------------------------------------------
 
 
@@ -1233,9 +1267,8 @@ def fully_sorted_exports(classified_dir, out_dir, formats, session_id):
     """What convert_classified writes, with each whole store sorted."""
     parsed = parse_classified(classified_dir, open_time=segment_open_time(classified_dir.name))
     export(merge_sort(*parsed.stores, window=None), formats, out_dir, session_id=session_id,
-           parse_errors=lambda: len(parsed.errors),
+           parse_errors=lambda out: write_parse_errors(out, parsed.errors),
            quarantined=read_json(classified_dir / REPORT_NAME)["quarantined_lines"])
-    write_parse_errors(out_dir / "parse_errors.jsonl", parsed.errors)
 
 
 def one_hz_lines(seconds, talkers=("GP",)):
@@ -1290,6 +1323,43 @@ def test_a_segment_beyond_the_reorder_window_is_parsed_again(tmp_path, caplog, c
         assert sorted(p.name for p in (session_dir / "classified" / stem).glob("G?GGA.txt")) == [
             "GNGGA.txt", "GPGGA.txt"]
         assert retries == []
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["in-order", "late-loran-line"])
+def test_convert_classified_commits_one_set_with_the_manifest_last(tmp_path, monkeypatch,
+                                                                  caplog, late):
+    """One call commits one ``OutputSet``: the exports, then the parse
+    errors, then the manifest are renamed into place.  A windowed attempt
+    the reorder window gives up on is discarded, not committed."""
+    lines, loran = one_hz_lines(600)
+    if late:
+        lines.remove(loran[10])
+        lines.append(loran[10])
+    (tmp_path / "raw.log").write_bytes(crlf(*lines, b"$GPGGA,bad"))
+    route(tmp_path / "raw.log", tmp_path / "classified")
+    commits, renamed = [], []
+    real_commit, real_replace = OutputSet.commit, os.replace
+
+    def counted_commit(self):
+        commits.append(self.dir)
+        real_commit(self)
+
+    def recorded_replace(src, dst):
+        renamed.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(OutputSet, "commit", counted_commit)
+    monkeypatch.setattr(os, "replace", recorded_replace)
+    caplog.set_level(logging.WARNING, logger="gpsloran")
+    manifest = convert_classified(tmp_path / "classified", tmp_path / "out", ("columns", "lines"),
+                                  Hooks(), session_id="s", gap_threshold_s=300.0)
+    assert commits == [tmp_path / "out"]
+    exports = [f"timeline_{kind}.{ext}" for ext in ("csv", "jsonl")
+               for kind in ("gps", "loran", "all")]
+    assert renamed == [*exports, "parse_errors.jsonl", MANIFEST_NAME]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(renamed)
+    assert manifest["record_counts"]["parse_errors"] == 1
+    assert ("event=reorder_retry" in caplog.text) is late
 
 
 def dense_classified(directory, start, seconds):
